@@ -1,0 +1,261 @@
+"""The exact kernel behind power indices and jury competence.
+
+Every exact question here is a sum over the 2^n coalitions (or vote patterns)
+of n players, taken one of two ways: a counting DP over integer weights, which
+tabulates coalitions (or probability) by total weight in O(n * W) cells for
+total weight W (Brams & Affuso 1976; Matsui & Matsui 2000; Uno 2012), or one
+enumeration of all 2^n patterns by array doubling, which takes any weights.
+Each kernel estimates both costs, takes the cheaper route and refuses beyond
+one work cap, :data:`EXACT_WORK_MAX`. Both routes give the same answers
+(counts exactly, probabilities up to float rounding), and neither divides to
+take a player out: the power DP uses an exact alternating identity, the jury
+kernels prefix/suffix summaries of the other judges.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .errors import CapacityError
+
+#: Largest estimated work, in DP cells or n * 2^n enumerated entries, that an
+#: exact computation may take on; 24 players always fit by enumeration.
+EXACT_WORK_MAX = 1 << 29
+
+
+def enumerate_patterns(off, on, start, op=np.add) -> np.ndarray:
+    """Fold one of two values per player over all 2^n patterns.
+
+    Entry j of the last axis is ``op(...op(op(start, x_0), x_1)..., x_{n-1})``
+    where x_i is ``on[i]`` if bit i of j is set and ``off[i]`` otherwise.
+    ``start`` may be an array; its shape becomes the leading axes.
+    """
+    start = np.asarray(start)
+    out = np.empty(start.shape + (1 << len(off),), dtype=start.dtype)
+    out[..., 0] = start
+    half = 1
+    for a, b in zip(off, on):
+        low = out[..., :half]
+        op(low, b, out=out[..., half : 2 * half])
+        op(low, a, out=low)
+        half *= 2
+    return out
+
+
+def _choose_route(n: int, dp_cells: Optional[int], what: str, sampler: str) -> str:
+    """'dp' or 'enumeration', whichever is estimated cheaper; refuse both if over the cap."""
+    enum_cells = n << n
+    if dp_cells is not None and dp_cells <= enum_cells:
+        route, need = "dp", dp_cells
+    else:
+        route, need = "enumeration", enum_cells
+    if need > EXACT_WORK_MAX:
+        dp = "no counting DP (weights are not integers)" if dp_cells is None else (
+            f"counting DP {dp_cells:,} cells"
+        )
+        raise CapacityError(
+            f"exact {what} needs an estimated {need:,} work units ({dp}, "
+            f"enumeration n*2^n = {enum_cells:,}), over the limit of {EXACT_WORK_MAX:,}. "
+            f"Use {sampler} instead."
+        )
+    return route
+
+
+def _count_dtype(n: int):
+    """int64 holds every count of up to 2^62 coalitions; beyond that use Python ints."""
+    return np.int64 if n <= 62 else object
+
+
+def _window_bounds(q: int, w: int, windows: int) -> np.ndarray:
+    """Cumulative-sum positions of the windows (q-(j+1)w, q-jw], j < windows."""
+    return np.maximum(q - w * np.arange(windows + 1), -1) + 1
+
+
+# ---------------------------------------------------------------- power
+
+
+def banzhaf_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> list[int]:
+    """Raw Banzhaf swing counts: coalitions of the others with weight in (q - w_i, q]."""
+    n = len(ws)
+    route = route or _choose_route(
+        n, n * (q + 1), "Banzhaf", "power_monte_carlo(game, kind='banzhaf')"
+    )
+    if route == "enumeration":
+        sums = enumerate_patterns([0] * n, ws, np.int64(0))
+        raw = []
+        for i, w in enumerate(ws):
+            others = sums.reshape(-1, 2, 1 << i)[:, 0, :]
+            raw.append(int(np.count_nonzero((others > q - w) & (others <= q))))
+        return raw
+    counts = np.zeros(q + 1, dtype=_count_dtype(n))  # coalitions by weight, up to q
+    counts[0] = 1
+    for w in ws:
+        if w <= q:
+            counts[w:] += counts[: q + 1 - w]
+    cum = np.zeros(q + 2, dtype=counts.dtype)
+    np.cumsum(counts, out=cum[1:])
+    raw = []
+    for w in ws:
+        if w == 0:
+            raw.append(0)
+            continue
+        # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is the
+        # alternating sum of c's totals over the windows below it
+        at = cum[_window_bounds(q, w, q // w + 1)]
+        window = at[:-1] - at[1:]
+        raw.append(int(window[0::2].sum() - window[1::2].sum()))
+    return raw
+
+
+def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> list[int]:
+    """Raw Shapley-Shubik pivot counts over all n! orderings.
+
+    A coalition S of the others of size k, with weight in (q - w_i, q], makes
+    i pivotal in k!(n-1-k)! orderings.
+    """
+    n = len(ws)
+    route = route or _choose_route(
+        n, n * (n + 1) * (q + 1), "Shapley-Shubik", "power_monte_carlo(game, kind='shapley')"
+    )
+    fact = [math.factorial(k) for k in range(n)]
+    if route == "enumeration":
+        sums = enumerate_patterns([0] * n, ws, np.int64(0))
+        sizes = enumerate_patterns([0] * n, [1] * n, np.int8(0))
+        by_size = []
+        for i, w in enumerate(ws):
+            others = sums.reshape(-1, 2, 1 << i)[:, 0, :]
+            hit = (others > q - w) & (others <= q)
+            by_size.append(np.bincount(sizes.reshape(-1, 2, 1 << i)[:, 0, :][hit], minlength=n))
+    else:
+        table = np.zeros((n + 1, q + 1), dtype=_count_dtype(n))  # [size, weight]
+        table[0, 0] = 1
+        for m, w in enumerate(ws):
+            if w <= q:
+                table[1 : m + 2, w:] += table[: m + 1, : q + 1 - w]
+        cum = np.zeros((n + 1, q + 2), dtype=table.dtype)
+        np.cumsum(table, axis=1, out=cum[:, 1:])
+        by_size = []
+        for w in ws:
+            sized = np.zeros(n, dtype=table.dtype)
+            if w:
+                # as for Banzhaf, with the j-th window taken j sizes down
+                at = cum[:, _window_bounds(q, w, min(q // w + 1, n))]
+                window = at[:, :-1] - at[:, 1:]
+                for j in range(window.shape[1]):
+                    sized[j:] += (-1) ** j * window[: n - j, j]
+            by_size.append(sized)
+    return [sum(int(c) * fact[k] * fact[n - 1 - k] for k, c in enumerate(s)) for s in by_size]
+
+
+# ---------------------------------------------------------------- jury
+
+
+def jury_values(
+    w: np.ndarray,
+    p: np.ndarray,
+    bias: float,
+    nd: float,
+    players: Sequence[int],
+    route: Optional[str] = None,
+) -> tuple[float, list[float]]:
+    """Group competence and the decisiveness of each of ``players``.
+
+    Judge i is right with probability p_i; the group is right iff
+    sum_i w_i v_i > bias (v_i = +1 if right, -1 if wrong), and a stalemate
+    earns ``nd``. Decisiveness is P(right | i right) - P(right | i wrong).
+    """
+    n = w.size
+    ints = None
+    if np.isfinite(w).all() and (w == np.round(w)).all():
+        ints = [int(x) for x in w]
+    dp_cells = None
+    if ints is not None:
+        # priced for every judge's decisiveness, so that the competence does
+        # not depend on which decisiveness values were asked for
+        dp_cells = n * (sum(map(abs, ints)) + 1) * (1 + (n - 1).bit_length())
+    route = route or _choose_route(n, dp_cells, "jury competence", "competence_monte_carlo")
+    if route == "dp":
+        return _jury_dp(ints, p, bias, nd, players)
+    return _jury_enumeration(w, p, bias, nd, players)
+
+
+def _each_judge(n: int, players: Sequence[int], root, absorb, leaf) -> list[float]:
+    """``leaf(i, state)`` for each of ``players``, where ``state`` covers every other judge.
+
+    A state belongs to a range [lo, hi) of judges and summarises all judges
+    outside it; ``absorb(state, lo, hi, a, b)`` moves the judges [a, b) (the
+    lower or upper part of the range) into the summary. Halving the range,
+    the left half absorbs the right and vice versa, so these are prefix and
+    suffix summaries with each judge absorbed about log2(n) times and only
+    log2(n) states alive at once.
+    """
+    want = set(players)
+    out = {}
+
+    def split(lo: int, hi: int, state):
+        if want.isdisjoint(range(lo, hi)):
+            return
+        if hi - lo == 1:
+            out[lo] = leaf(lo, state)
+            return
+        mid = (lo + hi) // 2
+        split(lo, mid, absorb(state, lo, hi, mid, hi))
+        split(mid, hi, absorb(state, lo, hi, lo, mid))
+
+    split(0, n, root)
+    return [out[i] for i in players]
+
+
+def _jury_enumeration(w, p, bias, nd, players):
+    sums = enumerate_patterns(-w, w, np.float64(0.0))
+    probs = enumerate_patterns(1.0 - p, p, np.float64(1.0), np.multiply)
+    win = sums > bias
+    competence = float(probs[win].sum())
+    credit = np.where(win, 1.0, 0.0)
+    if nd:
+        tie = sums == bias
+        competence += nd * float(probs[tie].sum())
+        credit[tie] = nd
+
+    def absorb(table, lo, hi, a, b):
+        # table[j]: expected credit when judge lo + k is right iff bit k of j
+        # is set; averaging over judges [a, b) contracts their bits
+        mid = b if a == lo else a
+        grid = table.reshape(1 << (hi - mid), 1 << (mid - lo))
+        odds = enumerate_patterns(1.0 - p[a:b], p[a:b], np.float64(1.0), np.multiply)
+        return grid @ odds if a == lo else odds @ grid
+
+    decisive = _each_judge(w.size, players, credit, absorb, lambda i, t: float(t[1] - t[0]))
+    return competence, decisive
+
+
+def _jury_dp(w: list[int], p, bias, nd, players):
+    # a judge of negative weight is a judge of weight |w| who is right when
+    # the original is wrong; X is the total weight of the judges who are right
+    flip = [x < 0 for x in w]
+    w = [abs(x) for x in w]
+    p = np.where(flip, 1.0 - p, p)
+    width = sum(w) + 1
+    signed = 2.0 * np.arange(width) - sum(w)
+    credit = (signed > bias) + nd * (signed == bias)
+
+    def absorb(dist, lo, hi, a, b):
+        for i in range(a, b):
+            out = dist * (1.0 - p[i])
+            out[w[i] :] += dist[: width - w[i]] * p[i]
+            dist = out
+        return dist
+
+    def leaf(i, others):
+        right = float(others[: width - w[i]] @ credit[w[i] :])
+        wrong = float(others @ credit)
+        return wrong - right if flip[i] else right - wrong
+
+    n = len(w)
+    start = np.zeros(width)
+    start[0] = 1.0
+    competence = float(absorb(start, 0, n, 0, n) @ credit)
+    return competence, _each_judge(n, players, start, absorb, leaf)

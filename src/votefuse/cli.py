@@ -33,16 +33,10 @@ from .io import (
     load_predictions,
     load_team_structure,
 )
-from .jury import (
-    competence_monte_carlo,
-    decisiveness_probability,
-    group_competence,
-    indirect_competence,
-    optimal_weights,
-)
+from .jury import competence_monte_carlo, indirect_competence, jury_exact, optimal_weights
 from .power import banzhaf_exact, power_monte_carlo, shapley_shubik_exact
 from .scoring import ScoringVector, condorcet_efficiency
-from .wmr import DEFAULT_MAX_WEIGHT, enumerate_unique_wmr, enumeration_is_bound_stable
+from .wmr import DEFAULT_MAX_WEIGHT, enumerate_unique_wmr
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -116,8 +110,9 @@ def _cmd_power(args) -> str:
 
 def _cmd_wmr_enum(args) -> str:
     rules = enumerate_unique_wmr(args.n, args.max_weight)
-    stable = enumeration_is_bound_stable(args.n, args.max_weight)
     bound = DEFAULT_MAX_WEIGHT[args.n] if args.max_weight is None else args.max_weight
+    # same test as enumeration_is_bound_stable, without repeating the first scan
+    stable = len(rules) == len(enumerate_unique_wmr(args.n, bound + 1))
     extra = [
         f"n={args.n}",
         f"max_weight={bound}",
@@ -148,10 +143,9 @@ def _cmd_jury(args) -> str:
         extra.append(f"trials={args.trials}")
     rows = []
     if args.method == "exact":
-        comp = group_competence(weights, args.bias, skills, nd_policy=args.nd_policy)
-        rows.append(("competence", "", repr(comp), ""))
-        for i in range(n):
-            d = decisiveness_probability(weights, args.bias, skills, i, nd_policy=args.nd_policy)
+        exact = jury_exact(weights, args.bias, skills, nd_policy=args.nd_policy)
+        rows.append(("competence", "", repr(exact.competence), ""))
+        for i, d in enumerate(exact.decisiveness):
             rows.append(("decisiveness", str(i), repr(d), ""))
     else:
         est = competence_monte_carlo(

@@ -26,6 +26,10 @@ class DataError(VotefuseError):
     """User-supplied data is malformed or inconsistent."""
 
 
+class WeightScaleError(DataError, OverflowError):
+    """Weights and quota scaled to a common denominator do not fit in 64 bits."""
+
+
 class InvalidCoalitionError(DataError):
     """A coalition refers to players outside the game."""
 

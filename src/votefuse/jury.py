@@ -3,10 +3,16 @@
 A group of n judges votes between two alternatives, one of which is correct.
 Judge i votes correctly with probability p_i, independently; the group
 answer is taken by a weighted rule: correct iff sum_i w_i v_i > bias, where
-v_i is +1 for a correct vote and -1 otherwise. Exact routines enumerate all
-2^n vote patterns by array doubling; a stalemate (the sum hits the bias
-exactly) counts as an incorrect group answer under the default policy, or as
-a fair coin flip under ``nd_policy="coin-flip"``.
+v_i is +1 for a correct vote and -1 otherwise. A stalemate (the sum hits the
+bias exactly) counts as an incorrect group answer under the default policy,
+or as a fair coin flip under ``nd_policy="coin-flip"``.
+
+Exact routines share the kernel in :mod:`._exact`. Integer-valued weights
+take a DP over the distribution of the signed sum, O(n * W) cells for total
+absolute weight W, and every judge's decisiveness comes from prefix/suffix
+distributions of the others in O(n log n * W). Other weights, such as
+log-odds, take one enumeration of the 2^n vote patterns, which serves the
+competence and all n decisiveness values at once. One work cap bounds both.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._exact import enumerate_patterns, jury_values
 from ._rand import chunk_rng, chunk_sizes
 from .errors import CapacityError, DimensionError
 from .model import SkillsLike, as_skills
 
-JURY_EXACT_MAX = 24
 INDIRECT_DISTINCT_MAX = 20
 
 _ND_CREDIT = {"incorrect": 0.0, "coin-flip": 0.5}
@@ -45,14 +51,26 @@ def _check_lengths(weights, skills) -> tuple[np.ndarray, np.ndarray]:
     return w, p
 
 
-def _signed_sums_and_probs(w: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed weight sums and probabilities over all 2^n correct/incorrect patterns."""
-    sums = np.zeros(1)
-    probs = np.ones(1)
-    for wi, pi in zip(w, p):
-        sums = np.concatenate([sums - wi, sums + wi])
-        probs = np.concatenate([probs * (1.0 - pi), probs * pi])
-    return sums, probs
+@dataclass(frozen=True)
+class JuryReport:
+    """Exact group competence and every judge's decisiveness, from one kernel run."""
+
+    competence: float
+    decisiveness: tuple[float, ...]
+
+
+def jury_exact(
+    weights: Sequence[float], bias: float, skills: SkillsLike, nd_policy: str = "incorrect"
+) -> JuryReport:
+    """Group competence and the decisiveness of every judge, from one kernel run.
+
+    The kernel is a DP over the signed sum for integer-valued weights, or one
+    enumeration of the 2^n vote patterns, whichever is estimated cheaper.
+    """
+    nd = _nd_credit(nd_policy)
+    w, p = _check_lengths(weights, skills)
+    competence, decisive = jury_values(w, p, bias, nd, range(w.size))
+    return JuryReport(competence, tuple(decisive))
 
 
 def group_competence(
@@ -66,16 +84,7 @@ def group_competence(
     """
     nd = _nd_credit(nd_policy)
     w, p = _check_lengths(weights, skills)
-    if w.size > JURY_EXACT_MAX:
-        raise CapacityError(
-            f"exact competence enumerates 2^n vote patterns and is capped at "
-            f"n={JURY_EXACT_MAX}; got n={w.size}. Use competence_monte_carlo instead."
-        )
-    sums, probs = _signed_sums_and_probs(w, p)
-    value = float(probs[sums > bias].sum())
-    if nd:
-        value += nd * float(probs[sums == bias].sum())
-    return value
+    return jury_values(w, p, bias, nd, ())[0]
 
 
 def decisiveness_probability(
@@ -90,28 +99,14 @@ def decisiveness_probability(
     This equals the partial derivative of :func:`group_competence` with
     respect to p_i. With all skills at 1/2 and zero bias it reduces to the
     probability that i is a swing voter, i.e. the raw Banzhaf count divided
-    by 2^(n-1) in the game with quota (total + bias)/2.
+    by 2^(n-1) in the game with quota (total + bias)/2. To get every judge's
+    value, :func:`jury_exact` runs the kernel once instead of n times.
     """
     nd = _nd_credit(nd_policy)
     w, p = _check_lengths(weights, skills)
     if not 0 <= player < w.size:
         raise DimensionError(f"player {player} out of range for n={w.size}")
-    if w.size > JURY_EXACT_MAX:
-        raise CapacityError(
-            f"exact decisiveness enumerates 2^(n-1) vote patterns and is capped at "
-            f"n={JURY_EXACT_MAX}; got n={w.size}."
-        )
-    others = np.delete(np.arange(w.size), player)
-    sums, probs = _signed_sums_and_probs(w[others], p[others])
-    wi = w[player]
-
-    def answer(shift: float) -> float:
-        value = float(probs[sums + shift > bias].sum())
-        if nd:
-            value += nd * float(probs[sums + shift == bias].sum())
-        return value
-
-    return answer(wi) - answer(-wi)
+    return jury_values(w, p, bias, nd, (player,))[1][0]
 
 
 @dataclass(frozen=True)
@@ -253,13 +248,10 @@ def indirect_competence(
     for t, (team, wrow) in enumerate(zip(structure.teams, structure.member_weights)):
         for i, wi in zip(team, wrow):
             team_w[t, pos[i]] += wi
-    sums = np.zeros((k, 1))
-    probs = np.ones(1)
-    for b in range(d):
-        col = team_w[:, b : b + 1]
-        sums = np.concatenate([sums - col, sums + col], axis=1)
-        pb = p_all[players[b]]
-        probs = np.concatenate([probs * (1.0 - pb), probs * pb])
+    cols = team_w.T[:, :, None]
+    sums = enumerate_patterns(-cols, cols, np.zeros(k))
+    pb = p_all[list(players)]
+    probs = enumerate_patterns(1.0 - pb, pb, np.float64(1.0), np.multiply)
     biases = np.asarray(structure.team_biases)[:, None]
     top_w = np.asarray(structure.top_weights)
     fixed = np.where(sums > biases, 1.0, -1.0)

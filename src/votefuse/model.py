@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, InvalidCoalitionError
+from .errors import DimensionError, InvalidCoalitionError, WeightScaleError
 
 #: Coalitions are stored in a single Python int used as a bit mask; 63 keeps
 #: every mask (and 2**n loop bounds) inside one machine word with room to spare.
@@ -166,15 +166,19 @@ def integer_form(game: VotingGame) -> tuple[np.ndarray, int]:
     """Rescale weights and quota by a common denominator to integers.
 
     Returns ``(weights, quota)`` with int64 weights; the winning condition
-    ``sum > quota`` is preserved exactly. Raises :class:`OverflowError` if the
-    scaled total would not fit in a signed 64-bit word.
+    ``sum > quota`` is preserved exactly. Raises :class:`WeightScaleError`
+    (a :class:`DataError`, and also an :class:`OverflowError`) if the scaled
+    total would not fit in a signed 64-bit word.
     """
     denoms = [w.denominator for w in game.weights] + [game.quota.denominator]
     scale = lcm(*denoms)
     ws = [int(w * scale) for w in game.weights]
     q = int(game.quota * scale)
     if sum(ws) + abs(q) >= 1 << 62:
-        raise OverflowError("scaled weights exceed 64-bit range; reduce denominators")
+        raise WeightScaleError(
+            f"weights and quota scaled to their common denominator {scale} exceed "
+            f"the 64-bit range; reduce denominators"
+        )
     return np.array(ws, dtype=np.int64), q
 
 

@@ -1,8 +1,10 @@
 """Banzhaf and Shapley-Shubik voting power, exact and by Monte Carlo.
 
-Exact routines enumerate subset sums on rescaled integer weights, doubling a
-numpy array once per player, so a full Banzhaf computation is O(n * 2^n) with
-no floating-point comparisons anywhere near the quota. The Monte Carlo
+Exact routines count coalitions on rescaled integer weights, so no
+floating-point comparison comes anywhere near the quota. They run the shared
+kernel in :mod:`._exact`: a counting DP over weights up to the quota, in
+O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or one 2^n
+enumeration when that is cheaper, refused beyond one work cap. The Monte Carlo
 estimators draw in fixed-size chunks with one counter-based substream per
 chunk, which makes results independent of how the chunks are scheduled: a
 serial run and any parallel split of the same trial budget return identical
@@ -18,13 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._exact import banzhaf_counts, shapley_counts
 from ._rand import CHUNK, chunk_rng, chunk_sizes
-from .errors import CapacityError
 from .model import VotingGame, integer_form
-
-#: Largest n accepted by the exact enumerations.
-BANZHAF_EXACT_MAX = 24
-SHAPLEY_EXACT_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -45,35 +43,6 @@ class PowerReport:
     stderr: Optional[tuple[float, ...]] = None
 
 
-def _subset_sums(weights: np.ndarray) -> np.ndarray:
-    """All 2^k subset sums of ``weights``; bit i of the position selects weight i."""
-    sums = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        sums = np.concatenate([sums, sums + w])
-    return sums
-
-
-def _subset_sums_sized(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Subset sums together with subset cardinalities."""
-    sums = np.zeros(1, dtype=np.int64)
-    sizes = np.zeros(1, dtype=np.int8)
-    for w in weights:
-        sums = np.concatenate([sums, sums + w])
-        sizes = np.concatenate([sizes, sizes + np.int8(1)])
-    return sums, sizes
-
-
-def _swing_counts(weights: np.ndarray, quota: int) -> list[int]:
-    """Number of coalitions (not containing i) that i turns from losing to winning."""
-    counts = []
-    for i in range(len(weights)):
-        others = np.delete(weights, i)
-        sums = _subset_sums(others)
-        # S loses, S+{i} wins  <=>  quota - w_i < sum(S) <= quota
-        counts.append(int(np.count_nonzero((sums > quota - weights[i]) & (sums <= quota))))
-    return counts
-
-
 def banzhaf_exact(game: VotingGame) -> PowerReport:
     """Exact Banzhaf power: raw swing counts and their normalization.
 
@@ -81,13 +50,8 @@ def banzhaf_exact(game: VotingGame) -> PowerReport:
     that the player's joining turns from losing to winning. A dummy scores 0;
     a dictator is the only player with a positive count.
     """
-    if game.n > BANZHAF_EXACT_MAX:
-        raise CapacityError(
-            f"exact Banzhaf enumerates 2^n coalitions and is capped at n={BANZHAF_EXACT_MAX}; "
-            f"got n={game.n}. Use power_monte_carlo(game, kind='banzhaf') instead."
-        )
     ws, quota = integer_form(game)
-    raw = _swing_counts(ws, quota)
+    raw = banzhaf_counts(ws.tolist(), quota)
     total = sum(raw)
     if total:
         normalized = tuple(float(Fraction(r, total)) for r in raw)
@@ -100,29 +64,16 @@ def shapley_shubik_exact(game: VotingGame) -> PowerReport:
     """Exact Shapley-Shubik power: pivot counts over all n! player orderings.
 
     Instead of walking orderings, each player's pivot count is assembled from
-    subset sums of the other players grouped by subset size k, weighting each
-    qualifying subset by k!(n-1-k)!. Raw counts sum to n! whenever the grand
-    coalition wins.
+    the coalitions of the other players grouped by size k, weighting each
+    qualifying coalition by k!(n-1-k)!. Raw counts sum to n! whenever the
+    grand coalition wins.
     """
-    if game.n > SHAPLEY_EXACT_MAX:
-        raise CapacityError(
-            f"exact Shapley-Shubik enumerates 2^n coalitions and is capped at "
-            f"n={SHAPLEY_EXACT_MAX}; got n={game.n}. "
-            f"Use power_monte_carlo(game, kind='shapley') instead."
-        )
     n = game.n
     ws, quota = integer_form(game)
-    fact = [math.factorial(k) for k in range(n + 1)]
-    raw: list[int] = []
-    for i in range(n):
-        others = np.delete(ws, i)
-        sums, sizes = _subset_sums_sized(others)
-        hit = (sums > quota - ws[i]) & (sums <= quota)
-        by_size = np.bincount(sizes[hit], minlength=n)
-        raw.append(sum(int(by_size[k]) * fact[k] * fact[n - 1 - k] for k in range(n)))
-    total = sum(raw)
-    if total:
-        normalized = tuple(float(Fraction(r, fact[n])) for r in raw)
+    raw = shapley_counts(ws.tolist(), quota)
+    if any(raw):
+        orderings = math.factorial(n)
+        normalized = tuple(float(Fraction(r, orderings)) for r in raw)
     else:
         normalized = (0.0,) * n
     return PowerReport("shapley", "exact", tuple(raw), normalized)

@@ -75,6 +75,21 @@ class TestWmrEnumCommand:
         assert [r[0] for r in rep.rows] == ["1 0 0 0", "1 1 1 0", "2 1 1 1"]
         assert all(set(r[1]) <= {"A", "B"} and len(r[1]) == 16 for r in rep.rows)
 
+    def test_bound_stability_takes_one_extra_scan(self, capsys, monkeypatch):
+        import votefuse.cli as cli
+
+        bounds = []
+        scan = cli.enumerate_unique_wmr
+
+        def counted(n, max_weight=None):
+            bounds.append(max_weight)
+            return scan(n, max_weight)
+
+        monkeypatch.setattr(cli, "enumerate_unique_wmr", counted)
+        code, out, _ = run(capsys, "wmr", "enum", "--n", "4")
+        assert code == 0 and bounds == [None, 3]
+        assert "bound_stable=true" in parse_report(out).comments
+
 
 class TestJuryCommand:
     def test_exact_competence_and_decisiveness(self, capsys):
@@ -255,10 +270,19 @@ class TestExitCodes:
 
     def test_capacity_exits_four(self, capsys, tmp_path):
         big = tmp_path / "big.txt"
-        big.write_text("weights = " + " ".join(["1"] * 30) + "\n", encoding="utf-8")
+        weights = " ".join(str(10**9 + i) for i in range(30))
+        big.write_text(f"weights = {weights}\n", encoding="utf-8")
         code, _, err = run(capsys, "power", "--game", str(big), "--method", "exact")
         assert code == 4
         assert "power_monte_carlo" in err
+
+    def test_weights_too_fine_to_scale_exit_three(self, capsys, tmp_path):
+        fine = tmp_path / "fine.txt"
+        fine.write_text("weights = 1/1000000007 1/1000000009 1/998244353 5\n", encoding="utf-8")
+        code, out, err = run(capsys, "power", "--game", str(fine))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "reduce denominators" in err
 
     def test_bad_data_in_predictions_exits_three(self, capsys, tmp_path):
         p = tmp_path / "p.csv"

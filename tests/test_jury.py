@@ -82,8 +82,9 @@ class TestGroupCompetence:
             group_competence((1,), 0.0, (0.6,), nd_policy="retry")
 
     def test_capacity_gate_names_the_monte_carlo_route(self):
+        weights = [10**9 + i for i in range(30)]  # integer DP and 2^30 patterns both too big
         with pytest.raises(CapacityError, match="competence_monte_carlo"):
-            group_competence((1,) * 25, 0.0, (0.6,) * 25)
+            group_competence(weights, 0.0, (0.6,) * 30)
 
 
 class TestDecisiveness:

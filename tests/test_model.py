@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from votefuse.errors import DimensionError, InvalidCoalitionError
+from votefuse.errors import DataError, DimensionError, InvalidCoalitionError, WeightScaleError
 from votefuse.model import (
     MAX_PLAYERS,
     Coalition,
@@ -123,6 +123,12 @@ class TestIntegerForm:
         for mask in range(1 << g.n):
             scaled = sum(int(w) for i, w in enumerate(ws) if mask >> i & 1)
             assert (scaled > quota) == is_winning(g, Coalition.from_mask(mask))
+
+    def test_scale_past_64_bits_is_a_data_error(self):
+        g = VotingGame(("1/1000000007", "1/1000000009", "1/998244353", 5))
+        with pytest.raises(WeightScaleError, match="reduce denominators") as info:
+            integer_form(g)
+        assert isinstance(info.value, DataError) and isinstance(info.value, OverflowError)
 
 
 class TestSkillProfile:
