@@ -38,6 +38,12 @@ for lam in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fractio
     r = condorcet_efficiency(sv, 3, 5)
     print(f"  lam={str(lam):>4}: {float(r.exact):.4f}")
 
+# Four candidates and five voters give 24^5 profiles, which collapse to
+# 98,280 ranking-count multisets; all of them are scored exactly.
+b4 = condorcet_efficiency(ScoringVector.borda(4), 4, 5)
+print(f"\nborda, 4 candidates, 5 voters: {b4.exact} = {b4.value:.4f} "
+      f"({b4.profiles_with_winner} of {24**5} profiles have a champion)")
+
 # Ties can be scored two ways; split credit is more forgiving than failing.
 # (With 4 voters a champion needs 3 of 4 in every pairing, so plurality is
 # flawless there; n=6 brings the tie policies apart.)

@@ -3,10 +3,12 @@
 Condorcet efficiency of a scoring rule is the probability, conditional on a
 strict pairwise-majority winner existing, that the rule elects that winner
 when every voter draws a ranking independently and uniformly (the impartial
-culture). The exact routine enumerates profiles as ranking-count multisets
-weighted by multinomial coefficients, entirely in integer arithmetic, and
-returns the efficiency as a Fraction; the Monte Carlo routine samples whole
-profiles in deterministic chunks.
+culture). Both methods score blocks of profiles with one kernel, each
+profile a row of m!-ranking indices. The exact method enumerates the
+C(n+m!-1, m!-1) ranking-count multisets as sorted rows, in blocks of at most
+``_rand.CHUNK``, weights each by its multinomial coefficient, and sums the
+credits as integers over lcm(1..m) before building one Fraction. The Monte
+Carlo method draws whole profiles in deterministic chunks.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, combinations_with_replacement, islice, permutations
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _rand
 from ._rand import chunk_rng, chunk_sizes
 from .errors import (
     BallotError,
     CapacityError,
+    DataError,
     DimensionError,
     EvidenceError,
 )
@@ -213,73 +217,75 @@ class EfficiencyResult:
     seed: Optional[int] = None
 
 
-def _ranking_tables(m: int, scoring: ScoringVector) -> tuple[np.ndarray, np.ndarray]:
-    """Per-ranking integer score rows and upper-pair preference tensors."""
-    rankings = list(permutations(range(m)))
-    s_int = scoring.integer_form()
-    score_rows = np.zeros((len(rankings), m), dtype=np.int64)
-    pair_rows = np.zeros((len(rankings), m, m), dtype=np.int64)
-    for r, perm in enumerate(rankings):
-        for pos, cand in enumerate(perm):
-            score_rows[r, cand] = s_int[pos]
-        for hi in range(m):
-            for lo in range(hi + 1, m):
-                pair_rows[r, perm[hi], perm[lo]] = 1
+def _ranking_tables(scoring: ScoringVector, n_voters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Score rows and pair rows (1 iff a is above b) of each ranking, in narrow int dtypes.
+
+    Scores are the integer form shifted to end at 0 and divided by their gcd,
+    which changes no comparison of totals: each candidate takes one position
+    per voter. Row r is the r-th ranking of ``permutations(range(m))``.
+    """
+    s = scoring.integer_form()
+    g = math.gcd(*(x - s[-1] for x in s))
+    points = [(x - s[-1]) // g for x in s]
+    if n_voters * points[0] > np.iinfo(np.int64).max:
+        raise DataError(
+            f"the scoring vector reduces to integer scores of up to {points[0].bit_length()} "
+            f"bits, so totals over {n_voters} voters do not fit in 64 bits; round the "
+            f"scores to fewer significant digits"
+        )
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= points[0])
+    rankings = np.array(list(permutations(range(scoring.m))), dtype=np.intp)
+    place = np.argsort(rankings, axis=1)  # place[r, c]: position of candidate c in ranking r
+    score_rows = np.array(points, dtype=dtype)[place]
+    pair_rows = (place[:, :, None] < place[:, None, :]).astype(np.int8)
     return score_rows, pair_rows
 
 
-def _leaf_credit(
-    totals: np.ndarray, pairs: np.ndarray, n: int, m: int, tie_policy: str
-) -> tuple[bool, Fraction]:
-    """Whether the profile has a pairwise winner, and the scoring rule's credit."""
-    cw = -1
-    for a in range(m):
-        if all(2 * pairs[a, b] > n for b in range(m) if b != a):
-            cw = a
-            break
-    if cw < 0:
-        return False, Fraction(0)
-    top = totals.max()
-    tied = np.nonzero(totals == top)[0]
+def _score_profiles(
+    idx: np.ndarray, score_rows: np.ndarray, pair_rows: np.ndarray, tie_policy: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Score a block of profiles, one per row of ranking indices ``idx`` (rows, voters).
+
+    Returns per profile whether a strict pairwise-majority winner exists, how
+    many candidates share the top score, and whether the rule earns credit
+    (1/tied): the winner exists and is among them, alone under ``"fail"``.
+    """
+    n_voters, m = idx.shape[1], score_rows.shape[1]
+    totals = score_rows[idx].sum(axis=1, dtype=np.int64)
+    pairs = pair_rows[idx].sum(axis=1, dtype=np.int64)
+    is_cw = (2 * pairs > n_voters).sum(axis=2) == m - 1  # row a beats all others
+    cw = np.argmax(is_cw, axis=1)
+    at_top = totals == totals.max(axis=1, keepdims=True)
+    tied = at_top.sum(axis=1)
+    has_cw = is_cw.any(axis=1)
+    hit = has_cw & np.take_along_axis(at_top, cw[:, None], axis=1)[:, 0]
     if tie_policy == "fail":
-        hit = tied.size == 1 and tied[0] == cw
-        return True, Fraction(1) if hit else Fraction(0)
-    if cw in tied:
-        return True, Fraction(1, tied.size)
-    return True, Fraction(0)
+        hit &= tied == 1
+    return has_cw, tied, hit
 
 
 def _efficiency_exact(
     scoring: ScoringVector, m: int, n_voters: int, tie_policy: str
 ) -> EfficiencyResult:
-    score_rows, pair_rows = _ranking_tables(m, scoring)
-    r_count = score_rows.shape[0]
-    hits = Fraction(0)
+    score_rows, pair_rows = _ranking_tables(scoring, n_voters)
+    lcm = math.lcm(*range(1, m + 1))  # credits 1/k are integers over lcm(1..m)
+    hits = 0
     with_winner = 0
-
-    def descend(r: int, remaining: int, coeff: int, totals: np.ndarray, pairs: np.ndarray):
-        nonlocal hits, with_winner
-        if r == r_count - 1:
-            leaf_totals = totals + remaining * score_rows[r]
-            leaf_pairs = pairs + remaining * pair_rows[r]
-            has_cw, credit = _leaf_credit(leaf_totals, leaf_pairs, n_voters, m, tie_policy)
-            if has_cw:
-                with_winner += coeff
-                hits += coeff * credit
-            return
-        for c in range(remaining + 1):
-            descend(
-                r + 1,
-                remaining - c,
-                coeff * math.comb(remaining, c),
-                totals + c * score_rows[r],
-                pairs + c * pair_rows[r],
-            )
-
-    descend(0, n_voters, 1, np.zeros(m, dtype=np.int64), np.zeros((m, m), dtype=np.int64))
+    # each ranking-count multiset is a sorted row of ranking indices
+    leaves = combinations_with_replacement(range(score_rows.shape[0]), n_voters)
+    while (flat := np.fromiter(chain.from_iterable(islice(leaves, _rand.CHUNK)), np.intp)).size:
+        idx = flat.reshape(-1, n_voters)
+        coeff = run = np.ones(idx.shape[0], dtype=np.int64)
+        for j in range(1, n_voters):
+            # profiles per row, n!/prod(run length)!: each prefix is a multinomial
+            run = np.where(idx[:, j] == idx[:, j - 1], run + 1, 1)
+            coeff = coeff * (j + 1) // run
+        has_cw, tied, hit = _score_profiles(idx, score_rows, pair_rows, tie_policy)
+        with_winner += int(coeff[has_cw].sum())
+        hits += int(coeff[hit] @ (lcm // tied[hit]))
     if with_winner == 0:
         raise EvidenceError("no profile has a pairwise-majority winner")
-    exact = hits / with_winner
+    exact = Fraction(hits, lcm * with_winner)
     return EfficiencyResult(
         value=float(exact),
         method="exact",
@@ -292,29 +298,15 @@ def _efficiency_exact(
 def _efficiency_mc(
     scoring: ScoringVector, m: int, n_voters: int, tie_policy: str, trials: int, seed: int
 ) -> EfficiencyResult:
-    score_rows, pair_rows = _ranking_tables(m, scoring)
-    r_count = score_rows.shape[0]
+    score_rows, pair_rows = _ranking_tables(scoring, n_voters)
     with_winner = 0
     credit_sum = 0.0
     credit_sq = 0.0
     for chunk_index, size in enumerate(chunk_sizes(trials)):
         rng = chunk_rng(seed, chunk_index)
-        draws = rng.integers(0, r_count, size=(size, n_voters))
-        totals = score_rows[draws].sum(axis=1)
-        pairs = pair_rows[draws].sum(axis=1)
-        beats = 2 * pairs > n_voters
-        is_cw = beats.sum(axis=2) == m - 1  # row a beats all others
-        has_cw = is_cw.any(axis=1)
-        cw = np.argmax(is_cw, axis=1)
-        top = totals.max(axis=1, keepdims=True)
-        at_top = totals == top
-        tied_count = at_top.sum(axis=1)
-        cw_at_top = np.take_along_axis(at_top, cw[:, None], axis=1)[:, 0]
-        if tie_policy == "fail":
-            credit = (cw_at_top & (tied_count == 1)).astype(np.float64)
-        else:
-            credit = np.where(cw_at_top, 1.0 / tied_count, 0.0)
-        credit = np.where(has_cw, credit, 0.0)
+        draws = rng.integers(0, score_rows.shape[0], size=(size, n_voters))
+        has_cw, tied, hit = _score_profiles(draws, score_rows, pair_rows, tie_policy)
+        credit = np.where(hit, 1.0 / tied, 0.0)
         with_winner += int(has_cw.sum())
         credit_sum += float(credit.sum())
         credit_sq += float((credit * credit).sum())

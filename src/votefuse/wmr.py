@@ -10,11 +10,11 @@ n voters?" into plain table deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._exact import enumerate_patterns
 from .errors import CapacityError, DimensionError
 from .model import (
     Coalition,
@@ -129,13 +129,12 @@ def rule_from_game(game: VotingGame, bias=0) -> DecisionRule:
     scaled = VotingGame(game.weights + (abs(b),), quota=0)
     ws_all, _ = integer_form(scaled)
     ws, b_scaled = ws_all[:-1], int(np.sign(float(b))) * int(ws_all[-1])
-    s = _sign_matrix(n) @ ws
-    return DecisionRule(n, np.sign(s - b_scaled).astype(np.int8))
+    return DecisionRule(n, _rule_table_int(ws, b_scaled))
 
 
-def _rule_table_int(weights: Sequence[int]) -> np.ndarray:
-    s = _sign_matrix(len(weights)) @ np.asarray(weights, dtype=np.int64)
-    return np.sign(s).astype(np.int8)
+def _rule_table_int(weights: Sequence[int], bias: int = 0) -> np.ndarray:
+    ws = np.asarray(weights, dtype=np.int64)
+    return np.sign(enumerate_patterns(-ws, ws, np.int64(-bias))).astype(np.int8)
 
 
 def rule_distance(a: "RuleLike", b: "RuleLike") -> int:
@@ -199,21 +198,22 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
     mw = DEFAULT_MAX_WEIGHT[n] if max_weight is None else int(max_weight)
     if mw < 1:
         raise ValueError("max_weight must be >= 1")
-    vectors = sorted(
-        combinations_with_replacement(range(mw, -1, -1), n),
-        key=lambda v: (sum(v) % 2 == 0, v),
-    )
-    signs = _sign_matrix(n)
-    tables = np.sign(signs @ np.array(vectors, dtype=np.int64).T).astype(np.int8)
-    decisive = ~(tables == 0).any(axis=0)
-    seen: dict[bytes, tuple[int, ...]] = {}
-    for j, vec in enumerate(vectors):
-        if not decisive[j]:
-            continue
-        key = tables[:, j].tobytes()
-        if key not in seen:
-            seen[key] = vec
-    return [CanonicalWMR(w) for w in sorted(seen.values())]
+    # non-increasing vectors in lexicographic order, grown one column at a time
+    vectors = np.arange(mw + 1, dtype=np.int64)[:, None]
+    for _ in range(n - 1):
+        reps = vectors[:, -1] + 1
+        starts = np.repeat(np.cumsum(reps) - reps, reps)
+        last = np.arange(reps.sum()) - starts
+        vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
+    vectors = vectors[np.argsort(vectors.sum(axis=1) % 2 == 0, kind="stable")]  # odd totals first
+    # one BLAS product; exact, since every signed sum is an integer below n * mw
+    sums = vectors.astype(np.float64) @ _sign_matrix(n).T.astype(np.float64)
+    decisive = (sums != 0).all(axis=1)
+    vectors, packed = vectors[decisive], np.packbits(sums[decisive] > 0, axis=1)
+    # the first vector in enumeration order reaching each distinct table
+    tables = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first = np.unique(tables, return_index=True)
+    return [CanonicalWMR(tuple(w)) for w in sorted(vectors[first].tolist())]
 
 
 def enumeration_is_bound_stable(n: int, max_weight: Optional[int] = None) -> bool:
@@ -325,8 +325,7 @@ class WinningFamily:
                 f"explicit winning families are capped at n={TRADE_ROBUST_MAX}; got n={game.n}"
             )
         ws, quota = integer_form(game)
-        member = (np.arange(1 << game.n, dtype=np.int64)[:, None] >> np.arange(game.n)) & 1
-        sums = member @ ws
+        sums = enumerate_patterns(np.zeros_like(ws), ws, np.int64(0))
         winning = frozenset(int(m) for m in np.nonzero(sums > quota)[0])
         return cls(game.n, winning)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 
 def banzhaf_brute(weights, quota):
@@ -185,3 +185,23 @@ def random_rational_game(rng: random.Random, n: int):
         total = sum(weights, Fraction(0))
     quota = total * Fraction(rng.randint(1, 19), 20)
     return weights, quota
+
+
+def unique_wmr_brute(n, max_weight):
+    """Distinct decisive rules by a dict keyed on each vector's outcome table.
+
+    Vectors are visited odd total first, then lexicographically; the first
+    vector reaching a table names it. Returns the sorted weight tuples.
+    """
+    vectors = sorted(
+        combinations_with_replacement(range(max_weight, -1, -1), n),
+        key=lambda v: (sum(v) % 2 == 0, v),
+    )
+    seen = {}
+    for v in vectors:
+        sums = [0]
+        for w in v:
+            sums = [s - w for s in sums] + [s + w for s in sums]
+        if 0 not in sums:
+            seen.setdefault(tuple(s > 0 for s in sums), v)
+    return sorted(seen.values())

@@ -3,6 +3,8 @@ import pytest
 from votefuse.cli import main
 from votefuse.io import parse_report
 
+from oracles import unique_wmr_brute
+
 
 @pytest.fixture
 def game_file(tmp_path):
@@ -89,6 +91,16 @@ class TestWmrEnumCommand:
         code, out, _ = run(capsys, "wmr", "enum", "--n", "4")
         assert code == 0 and bounds == [None, 3]
         assert "bound_stable=true" in parse_report(out).comments
+
+
+    def test_a_bound_that_is_not_stable_is_reported(self, capsys):
+        code, out, _ = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "5")
+        rep = parse_report(out)
+        assert code == 0
+        assert "bound_stable=false" in rep.comments
+        want = unique_wmr_brute(7, 5)
+        assert f"count={len(want)}" in rep.comments
+        assert [r[0] for r in rep.rows] == [" ".join(map(str, w)) for w in want]
 
 
 class TestJuryCommand:
@@ -283,6 +295,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "reduce denominators" in err
+
+    def test_scores_too_fine_for_64_bit_totals_exit_three(self, capsys):
+        code, out, err = run(
+            capsys, "efficiency", "--candidates", "3", "--voters", "3",
+            "--scoring", "1,1e-300,0",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "fewer significant digits" in err
 
     def test_bad_data_in_predictions_exits_three(self, capsys, tmp_path):
         p = tmp_path / "p.csv"

@@ -1,16 +1,22 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from votefuse import _rand
 from votefuse.errors import (
     BallotError,
     CapacityError,
+    DataError,
     DimensionError,
 )
 from votefuse.scoring import (
     RankedBallot,
     ScoringVector,
+    _ranking_tables,
     condorcet_efficiency,
     condorcet_winner,
     pairwise_matrix,
@@ -169,6 +175,59 @@ class TestEfficiencyExact:
         b = condorcet_efficiency(ScoringVector((4, 2, 0)), 3, 4)
         c = condorcet_efficiency(ScoringVector((1, "1/2", 0)), 3, 4)
         assert a.exact == b.exact == c.exact
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        size=st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                              (3, 4), (4, 1), (4, 2)]),
+        entries=st.lists(
+            st.one_of(st.integers(0, 9), st.fractions(0, 3, max_denominator=5)),
+            min_size=4, max_size=4,
+        ),
+        tie_policy=st.sampled_from(["fail", "split-credit"]),
+    )
+    def test_matches_the_full_profile_walk_for_any_vector(self, size, entries, tie_policy):
+        m, n = size
+        points = sorted(entries[:m], reverse=True)
+        if points[0] == points[-1]:
+            points[0] += 1
+        res = condorcet_efficiency(ScoringVector(points), m, n, tie_policy=tie_policy)
+        want, with_cw = efficiency_brute(points, m, n, tie_policy=tie_policy)
+        assert res.exact == want
+        assert res.profiles_with_winner == with_cw
+
+    @pytest.mark.parametrize("m, n, chunk", [(3, 5, 7), (4, 3, 97)])
+    def test_many_leaf_blocks_give_the_same_fraction(self, monkeypatch, m, n, chunk):
+        sv = ScoringVector((3,) + (1,) * (m - 2) + (0,))
+        whole = [condorcet_efficiency(sv, m, n, tie_policy=t) for t in ("fail", "split-credit")]
+        monkeypatch.setattr(_rand, "CHUNK", chunk)
+        assert math.comb(n + math.factorial(m) - 1, n) > 3 * chunk
+        blocks = [condorcet_efficiency(sv, m, n, tie_policy=t) for t in ("fail", "split-credit")]
+        assert blocks == whole
+
+    def test_scores_past_64_bits_are_reduced_first(self):
+        huge = ScoringVector((2**62, 2**61, 0))  # borda, rescaled
+        res = condorcet_efficiency(huge, 3, 3)
+        assert res.exact == efficiency_brute([2, 1, 0], 3, 3)[0] == Fraction(31, 34)
+        sampled = [
+            condorcet_efficiency(sv, 3, 3, method="monte-carlo", trials=5_000, seed=4)
+            for sv in (huge, ScoringVector.borda(3))
+        ]
+        assert sampled[0] == sampled[1]
+
+    def test_totals_that_cannot_fit_64_bits_are_a_data_error(self):
+        with pytest.raises(DataError, match="64 bits"):
+            condorcet_efficiency(ScoringVector((2**62, 1, 0)), 3, 3)
+        with pytest.raises(DataError, match="64 bits"):
+            condorcet_efficiency(ScoringVector((1, 1e-300, 0)), 3, 3, method="monte-carlo")
+
+    def test_ranking_tables_are_narrow(self):
+        score_rows, pair_rows = _ranking_tables(ScoringVector.borda(4), 5)
+        assert score_rows.dtype == np.int8 and pair_rows.dtype == np.int8
+        assert score_rows.shape == (24, 4) and pair_rows.shape == (24, 4, 4)
+        assert _ranking_tables(ScoringVector((1000, 1, 0)), 5)[0].dtype == np.int16
+        # (7, 5, 1) reduces to (3, 2, 0)
+        assert _ranking_tables(ScoringVector((7, 5, 1)), 5)[0].max() == 3
 
     def test_capacity_gate_names_the_monte_carlo_route(self):
         with pytest.raises(CapacityError, match="monte-carlo"):

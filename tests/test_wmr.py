@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from votefuse.wmr import (
     wmr_network,
 )
 
-from oracles import rule_table_brute
+from oracles import random_rational_game, rule_table_brute, unique_wmr_brute
 
 
 def test_rule_table_matches_brute_force_on_random_weights():
@@ -171,6 +172,12 @@ class TestEnumeration:
     def test_default_bounds_exist_for_small_sizes(self):
         assert DEFAULT_MAX_WEIGHT[7] == 9
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_a_dict_dedup_reference_at_every_bound(self, n):
+        for bound in range(1, DEFAULT_MAX_WEIGHT[n] + 2):
+            got = [c.weights for c in enumerate_unique_wmr(n, bound)]
+            assert got == unique_wmr_brute(n, bound), bound
+
 
 class TestNetwork:
     def test_disagreement_counts_for_four_players(self):
@@ -243,6 +250,18 @@ class TestWinningFamily:
         assert fam.is_winning(Coalition({0, 2}))
         assert not fam.is_winning({1, 2})
         assert not fam.is_winning({0})
+
+    def test_from_game_matches_exact_sums_on_rational_games(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            n = rng.randint(1, 8)
+            weights, quota = random_rational_game(rng, n)
+            fam = WinningFamily.from_game(VotingGame(weights, quota=quota))
+            want = {
+                m for m in range(1 << n)
+                if sum((w for i, w in enumerate(weights) if m >> i & 1), Fraction(0)) > quota
+            }
+            assert fam.winning == want
 
     def test_minimal_winning_coalitions(self):
         fam = WinningFamily.from_game(VotingGame((2, 1, 1), quota=2))
