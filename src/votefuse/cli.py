@@ -23,8 +23,10 @@ from .errors import CapacityError, EvidenceError, VotefuseError
 from .fusion import (
     FIXED_RULES,
     ConfusionMatrix,
+    _tally,
     confusion_from_predictions,
     expected_risk,
+    fuse_dataset,
 )
 from .io import (
     Report,
@@ -110,9 +112,12 @@ def _cmd_power(args) -> str:
 
 def _cmd_wmr_enum(args) -> str:
     rules = enumerate_unique_wmr(args.n, args.max_weight)
-    bound = DEFAULT_MAX_WEIGHT[args.n] if args.max_weight is None else args.max_weight
-    # same test as enumeration_is_bound_stable, without repeating the first scan
-    stable = len(rules) == len(enumerate_unique_wmr(args.n, bound + 1))
+    default = DEFAULT_MAX_WEIGHT.get(args.n)
+    bound = default if args.max_weight is None else args.max_weight
+    # the default bounds are stable (tests/test_wmr.py proves it for every n);
+    # any other bound takes the test of enumeration_is_bound_stable, without
+    # repeating the first scan
+    stable = bound == default or len(rules) == len(enumerate_unique_wmr(args.n, bound + 1))
     extra = [
         f"n={args.n}",
         f"max_weight={bound}",
@@ -213,24 +218,25 @@ def _cmd_efficiency(args) -> str:
     return report.to_text()
 
 
-def _fused_confusion(pred, decisions) -> Optional[ConfusionMatrix]:
+def _fused_confusion(pred, codes) -> Optional[ConfusionMatrix]:
     """Confusion of fused decisions over samples that are labelled and decided."""
-    index = {lab: i for i, lab in enumerate(pred.labels)}
-    m = len(pred.labels)
-    counts = np.zeros((m, m), dtype=np.int64)
-    for i in pred.labelled_indices():
-        if decisions[i] is None:
-            continue
-        counts[index[pred.true_labels[i]], index[decisions[i]]] += 1
+    counts = _tally(pred.truth_codes, codes, len(pred.labels))
     if counts.sum() == 0:
         return None
     return ConfusionMatrix(pred.labels, counts)
 
 
-def _fuse_decisions(pred, validation, rule, args) -> list:
-    from .fusion import fuse_dataset
+def _hits(pred, codes) -> tuple[int, int, int]:
+    """Labelled samples whose fused decision is right, undecided, and in all."""
+    labelled = pred.truth_codes >= 0
+    right = np.count_nonzero(codes[labelled] == pred.truth_codes[labelled])
+    undecided = np.count_nonzero(codes[labelled] < 0)
+    return int(right), int(undecided), int(np.count_nonzero(labelled))
 
-    return fuse_dataset(
+
+def _fuse_decisions(pred, validation, rule, args) -> np.ndarray:
+    """Label codes of the fused decisions, -1 where undecided."""
+    decisions = fuse_dataset(
         pred,
         rule,
         validation=validation,
@@ -240,35 +246,35 @@ def _fuse_decisions(pred, validation, rule, args) -> list:
         bias=args.bias,
         clip=args.clip,
     )
+    code = {lab: i for i, lab in enumerate(pred.labels)}
+    code[None] = -1
+    return np.fromiter(map(code.__getitem__, decisions), np.intp, len(decisions))
 
 
 def _cmd_fuse(args) -> str:
     pred = load_predictions(args.predictions)
     validation = load_predictions(args.validation) if args.validation else None
-    decisions = _fuse_decisions(pred, validation, args.rule, args)
+    codes = _fuse_decisions(pred, validation, args.rule, args)
     extra = [
         f"predictions={Path(args.predictions).name}",
         f"rule={args.rule}",
         f"k={args.k}" if args.rule == "adaptive-wmr" else f"trim={_fmt(args.trim)}",
     ]
-    labelled = pred.labelled_indices()
+    hits, undecided, labelled = _hits(pred, codes)
     if labelled:
-        hits = sum(1 for i in labelled if decisions[i] == pred.true_labels[i])
-        extra.append(f"fused_accuracy={hits / len(labelled)!r}")
-        undecided = sum(1 for i in labelled if decisions[i] is None)
+        extra.append(f"fused_accuracy={hits / labelled!r}")
         if undecided:
             extra.append(f"undecided={undecided}")
     if args.cost:
         cost = load_cost_matrix(args.cost)
-        cm = _fused_confusion(pred, decisions)
+        cm = _fused_confusion(pred, codes)
         if cm is None:
             raise EvidenceError("cannot score risk: no labelled, decided samples")
         extra.append(f"expected_risk={expected_risk(cm, cost)!r}")
-    rows = [
-        (sid, "ND" if d is None else d) for sid, d in zip(pred.sample_ids, decisions)
-    ]
+    names = np.array(pred.labels + ("ND",), dtype=object)
+    rows = tuple(zip(pred.sample_ids, names[codes].tolist()))
     report = Report(
-        tuple(_comments(args, "fuse", extra)), ("sample_id", "decision"), tuple(rows)
+        tuple(_comments(args, "fuse", extra)), ("sample_id", "decision"), rows
     )
     return report.to_text()
 
@@ -277,7 +283,7 @@ def _cmd_report(args) -> str:
     pred = load_predictions(args.predictions)
     validation = load_predictions(args.validation) if args.validation else None
     source = validation if validation is not None else pred
-    if not pred.labelled_indices():
+    if not (pred.truth_codes >= 0).any():
         raise EvidenceError("the report needs true labels on the prediction set")
     k = source.n_classifiers
     accuracies = [source.accuracy(j) for j in range(k)]
@@ -296,16 +302,15 @@ def _cmd_report(args) -> str:
         len(pred.labels) == 2
         and pred.features is not None
         and source.features is not None
-        and source.labelled_indices()
+        and (source.truth_codes >= 0).any()
     ):
         rules.append("adaptive-wmr")
-    labelled = pred.labelled_indices()
     for rule in rules:
-        decisions = _fuse_decisions(pred, validation, rule, args)
-        hits = sum(1 for i in labelled if decisions[i] == pred.true_labels[i])
-        rows.append(("fused_accuracy", rule, repr(hits / len(labelled))))
+        codes = _fuse_decisions(pred, validation, rule, args)
+        hits, _, labelled = _hits(pred, codes)
+        rows.append(("fused_accuracy", rule, repr(hits / labelled)))
         if cost is not None:
-            cm = _fused_confusion(pred, decisions)
+            cm = _fused_confusion(pred, codes)
             if cm is not None:
                 rows.append(("fused_risk", rule, repr(expected_risk(cm, cost))))
     extra = [f"predictions={Path(args.predictions).name}", f"k={args.k}"]

@@ -9,6 +9,8 @@ The command line maps these to distinct exit codes.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class VotefuseError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,6 +46,20 @@ class EvidenceError(DataError):
 
 class BallotError(DataError):
     """A ranked ballot is not a permutation of the expected labels."""
+
+
+class SampleError(DataError):
+    """One sample of a prediction set holds a bad value.
+
+    ``sample`` is the row; ``classifier`` is the index of the classifier
+    whose output is bad, or None for the true label. Parsers use the two to
+    name the file line and column.
+    """
+
+    def __init__(self, message: str, *, sample: int, classifier: Optional[int] = None):
+        self.sample = sample
+        self.classifier = classifier
+        super().__init__(message)
 
 
 class ParseError(DataError):

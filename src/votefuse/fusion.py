@@ -7,12 +7,27 @@ fixed fusion rules (sum, product, order statistics, majority) reduce across
 classifiers. Accuracy-weighted majority voting maps validation accuracies to
 log-odds weights; the adaptive variant re-estimates each classifier's
 accuracy in the neighborhood of the query before weighting.
+
+A :class:`PredictionSet` codes its labels once, when it is validated: the
+hard vote of every classifier as an (N, K) array of label indices (top of a
+ranking, argmax of a proba row), the true labels as (N,) indices with -1 for
+a gap, and the (N, K, M) score tensor. Accuracies, confusion counts and
+every weighted vote read these codes.
+
+All weighted votes (two-label, one-vs-rest, local skill) go through one
+kernel, :func:`_weighted_votes`. It adds +w for a classifier voting for the
+class and -w otherwise, over the classifiers in index order, starting from
+0.0. That order is the stalemate contract: each term is exact, so a score
+equals a sequential dot product of the weights with the +-1 votes bit for
+bit, and an exact 0 (an ``ND`` decision against bias 0) lands where that
+sum puts it, whatever the number of rows. The adaptive rule finds the
+neighbors of all queries in one batched search.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -22,6 +37,7 @@ from .errors import (
     DataError,
     DimensionError,
     EvidenceError,
+    SampleError,
 )
 from .jury import optimal_weights
 
@@ -136,22 +152,54 @@ class ClassifierOutput:
     def proba_matrix(self, labels: Sequence[str]) -> np.ndarray:
         """Embed into per-class scores: one-hot for hard votes, normalized
         descending rank points for rankings, the rows themselves for proba."""
-        labs = tuple(labels)
-        m = len(labs)
         if self.kind == "proba":
             return np.asarray(self.proba, dtype=np.float64)
-        n = self.n_samples
-        out = np.zeros((n, m))
-        index = {lab: i for i, lab in enumerate(labs)}
+        return self._encode(tuple(labels))[1]
+
+    def _encode(self, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Hard-vote label codes (n,) and per-class scores (n, m).
+
+        Hard votes and rankings are checked and scored once per distinct
+        value; a bad value raises :class:`SampleError` at the first row that
+        holds it. Proba rows must be non-negative, finite and sum to one.
+        """
+        m = len(labels)
+        index = {lab: i for i, lab in enumerate(labels)}
         if self.kind == "hard":
-            for s, lab in enumerate(self.hard):
-                out[s, index[lab]] = 1.0
-            return out
-        denom = m * (m - 1) / 2
-        for s, ranking in enumerate(self.ranks):
-            for pos, lab in enumerate(ranking):
-                out[s, index[lab]] = (m - 1 - pos) / denom
-        return out
+            for lab in dict.fromkeys(self.hard):
+                if lab not in index:
+                    raise SampleError(
+                        f"predicts unknown label {lab!r}", sample=self.hard.index(lab)
+                    )
+            codes = np.fromiter(map(index.__getitem__, self.hard), np.intp, len(self.hard))
+            return codes, np.eye(m)[codes]
+        if self.kind == "rank":
+            distinct = dict.fromkeys(self.ranks)
+            points = np.zeros((len(distinct), m))
+            tops = np.empty(len(distinct), dtype=np.intp)
+            denom = m * (m - 1) / 2
+            for d, ranking in enumerate(distinct):
+                if sorted(ranking) != sorted(labels):
+                    raise SampleError(
+                        f"ranking {ranking} is not a permutation of the labels",
+                        sample=self.ranks.index(ranking),
+                    )
+                distinct[ranking] = d
+                tops[d] = index[ranking[0]]
+                for pos, lab in enumerate(ranking):
+                    points[d, index[lab]] = (m - 1 - pos) / denom
+            rows = np.fromiter(map(distinct.__getitem__, self.ranks), np.intp, len(self.ranks))
+            return tops[rows], points[rows]
+        p = self.proba
+        bad = ((p < 0) | ~np.isfinite(p)).any(axis=1)
+        if bad.any():
+            raise SampleError(
+                "has negative or non-finite probabilities", sample=int(np.argmax(bad))
+            )
+        bad = np.abs(p.sum(axis=1) - 1.0) > 1e-9
+        if bad.any():
+            raise SampleError("probability row does not sum to 1", sample=int(np.argmax(bad)))
+        return np.argmax(p, axis=1), p
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +209,11 @@ class PredictionSet:
     Labels are an ordered universe; every hard vote, ranking, and proba row is
     validated against it (proba rows must be non-negative and sum to one).
     ``true_labels`` may be missing entirely or hold per-sample gaps.
+
+    Validation also codes the labels once: ``vote_codes`` (N, K) holds the
+    label index of each classifier's hard vote, ``truth_codes`` (N,) the
+    index of each true label or -1 for a gap, and :meth:`score_tensor` the
+    (N, K, M) per-class scores. All three are read-only.
     """
 
     labels: tuple[str, ...]
@@ -169,10 +222,13 @@ class PredictionSet:
     classifier_names: tuple[str, ...]
     true_labels: Optional[tuple[Optional[str], ...]] = None
     features: Optional[np.ndarray] = None
+    vote_codes: np.ndarray = field(init=False, repr=False)
+    truth_codes: np.ndarray = field(init=False, repr=False)
+    _scores: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         labs = _check_labels(self.labels)
-        ids = tuple(str(x) for x in self.sample_ids)
+        ids = tuple(map(str, self.sample_ids))
         if not ids:
             raise DimensionError("a prediction set needs at least one sample")
         outs = tuple(self.outputs)
@@ -181,42 +237,39 @@ class PredictionSet:
             raise DimensionError("a prediction set needs at least one classifier")
         if len(names) != len(outs):
             raise DimensionError(f"{len(names)} names for {len(outs)} classifiers")
-        n, universe = len(ids), set(labs)
-        for name, out in zip(names, outs):
+        n, m = len(ids), len(labs)
+        codes = np.empty((n, len(outs)), dtype=np.intp)
+        scores = np.empty((n, len(outs), m))
+        for j, (name, out) in enumerate(zip(names, outs)):
+            if out.kind not in ("hard", "rank", "proba"):
+                raise ValueError(f"unknown output kind {out.kind!r}")
             if out.n_samples != n:
                 raise DimensionError(
                     f"classifier {name} has {out.n_samples} predictions for {n} samples"
                 )
-            if out.kind == "hard":
-                for lab in out.hard:
-                    if lab not in universe:
-                        raise DataError(f"classifier {name} predicts unknown label {lab!r}")
-            elif out.kind == "rank":
-                for r in out.ranks:
-                    if sorted(r) != sorted(labs):
-                        raise DataError(
-                            f"classifier {name} ranking {r} is not a permutation of the labels"
-                        )
-            elif out.kind == "proba":
-                p = out.proba
-                if p.shape != (n, len(labs)):
-                    raise DimensionError(
-                        f"classifier {name} proba shape {p.shape} != ({n}, {len(labs)})"
-                    )
-                if (p < 0).any() or not np.isfinite(p).all():
-                    raise DataError(f"classifier {name} has negative or non-finite probabilities")
-                if np.abs(p.sum(axis=1) - 1.0).max() > 1e-9:
-                    raise DataError(f"classifier {name} probability rows do not sum to 1")
-            else:
-                raise ValueError(f"unknown output kind {out.kind!r}")
+            if out.kind == "proba" and out.proba.shape != (n, m):
+                raise DimensionError(
+                    f"classifier {name} proba shape {out.proba.shape} != ({n}, {m})"
+                )
+            try:
+                codes[:, j], scores[:, j] = out._encode(labs)
+            except SampleError as exc:
+                raise SampleError(
+                    f"classifier {name} {exc}", sample=exc.sample, classifier=j
+                ) from None
         truth = self.true_labels
+        truth_codes = np.full(n, -1, dtype=np.intp)
         if truth is not None:
-            truth = tuple(None if x is None else str(x) for x in truth)
+            as_str = {x: None if x is None else str(x) for x in dict.fromkeys(truth)}
+            truth = tuple(map(as_str.__getitem__, truth))
             if len(truth) != n:
                 raise DimensionError(f"{len(truth)} true labels for {n} samples")
-            for lab in truth:
-                if lab is not None and lab not in universe:
-                    raise DataError(f"unknown true label {lab!r}")
+            index = {lab: i for i, lab in enumerate(labs)}
+            for lab in as_str.values():
+                if lab is not None and lab not in index:
+                    raise SampleError(f"unknown true label {lab!r}", sample=truth.index(lab))
+            index[None] = -1
+            truth_codes = np.fromiter(map(index.__getitem__, truth), np.intp, n)
         feats = self.features
         if feats is not None:
             feats = np.asarray(feats, dtype=np.float64).copy()
@@ -225,12 +278,17 @@ class PredictionSet:
             if not np.isfinite(feats).all():
                 raise DataError("features must be finite")
             feats.setflags(write=False)
+        for a in (codes, truth_codes, scores):
+            a.setflags(write=False)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "outputs", outs)
         object.__setattr__(self, "classifier_names", names)
         object.__setattr__(self, "true_labels", truth)
         object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "vote_codes", codes)
+        object.__setattr__(self, "truth_codes", truth_codes)
+        object.__setattr__(self, "_scores", scores)
 
     @property
     def n_samples(self) -> int:
@@ -241,37 +299,40 @@ class PredictionSet:
         return len(self.outputs)
 
     def hard_votes(self, classifier: int) -> tuple[str, ...]:
-        return self.outputs[classifier].hard_labels(self.labels)
+        return tuple(_decode(self.vote_codes[:, classifier], self.labels))
 
     def score_tensor(self) -> np.ndarray:
         """(n_samples, n_classifiers, n_labels) per-class scores of every classifier."""
-        return np.stack([out.proba_matrix(self.labels) for out in self.outputs], axis=1)
+        return self._scores
 
     def labelled_indices(self) -> list[int]:
-        if self.true_labels is None:
-            return []
-        return [i for i, t in enumerate(self.true_labels) if t is not None]
+        return np.flatnonzero(self.truth_codes >= 0).tolist()
 
     def accuracy(self, classifier: int) -> float:
-        rows = self.labelled_indices()
-        if not rows:
+        labelled = self.truth_codes >= 0
+        count = int(np.count_nonzero(labelled))
+        if not count:
             raise EvidenceError("no samples carry a true label")
-        votes = self.hard_votes(classifier)
-        hits = sum(1 for i in rows if votes[i] == self.true_labels[i])
-        return hits / len(rows)
+        votes = self.vote_codes[labelled, classifier]
+        return int(np.count_nonzero(votes == self.truth_codes[labelled])) / count
+
+
+def _decode(codes: np.ndarray, labels: tuple[str, ...]) -> list[Optional[str]]:
+    """Labels of label codes, None for -1."""
+    return np.array(labels + (None,), dtype=object)[codes].tolist()
+
+
+def _tally(truth: np.ndarray, votes: np.ndarray, m: int) -> np.ndarray:
+    """(m, m) counts of (true, voted) code pairs over rows where both are >= 0."""
+    keep = (truth >= 0) & (votes >= 0)
+    return np.bincount(truth[keep] * m + votes[keep], minlength=m * m).reshape(m, m)
 
 
 def confusion_from_predictions(pred: PredictionSet, classifier: int) -> ConfusionMatrix:
     """Tally the (true, predicted) counts of one classifier over labelled samples."""
-    rows = pred.labelled_indices()
-    if not rows:
+    if not (pred.truth_codes >= 0).any():
         raise EvidenceError("no samples carry a true label")
-    index = {lab: i for i, lab in enumerate(pred.labels)}
-    votes = pred.hard_votes(classifier)
-    m = len(pred.labels)
-    counts = np.zeros((m, m), dtype=np.int64)
-    for i in rows:
-        counts[index[pred.true_labels[i]], index[votes[i]]] += 1
+    counts = _tally(pred.truth_codes, pred.vote_codes[:, classifier], len(pred.labels))
     return ConfusionMatrix(pred.labels, counts)
 
 
@@ -401,6 +462,49 @@ def fuse_fixed(
     return FusedScores(fused, winner)
 
 
+def _weighted_votes(codes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
+    """Weighted vote scores (N, M) of label codes (N, K): the fusion kernel.
+
+    Score (n, c) is the sum over classifiers j of +w if classifier j votes
+    for class c in row n, and -w otherwise. ``weights`` broadcasts to
+    (N, K, M): pass (1, K, 1) for one weight per classifier, (N, K, 1) for
+    weights that change from row to row, or (1, K, M) for weights per class.
+
+    The sum runs over the classifiers in index order, starting from 0.0.
+    Every term is exact (the signs are +-1), so a row's score equals, bit for
+    bit, a sequential dot product of the weights with the +-1 votes, the
+    order OpenBLAS ``ddot`` uses below 16 classifiers (from 16 on it keeps
+    vector accumulators and can differ in the last ulp). Stalemates, and so
+    ``ND`` decisions, depend on this order and on nothing else.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    scores = np.zeros((codes.shape[0], m))
+    classes = np.arange(m)
+    for j in range(codes.shape[1]):
+        scores += np.where(codes[:, j, None] == classes, w[:, j], -w[:, j])
+    return scores
+
+
+def _two_label_decisions(codes: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray:
+    """Code 0 where the first label's score beats ``bias``, 1 below it, -1 on a stalemate."""
+    s = _weighted_votes(codes, weights, 2)[:, 0]
+    return np.where(s > bias, 0, np.where(s < bias, 1, -1))
+
+
+def _one_vs_rest_weights(class_accuracies: np.ndarray, clip: float) -> np.ndarray:
+    """(K, M) log-odds weights, one :func:`optimal_weights` call per class column."""
+    return np.column_stack([optimal_weights(acc, clip=clip) for acc in class_accuracies.T])
+
+
+def _vote_codes(votes: Sequence[str], labels: tuple[str, ...]) -> np.ndarray:
+    """(1, K) label codes of one sample's votes."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    try:
+        return np.array([[index[str(v)] for v in votes]], dtype=np.intp)
+    except KeyError as exc:
+        raise DataError(f"vote {exc.args[0]!r} is not one of the labels {labels}") from None
+
+
 def fuse_wmr(
     votes: Sequence[str],
     accuracies: Sequence[float],
@@ -422,20 +526,12 @@ def fuse_wmr(
             f"fuse_wmr is a two-label rule, got {len(labs)} labels; "
             f"use fuse_wmr_one_vs_rest for multiclass fusion"
         )
-    vs = [str(v) for v in votes]
-    if len(vs) != len(list(accuracies)):
-        raise DimensionError(f"{len(vs)} votes for {len(list(accuracies))} accuracies")
-    for v in vs:
-        if v not in labs:
-            raise DataError(f"vote {v!r} is not one of the labels {labs}")
-    w = optimal_weights(list(accuracies), clip=clip)
-    signed = np.where(np.array(vs) == labs[0], 1.0, -1.0)
-    s = float(w @ signed)
-    if s > bias:
-        return labs[0]
-    if s < bias:
-        return labs[1]
-    return None
+    vs, acc = list(votes), list(accuracies)
+    if len(vs) != len(acc):
+        raise DimensionError(f"{len(vs)} votes for {len(acc)} accuracies")
+    codes = _vote_codes(vs, labs)
+    w = optimal_weights(acc, clip=clip)
+    return _decode(_two_label_decisions(codes, w[None, :, None], bias), labs)[0]
 
 
 def fuse_wmr_one_vs_rest(
@@ -453,20 +549,18 @@ def fuse_wmr_one_vs_rest(
     """
     labs = _check_labels(labels)
     acc = np.asarray(class_accuracies, dtype=np.float64)
-    vs = [str(v) for v in votes]
+    vs = list(votes)
     if acc.shape != (len(vs), len(labs)):
         raise DimensionError(
             f"class_accuracies must be ({len(vs)}, {len(labs)}), got {acc.shape}"
         )
-    for v in vs:
-        if v not in labs:
-            raise DataError(f"vote {v!r} is not one of the labels {labs}")
-    scores = np.empty(len(labs))
-    for c in range(len(labs)):
-        w = optimal_weights(acc[:, c], clip=clip)
-        signed = np.where(np.array(vs) == labs[c], 1.0, -1.0)
-        scores[c] = w @ signed
-    return labs[int(np.argmax(scores))]
+    codes = _vote_codes(vs, labs)
+    scores = _weighted_votes(codes, _one_vs_rest_weights(acc, clip)[None], len(labs))
+    return labs[int(np.argmax(scores[0]))]
+
+
+#: Elements in one (queries, validation samples, features) distance temporary.
+_NEIGHBOR_BLOCK = 1 << 16
 
 
 class ValidationIndex:
@@ -498,9 +592,9 @@ class ValidationIndex:
         self.features = x
         self.correct = c
         self.metric = metric
-        self._mean = x.mean(axis=0)
         self._spread = x.std(axis=0)
         self._kept = self._spread > 0
+        self._kept_features = x[:, self._kept]
 
     @property
     def n_samples(self) -> int:
@@ -511,24 +605,65 @@ class ValidationIndex:
         return self.correct.shape[1]
 
     def distances(self, query) -> np.ndarray:
-        q = np.asarray(query, dtype=np.float64).reshape(-1)
-        if q.size != self.features.shape[1]:
+        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
+        return self._distance_block(q)[0]
+
+    def _distance_block(self, queries: np.ndarray) -> np.ndarray:
+        """(B, N) distances from each of B queries (B, d) to every validation sample."""
+        if queries.shape[1] != self.features.shape[1]:
             raise DimensionError(
-                f"query has {q.size} features, index has {self.features.shape[1]}"
+                f"query has {queries.shape[1]} features, index has {self.features.shape[1]}"
             )
         if self.metric is not None:
-            d = np.asarray(self.metric(self.features, q), dtype=np.float64)
-            if d.shape != (self.n_samples,):
-                raise DimensionError("metric must return one distance per validation sample")
-            return d
-        z = (self.features[:, self._kept] - q[self._kept]) / self._spread[self._kept]
-        return np.sqrt((z * z).sum(axis=1))
+            out = np.empty((queries.shape[0], self.n_samples))
+            for b, q in enumerate(queries):
+                d = np.asarray(self.metric(self.features, q), dtype=np.float64)
+                if d.shape != (self.n_samples,):
+                    raise DimensionError("metric must return one distance per validation sample")
+                out[b] = d
+            return out
+        # per query and sample: (x - q) / spread over the kept features, then
+        # the root of the sum of squares over the last axis
+        z = self._kept_features[None, :, :] - queries[:, None, self._kept]
+        z /= self._spread[self._kept]
+        z *= z
+        return np.sqrt(z.sum(axis=2))
 
     def neighbors(self, query, k: int) -> np.ndarray:
+        """Indices of the k nearest validation samples, nearest first.
+
+        ``query`` is one point (d,), giving (k',), or a batch (B, d), giving
+        (B, k'), where k' = min(k, N). A batch is searched in blocks of
+        queries whose (block, N, d) temporary holds at most
+        :data:`_NEIGHBOR_BLOCK` elements. Each row gives the first k' of its
+        stable argsort, so ties go to the lower validation index. A single
+        query passed as (1, d) is a batch of one; :func:`local_skill` and
+        :func:`fuse_adaptive_wmr` take one query of any shape.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
-        d = self.distances(query)
-        return np.argsort(d, kind="stable")[: min(k, self.n_samples)]
+        q = np.asarray(query, dtype=np.float64)
+        single = q.ndim < 2
+        q = q.reshape(1, -1) if single else q
+        count = min(k, self.n_samples)
+        width = max(1, self._kept_features.shape[1])
+        step = max(1, _NEIGHBOR_BLOCK // (self.n_samples * width))
+        out = np.empty((q.shape[0], count), dtype=np.intp)
+        for start in range(0, q.shape[0], step):
+            d = self._distance_block(q[start : start + step])
+            out[start : start + step] = np.argsort(d, axis=1, kind="stable")[:, :count]
+        return out[0] if single else out
+
+    def skills(self, query, k: int) -> np.ndarray:
+        """Smoothed accuracy of every classifier among the k nearest samples.
+
+        (hits + 1) / (k' + 2) with k' = min(k, N), which stays strictly inside
+        (0, 1) so log-odds weights remain finite: (K,) for one query, (B, K)
+        for a batch of B queries.
+        """
+        nb = self.neighbors(query, k)
+        hits = self.correct[nb].sum(axis=-2)
+        return (hits + 1) / (nb.shape[-1] + 2)
 
 
 def local_skill(query, index: ValidationIndex, classifier: int, k: int) -> float:
@@ -541,9 +676,7 @@ def local_skill(query, index: ValidationIndex, classifier: int, k: int) -> float
         raise DimensionError(
             f"classifier {classifier} out of range for K={index.n_classifiers}"
         )
-    nb = index.neighbors(query, k)
-    hits = int(index.correct[nb, classifier].sum())
-    return (hits + 1) / (nb.size + 2)
+    return float(index.skills(np.ravel(query), k)[classifier])
 
 
 def fuse_adaptive_wmr(
@@ -555,12 +688,11 @@ def fuse_adaptive_wmr(
     labels: Sequence[str] = ("A", "B"),
 ) -> Optional[str]:
     """Weighted vote using each classifier's skill near the query point."""
-    if len(list(votes)) != index.n_classifiers:
-        raise DimensionError(
-            f"{len(list(votes))} votes for {index.n_classifiers} indexed classifiers"
-        )
-    skills = [local_skill(query, index, j, k) for j in range(index.n_classifiers)]
-    return fuse_wmr(votes, skills, bias=0.0, clip=clip, labels=labels)
+    vs = list(votes)
+    if len(vs) != index.n_classifiers:
+        raise DimensionError(f"{len(vs)} votes for {index.n_classifiers} indexed classifiers")
+    skills = index.skills(np.ravel(query), k)
+    return fuse_wmr(vs, skills, bias=0.0, clip=clip, labels=labels)
 
 
 def binary_accuracies(cm: ConfusionMatrix) -> np.ndarray:
@@ -634,7 +766,7 @@ def fuse_dataset(
         fused = fuse_fixed(
             pred.score_tensor(), rule, classifier_weights=classifier_weights, trim=trim
         )
-        return [labels[int(i)] for i in np.atleast_1d(fused.winner)]
+        return _decode(np.atleast_1d(fused.winner), labels)
     source = validation if validation is not None else pred
     if source.labels != labels:
         raise DimensionError(
@@ -646,48 +778,34 @@ def fuse_dataset(
             f"{pred.n_classifiers}"
         )
     if rule == "wmr":
-        votes = np.array([pred.hard_votes(j) for j in range(pred.n_classifiers)]).T
         if len(labels) == 2:
             acc = [source.accuracy(j) for j in range(source.n_classifiers)]
             w = optimal_weights(acc, clip=clip)
-            signed = np.where(votes == labels[0], 1.0, -1.0)
-            s = signed @ w
-            return [
-                labels[0] if x > bias else labels[1] if x < bias else None for x in s
-            ]
-        class_acc = np.stack(
-            [
-                binary_accuracies(confusion_from_predictions(source, j))
-                for j in range(source.n_classifiers)
-            ]
-        )
-        return [
-            fuse_wmr_one_vs_rest(row, class_acc, labels, clip=clip) for row in votes
-        ]
-    if rule == "adaptive-wmr":
+            codes = _two_label_decisions(pred.vote_codes, w[None, :, None], bias)
+        else:
+            class_acc = np.stack(
+                [
+                    binary_accuracies(confusion_from_predictions(source, j))
+                    for j in range(source.n_classifiers)
+                ]
+            )
+            w = _one_vs_rest_weights(class_acc, clip)
+            codes = np.argmax(_weighted_votes(pred.vote_codes, w[None], len(labels)), axis=1)
+    elif rule == "adaptive-wmr":
         if len(labels) != 2:
             raise DataError("adaptive-wmr is a two-label rule; fuse one-vs-rest instead")
         if pred.features is None or source.features is None:
             raise DataError("adaptive-wmr needs features on both prediction and validation sets")
-        rows = source.labelled_indices()
-        if not rows:
+        labelled = source.truth_codes >= 0
+        if not labelled.any():
             raise EvidenceError("validation set carries no true labels")
-        votes_by_clf = [source.hard_votes(j) for j in range(source.n_classifiers)]
-        correct = np.array(
-            [
-                [votes_by_clf[j][i] == source.true_labels[i] for j in range(source.n_classifiers)]
-                for i in rows
-            ]
+        truth = source.truth_codes[labelled]
+        index = ValidationIndex(
+            source.features[labelled], source.vote_codes[labelled] == truth[:, None]
         )
-        index = ValidationIndex(source.features[rows], correct)
-        pred_votes = [pred.hard_votes(j) for j in range(pred.n_classifiers)]
-        out = []
-        for i in range(pred.n_samples):
-            sample_votes = [pred_votes[j][i] for j in range(pred.n_classifiers)]
-            out.append(
-                fuse_adaptive_wmr(
-                    pred.features[i], sample_votes, index, k, clip=clip, labels=labels
-                )
-            )
-        return out
-    raise ValueError(f"unknown rule {rule!r}")
+        skills = index.skills(pred.features, k)
+        w = optimal_weights(skills.ravel(), clip=clip).reshape(skills.shape)
+        codes = _two_label_decisions(pred.vote_codes, w[:, :, None], 0.0)
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    return _decode(codes, labels)

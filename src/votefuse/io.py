@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, SampleError
 from .fusion import ClassifierOutput, CostMatrix, PredictionSet
 from .jury import TeamStructure
 from .model import VotingGame, as_fraction
@@ -176,7 +176,12 @@ def load_team_structure(path: PathLike) -> TeamStructure:
 
 
 def _csv_rows(text: str, path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Comment lines (without '# ') and (lineno, cells) rows of a CSV body."""
+    """Comment lines (without '# ') and (lineno, cells) rows of a CSV body.
+
+    Each line is one row. When the text has no quote or NUL character, a line
+    within the field size limit is split at commas, which is what the CSV
+    reader makes of it; any other line goes through the reader on its own.
+    """
     comments = []
     numbered = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -186,8 +191,13 @@ def _csv_rows(text: str, path: str) -> tuple[list[str], list[tuple[int, list[str
         if not raw.strip():
             continue
         numbered.append((lineno, raw))
+    plain = '"' not in text and "\0" not in text
+    limit = csv.field_size_limit()
     rows = []
     for lineno, raw in numbered:
+        if plain and len(raw) <= limit:
+            rows.append((lineno, raw.split(",")))
+            continue
         try:
             cells = next(csv.reader([raw]))
         except csv.Error as exc:
@@ -229,6 +239,14 @@ def _column_kind(name: str) -> str:
     return "vote"
 
 
+def _vote_cell(raw: str):
+    """A classifier cell: a label, or a ranking ``a>b>c`` as a tuple of labels."""
+    v = raw.strip()
+    if ">" in v:
+        return tuple(part.strip() for part in v.split(">"))
+    return v
+
+
 def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     """Parse a predictions CSV into a :class:`PredictionSet`.
 
@@ -237,7 +255,12 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     A classifier column holds either plain labels, rankings written
     ``A>B>C``, or splits into a group of ``name:label`` probability columns
     (one per label). The label universe is the sorted set of all labels
-    seen; probability groups must cover it exactly.
+    seen; probability groups must cover it exactly. No column name may
+    repeat.
+
+    The body is read by columns: label and ranking cells are interpreted
+    once per distinct value, and all numeric cells are converted as one
+    block.
     """
     _, rows = _csv_rows(text, source)
     if not rows:
@@ -259,156 +282,124 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
                 line=lineno,
                 column=1,
             )
+    lines = [lineno for lineno, _ in body]
+    columns = list(zip(*(cells for _, cells in body)))
 
-    truth_cols = [i for i, h in enumerate(header) if _column_kind(h) == "truth"]
-    feat_cols = [i for i, h in enumerate(header) if _column_kind(h) == "feature"]
-    vote_cols = [i for i, h in enumerate(header) if _column_kind(h) == "vote" and i > 0]
-    proba_cols = [i for i, h in enumerate(header) if _column_kind(h) == "proba"]
+    def fail(message: str, row: Optional[int], col: int) -> ParseError:
+        """An error at a data row (None: the header) and a 0-based column."""
+        line = header_line if row is None else lines[row]
+        return ParseError(message, path=source, line=line, column=col + 1)
 
     # classifiers in first-appearance order; proba columns group by name prefix
     classifiers: list[tuple[str, str, list[int]]] = []  # (name, form, columns)
     seen: dict[str, int] = {}
-    for i in sorted(vote_cols + proba_cols):
-        name = header[i].split(":", 1)[0] if ":" in header[i] else header[i]
-        if name in seen:
-            spot = classifiers[seen[name]]
-            if ":" not in header[i] or spot[1] != "proba":
-                raise ParseError(
-                    f"duplicate classifier column {header[i]!r}",
-                    path=source,
-                    line=header_line,
-                    column=1,
-                )
-            spot[2].append(i)
-        else:
-            seen[name] = len(classifiers)
-            form = "proba" if ":" in header[i] else "vote"
-            classifiers.append((name, form, [i]))
+    truth_col = None
+    feat_cols = []
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise fail(f"duplicate column {h!r}", None, i)
+        kind = _column_kind(h)
+        if kind == "truth":
+            truth_col = i
+        elif kind == "feature":
+            feat_cols.append(i)
+        elif kind in ("vote", "proba"):
+            name = h.split(":", 1)[0]
+            if name not in seen:
+                seen[name] = len(classifiers)
+                classifiers.append((name, kind, [i]))
+            elif kind == "proba" and classifiers[seen[name]][1] == "proba":
+                classifiers[seen[name]][2].append(i)
+            else:
+                raise fail(f"duplicate classifier column {h!r}", None, i)
     if not classifiers:
-        raise ParseError("no classifier columns found", path=source, line=header_line, column=1)
+        raise fail("no classifier columns found", None, 0)
 
-    sample_ids = tuple(cells[0].strip() for _, cells in body)
-    for lineno, cells in body:
-        if not cells[0].strip():
-            raise ParseError("empty sample_id", path=source, line=lineno, column=1)
+    sample_ids = tuple(map(str.strip, columns[0]))
+    if "" in sample_ids:
+        raise fail("empty sample_id", sample_ids.index(""), 0)
 
     truth: Optional[tuple[Optional[str], ...]] = None
-    if truth_cols:
-        ti = truth_cols[0]
-        truth = tuple((cells[ti].strip() or None) for _, cells in body)
+    if truth_col is not None:
+        truth_cells = {raw: raw.strip() or None for raw in dict.fromkeys(columns[truth_col])}
+        truth = tuple(map(truth_cells.__getitem__, columns[truth_col]))
 
-    features = None
-    if feat_cols:
+    numeric = feat_cols + [i for _, form, cols in classifiers if form == "proba" for i in cols]
+    values = {}
+    if numeric:
         try:
-            features = np.array(
-                [[float(cells[i]) for i in feat_cols] for _, cells in body], dtype=np.float64
-            )
+            block = np.array([columns[i] for i in numeric], dtype=np.float64)
         except ValueError:
-            for lineno, cells in body:
-                for i in feat_cols:
+            for row in range(len(body)):
+                for i in numeric:
                     try:
-                        float(cells[i])
+                        float(columns[i][row])
                     except ValueError:
-                        raise ParseError(
-                            f"not a number: {cells[i]!r}", path=source, line=lineno, column=i + 1
-                        ) from None
+                        raise fail(f"not a number: {columns[i][row]!r}", row, i) from None
             raise
+        values = dict(zip(numeric, block))
+    features = np.column_stack([values[i] for i in feat_cols]) if feat_cols else None
 
-    # collect the label universe
+    # the label universe, from distinct cells
     labels_seen: set[str] = set()
-    if truth:
-        labels_seen.update(t for t in truth if t is not None)
+    if truth is not None:
+        labels_seen.update(t for t in truth_cells.values() if t is not None)
+    votes: dict[int, dict] = {}  # classifier column -> {raw cell: label or ranking}
     for name, form, cols in classifiers:
         if form == "proba":
             labels_seen.update(header[i].split(":", 1)[1] for i in cols)
-        else:
-            for lineno, cells in body:
-                v = cells[cols[0]].strip()
-                if ">" in v:
-                    labels_seen.update(part.strip() for part in v.split(">"))
-                else:
-                    labels_seen.add(v)
+            continue
+        votes[cols[0]] = {raw: _vote_cell(raw) for raw in dict.fromkeys(columns[cols[0]])}
+        for v in votes[cols[0]].values():
+            if isinstance(v, tuple):
+                labels_seen.update(v)
+            else:
+                labels_seen.add(v)
     labels_seen.discard("")
     labels = tuple(sorted(labels_seen))
     if len(labels) < 2:
-        raise ParseError(
-            f"found {len(labels)} distinct labels, need at least 2",
-            path=source,
-            line=header_line,
-            column=1,
-        )
+        raise fail(f"found {len(labels)} distinct labels, need at least 2", None, 0)
 
     outputs = []
-    names = []
     for name, form, cols in classifiers:
-        names.append(name)
         if form == "proba":
             suffix = {header[i].split(":", 1)[1]: i for i in cols}
             if tuple(sorted(suffix)) != labels:
-                raise ParseError(
+                raise fail(
                     f"probability group {name!r} covers {sorted(suffix)}, expected {list(labels)}",
-                    path=source,
-                    line=header_line,
-                    column=1,
+                    None,
+                    cols[0],
                 )
-            ordered = [suffix[lab] for lab in labels]
-            try:
-                matrix = np.array(
-                    [[float(cells[i]) for i in ordered] for _, cells in body], dtype=np.float64
-                )
-            except ValueError:
-                for lineno, cells in body:
-                    for i in ordered:
-                        try:
-                            float(cells[i])
-                        except ValueError:
-                            raise ParseError(
-                                f"not a number: {cells[i]!r}",
-                                path=source,
-                                line=lineno,
-                                column=i + 1,
-                            ) from None
-                raise
+            matrix = np.column_stack([values[suffix[lab]] for lab in labels])
             outputs.append(ClassifierOutput.from_proba(matrix))
+            continue
+        column, cells = columns[cols[0]], votes[cols[0]]
+        ranked = [raw for raw, v in cells.items() if isinstance(v, tuple)]
+        if len(ranked) == len(cells):
+            outputs.append(ClassifierOutput("rank", ranks=tuple(map(cells.__getitem__, column))))
+        elif ranked:
+            raise fail(f"column {name!r} mixes plain labels and rankings",
+                       column.index(ranked[0]), cols[0])
         else:
-            values = [(lineno, cells[cols[0]].strip()) for lineno, cells in body]
-            ranked = [">" in v for _, v in values]
-            if all(ranked):
-                ranks = []
-                for lineno, v in values:
-                    parts = tuple(p.strip() for p in v.split(">"))
-                    ranks.append(parts)
-                outputs.append(ClassifierOutput.from_ranks(ranks))
-            elif any(ranked):
-                lineno = values[ranked.index(True)][0]
-                raise ParseError(
-                    f"column {name!r} mixes plain labels and rankings",
-                    path=source,
-                    line=lineno,
-                    column=cols[0] + 1,
-                )
-            else:
-                for lineno, v in values:
-                    if not v:
-                        raise ParseError(
-                            f"empty vote in column {name!r}",
-                            path=source,
-                            line=lineno,
-                            column=cols[0] + 1,
-                        )
-                outputs.append(ClassifierOutput.from_hard([v for _, v in values]))
+            empty = [raw for raw, v in cells.items() if not v]
+            if empty:
+                raise fail(f"empty vote in column {name!r}", column.index(empty[0]), cols[0])
+            outputs.append(ClassifierOutput("hard", hard=tuple(map(cells.__getitem__, column))))
 
     try:
         return PredictionSet(
             labels=labels,
             sample_ids=sample_ids,
             outputs=tuple(outputs),
-            classifier_names=tuple(names),
+            classifier_names=tuple(name for name, _, _ in classifiers),
             true_labels=truth,
             features=features,
         )
+    except SampleError as exc:
+        col = truth_col if exc.classifier is None else classifiers[exc.classifier][2][0]
+        raise fail(str(exc), exc.sample, col) from None
     except Exception as exc:
-        raise ParseError(str(exc), path=source, line=header_line, column=1) from None
+        raise fail(str(exc), None, 0) from None
 
 
 def load_predictions(path: PathLike) -> PredictionSet:
@@ -530,8 +521,7 @@ class Report:
             buf.write(f"# {c}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.header)
-        for row in self.rows:
-            writer.writerow(row)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
 

@@ -216,6 +216,42 @@ class TeamStructure:
         return tuple(sorted({i for team in self.teams for i in team}))
 
 
+#: Elements in one (teams, patterns) block of :func:`indirect_competence`.
+_INDIRECT_BLOCK = 1 << 17
+
+
+def _team_outcomes(team_w: np.ndarray, biases: np.ndarray, bits: int) -> np.ndarray:
+    """Each team's outcome on every pattern: 1 won, -1 lost, 0 tied; int8 (k, 2^d).
+
+    The signed sums are built block by block: the first ``bits`` players
+    vary inside a block, the others are fixed per block and added after
+    them in player order, so each sum is the same float as one enumeration
+    of all 2^d patterns would give.
+    """
+    k, d = team_w.shape
+    cols = team_w.T[:, :, None]
+    low = enumerate_patterns(-cols[:bits], cols[:bits], np.zeros(k))
+    size = low.shape[1]
+    codes = np.empty((k, 1 << d), dtype=np.int8)
+    for h in range(1 << (d - bits)):
+        sums = low.copy()
+        for b, col in enumerate(cols[bits:]):
+            np.add(sums, col if h >> b & 1 else -col, out=sums)
+        block = np.where(sums > biases, np.int8(1), np.int8(-1))
+        block[sums == biases] = 0
+        codes[:, h * size : (h + 1) * size] = block
+    return codes
+
+
+def _top_sums(top_w: np.ndarray, codes: np.ndarray, votes, bits: int) -> np.ndarray:
+    """``top_w @ votes(codes)`` over all patterns, one block of 2^bits patterns at a time."""
+    size = 1 << bits
+    top = np.empty(codes.shape[1])
+    for lo in range(0, codes.shape[1], size):
+        top[lo : lo + size] = top_w @ votes(codes[:, lo : lo + size])
+    return top
+
+
 def indirect_competence(
     structure: TeamStructure, skills: SkillsLike, nd_policy: str = "incorrect"
 ) -> float:
@@ -227,6 +263,10 @@ def indirect_competence(
     policy a tied team casts an incorrect vote and a tied top level is an
     incorrect answer; under ``"coin-flip"`` tied teams flip independent fair
     coins (enumerated exactly) and a tied top level earns half credit.
+
+    Team outcomes are kept as one int8 per team and pattern; the float
+    temporaries cover at most :data:`_INDIRECT_BLOCK` (team, pattern) pairs,
+    so memory does not grow with the team count times 2^d float64 values.
     """
     nd = _nd_credit(nd_policy)
     p_all = np.asarray(as_skills(skills).p, dtype=np.float64)
@@ -243,39 +283,33 @@ def indirect_competence(
         )
     pos = {player: b for b, player in enumerate(players)}
     k = len(structure.teams)
-    # per-team signed sums over every pattern of the distinct players
     team_w = np.zeros((k, d))
     for t, (team, wrow) in enumerate(zip(structure.teams, structure.member_weights)):
         for i, wi in zip(team, wrow):
             team_w[t, pos[i]] += wi
-    cols = team_w.T[:, :, None]
-    sums = enumerate_patterns(-cols, cols, np.zeros(k))
+    bits = min(d, max(0, (_INDIRECT_BLOCK // k).bit_length() - 1))
+    codes = _team_outcomes(team_w, np.asarray(structure.team_biases)[:, None], bits)
     pb = p_all[list(players)]
     probs = enumerate_patterns(1.0 - pb, pb, np.float64(1.0), np.multiply)
-    biases = np.asarray(structure.team_biases)[:, None]
     top_w = np.asarray(structure.top_weights)
-    fixed = np.where(sums > biases, 1.0, -1.0)
-    tied = sums == biases
     if nd == 0.0:
-        top = top_w @ np.where(tied, -1.0, fixed)
+        top = _top_sums(top_w, codes, lambda c: np.where(c > 0, 1.0, -1.0), bits)
         return float(probs[top > structure.top_bias].sum())
     # coin-flip: every team that can tie gets an independent fair coin,
     # enumerated exactly; a tied top level earns half credit
-    coin_teams = np.nonzero(tied.any(axis=1))[0]
+    coin_teams = np.nonzero(~codes.all(axis=1))[0]
     kc = coin_teams.size
     if kc > 16:
         raise CapacityError(
             f"coin-flip stalemate handling enumerates 2^k coin patterns and is capped "
             f"at k=16 tieable teams; got k={kc}."
         )
-    fixed = np.where(tied, 0.0, fixed)
     value = 0.0
     for assignment in range(1 << kc):
-        coins = np.zeros(k)
+        coins = np.zeros((k, 1))
         for j, t in enumerate(coin_teams):
             coins[t] = 1.0 if assignment >> j & 1 else -1.0
-        u = fixed + tied * coins[:, None]
-        top = top_w @ u
+        top = _top_sums(top_w, codes, lambda c: np.where(c == 0, coins, c), bits)
         credit = (top > structure.top_bias) + nd * (top == structure.top_bias)
         value += float(probs @ credit)
     return value / (1 << kc)

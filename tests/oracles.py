@@ -205,3 +205,28 @@ def unique_wmr_brute(n, max_weight):
         if 0 not in sums:
             seen.setdefault(tuple(s > 0 for s in sums), v)
     return sorted(seen.values())
+
+
+def signed_vote_sum(votes, label, weights):
+    """Sum of +w for each vote for ``label`` and -w for each other vote,
+    added as Python floats in classifier order from 0.0."""
+    s = 0.0
+    for v, w in zip(votes, weights):
+        s += float(w) if v == label else -float(w)
+    return s
+
+
+def wmr_brute(votes, labels, weights, bias=0.0):
+    """Two-label weighted vote of one sample; None on an exact stalemate."""
+    s = signed_vote_sum(votes, labels[0], weights)
+    if s > bias:
+        return labels[0]
+    if s < bias:
+        return labels[1]
+    return None
+
+
+def wmr_one_vs_rest_brute(votes, labels, class_weights):
+    """One duel per label, weights ``class_weights[c]``; ties to the lowest label."""
+    scores = [signed_vote_sum(votes, lab, class_weights[c]) for c, lab in enumerate(labels)]
+    return labels[scores.index(max(scores))]

@@ -88,8 +88,13 @@ class TestWmrEnumCommand:
             return scan(n, max_weight)
 
         monkeypatch.setattr(cli, "enumerate_unique_wmr", counted)
+        # the default bound is known to be stable, so it takes no extra scan
         code, out, _ = run(capsys, "wmr", "enum", "--n", "4")
-        assert code == 0 and bounds == [None, 3]
+        assert code == 0 and bounds == [None]
+        assert "bound_stable=true" in parse_report(out).comments
+        bounds.clear()
+        code, out, _ = run(capsys, "wmr", "enum", "--n", "4", "--max-weight", "3")
+        assert code == 0 and bounds == [3, 4]
         assert "bound_stable=true" in parse_report(out).comments
 
 

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from votefuse import fusion
 from votefuse.errors import (
     ConfigurationWarning,
     DataError,
     DimensionError,
     EvidenceError,
+    SampleError,
 )
 from votefuse.fusion import (
     ClassifierOutput,
@@ -27,6 +31,9 @@ from votefuse.fusion import (
     fuse_wmr_one_vs_rest,
     local_skill,
 )
+from votefuse.jury import optimal_weights
+
+from oracles import wmr_brute, wmr_one_vs_rest_brute
 
 
 class TestConfusionMatrix:
@@ -406,6 +413,14 @@ class TestAdaptiveWmr:
         with pytest.raises(DimensionError):
             fuse_adaptive_wmr([0.0], ("A",), region_index(), k=3)
 
+    def test_a_row_slice_is_one_query(self):
+        idx = region_index()
+        rows = np.array([[-1.2], [1.2]])
+        assert fuse_adaptive_wmr(rows[1:2], ("A", "B"), idx, k=4) == "B"
+        for j in range(idx.n_classifiers):
+            assert local_skill(rows[1:2], idx, j, k=4) == local_skill(rows[1], idx, j, k=4)
+        assert idx.neighbors(rows[1:2], k=4).shape == (1, 4)
+
 
 class TestBinaryAccuracies:
     def test_two_by_two(self):
@@ -555,3 +570,188 @@ class TestFuseDataset:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             fuse_dataset(small_predictions(), "vote-twice")
+
+
+# ------------------------------------------------------------ the coded kernel
+
+TIE_SKILLS = (0.55, 0.6, 0.85)
+
+
+def _labels(m):
+    return tuple("abcd"[:m])
+
+
+def _coded_set(rng, labels, n, k, skills=None, truth=True, features=None):
+    """A hard-vote prediction set: random votes, or votes right at the given skills."""
+    m = len(labels)
+    t = rng.integers(0, m, size=n)
+    votes = rng.integers(0, m, size=(n, k))
+    if skills is not None:
+        # classifier j is right on exactly round(skills[j] * n) rows
+        ranks = np.argsort(rng.random((n, k)), axis=0)
+        right = ranks < np.round(np.asarray(skills) * n)
+        wrong = (t[:, None] + rng.integers(1, m, size=(n, k))) % m
+        votes = np.where(right, t[:, None], wrong)
+    return PredictionSet(
+        labels=labels,
+        sample_ids=tuple(f"s{i}" for i in range(n)),
+        outputs=tuple(ClassifierOutput.from_hard([labels[v] for v in votes[:, j]])
+                      for j in range(k)),
+        classifier_names=tuple(f"c{j}" for j in range(k)),
+        true_labels=tuple(labels[x] for x in t) if truth else None,
+        features=features,
+    )
+
+
+def _truth_and_votes(pred):
+    rows = [i for i, t in enumerate(pred.true_labels) if t is not None]
+    votes = [pred.outputs[j].hard for j in range(pred.n_classifiers)]
+    return rows, votes
+
+
+class TestWeightedVoteKernel:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.sampled_from((2, 3, 4)))
+    def test_wmr_equals_the_per_row_reference(self, seed, k, m):
+        rng = np.random.default_rng(seed)
+        labels = _labels(m)
+        skills = rng.choice(TIE_SKILLS, size=k)
+        validation = _coded_set(rng, labels, 20, k, skills)
+        test = _coded_set(rng, labels, int(rng.integers(1, 30)), k, truth=False)
+        rows, votes = _truth_and_votes(validation)
+        truth = validation.true_labels
+        got = fuse_dataset(test, "wmr", validation=validation)
+        queries = [[test.outputs[j].hard[i] for j in range(k)] for i in range(test.n_samples)]
+        if m == 2:
+            acc = [sum(votes[j][i] == truth[i] for i in rows) / len(rows) for j in range(k)]
+            w = optimal_weights(acc)
+            want = [wmr_brute(q, labels, w) for q in queries]
+        else:
+            # accuracy of classifier j on the task "label c versus the rest"
+            class_w = [
+                optimal_weights([
+                    sum((votes[j][i] == c) == (truth[i] == c) for i in rows) / len(rows)
+                    for j in range(k)
+                ])
+                for c in labels
+            ]
+            want = [wmr_one_vs_rest_brute(q, labels, class_w) for q in queries]
+        assert got == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.sampled_from((1, 3)),
+           st.integers(1, 3))
+    def test_adaptive_wmr_equals_the_per_row_reference(self, seed, k, kn, d):
+        rng = np.random.default_rng(seed)
+        labels = ("A", "B")
+        n_val, n_query = int(rng.integers(4, 30)), int(rng.integers(1, 20))
+        # features on a small grid, so distances tie often
+        validation = _coded_set(rng, labels, n_val, k, rng.choice(TIE_SKILLS, size=k),
+                                features=rng.integers(0, 3, size=(n_val, d)))
+        test = _coded_set(rng, labels, n_query, k, truth=False,
+                          features=rng.integers(0, 3, size=(n_query, d)))
+        got = fuse_dataset(test, "adaptive-wmr", validation=validation, k=kn)
+        rows, votes = _truth_and_votes(validation)
+        correct = [[votes[j][i] == validation.true_labels[i] for j in range(k)] for i in rows]
+        index = ValidationIndex(validation.features[rows], correct)
+        want = []
+        for i in range(n_query):
+            skills = [local_skill(test.features[i], index, j, kn) for j in range(k)]
+            q = [test.outputs[j].hard[i] for j in range(k)]
+            want.append(wmr_brute(q, labels, optimal_weights(skills)))
+        assert got == want
+
+    def test_decisions_do_not_depend_on_the_row_count(self):
+        # six equal weights and every 3-3 split: the sequential sum decides, as
+        # fuse_wmr does for one sample, however many rows are fused at once
+        splits = [v for v in itertools.product("AB", repeat=6) if v.count("A") == 3]
+        names = tuple(f"c{j}" for j in range(6))
+        same_votes = ClassifierOutput.from_hard(("A", "A", "A", "B", "B"))
+        validation = PredictionSet(("A", "B"), tuple("vwxyz"), (same_votes,) * 6, names,
+                                   true_labels=("A",) * 5)
+
+        def fused(rows):
+            outs = tuple(ClassifierOutput.from_hard([r[j] for r in rows]) for j in range(6))
+            test = PredictionSet(("A", "B"), tuple(f"s{i}" for i in range(len(rows))), outs,
+                                 names)
+            return fuse_dataset(test, "wmr", validation=validation)
+
+        together = fused(splits)
+        assert together == [fused([row])[0] for row in splits]
+        assert together == [fuse_wmr(row, (0.6,) * 6) for row in splits]
+
+    def test_kernel_sums_in_classifier_order(self):
+        # 1 + 1e16 rounds to 1e16, so index order reaches an exact stalemate;
+        # the reverse order would end at 1.0
+        codes = np.array([[0, 0, 1]])
+        w = np.array([1.0, 1e16, 1e16])
+        got = fusion._weighted_votes(codes, w[None, :, None], 2)
+        assert got.tolist() == [[0.0, 0.0]]
+        per_class = np.column_stack([w, np.ones(3)])
+        got = fusion._weighted_votes(codes, per_class[None], 2)
+        assert got.tolist() == [[0.0, -1.0]]
+
+    @pytest.mark.parametrize("budget", [1, 7, 97])
+    def test_neighbor_blocks_match_the_per_query_search(self, monkeypatch, budget):
+        rng = np.random.default_rng(budget)
+        x = rng.integers(0, 4, size=(40, 3)).astype(float)
+        x[:, 2] = 5.0  # a constant feature, dropped
+        queries = rng.integers(0, 4, size=(23, 3)).astype(float)
+        idx = ValidationIndex(x, rng.random((40, 4)) < 0.6)
+        whole = idx.neighbors(queries, 7)
+        monkeypatch.setattr(fusion, "_NEIGHBOR_BLOCK", budget)
+        blocked = idx.neighbors(queries, 7)
+        kept = x.std(axis=0) > 0
+        for q, row in zip(queries, blocked):
+            z = (x[:, kept] - q[kept]) / x.std(axis=0)[kept]
+            d = np.sqrt((z * z).sum(axis=1))
+            assert np.array_equal(idx.distances(q), d)
+            assert row.tolist() == np.argsort(d, kind="stable")[:7].tolist()
+        assert np.array_equal(whole, blocked)
+        assert np.array_equal(idx.skills(queries, 7)[5], idx.skills(queries[5], 7))
+
+
+class TestCodes:
+    def test_codes_agree_with_the_string_paths(self):
+        rng = np.random.default_rng(3)
+        labels = ("a", "b", "c")
+        n = 12
+        proba = rng.random((n, 3))
+        ranks = [tuple(labels[i] for i in rng.permutation(3)) for _ in range(n)]
+        pred = PredictionSet(
+            labels=labels,
+            sample_ids=tuple(f"s{i}" for i in range(n)),
+            outputs=(
+                ClassifierOutput.from_hard([labels[i] for i in rng.integers(0, 3, n)]),
+                ClassifierOutput.from_ranks(ranks),
+                ClassifierOutput.from_proba(proba / proba.sum(axis=1, keepdims=True)),
+            ),
+            classifier_names=("h", "r", "p"),
+            true_labels=tuple(None if i % 4 == 0 else labels[i % 3] for i in range(n)),
+        )
+        for j, out in enumerate(pred.outputs):
+            hard = out.hard_labels(labels)
+            assert [labels[c] for c in pred.vote_codes[:, j]] == list(hard)
+            assert pred.hard_votes(j) == hard
+            assert np.array_equal(pred.score_tensor()[:, j], out.proba_matrix(labels))
+            rows = pred.labelled_indices()
+            hits = sum(hard[i] == pred.true_labels[i] for i in rows)
+            assert pred.accuracy(j) == hits / len(rows)
+            counts = np.zeros((3, 3), dtype=np.int64)
+            for i in rows:
+                counts[labels.index(pred.true_labels[i]), labels.index(hard[i])] += 1
+            assert confusion_from_predictions(pred, j).counts.tolist() == counts.tolist()
+        assert [None if c < 0 else labels[c] for c in pred.truth_codes] == list(pred.true_labels)
+        assert pred.labelled_indices() == [i for i in range(n) if i % 4]
+        assert not pred.vote_codes.flags.writeable and not pred.score_tensor().flags.writeable
+
+    def test_bad_values_name_their_row_and_classifier(self):
+        with pytest.raises(SampleError) as err:
+            small_predictions(outputs=(
+                ClassifierOutput.from_hard(("y", "n", "y", "n")),
+                ClassifierOutput.from_ranks((("y", "n"),) * 2 + (("y", "y"),) * 2),
+            ), classifier_names=("c1", "c2"))
+        assert (err.value.sample, err.value.classifier) == (2, 1)
+        with pytest.raises(SampleError) as err:
+            small_predictions(true_labels=("y", "n", "n", "maybe"))
+        assert (err.value.sample, err.value.classifier) == (3, None)

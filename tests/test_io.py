@@ -1,3 +1,4 @@
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,85 @@ class TestPredictionFiles:
     def test_duplicate_classifier_column_is_refused(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_predictions("sample_id,c1,c1\ns1,a,b\n")
+
+    @pytest.mark.parametrize("header, column", [
+        ("sample_id,true_label,c1,true_label", 4),
+        ("sample_id,c1,sample_id,c2", 3),
+        ("sample_id,feat_0,feat_0,c1", 3),
+        ("sample_id,c:a,c:b,c:a", 4),
+    ])
+    def test_duplicate_special_columns_are_refused(self, header, column):
+        text = header + "\ns1,a,b,a\ns2,b,a,b\n"
+        if "feat" in header:
+            text = header + "\ns1,1,2,a\ns2,3,4,b\n"
+        if "c:a" in header:
+            text = header + "\ns1,0.5,0.5,0.5\n"
+        with pytest.raises(ParseError, match="duplicate column") as err:
+            parse_predictions(text, source="p.csv")
+        assert (err.value.line, err.value.column) == (1, column)
+
+    def test_bad_ranking_is_located_at_its_row_and_column(self):
+        text = "sample_id,true_label,a\ns1,z,x>y>z\ns2,y,x>y\n"
+        with pytest.raises(ParseError, match="not a permutation") as err:
+            parse_predictions(text, source="p.csv")
+        assert (err.value.line, err.value.column) == (3, 3)
+        assert str(err.value).startswith("p.csv:3:3: ")
+
+    def test_bad_proba_row_is_located_at_its_group(self):
+        text = "sample_id,v,c:a,c:b\ns1,a,0.5,0.5\n# note\ns2,b,0.9,0.2\n"
+        with pytest.raises(ParseError, match="sum") as err:
+            parse_predictions(text, source="p.csv")
+        assert (err.value.line, err.value.column) == (4, 3)
+        with pytest.raises(ParseError, match="negative") as err:
+            parse_predictions(text.replace("0.5,0.5", "-0.5,1.5"), source="p.csv")
+        assert (err.value.line, err.value.column) == (2, 3)
+
+    def test_bad_proba_number_is_located(self):
+        text = "sample_id,c:a,c:b\ns1,0.5,0.5\ns2,0.5,half\n"
+        with pytest.raises(ParseError, match="not a number") as err:
+            parse_predictions(text)
+        assert (err.value.line, err.value.column) == (3, 3)
+
+    def test_quoted_cells_round_trip_for_every_kind(self):
+        labels = ("a,b", "plain", 'q"x')
+        pred = PredictionSet(
+            labels=labels,
+            sample_ids=("s,1", 's"2', "s3"),
+            outputs=(
+                ClassifierOutput.from_hard(('q"x', "a,b", "plain")),
+                ClassifierOutput.from_ranks(
+                    (("a,b", "plain", 'q"x'), ('q"x', "a,b", "plain"), ("plain", 'q"x', "a,b"))
+                ),
+                ClassifierOutput.from_proba([[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.1, 0.2, 0.7]]),
+            ),
+            classifier_names=("hard,1", 'rank"2', "proba 3"),
+            true_labels=("a,b", None, 'q"x'),
+            features=[[1.5], [-2.0], [0.0]],
+        )
+        text = dump_predictions(pred)
+        again = parse_predictions(text)
+        assert again.labels == labels
+        assert again.sample_ids == pred.sample_ids
+        assert again.classifier_names == pred.classifier_names
+        assert again.true_labels == pred.true_labels
+        assert [o.kind for o in again.outputs] == ["hard", "rank", "proba"]
+        assert again.outputs[0].hard == pred.outputs[0].hard
+        assert again.outputs[1].ranks == pred.outputs[1].ranks
+        assert np.array_equal(again.outputs[2].proba, pred.outputs[2].proba)
+        assert np.array_equal(again.vote_codes, pred.vote_codes)
+        assert dump_predictions(again) == text
+
+    def test_an_open_quote_does_not_swallow_the_next_line(self):
+        # each line is one row: the open quote on line 2 ends with its line
+        with pytest.raises(ParseError, match="1 cells") as err:
+            parse_report('a,b\n"x,1\n2,3\n')
+        assert err.value.line == 2
+
+    def test_a_bad_csv_line_is_located(self):
+        too_long = "x" * (csv.field_size_limit() + 1)
+        with pytest.raises(ParseError, match="bad CSV row") as err:
+            parse_report(f"a,b\n1,2\n3,{too_long}\n")
+        assert err.value.line == 3
 
     def test_empty_vote_and_single_label_are_refused(self):
         with pytest.raises(ParseError, match="empty vote"):

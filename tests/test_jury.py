@@ -275,6 +275,28 @@ class TestIndirectCompetence:
             want = indirect_brute(teams, skills, nd_credit=credit)
             assert abs(got - want) < 1e-12
 
+    @pytest.mark.parametrize("block", [1, 7, 97])
+    def test_blocks_give_the_same_floats(self, monkeypatch, block):
+        from votefuse import jury
+
+        rng = random.Random(block)
+        teams = ((0, 1, 2, 3), (2, 3, 4), (0, 4, 5, 6, 7), (1, 6), (5, 7, 8))
+        skills = tuple(rng.uniform(0.4, 0.8) for _ in range(9))
+        weighted = TeamStructure(
+            teams=teams,
+            member_weights=tuple(tuple(rng.uniform(0.5, 2.0) for _ in t) for t in teams),
+            team_biases=(0.0, 0.25, 0.0, 0.0, -0.1),
+            top_weights=tuple(rng.uniform(0.5, 2.0) for _ in teams),
+        )
+        cases = [(s, policy) for s in (TeamStructure(teams=teams), weighted)
+                 for policy in ("incorrect", "coin-flip")]
+        whole = [indirect_competence(s, skills, nd_policy=policy) for s, policy in cases]
+        monkeypatch.setattr(jury, "_INDIRECT_BLOCK", block)
+        blocked = [indirect_competence(s, skills, nd_policy=policy) for s, policy in cases]
+        assert blocked == whole
+        for policy, credit, got in (("incorrect", 0.0, blocked[0]), ("coin-flip", 0.5, blocked[1])):
+            assert abs(got - indirect_brute(teams, skills, nd_credit=credit)) < 1e-12
+
     def test_member_weights_and_biases_are_honored(self):
         # a dominant member turns their team into a proxy for themselves
         s = TeamStructure(teams=((0, 1, 2),), member_weights=((5.0, 1.0, 1.0),))

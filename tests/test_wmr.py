@@ -155,7 +155,8 @@ class TestEnumeration:
             assert sum(wmr.weights) % 2 == 1
 
     def test_default_bound_is_stable(self):
-        for n in range(1, 6):
+        # the CLI reports bound_stable=true at these bounds without a scan
+        for n in range(1, 8):
             assert enumeration_is_bound_stable(n)
 
     def test_too_small_a_bound_misses_rules(self):
