@@ -1,15 +1,23 @@
-"""The exact kernel behind power indices and jury competence.
+"""The exact kernel behind power indices and jury competence, and the one work cap.
 
 Every exact question here is a sum over the 2^n coalitions (or vote patterns)
 of n players, taken one of two ways: a counting DP over integer weights, which
 tabulates coalitions (or probability) by total weight in O(n * W) cells for
 total weight W (Brams & Affuso 1976; Matsui & Matsui 2000; Uno 2012), or one
 enumeration of all 2^n patterns by array doubling, which takes any weights.
-Each kernel estimates both costs, takes the cheaper route and refuses beyond
-one work cap, :data:`EXACT_WORK_MAX`. Both routes give the same answers
-(counts exactly, probabilities up to float rounding), and neither divides to
-take a player out: the power DP uses an exact alternating identity, the jury
-kernels prefix/suffix summaries of the other judges.
+Each kernel estimates both costs and takes the cheaper route. Both routes give
+the same answers (counts exactly, probabilities up to float rounding), and
+neither divides to take a player out: the power DP uses an exact alternating
+identity, the jury kernels prefix/suffix summaries of the other judges.
+
+Every exact computation of the package prices itself in these work units,
+and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`:
+Banzhaf takes n*(q+1) DP cells for quota q, Shapley-Shubik n*(n+1)*(q+1)
+and the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W,
+each or n*2^n by enumeration; a rule table or a nearest simple rule n*2^n;
+indirect competence of d players in k teams d*2^d + k*2^d*2^kc, kc the teams
+that can tie under coin-flip; Condorcet efficiency of m candidates and n
+voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ import numpy as np
 
 from .errors import CapacityError
 
-#: Largest estimated work, in DP cells or n * 2^n enumerated entries, that an
-#: exact computation may take on; 24 players always fit by enumeration.
+#: Largest estimated work, in DP cells or enumerated entries, that an exact
+#: computation may take on; 24 players always fit by enumeration.
 EXACT_WORK_MAX = 1 << 29
 
 
@@ -45,6 +53,27 @@ def enumerate_patterns(off, on, start, op=np.add) -> np.ndarray:
     return out
 
 
+def check_work(
+    what: str, units: int, sampler: Optional[str] = None, how: str = "", beyond: str = ""
+) -> None:
+    """Refuse an exact computation whose estimated work passes :data:`EXACT_WORK_MAX`.
+
+    ``how`` says how it was priced, ``sampler`` names the Monte Carlo route if
+    there is one, and ``beyond`` refuses within the cap, saying why.
+    """
+    if units > EXACT_WORK_MAX:
+        verdict = f"over the limit of {EXACT_WORK_MAX:,}"
+    elif beyond:
+        verdict = f"within the limit of {EXACT_WORK_MAX:,}, but {beyond}"
+    else:
+        return
+    priced = f" ({how})" if how else ""
+    route = f" Use {sampler} instead." if sampler else ""
+    raise CapacityError(
+        f"exact {what} needs an estimated {units:,} work units{priced}, {verdict}.{route}"
+    )
+
+
 def _choose_route(n: int, dp_cells: Optional[int], what: str, sampler: str) -> str:
     """'dp' or 'enumeration', whichever is estimated cheaper; refuse both if over the cap."""
     enum_cells = n << n
@@ -52,15 +81,10 @@ def _choose_route(n: int, dp_cells: Optional[int], what: str, sampler: str) -> s
         route, need = "dp", dp_cells
     else:
         route, need = "enumeration", enum_cells
-    if need > EXACT_WORK_MAX:
-        dp = "no counting DP (weights are not integers)" if dp_cells is None else (
-            f"counting DP {dp_cells:,} cells"
-        )
-        raise CapacityError(
-            f"exact {what} needs an estimated {need:,} work units ({dp}, "
-            f"enumeration n*2^n = {enum_cells:,}), over the limit of {EXACT_WORK_MAX:,}. "
-            f"Use {sampler} instead."
-        )
+    dp = "no counting DP (weights are not integers)" if dp_cells is None else (
+        f"counting DP {dp_cells:,} cells"
+    )
+    check_work(what, need, sampler, f"{dp}, enumeration n*2^n = {enum_cells:,}")
     return route
 
 

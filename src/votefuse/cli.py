@@ -11,6 +11,7 @@ computation over its capacity cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -320,7 +321,9 @@ def _cmd_report(args) -> str:
     return report.to_text()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="votefuse",
         description="Voting power, weighted majority rules, jury competence, "

@@ -3,7 +3,7 @@
 Two families matter to callers: :class:`DataError` covers everything wrong
 with user-supplied input (bad files, mismatched dimensions, impossible
 coalitions), while :class:`CapacityError` signals that an exact computation
-was refused because the instance is too large for the enumeration caps.
+was refused because its estimated work passes the one work cap.
 The command line maps these to distinct exit codes.
 """
 
@@ -19,8 +19,8 @@ class VotefuseError(Exception):
 class CapacityError(VotefuseError):
     """An exact computation exceeds its documented size cap.
 
-    Messages always name the cap that was hit and, where one exists, the
-    Monte Carlo alternative to reach for instead.
+    A message states the estimated work, the limit it passes and, where one
+    exists, the Monte Carlo route to take instead.
     """
 
 

@@ -58,6 +58,19 @@ def _check_labels(labels) -> tuple[str, ...]:
     return labs
 
 
+def _square_by_labels(matrix, field_name: str, dtype) -> np.ndarray:
+    """Check the labels and the (m, m) array field of a frozen matrix; store both read-only."""
+    labs = _check_labels(matrix.labels)
+    a = np.asarray(getattr(matrix, field_name), dtype=dtype).copy()
+    m = len(labs)
+    if a.shape != (m, m):
+        raise DimensionError(f"{field_name} must be {m}x{m} for {m} labels, got {a.shape}")
+    a.setflags(write=False)
+    object.__setattr__(matrix, "labels", labs)
+    object.__setattr__(matrix, field_name, a)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """Counts of (true label, predicted label) pairs; rows are true labels."""
@@ -66,18 +79,11 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
-        labs = _check_labels(self.labels)
-        c = np.asarray(self.counts, dtype=np.int64).copy()
-        m = len(labs)
-        if c.shape != (m, m):
-            raise DimensionError(f"counts must be {m}x{m} for {m} labels, got {c.shape}")
+        c = _square_by_labels(self, "counts", np.int64)
         if (c < 0).any():
             raise ValueError("confusion counts must be non-negative")
         if c.sum() == 0:
             raise EvidenceError("confusion matrix is empty")
-        c.setflags(write=False)
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "counts", c)
 
     @property
     def total(self) -> int:
@@ -96,16 +102,8 @@ class CostMatrix:
     gains: np.ndarray
 
     def __post_init__(self):
-        labs = _check_labels(self.labels)
-        g = np.asarray(self.gains, dtype=np.float64).copy()
-        m = len(labs)
-        if g.shape != (m, m):
-            raise DimensionError(f"gains must be {m}x{m} for {m} labels, got {g.shape}")
-        if not np.isfinite(g).all():
+        if not np.isfinite(_square_by_labels(self, "gains", np.float64)).all():
             raise ValueError("gains must be finite")
-        g.setflags(write=False)
-        object.__setattr__(self, "labels", labs)
-        object.__setattr__(self, "gains", g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -687,7 +685,10 @@ def fuse_adaptive_wmr(
     clip: float = 1e-6,
     labels: Sequence[str] = ("A", "B"),
 ) -> Optional[str]:
-    """Weighted vote using each classifier's skill near the query point."""
+    """Weighted vote using each classifier's skill near the query point.
+
+    The signed weight sum is compared with 0 (``fuse_dataset`` takes a bias).
+    """
     vs = list(votes)
     if len(vs) != index.n_classifiers:
         raise DimensionError(f"{len(vs)} votes for {index.n_classifiers} indexed classifiers")
@@ -805,7 +806,7 @@ def fuse_dataset(
         )
         skills = index.skills(pred.features, k)
         w = optimal_weights(skills.ravel(), clip=clip).reshape(skills.shape)
-        codes = _two_label_decisions(pred.vote_codes, w[:, :, None], 0.0)
+        codes = _two_label_decisions(pred.vote_codes, w[:, :, None], bias)
     else:
         raise ValueError(f"unknown rule {rule!r}")
     return _decode(codes, labels)

@@ -31,6 +31,14 @@ def _read_text(path: PathLike) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _csv_text(rows, head: str = "") -> str:
+    """``head`` followed by the rows as CSV lines ending in a bare newline."""
+    buf = _io.StringIO()
+    buf.write(head)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _fraction_token(token: str, path: str, line: int, col: int) -> Fraction:
     try:
         return as_fraction(token)
@@ -68,6 +76,15 @@ def _key_value_lines(text: str, path: str):
         yield lineno, key.strip(), value, len(key) + 2
 
 
+def _single_token(key: str, value: str, path: str, line: int, offset: int) -> tuple[str, int]:
+    """The one token of a ``key = value`` line and its column."""
+    tokens = _split_tokens(value)
+    if len(tokens) != 1:
+        raise ParseError(f"{key} must be a single value", path=path, line=line, column=offset)
+    tok, col = tokens[0]
+    return tok, offset + col - 1
+
+
 def parse_game(text: str, source: str = "<string>") -> VotingGame:
     """Parse a game file: ``weights = ...`` and an optional ``quota = ...`` line.
 
@@ -90,16 +107,8 @@ def parse_game(text: str, source: str = "<string>") -> VotingGame:
         elif key == "quota":
             if quota is not None:
                 raise ParseError("duplicate quota line", path=source, line=lineno, column=1)
-            tokens = _split_tokens(value)
-            if len(tokens) != 1:
-                raise ParseError(
-                    "quota must be a single value", path=source, line=lineno, column=offset
-                )
-            tok, col = tokens[0]
-            if tok == "majority":
-                quota = "majority"
-            else:
-                quota = _fraction_token(tok, source, lineno, offset + col - 1)
+            tok, col = _single_token(key, value, source, lineno, offset)
+            quota = "majority" if tok == "majority" else _fraction_token(tok, source, lineno, col)
         else:
             raise ParseError(f"unknown key {key!r}", path=source, line=lineno, column=1)
     if weights is None:
@@ -154,13 +163,8 @@ def parse_team_structure(text: str, source: str = "<string>") -> TeamStructure:
                     ) from None
             teams.append(tuple(members))
         elif key == "top_bias":
-            tokens = _split_tokens(value)
-            if len(tokens) != 1:
-                raise ParseError(
-                    "top_bias must be a single value", path=source, line=lineno, column=offset
-                )
-            tok, col = tokens[0]
-            top_bias = float(_fraction_token(tok, source, lineno, offset + col - 1))
+            tok, col = _single_token(key, value, source, lineno, offset)
+            top_bias = float(_fraction_token(tok, source, lineno, col))
         else:
             raise ParseError(f"unknown key {key!r}", path=source, line=lineno, column=1)
     if not teams:
@@ -204,6 +208,14 @@ def _csv_rows(text: str, path: str) -> tuple[list[str], list[tuple[int, list[str
             raise ParseError(f"bad CSV row: {exc}", path=path, line=lineno, column=1) from None
         rows.append((lineno, cells))
     return comments, rows
+
+
+def _check_widths(rows: list[tuple[int, list[str]]], width: int, path: str) -> None:
+    for lineno, cells in rows:
+        if len(cells) != width:
+            raise ParseError(
+                f"row has {len(cells)} cells, header has {width}", path=path, line=lineno, column=1
+            )
 
 
 def parse_ballots(text: str, source: str = "<string>") -> list[RankedBallot]:
@@ -274,14 +286,7 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     body = rows[1:]
     if not body:
         raise ParseError("no data rows", path=source, line=header_line, column=1)
-    for lineno, cells in body:
-        if len(cells) != len(header):
-            raise ParseError(
-                f"row has {len(cells)} cells, header has {len(header)}",
-                path=source,
-                line=lineno,
-                column=1,
-            )
+    _check_widths(body, len(header), source)
     lines = [lineno for lineno, _ in body]
     columns = list(zip(*(cells for _, cells in body)))
 
@@ -418,9 +423,7 @@ def dump_predictions(pred: PredictionSet) -> str:
             header += [f"{name}:{lab}" for lab in pred.labels]
         else:
             header.append(name)
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    rows = [header]
     for s in range(pred.n_samples):
         row = [pred.sample_ids[s]]
         if pred.true_labels is not None:
@@ -434,8 +437,8 @@ def dump_predictions(pred: PredictionSet) -> str:
                 row.append(">".join(out.ranks[s]))
             else:
                 row.append(out.hard[s])
-        writer.writerow(row)
-    return buf.getvalue()
+        rows.append(row)
+    return _csv_text(rows)
 
 
 def save_predictions(pred: PredictionSet, path: PathLike) -> None:
@@ -461,15 +464,9 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
         raise ParseError(
             f"{len(body)} rows for {len(cols)} labels", path=source, line=header_line, column=1
         )
+    _check_widths(body, len(header), source)
     raw: dict[str, dict[str, float]] = {}
     for lineno, cells in body:
-        if len(cells) != len(cols) + 1:
-            raise ParseError(
-                f"row has {len(cells)} cells, expected {len(cols) + 1}",
-                path=source,
-                line=lineno,
-                column=1,
-            )
         rlab = cells[0].strip()
         if rlab in raw:
             raise ParseError(f"duplicate row label {rlab!r}", path=source, line=lineno, column=1)
@@ -499,12 +496,8 @@ def load_cost_matrix(path: PathLike) -> CostMatrix:
 
 
 def dump_cost_matrix(cost: CostMatrix) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + list(cost.labels))
-    for t, lab in enumerate(cost.labels):
-        writer.writerow([lab] + [repr(float(x)) for x in cost.gains[t]])
-    return buf.getvalue()
+    gains = ([lab] + [repr(float(x)) for x in row] for lab, row in zip(cost.labels, cost.gains))
+    return _csv_text([[""] + list(cost.labels), *gains])
 
 
 @dataclass(frozen=True)
@@ -516,13 +509,8 @@ class Report:
     rows: tuple[tuple[str, ...], ...]
 
     def to_text(self) -> str:
-        buf = _io.StringIO()
-        for c in self.comments:
-            buf.write(f"# {c}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.header)
-        writer.writerows(self.rows)
-        return buf.getvalue()
+        head = "".join(f"# {c}\n" for c in self.comments)
+        return _csv_text((self.header, *self.rows), head)
 
 
 def parse_report(text: str, source: str = "<string>") -> Report:
@@ -530,15 +518,8 @@ def parse_report(text: str, source: str = "<string>") -> Report:
     if not rows:
         raise ParseError("report has no header row", path=source, line=1, column=1)
     header = tuple(rows[0][1])
+    _check_widths(rows[1:], len(header), source)
     body = tuple(tuple(cells) for _, cells in rows[1:])
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(header):
-            raise ParseError(
-                f"row has {len(cells)} cells, header has {len(header)}",
-                path=source,
-                line=lineno,
-                column=1,
-            )
     return Report(tuple(comments), header, body)
 
 

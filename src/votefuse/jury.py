@@ -22,33 +22,30 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._exact import enumerate_patterns, jury_values
+from ._exact import check_work, enumerate_patterns, jury_values
 from ._rand import chunk_rng, chunk_sizes
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 from .model import SkillsLike, as_skills
-
-INDIRECT_DISTINCT_MAX = 20
 
 _ND_CREDIT = {"incorrect": 0.0, "coin-flip": 0.5}
 
 
 def _nd_credit(nd_policy: str) -> float:
-    try:
-        return _ND_CREDIT[nd_policy]
-    except KeyError:
-        raise ValueError(
-            f"nd_policy must be one of {sorted(_ND_CREDIT)}, got {nd_policy!r}"
-        ) from None
+    if nd_policy not in _ND_CREDIT:
+        raise ValueError(f"nd_policy must be one of {sorted(_ND_CREDIT)}, got {nd_policy!r}")
+    return _ND_CREDIT[nd_policy]
 
 
-def _check_lengths(weights, skills) -> tuple[np.ndarray, np.ndarray]:
+def _checked(weights, skills, nd_policy: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Weights, skills and stalemate credit of a jury, checked."""
+    nd = _nd_credit(nd_policy)
     w = np.asarray(list(weights), dtype=np.float64)
     p = np.asarray(as_skills(skills).p, dtype=np.float64)
     if w.size != p.size:
         raise DimensionError(f"{w.size} weights for {p.size} skills")
     if w.size == 0:
         raise DimensionError("at least one judge is required")
-    return w, p
+    return w, p, nd
 
 
 @dataclass(frozen=True)
@@ -67,8 +64,7 @@ def jury_exact(
     The kernel is a DP over the signed sum for integer-valued weights, or one
     enumeration of the 2^n vote patterns, whichever is estimated cheaper.
     """
-    nd = _nd_credit(nd_policy)
-    w, p = _check_lengths(weights, skills)
+    w, p, nd = _checked(weights, skills, nd_policy)
     competence, decisive = jury_values(w, p, bias, nd, range(w.size))
     return JuryReport(competence, tuple(decisive))
 
@@ -82,8 +78,7 @@ def group_competence(
     integer-valued weights and bias) contribute nothing under the default
     policy and half their probability under ``"coin-flip"``.
     """
-    nd = _nd_credit(nd_policy)
-    w, p = _check_lengths(weights, skills)
+    w, p, nd = _checked(weights, skills, nd_policy)
     return jury_values(w, p, bias, nd, ())[0]
 
 
@@ -102,8 +97,7 @@ def decisiveness_probability(
     by 2^(n-1) in the game with quota (total + bias)/2. To get every judge's
     value, :func:`jury_exact` runs the kernel once instead of n times.
     """
-    nd = _nd_credit(nd_policy)
-    w, p = _check_lengths(weights, skills)
+    w, p, nd = _checked(weights, skills, nd_policy)
     if not 0 <= player < w.size:
         raise DimensionError(f"player {player} out of range for n={w.size}")
     return jury_values(w, p, bias, nd, (player,))[1][0]
@@ -131,17 +125,14 @@ def competence_monte_carlo(
     of scheduling. If every skill is 1 the estimate is exactly 1.0, not
     merely close.
     """
-    nd = _nd_credit(nd_policy)
-    w, p = _check_lengths(weights, skills)
+    w, p, nd = _checked(weights, skills, nd_policy)
     total = 0.0
     total_sq = 0.0
     for chunk_index, size in enumerate(chunk_sizes(trials)):
         rng = chunk_rng(seed, chunk_index)
         correct = rng.random((size, w.size)) < p
         sums = np.where(correct, w, -w).sum(axis=1)
-        vals = (sums > bias).astype(np.float64)
-        if nd:
-            vals += nd * (sums == bias)
+        vals = (sums > bias) + nd * (sums == bias)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     mean = total / trials
@@ -267,6 +258,8 @@ def indirect_competence(
     Team outcomes are kept as one int8 per team and pattern; the float
     temporaries cover at most :data:`_INDIRECT_BLOCK` (team, pattern) pairs,
     so memory does not grow with the team count times 2^d float64 values.
+    The work is priced d*2^d + k*2^d*2^kc (kc tieable teams under
+    ``"coin-flip"``, else 0) and refused beyond the one exact work cap.
     """
     nd = _nd_credit(nd_policy)
     p_all = np.asarray(as_skills(skills).p, dtype=np.float64)
@@ -275,14 +268,14 @@ def indirect_competence(
         raise DimensionError(
             f"structure names player {players[-1]} but only {p_all.size} skills were given"
         )
-    d = len(players)
-    if d > INDIRECT_DISTINCT_MAX:
-        raise CapacityError(
-            f"indirect competence enumerates 2^d patterns over the d distinct players "
-            f"and is capped at d={INDIRECT_DISTINCT_MAX}; got d={d}."
-        )
+    d, k = len(players), len(structure.teams)
+
+    def price(kc: int) -> None:
+        how = f"d*2^d + k*2^d*2^kc, d={d} distinct players, k={k} teams, kc={kc} tieable"
+        check_work("indirect competence", (d << d) + (k << d << kc), how=how)
+
+    price(0)
     pos = {player: b for b, player in enumerate(players)}
-    k = len(structure.teams)
     team_w = np.zeros((k, d))
     for t, (team, wrow) in enumerate(zip(structure.teams, structure.member_weights)):
         for i, wi in zip(team, wrow):
@@ -299,11 +292,7 @@ def indirect_competence(
     # enumerated exactly; a tied top level earns half credit
     coin_teams = np.nonzero(~codes.all(axis=1))[0]
     kc = coin_teams.size
-    if kc > 16:
-        raise CapacityError(
-            f"coin-flip stalemate handling enumerates 2^k coin patterns and is capped "
-            f"at k=16 tieable teams; got k={kc}."
-        )
+    price(kc)
     value = 0.0
     for assignment in range(1 << kc):
         coins = np.zeros((k, 1))

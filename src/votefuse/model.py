@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DimensionError, InvalidCoalitionError, WeightScaleError
 
 #: Coalitions are stored in a single Python int used as a bit mask; 63 keeps
-#: every mask (and 2**n loop bounds) inside one machine word with room to spare.
+#: every mask inside one machine word with room to spare. Games have no such
+#: limit: their exact kernels are priced in work and sampling uses no masks.
 MAX_PLAYERS = 63
 
 WeightLike = Union[int, float, str, Fraction]
@@ -122,8 +123,6 @@ class VotingGame:
         ws = tuple(as_fraction(w) for w in self.weights)
         if not ws:
             raise DimensionError("a game needs at least one player")
-        if len(ws) > MAX_PLAYERS:
-            raise DimensionError(f"at most {MAX_PLAYERS} players supported, got {len(ws)}")
         for i, w in enumerate(ws):
             if w < 0:
                 raise ValueError(f"weight of player {i} is negative: {w}")

@@ -13,7 +13,6 @@ numbers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,6 +42,13 @@ class PowerReport:
     stderr: Optional[tuple[float, ...]] = None
 
 
+def _exact_report(kind: str, raw: list[int]) -> PowerReport:
+    """Raw counts normalized by their exact total, or all zero if nobody has power."""
+    total = sum(raw)
+    normalized = tuple(float(Fraction(r, total)) for r in raw) if total else (0.0,) * len(raw)
+    return PowerReport(kind, "exact", tuple(raw), normalized)
+
+
 def banzhaf_exact(game: VotingGame) -> PowerReport:
     """Exact Banzhaf power: raw swing counts and their normalization.
 
@@ -51,13 +57,7 @@ def banzhaf_exact(game: VotingGame) -> PowerReport:
     a dictator is the only player with a positive count.
     """
     ws, quota = integer_form(game)
-    raw = banzhaf_counts(ws.tolist(), quota)
-    total = sum(raw)
-    if total:
-        normalized = tuple(float(Fraction(r, total)) for r in raw)
-    else:
-        normalized = (0.0,) * game.n
-    return PowerReport("banzhaf", "exact", tuple(raw), normalized)
+    return _exact_report("banzhaf", banzhaf_counts(ws.tolist(), quota))
 
 
 def shapley_shubik_exact(game: VotingGame) -> PowerReport:
@@ -66,17 +66,10 @@ def shapley_shubik_exact(game: VotingGame) -> PowerReport:
     Instead of walking orderings, each player's pivot count is assembled from
     the coalitions of the other players grouped by size k, weighting each
     qualifying coalition by k!(n-1-k)!. Raw counts sum to n! whenever the
-    grand coalition wins.
+    grand coalition wins, and are all 0 otherwise.
     """
-    n = game.n
     ws, quota = integer_form(game)
-    raw = shapley_counts(ws.tolist(), quota)
-    if any(raw):
-        orderings = math.factorial(n)
-        normalized = tuple(float(Fraction(r, orderings)) for r in raw)
-    else:
-        normalized = (0.0,) * n
-    return PowerReport("shapley", "exact", tuple(raw), normalized)
+    return _exact_report("shapley", shapley_counts(ws.tolist(), quota))
 
 
 def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> PowerReport:

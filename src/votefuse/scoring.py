@@ -7,8 +7,9 @@ culture). Both methods score blocks of profiles with one kernel, each
 profile a row of m!-ranking indices. The exact method enumerates the
 C(n+m!-1, m!-1) ranking-count multisets as sorted rows, in blocks of at most
 ``_rand.CHUNK``, weights each by its multinomial coefficient, and sums the
-credits as integers over lcm(1..m) before building one Fraction. The Monte
-Carlo method draws whole profiles in deterministic chunks.
+credits as integers over lcm(1..m) before building one Fraction; it is
+priced in the work units of :mod:`._exact` before any table is built. The
+Monte Carlo method draws whole profiles in deterministic chunks.
 """
 
 from __future__ import annotations
@@ -22,19 +23,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _rand
+from ._exact import EXACT_WORK_MAX, check_work
 from ._rand import chunk_rng, chunk_sizes
-from .errors import (
-    BallotError,
-    CapacityError,
-    DataError,
-    DimensionError,
-    EvidenceError,
-)
+from .errors import BallotError, DataError, DimensionError, EvidenceError
 from .model import as_fraction
-
-#: Exact efficiency enumerates up to (m!)^n_voters equally likely profiles
-#: (collapsed into multisets); refuse beyond this many.
-EFFICIENCY_EXACT_MAX = 10_000_000
 
 _TIE_POLICIES = ("fail", "split-credit")
 
@@ -264,11 +256,33 @@ def _score_profiles(
     return has_cw, tied, hit
 
 
+def _credit_lcm(m: int) -> int:
+    """lcm(1..m): every credit 1/k of k tied leaders is an integer over it."""
+    return math.lcm(*range(1, m + 1))
+
+
+def _price_exact(m: int, n_voters: int) -> None:
+    """Refuse exact efficiency over the work cap, or beyond the range of its int64 counts.
+
+    Profile counts reach (m!)^n, the products ``coeff * (j + 1)`` stay below
+    (m!)^n * n and the credit sums below (m!)^n * lcm(1..m).
+    """
+    rankings = math.factorial(m)
+    leaves = math.comb(n_voters + rankings - 1, rankings - 1)
+    units = leaves * n_voters * m * m + rankings * m * m
+    # the range test takes a big power, so only where the work fits
+    factor = max(_credit_lcm(m), n_voters)
+    in_range = units > EXACT_WORK_MAX or rankings**n_voters * factor < 1 << 63
+    how = f"leaves*n*m^2 + m!*m^2 for {leaves:,} leaves"
+    beyond = "" if in_range else "its counts (m!)^n*max(lcm(1..m), n) pass 2^63"
+    check_work("Condorcet efficiency", units, "method='monte-carlo'", how, beyond)
+
+
 def _efficiency_exact(
     scoring: ScoringVector, m: int, n_voters: int, tie_policy: str
 ) -> EfficiencyResult:
     score_rows, pair_rows = _ranking_tables(scoring, n_voters)
-    lcm = math.lcm(*range(1, m + 1))  # credits 1/k are integers over lcm(1..m)
+    lcm = _credit_lcm(m)
     hits = 0
     with_winner = 0
     # each ranking-count multiset is a sorted row of ranking indices
@@ -354,12 +368,7 @@ def condorcet_efficiency(
     if tie_policy not in _TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {_TIE_POLICIES}, got {tie_policy!r}")
     if method == "exact":
-        if math.factorial(m) ** n_voters > EFFICIENCY_EXACT_MAX:
-            raise CapacityError(
-                f"exact efficiency covers (m!)^n_voters profiles, capped at "
-                f"{EFFICIENCY_EXACT_MAX:.0e}; got ({m}!)^{n_voters}. "
-                f"Use method='monte-carlo' instead."
-            )
+        _price_exact(m, n_voters)
         return _efficiency_exact(scoring, m, n_voters, tie_policy)
     if method == "monte-carlo":
         return _efficiency_mc(scoring, m, n_voters, tie_policy, trials, seed)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._exact import enumerate_patterns
+from ._exact import check_work, enumerate_patterns
 from .errors import CapacityError, DimensionError
 from .model import (
     Coalition,
@@ -29,14 +29,13 @@ OUTCOME_A = 1
 OUTCOME_B = -1
 OUTCOME_ND = 0
 
-#: Table construction materializes 2^n entries.
-RULE_TABLE_MAX = 24
-
 #: Enumeration of all distinct decisive rules is only tractable for small n;
 #: these search bounds are the smallest that make the counts stable under
 #: raising the bound by one.
 DEFAULT_MAX_WEIGHT = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 5, 7: 9}
 
+#: Winning families are Python sets of bit masks, built and checked mask by
+#: mask, so they are capped in players rather than priced in work units.
 TRADE_ROBUST_MAX = 12
 
 
@@ -118,10 +117,7 @@ def rule_from_game(game: VotingGame, bias=0) -> DecisionRule:
     bias, may be rational.
     """
     n = game.n
-    if n > RULE_TABLE_MAX:
-        raise CapacityError(
-            f"a rule table holds 2^n outcomes and is capped at n={RULE_TABLE_MAX}; got n={n}"
-        )
+    check_work("rule table", n << n, how="n*2^n outcomes")
     b = as_fraction(bias)
     if abs(b) > game.total_weight:
         raise ValueError(f"bias {b} exceeds the total weight {game.total_weight}")
@@ -134,7 +130,8 @@ def rule_from_game(game: VotingGame, bias=0) -> DecisionRule:
 
 def _rule_table_int(weights: Sequence[int], bias: int = 0) -> np.ndarray:
     ws = np.asarray(weights, dtype=np.int64)
-    return np.sign(enumerate_patterns(-ws, ws, np.int64(-bias))).astype(np.int8)
+    sums = enumerate_patterns(-ws, ws, np.int64(-bias))
+    return np.sign(sums, out=sums).astype(np.int8)
 
 
 def rule_distance(a: "RuleLike", b: "RuleLike") -> int:
@@ -264,6 +261,7 @@ def nearest_simple_rule(
 
     w = np.asarray(list(target_weights), dtype=np.float64)
     n = w.size
+    check_work("nearest simple rule", n << n, how="n*2^n vote signs")
     if candidates is None:
         candidates = enumerate_unique_wmr(n)
     cands = list(candidates)
@@ -298,10 +296,7 @@ class WinningFamily:
     winning: frozenset[int]
 
     def __post_init__(self):
-        if not 1 <= self.n <= TRADE_ROBUST_MAX:
-            raise CapacityError(
-                f"explicit winning families are capped at n={TRADE_ROBUST_MAX}; got n={self.n}"
-            )
+        self._check_size(self.n)
         full = (1 << self.n) - 1
         for m in self.winning:
             if m & ~full:
@@ -310,8 +305,16 @@ class WinningFamily:
                 if not m >> i & 1 and (m | 1 << i) not in self.winning:
                     raise ValueError("family is not monotone: a superset of a winning coalition loses")
 
+    @staticmethod
+    def _check_size(n: int) -> None:
+        if not 1 <= n <= TRADE_ROBUST_MAX:
+            raise CapacityError(
+                f"explicit winning families are capped at n={TRADE_ROBUST_MAX}; got n={n}"
+            )
+
     @classmethod
     def from_minimal(cls, n: int, coalitions) -> "WinningFamily":
+        cls._check_size(n)
         seeds = []
         for c in coalitions:
             seeds.append(c.mask if isinstance(c, Coalition) else Coalition(c).mask)
@@ -320,10 +323,7 @@ class WinningFamily:
 
     @classmethod
     def from_game(cls, game: VotingGame) -> "WinningFamily":
-        if game.n > TRADE_ROBUST_MAX:
-            raise CapacityError(
-                f"explicit winning families are capped at n={TRADE_ROBUST_MAX}; got n={game.n}"
-            )
+        cls._check_size(game.n)
         ws, quota = integer_form(game)
         sums = enumerate_patterns(np.zeros_like(ws), ws, np.int64(0))
         winning = frozenset(int(m) for m in np.nonzero(sums > quota)[0])

@@ -203,6 +203,23 @@ class TestFuseCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_adaptive_wmr_honours_the_bias(self, capsys, tmp_path):
+        # with k=2 each query sees both samples, one right and one wrong, so the
+        # local skill is 1/2, the weight 0 and the signed sum exactly 0
+        p = tmp_path / "preds.csv"
+        p.write_text(
+            "sample_id,true_label,feat_0,c1\nv1,A,-1.0,A\nv2,B,1.0,A\n", encoding="utf-8"
+        )
+        decisions = {}
+        for bias in ("0", "0.4", "-0.4"):
+            code, out, _ = run(
+                capsys, "fuse", "--predictions", str(p), "--rule", "adaptive-wmr",
+                "--k", "2", "--bias", bias,
+            )
+            assert code == 0
+            decisions[bias] = [r[1] for r in parse_report(out).rows]
+        assert decisions == {"0": ["ND", "ND"], "0.4": ["B", "B"], "-0.4": ["A", "A"]}
+
 
 class TestReportCommand:
     def test_sections_and_adaptive_inclusion(self, capsys, tmp_path):
@@ -238,6 +255,23 @@ class TestReportCommand:
         assert code == 0
         sections = {r[0] for r in rep.rows}
         assert {"classifier_risk", "fused_risk"} <= sections
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, capsys, game_file):
+        import votefuse.cli as cli
+
+        cli.build_parser.cache_clear()
+        argv = ("power", "--game", game_file, "--kind", "banzhaf")
+        first = run(capsys, *argv)
+        again = run(capsys, "power", "--game", game_file, "--kind", "shapley")
+        reused = run(capsys, *argv)
+        assert cli.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().hits == 2
+        cli.build_parser.cache_clear()
+        fresh = run(capsys, *argv)
+        assert first == reused == fresh and first[0] == 0
+        assert again[1] != first[1]
 
 
 class TestDeterminism:

@@ -1,20 +1,25 @@
 """The shared exact kernel: both routes against the brute-force oracles."""
 
+import ast
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votefuse import _exact
+from votefuse import _exact, scoring
 from votefuse.errors import CapacityError
-from votefuse.jury import group_competence, jury_exact
+from votefuse.jury import TeamStructure, group_competence, indirect_competence, jury_exact
 from votefuse.model import VotingGame, integer_form
 from votefuse.power import banzhaf_exact, shapley_shubik_exact
+from votefuse.scoring import ScoringVector, condorcet_efficiency
+from votefuse.wmr import CanonicalWMR, nearest_simple_rule, rule_from_game
 
 from oracles import (
     banzhaf_brute,
@@ -147,6 +152,15 @@ class TestWorkCap:
         assert f"{_exact.EXACT_WORK_MAX:,}" in message
         assert "power_monte_carlo" in message
 
+    def test_a_route_is_named_only_where_one_exists(self):
+        _exact.check_work("rule table", _exact.EXACT_WORK_MAX)  # at the cap: accepted
+        with pytest.raises(CapacityError) as info:
+            _exact.check_work("rule table", _exact.EXACT_WORK_MAX + 1, how="n*2^n outcomes")
+        assert str(info.value) == (
+            f"exact rule table needs an estimated {_exact.EXACT_WORK_MAX + 1:,} work units "
+            f"(n*2^n outcomes), over the limit of {_exact.EXACT_WORK_MAX:,}."
+        )
+
     def test_non_integer_weights_over_the_cap_are_refused(self):
         weights = [0.5 + i for i in range(30)]
         with pytest.raises(CapacityError, match="competence_monte_carlo"):
@@ -172,3 +186,136 @@ def test_enumerate_patterns_reads_bit_i_as_player_i():
 def test_rescaled_rational_game_keeps_exact_counts():
     game = VotingGame((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)), quota=Fraction(3, 4))
     assert list(banzhaf_exact(game).raw) == banzhaf_brute(game.weights, game.quota)
+
+
+def assert_refused(call, units, route=None):
+    """``call`` raises one CapacityError stating the estimate, the limit and the route."""
+    with pytest.raises(CapacityError) as info:
+        call()
+    message = str(info.value)
+    assert f"needs an estimated {units:,} work units" in message
+    assert f"{_exact.EXACT_WORK_MAX:,}" in message
+    assert route is None or f"Use {route} instead." in message
+    return message
+
+
+class TestCapacityBoundaries:
+    """The largest accepted and the smallest refused instance of each priced entry point."""
+
+    def test_rule_tables_fit_up_to_24_players(self):
+        assert 24 << 24 <= _exact.EXACT_WORK_MAX < 25 << 25
+        table = rule_from_game(VotingGame((1,) * 24)).table
+        assert table.shape == (1 << 24,) and table[-1] == 1 and table[0] == -1
+        assert_refused(lambda: rule_from_game(VotingGame((1,) * 25)), 25 << 25)
+
+    def test_nearest_rules_are_priced_like_rule_tables(self):
+        assert nearest_simple_rule([1.0] * 3).disagreements == 0
+        target, candidate = [1.0] * 25, CanonicalWMR((1,) * 25)
+        assert_refused(lambda: nearest_simple_rule(target, [candidate]), 25 << 25)
+
+    def test_coin_flips_over_many_tieable_teams_are_refused_up_front(self):
+        # 20 distinct players in 16 two-member teams, each of which can tie
+        teams = tuple((2 * i, 2 * i + 1) for i in range(10)) + tuple(
+            (2 * i, 2 * i + 2) for i in range(6)
+        )
+        structure = TeamStructure(teams=teams)
+        assert len(structure.distinct_players) == 20
+        start = time.perf_counter()
+        assert_refused(
+            lambda: indirect_competence(structure, (0.6,) * 20, nd_policy="coin-flip"),
+            (20 << 20) + (16 << 20 << 16),
+        )
+        assert time.perf_counter() - start < 10.0  # the 2^16 coin loop would take ~30 min
+        assert 0.0 <= indirect_competence(structure, (0.6,) * 20) <= 1.0  # no coins: fits
+
+    def test_team_structures_are_priced_before_any_outcome_table(self, monkeypatch):
+        monkeypatch.setattr(
+            "votefuse.jury._team_outcomes", lambda *a: pytest.fail("outcome table built")
+        )
+        structure = TeamStructure(teams=(tuple(range(25)),))
+        assert_refused(lambda: indirect_competence(structure, (0.6,) * 25), 26 << 25)
+
+    def test_efficiency_with_few_leaves_is_exact(self):
+        # 3 candidates, 9 voters: 2,002 ranking-count multisets
+        res = condorcet_efficiency(ScoringVector.borda(3), 3, 9)
+        assert res.exact == Fraction(674489, 774323)
+
+    def test_one_voter_over_ten_candidates_is_refused_before_the_tables(self, monkeypatch):
+        monkeypatch.setattr(scoring, "_ranking_tables", lambda *a: pytest.fail("tables built"))
+        rankings = math.factorial(10)
+        units = rankings * 1 * 100 + rankings * 100  # every ranking is a leaf
+        message = assert_refused(
+            lambda: condorcet_efficiency(ScoringVector.borda(10), 10, 1), units,
+            "method='monte-carlo'",
+        )
+        assert f"{rankings:,} leaves" in message
+
+    def test_two_candidates_up_to_the_int64_range(self):
+        # (m!)^n * max(lcm(1..m), n) = 2^n * n must stay below 2^63
+        largest = max(n for n in range(1, 70) if 2**n * max(2, n) < 2**63)
+        assert largest == 57
+        for n in (largest - 1, largest):
+            res = condorcet_efficiency(ScoringVector.borda(2), 2, n)
+            assert res.exact == 1
+            ties = math.comb(n, n // 2) if n % 2 == 0 else 0
+            assert res.profiles_with_winner == 2**n - ties
+        n = largest + 1
+        message = assert_refused(
+            lambda: condorcet_efficiency(ScoringVector.borda(2), 2, n),
+            (n + 1) * n * 4 + 2 * 4,
+            "method='monte-carlo'",
+        )
+        assert "2^63" in message
+
+
+class TestOneCapacityPolicy:
+    """Size refusals come from ``_exact.check_work``, not from caps kept per module."""
+
+    SOURCES = sorted((Path(_exact.__file__).parent).glob("*.py"))
+
+    @staticmethod
+    def capacity_error_scopes(tree):
+        """Qualified name of the function around each ``CapacityError(...)`` call."""
+        found = set()
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "CapacityError"
+            ):
+                found.add(scope)
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, "")
+        return found
+
+    def test_capacity_errors_are_built_in_three_places_only(self):
+        allowed = {
+            ("_exact.py", "check_work"),
+            ("wmr.py", "WinningFamily._check_size"),
+            ("wmr.py", "enumerate_unique_wmr"),
+        }
+        built = {
+            (path.name, scope)
+            for path in self.SOURCES
+            for scope in self.capacity_error_scopes(ast.parse(path.read_text()))
+        }
+        assert built == allowed
+
+    def test_no_module_keeps_a_cap_of_its_own(self):
+        caps = set()
+        for path in self.SOURCES:
+            for node in ast.parse(path.read_text()).body:
+                targets = node.targets if isinstance(node, ast.Assign) else (
+                    [node.target] if isinstance(node, ast.AnnAssign) else []
+                )
+                caps |= {
+                    f"{path.stem}.{t.id}"
+                    for t in targets
+                    if isinstance(t, ast.Name) and t.id.endswith("_MAX")
+                }
+        assert caps == {"_exact.EXACT_WORK_MAX", "wmr.TRADE_ROBUST_MAX"}

@@ -650,7 +650,8 @@ class TestWeightedVoteKernel:
                                 features=rng.integers(0, 3, size=(n_val, d)))
         test = _coded_set(rng, labels, n_query, k, truth=False,
                           features=rng.integers(0, 3, size=(n_query, d)))
-        got = fuse_dataset(test, "adaptive-wmr", validation=validation, k=kn)
+        bias = float(rng.choice((0.0, 0.4, -1.1, 2.0)))
+        got = fuse_dataset(test, "adaptive-wmr", validation=validation, k=kn, bias=bias)
         rows, votes = _truth_and_votes(validation)
         correct = [[votes[j][i] == validation.true_labels[i] for j in range(k)] for i in rows]
         index = ValidationIndex(validation.features[rows], correct)
@@ -658,7 +659,7 @@ class TestWeightedVoteKernel:
         for i in range(n_query):
             skills = [local_skill(test.features[i], index, j, kn) for j in range(k)]
             q = [test.outputs[j].hard[i] for j in range(k)]
-            want.append(wmr_brute(q, labels, optimal_weights(skills)))
+            want.append(wmr_brute(q, labels, optimal_weights(skills), bias))
         assert got == want
 
     def test_decisions_do_not_depend_on_the_row_count(self):

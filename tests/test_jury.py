@@ -309,9 +309,10 @@ class TestIndirectCompetence:
             indirect_competence(s, (0.6, 0.6))
 
     def test_capacity_gate_counts_distinct_players(self):
-        s = TeamStructure(teams=(tuple(range(21)),))
+        # d = 25: 25*2^25 + 2^25 work units, over the exact work cap
+        s = TeamStructure(teams=(tuple(range(25)),))
         with pytest.raises(CapacityError):
-            indirect_competence(s, (0.6,) * 21)
+            indirect_competence(s, (0.6,) * 25)
 
     def test_shared_player_does_not_inflate_the_count(self):
         teams = tuple((i, 19) for i in range(19))

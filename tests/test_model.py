@@ -48,8 +48,9 @@ class TestVotingGame:
             VotingGame((1, 1), quota=3)
         with pytest.raises(DimensionError):
             VotingGame(())
-        with pytest.raises(DimensionError):
-            VotingGame((1,) * (MAX_PLAYERS + 1))
+
+    def test_games_may_outgrow_the_coalition_masks(self):
+        assert VotingGame((1,) * (MAX_PLAYERS + 1)).n == MAX_PLAYERS + 1
 
 
 class TestCoalition:

@@ -97,6 +97,23 @@ class TestShapleyShubikExact:
             shapley_shubik_exact(OVER_THE_WORK_CAP)
 
 
+class TestHundredPlayers:
+    """Games past the 63-player coalition masks: the DP and sampling use no masks."""
+
+    GAME = VotingGame((1,) * 100)  # quota 50
+
+    def test_banzhaf_counts_are_exact(self):
+        rep = banzhaf_exact(self.GAME)
+        assert rep.raw == (math.comb(99, 50),) * 100
+        assert rep.normalized == (0.01,) * 100
+
+    @pytest.mark.parametrize("kind", ["banzhaf", "shapley"])
+    def test_monte_carlo_runs(self, kind):
+        rep = power_monte_carlo(self.GAME, kind, trials=2_000, seed=3)
+        assert len(rep.normalized) == 100
+        assert abs(sum(rep.normalized) - 1.0) < 1e-9
+
+
 class TestPowerMonteCarlo:
     def test_same_seed_means_identical_output(self):
         g = VotingGame((3, 2, 1, 1), quota="7/2")
