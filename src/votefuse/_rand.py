@@ -5,9 +5,15 @@ generator seeded by (seed, chunk_index). The stream a trial sees therefore
 depends only on the seed and the trial's position in the budget, never on
 scheduling: serial runs, restarts, and any parallel split of the chunks
 produce bit-identical estimates.
+
+:func:`chunk_sums` is the one driver: an estimator passes the statistic of
+one chunk and gets back the running sums over the whole budget, then applies
+its own closing formula for the estimate and its standard error.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -23,3 +29,20 @@ def chunk_sizes(trials: int) -> list[int]:
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, chunk_index])
+
+
+def chunk_sums(
+    trials: int, seed: int, draw: Callable[[np.random.Generator, int], tuple]
+) -> tuple:
+    """Elementwise sum over all chunks of ``draw(chunk_rng(seed, i), size)``.
+
+    ``draw`` returns one tuple of sums (floats, ints or arrays) per chunk of
+    ``size`` trials; the chunks run in order. The first chunk's tuple is
+    taken as it is, so a sum equals a loop that starts from zero and adds
+    each chunk in turn, to the bit.
+    """
+    sums = None
+    for chunk_index, size in enumerate(chunk_sizes(trials)):
+        part = draw(chunk_rng(seed, chunk_index), size)
+        sums = part if sums is None else tuple(a + b for a, b in zip(sums, part))
+    return sums

@@ -387,8 +387,8 @@ def _weights_or_warn(rule: str, weights, k: int) -> Optional[np.ndarray]:
     w = np.asarray(list(weights), dtype=np.float64)
     if w.size != k:
         raise DimensionError(f"{w.size} classifier weights for {k} classifiers")
-    if (w < 0).any() or w.sum() <= 0:
-        raise ValueError("classifier weights must be non-negative with positive sum")
+    if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
+        raise ValueError("classifier weights must be finite and non-negative with positive sum")
     if rule not in ("sum", "majority"):
         warnings.warn(
             f"rule {rule!r} ignores classifier weights", ConfigurationWarning, stacklevel=3
@@ -485,6 +485,8 @@ def _weighted_votes(codes: np.ndarray, weights: np.ndarray, m: int) -> np.ndarra
 
 def _two_label_decisions(codes: np.ndarray, weights: np.ndarray, bias: float) -> np.ndarray:
     """Code 0 where the first label's score beats ``bias``, 1 below it, -1 on a stalemate."""
+    if not np.isfinite(bias):
+        raise ValueError(f"bias must be finite, got {bias}")
     s = _weighted_votes(codes, weights, 2)[:, 0]
     return np.where(s > bias, 0, np.where(s < bias, 1, -1))
 
@@ -635,8 +637,8 @@ class ValidationIndex:
         queries whose (block, N, d) temporary holds at most
         :data:`_NEIGHBOR_BLOCK` elements. Each row gives the first k' of its
         stable argsort, so ties go to the lower validation index. A single
-        query passed as (1, d) is a batch of one; :func:`local_skill` and
-        :func:`fuse_adaptive_wmr` take one query of any shape.
+        query passed as (1, d) is a batch of one; :func:`fuse_adaptive_wmr`
+        takes one query of any shape.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -662,19 +664,6 @@ class ValidationIndex:
         nb = self.neighbors(query, k)
         hits = self.correct[nb].sum(axis=-2)
         return (hits + 1) / (nb.shape[-1] + 2)
-
-
-def local_skill(query, index: ValidationIndex, classifier: int, k: int) -> float:
-    """Smoothed accuracy of one classifier among the k nearest validation samples.
-
-    Returns (correct + 1) / (k + 2), which stays strictly inside (0, 1) so
-    log-odds weights remain finite. ``k`` is clamped to the validation size.
-    """
-    if not 0 <= classifier < index.n_classifiers:
-        raise DimensionError(
-            f"classifier {classifier} out of range for K={index.n_classifiers}"
-        )
-    return float(index.skills(np.ravel(query), k)[classifier])
 
 
 def fuse_adaptive_wmr(

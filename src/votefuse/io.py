@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -48,21 +49,7 @@ def _fraction_token(token: str, path: str, line: int, col: int) -> Fraction:
 
 def _split_tokens(value: str) -> list[tuple[str, int]]:
     """Tokens of a value string with 1-based column offsets (commas or spaces)."""
-    out = []
-    token = ""
-    start = 0
-    for i, ch in enumerate(value):
-        if ch in ", \t":
-            if token:
-                out.append((token, start + 1))
-                token = ""
-        else:
-            if not token:
-                start = i
-            token += ch
-    if token:
-        out.append((token, start + 1))
-    return out
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"[^, \t]+", value)]
 
 
 def _key_value_lines(text: str, path: str):

@@ -18,12 +18,13 @@ competence and all n decisiveness values at once. One work cap bounds both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._exact import check_work, enumerate_patterns, jury_values
-from ._rand import chunk_rng, chunk_sizes
+from ._rand import chunk_sums
 from .errors import DimensionError
 from .model import SkillsLike, as_skills
 
@@ -36,8 +37,8 @@ def _nd_credit(nd_policy: str) -> float:
     return _ND_CREDIT[nd_policy]
 
 
-def _checked(weights, skills, nd_policy: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Weights, skills and stalemate credit of a jury, checked."""
+def _checked(weights, bias, skills, nd_policy: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Check a jury's inputs; return its weights, skills and stalemate credit."""
     nd = _nd_credit(nd_policy)
     w = np.asarray(list(weights), dtype=np.float64)
     p = np.asarray(as_skills(skills).p, dtype=np.float64)
@@ -45,6 +46,8 @@ def _checked(weights, skills, nd_policy: str) -> tuple[np.ndarray, np.ndarray, f
         raise DimensionError(f"{w.size} weights for {p.size} skills")
     if w.size == 0:
         raise DimensionError("at least one judge is required")
+    if not np.isfinite(w).all() or not np.isfinite(float(bias)):
+        raise ValueError("weights and bias must be finite")
     return w, p, nd
 
 
@@ -64,7 +67,7 @@ def jury_exact(
     The kernel is a DP over the signed sum for integer-valued weights, or one
     enumeration of the 2^n vote patterns, whichever is estimated cheaper.
     """
-    w, p, nd = _checked(weights, skills, nd_policy)
+    w, p, nd = _checked(weights, bias, skills, nd_policy)
     competence, decisive = jury_values(w, p, bias, nd, range(w.size))
     return JuryReport(competence, tuple(decisive))
 
@@ -78,7 +81,7 @@ def group_competence(
     integer-valued weights and bias) contribute nothing under the default
     policy and half their probability under ``"coin-flip"``.
     """
-    w, p, nd = _checked(weights, skills, nd_policy)
+    w, p, nd = _checked(weights, bias, skills, nd_policy)
     return jury_values(w, p, bias, nd, ())[0]
 
 
@@ -97,7 +100,7 @@ def decisiveness_probability(
     by 2^(n-1) in the game with quota (total + bias)/2. To get every judge's
     value, :func:`jury_exact` runs the kernel once instead of n times.
     """
-    w, p, nd = _checked(weights, skills, nd_policy)
+    w, p, nd = _checked(weights, bias, skills, nd_policy)
     if not 0 <= player < w.size:
         raise DimensionError(f"player {player} out of range for n={w.size}")
     return jury_values(w, p, bias, nd, (player,))[1][0]
@@ -121,20 +124,19 @@ def competence_monte_carlo(
 ) -> CompetenceEstimate:
     """Estimate group competence by simulation; deterministic for a given seed.
 
-    Fixed-size chunks with per-chunk substreams make the estimate independent
-    of scheduling. If every skill is 1 the estimate is exactly 1.0, not
-    merely close.
+    Trials are drawn through :func:`._rand.chunk_sums`, so the estimate
+    depends only on the seed and the trial budget. If every skill is 1 the
+    estimate is exactly 1.0, not merely close.
     """
-    w, p, nd = _checked(weights, skills, nd_policy)
-    total = 0.0
-    total_sq = 0.0
-    for chunk_index, size in enumerate(chunk_sizes(trials)):
-        rng = chunk_rng(seed, chunk_index)
+    w, p, nd = _checked(weights, bias, skills, nd_policy)
+
+    def draw(rng: np.random.Generator, size: int) -> tuple[float, float]:
         correct = rng.random((size, w.size)) < p
         sums = np.where(correct, w, -w).sum(axis=1)
         vals = (sums > bias) + nd * (sums == bias)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        return float(vals.sum()), float((vals * vals).sum())
+
+    total, total_sq = chunk_sums(trials, seed, draw)
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0) * trials / max(trials - 1, 1)
     return CompetenceEstimate(mean, float(np.sqrt(var / trials)), trials, seed)
@@ -196,6 +198,8 @@ class TeamStructure:
         tw = (1.0,) * k if self.top_weights is None else tuple(float(x) for x in self.top_weights)
         if len(tb) != k or len(tw) != k:
             raise DimensionError("team_biases and top_weights must have one entry per team")
+        if not np.isfinite([*chain.from_iterable(mw), *tb, *tw, float(self.top_bias)]).all():
+            raise ValueError("member weights, biases and top weights must be finite")
         object.__setattr__(self, "teams", teams)
         object.__setattr__(self, "member_weights", mw)
         object.__setattr__(self, "team_biases", tb)

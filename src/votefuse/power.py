@@ -5,10 +5,8 @@ floating-point comparison comes anywhere near the quota. They run the shared
 kernel in :mod:`._exact`: a counting DP over weights up to the quota, in
 O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or one 2^n
 enumeration when that is cheaper, refused beyond one work cap. The Monte Carlo
-estimators draw in fixed-size chunks with one counter-based substream per
-chunk, which makes results independent of how the chunks are scheduled: a
-serial run and any parallel split of the same trial budget return identical
-numbers.
+estimators draw through the chunked driver of :mod:`._rand`, so a seed fixes
+their results to the bit.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from ._exact import banzhaf_counts, shapley_counts
-from ._rand import CHUNK, chunk_rng, chunk_sizes
+from ._rand import chunk_sums
 from .model import VotingGame, integer_form
 
 
@@ -74,18 +72,17 @@ def shapley_shubik_exact(game: VotingGame) -> PowerReport:
 
 def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> PowerReport:
     wf = ws.astype(np.float64)
-    sum_x = np.zeros(n)
-    sum_xx = np.zeros((n, n))
-    for chunk_index, size in enumerate(chunk_sizes(trials)):
-        rng = chunk_rng(seed, chunk_index)
+
+    def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         member = rng.integers(0, 2, size=(size, n)).astype(np.float64)
         totals = member @ wf
         # per player: sum over the *others*, shared across all players of one draw
         others = totals[:, None] - member * wf[None, :]
         swing = (others > quota - wf[None, :]) & (others <= quota)
         x = swing.astype(np.float64)
-        sum_x += x.sum(axis=0)
-        sum_xx += x.T @ x
+        return x.sum(axis=0), x.T @ x
+
+    sum_x, sum_xx = chunk_sums(trials, seed, draw)
     t = trials
     p = sum_x / t
     raw = tuple(float(x) * 2.0 ** (n - 1) for x in p)
@@ -109,16 +106,15 @@ def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> P
 
 def _shapley_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> PowerReport:
     counts = np.zeros(n, dtype=np.int64)
-    grand_wins = int(ws.sum()) > quota
-    if grand_wins:
-        base = np.broadcast_to(np.arange(n), (CHUNK, n))
-        for chunk_index, size in enumerate(chunk_sizes(trials)):
-            rng = chunk_rng(seed, chunk_index)
-            perms = rng.permuted(base[:size].copy(), axis=1)
+    if int(ws.sum()) > quota:
+
+        def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray]:
+            perms = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
             cum = np.cumsum(ws[perms], axis=1)
-            pivot_pos = np.argmax(cum > quota, axis=1)
-            pivots = perms[np.arange(size), pivot_pos]
-            counts += np.bincount(pivots, minlength=n)
+            pivots = perms[np.arange(size), np.argmax(cum > quota, axis=1)]
+            return (np.bincount(pivots, minlength=n),)
+
+        (counts,) = chunk_sums(trials, seed, draw)
     t = trials
     p = counts / t
     stderr = np.sqrt(p * (1.0 - p) / t)
@@ -139,9 +135,8 @@ def power_monte_carlo(
     Shapley-Shubik trials draw random orderings and record the pivot, so the
     normalized estimate is a plain multinomial proportion.
 
-    Trials are processed in fixed 2^16-trial chunks, each with its own seeded
-    substream, so any serial or parallel execution of the same budget yields
-    bit-identical results.
+    Trials are drawn through :func:`._rand.chunk_sums`, so the result depends
+    only on the seed and the trial budget.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -9,7 +9,8 @@ C(n+m!-1, m!-1) ranking-count multisets as sorted rows, in blocks of at most
 ``_rand.CHUNK``, weights each by its multinomial coefficient, and sums the
 credits as integers over lcm(1..m) before building one Fraction; it is
 priced in the work units of :mod:`._exact` before any table is built. The
-Monte Carlo method draws whole profiles in deterministic chunks.
+Monte Carlo method draws whole profiles through the chunked driver of
+:mod:`._rand`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import _rand
 from ._exact import EXACT_WORK_MAX, check_work
-from ._rand import chunk_rng, chunk_sizes
+from ._rand import chunk_sums
 from .errors import BallotError, DataError, DimensionError, EvidenceError
 from .model import as_fraction
 
@@ -313,17 +314,14 @@ def _efficiency_mc(
     scoring: ScoringVector, m: int, n_voters: int, tie_policy: str, trials: int, seed: int
 ) -> EfficiencyResult:
     score_rows, pair_rows = _ranking_tables(scoring, n_voters)
-    with_winner = 0
-    credit_sum = 0.0
-    credit_sq = 0.0
-    for chunk_index, size in enumerate(chunk_sizes(trials)):
-        rng = chunk_rng(seed, chunk_index)
+
+    def draw(rng: np.random.Generator, size: int) -> tuple[int, float, float]:
         draws = rng.integers(0, score_rows.shape[0], size=(size, n_voters))
         has_cw, tied, hit = _score_profiles(draws, score_rows, pair_rows, tie_policy)
         credit = np.where(hit, 1.0 / tied, 0.0)
-        with_winner += int(has_cw.sum())
-        credit_sum += float(credit.sum())
-        credit_sq += float((credit * credit).sum())
+        return int(has_cw.sum()), float(credit.sum()), float((credit * credit).sum())
+
+    with_winner, credit_sum, credit_sq = chunk_sums(trials, seed, draw)
     if with_winner == 0:
         raise EvidenceError("no sampled profile had a pairwise-majority winner")
     value = credit_sum / with_winner

@@ -143,6 +143,18 @@ class TestJuryCommand:
         assert row[3] != ""
 
 
+    @pytest.mark.parametrize("extra", [
+        ("--weights", "nan,1,1"),
+        ("--weights", "1,inf,1"),
+        ("--bias", "nan"),
+        ("--bias", "inf", "--method", "monte-carlo", "--trials", "100"),
+    ])
+    def test_non_finite_weights_and_bias_exit_three(self, capsys, extra):
+        code, out, err = run(capsys, "jury", "--skills", "0.6,0.6,0.6", *extra)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
+
 class TestEfficiencyCommand:
     def test_exact_fraction_appears_verbatim(self, capsys):
         code, out, _ = run(
@@ -220,6 +232,17 @@ class TestFuseCommand:
             decisions[bias] = [r[1] for r in parse_report(out).rows]
         assert decisions == {"0": ["ND", "ND"], "0.4": ["B", "B"], "-0.4": ["A", "A"]}
 
+
+    @pytest.mark.parametrize("extra", [
+        ("--rule", "sum", "--weights", "nan,1"),
+        ("--rule", "majority", "--weights", "inf,1"),
+        ("--rule", "wmr", "--bias", "nan"),
+    ])
+    def test_non_finite_weights_and_bias_exit_three(self, capsys, predictions_file, extra):
+        code, out, err = run(capsys, "fuse", "--predictions", predictions_file, *extra)
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "finite" in err
 
 class TestReportCommand:
     def test_sections_and_adaptive_inclusion(self, capsys, tmp_path):

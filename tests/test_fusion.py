@@ -29,7 +29,6 @@ from votefuse.fusion import (
     fuse_fixed,
     fuse_wmr,
     fuse_wmr_one_vs_rest,
-    local_skill,
 )
 from votefuse.jury import optimal_weights
 
@@ -282,6 +281,9 @@ class TestFuseFixed:
             fuse_fixed(self.scores, "sum", classifier_weights=(1, 1))
         with pytest.raises(ValueError):
             fuse_fixed(self.scores, "sum", classifier_weights=(0, 0, 0))
+        for rule, bad in (("sum", math.nan), ("majority", math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                fuse_fixed(self.scores, rule, classifier_weights=(bad, 1, 1))
 
 
 class TestFuseWmr:
@@ -319,6 +321,8 @@ class TestFuseWmr:
             fuse_wmr(("A", "C"), (0.6, 0.6))
         with pytest.raises(DimensionError):
             fuse_wmr(("A", "B"), (0.6,))
+        with pytest.raises(ValueError, match="finite"):
+            fuse_wmr(("A", "B"), (0.6, 0.7), bias=math.nan)
 
 
 class TestFuseWmrOneVsRest:
@@ -386,11 +390,12 @@ class TestValidationIndex:
         x = [[float(i)] for i in range(4)]
         correct = np.array([[True], [True], [False], [False]])
         idx = ValidationIndex(x, correct)
-        assert local_skill([0.0], idx, 0, k=2) == (2 + 1) / (2 + 2)
+        assert idx.skills([0.0], k=2)[0] == (2 + 1) / (2 + 2)
         # k beyond the validation size clamps to all four samples
-        assert local_skill([0.0], idx, 0, k=50) == (2 + 1) / (4 + 2)
-        with pytest.raises(DimensionError):
-            local_skill([0.0], idx, 3, k=2)
+        assert idx.skills([0.0], k=50)[0] == (2 + 1) / (4 + 2)
+        # one skill per indexed classifier, and no more
+        with pytest.raises(IndexError):
+            idx.skills([0.0], k=2)[3]
         with pytest.raises(ValueError):
             idx.neighbors([0.0], k=0)
 
@@ -417,8 +422,7 @@ class TestAdaptiveWmr:
         idx = region_index()
         rows = np.array([[-1.2], [1.2]])
         assert fuse_adaptive_wmr(rows[1:2], ("A", "B"), idx, k=4) == "B"
-        for j in range(idx.n_classifiers):
-            assert local_skill(rows[1:2], idx, j, k=4) == local_skill(rows[1], idx, j, k=4)
+        np.testing.assert_array_equal(idx.skills(rows[1:2], k=4), idx.skills(rows[1], k=4)[None])
         assert idx.neighbors(rows[1:2], k=4).shape == (1, 4)
 
 
@@ -657,7 +661,7 @@ class TestWeightedVoteKernel:
         index = ValidationIndex(validation.features[rows], correct)
         want = []
         for i in range(n_query):
-            skills = [local_skill(test.features[i], index, j, kn) for j in range(k)]
+            skills = index.skills(test.features[i], kn)
             q = [test.outputs[j].hard[i] for j in range(k)]
             want.append(wmr_brute(q, labels, optimal_weights(skills), bias))
         assert got == want

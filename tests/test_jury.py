@@ -80,6 +80,11 @@ class TestGroupCompetence:
             group_competence((1, 1), 0.0, (0.6,))
         with pytest.raises(ValueError):
             group_competence((1,), 0.0, (0.6,), nd_policy="retry")
+        for weights, bias in (((math.nan, 1), 0.0), ((1, math.inf), 0.0), ((1, 1), math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                group_competence(weights, bias, (0.6, 0.6))
+            with pytest.raises(ValueError, match="finite"):
+                competence_monte_carlo(weights, bias, (0.6, 0.6), trials=10)
 
     def test_capacity_gate_names_the_monte_carlo_route(self):
         weights = [10**9 + i for i in range(30)]  # integer DP and 2^30 patterns both too big
@@ -219,6 +224,14 @@ class TestTeamStructure:
             TeamStructure(teams=((0, 1),), member_weights=((1.0,),))
         with pytest.raises(DimensionError):
             TeamStructure(teams=((0, 1),), team_biases=(0.0, 0.0))
+        for field in (
+            {"member_weights": ((1.0, math.nan),)},
+            {"team_biases": (math.inf,)},
+            {"top_weights": (math.nan,)},
+            {"top_bias": -math.inf},
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                TeamStructure(teams=((0, 1),), **field)
 
 
 class TestIndirectCompetence:
