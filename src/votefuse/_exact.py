@@ -53,6 +53,20 @@ def enumerate_patterns(off, on, start, op=np.add) -> np.ndarray:
     return out
 
 
+def exact_float_dtype(bound: int):
+    """The narrower float dtype that sums integers exactly, or None if neither does.
+
+    A float sum of integers is exact in any order, as in a BLAS product,
+    while every partial sum stays below 2^24 in float32 or 2^53 in float64;
+    ``bound`` caps the absolute value of every term and partial sum.
+    """
+    if bound < 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    return None
+
+
 def check_work(
     what: str, units: int, sampler: Optional[str] = None, how: str = "", beyond: str = ""
 ) -> None:

@@ -235,7 +235,7 @@ def _hits(pred, codes) -> tuple[int, int, int]:
     return int(right), int(undecided), int(np.count_nonzero(labelled))
 
 
-def _fuse_decisions(pred, validation, rule, args) -> np.ndarray:
+def _fuse_decisions(pred, validation, rule, args, bias: float) -> np.ndarray:
     """Label codes of the fused decisions, -1 where undecided."""
     decisions = fuse_dataset(
         pred,
@@ -244,7 +244,7 @@ def _fuse_decisions(pred, validation, rule, args) -> np.ndarray:
         classifier_weights=args.weights if rule in ("sum", "majority") else None,
         trim=args.trim,
         k=args.k,
-        bias=args.bias,
+        bias=bias,
         clip=args.clip,
     )
     code = {lab: i for i, lab in enumerate(pred.labels)}
@@ -255,7 +255,7 @@ def _fuse_decisions(pred, validation, rule, args) -> np.ndarray:
 def _cmd_fuse(args) -> str:
     pred = load_predictions(args.predictions)
     validation = load_predictions(args.validation) if args.validation else None
-    codes = _fuse_decisions(pred, validation, args.rule, args)
+    codes = _fuse_decisions(pred, validation, args.rule, args, args.bias)
     extra = [
         f"predictions={Path(args.predictions).name}",
         f"rule={args.rule}",
@@ -307,7 +307,9 @@ def _cmd_report(args) -> str:
     ):
         rules.append("adaptive-wmr")
     for rule in rules:
-        codes = _fuse_decisions(pred, validation, rule, args)
+        # the fixed rows are a summary, not a request to weigh by the bias
+        bias = args.bias if rule in ("wmr", "adaptive-wmr") else 0.0
+        codes = _fuse_decisions(pred, validation, rule, args, bias)
         hits, _, labelled = _hits(pred, codes)
         rows.append(("fused_accuracy", rule, repr(hits / labelled)))
         if cost is not None:

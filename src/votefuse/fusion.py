@@ -749,9 +749,16 @@ def fuse_dataset(
     it carries true labels): log-odds weighting for two labels, one-vs-rest
     for more. ``rule="adaptive-wmr"`` additionally needs features on both
     sets and re-estimates accuracies among the k nearest validation samples
-    of each query; it is defined for two labels.
+    of each query; it is defined for two labels. Only the two-label rules
+    read ``bias``; giving a non-zero bias to any other rule earns a
+    ConfigurationWarning, and a non-finite one is refused for every rule.
     """
     labels = pred.labels
+    if not np.isfinite(bias):
+        raise ValueError(f"bias must be finite, got {bias}")
+    if bias and (rule in FIXED_RULES or (rule == "wmr" and len(labels) > 2)):
+        where = f" on {len(labels)} labels" if rule == "wmr" else ""
+        warnings.warn(f"rule {rule!r} ignores the bias{where}", ConfigurationWarning, stacklevel=2)
     if rule in FIXED_RULES:
         fused = fuse_fixed(
             pred.score_tensor(), rule, classifier_weights=classifier_weights, trim=trim

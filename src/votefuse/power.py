@@ -7,6 +7,13 @@ O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or one 2^n
 enumeration when that is cheaper, refused beyond one work cap. The Monte Carlo
 estimators draw through the chunked driver of :mod:`._rand`, so a seed fixes
 their results to the bit.
+
+A Banzhaf chunk's coalition weights and swing counts are integers. The
+weights are summed in float32 while the total weight and the quota stay
+below 2^24, and in float64 otherwise; the swing counts of a chunk of at most
+2^16 trials, and their cross products, in float32. A float sum of integers
+under 2^24 is exact in any order, so the float64 sums a chunk returns are
+the same to the bit as all-float64 arithmetic gives.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._exact import banzhaf_counts, shapley_counts
+from ._exact import banzhaf_counts, exact_float_dtype, shapley_counts
 from ._rand import chunk_sums
 from .model import VotingGame, integer_form
 
@@ -71,16 +78,19 @@ def shapley_shubik_exact(game: VotingGame) -> PowerReport:
 
 
 def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> PowerReport:
-    wf = ws.astype(np.float64)
+    # every weight sum and threshold below is an integer of at most this bound
+    dtype = exact_float_dtype(max(sum(map(int, ws)), quota)) or np.float64
+    wf = ws.astype(dtype)
 
     def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        member = rng.integers(0, 2, size=(size, n)).astype(np.float64)
+        member = rng.integers(0, 2, size=(size, n)).astype(dtype)
         totals = member @ wf
         # per player: sum over the *others*, shared across all players of one draw
-        others = totals[:, None] - member * wf[None, :]
-        swing = (others > quota - wf[None, :]) & (others <= quota)
-        x = swing.astype(np.float64)
-        return x.sum(axis=0), x.T @ x
+        others = np.subtract(totals[:, None], np.multiply(member, wf, out=member), out=member)
+        swing = (others > quota - wf) & (others <= quota)
+        # counts of at most ``size`` trials: exact in float32, returned as float64
+        x = swing.astype(exact_float_dtype(size))
+        return x.sum(axis=0).astype(np.float64), (x.T @ x).astype(np.float64)
 
     sum_x, sum_xx = chunk_sums(trials, seed, draw)
     t = trials

@@ -10,7 +10,10 @@ C(n+m!-1, m!-1) ranking-count multisets as sorted rows, in blocks of at most
 credits as integers over lcm(1..m) before building one Fraction; it is
 priced in the work units of :mod:`._exact` before any table is built. The
 Monte Carlo method draws whole profiles through the chunked driver of
-:mod:`._rand`.
+:mod:`._rand`. The kernel tallies each profile's rankings and takes its
+pairwise tallies and score totals as float BLAS products of those counts,
+exact because they are small integers (see :func:`_score_profiles`), and
+the chunk sums it returns are Python ints and floats.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _rand
-from ._exact import EXACT_WORK_MAX, check_work
+from ._exact import EXACT_WORK_MAX, check_work, exact_float_dtype
 from ._rand import chunk_sums
 from .errors import BallotError, DataError, DimensionError, EvidenceError
 from .model import as_fraction
@@ -234,6 +237,22 @@ def _ranking_tables(scoring: ScoringVector, n_voters: int) -> tuple[np.ndarray, 
     return score_rows, pair_rows
 
 
+#: Cells of the (rows, m!) ranking counts that one ``np.bincount`` fills.
+_COUNT_BLOCK = 1 << 16
+
+
+def _ranking_counts(idx: np.ndarray, k: int, dtype) -> np.ndarray:
+    """How often each of ``k`` rankings occurs in each row of ``idx``, as ``dtype`` (rows, k)."""
+    counts = np.empty((idx.shape[0], k), dtype=dtype)
+    step = max(1, _COUNT_BLOCK // k)
+    offsets = np.arange(step)[:, None] * k
+    for lo in range(0, idx.shape[0], step):
+        block = idx[lo : lo + step]
+        cells = (block + offsets[: block.shape[0]]).ravel()
+        counts[lo : lo + step] = np.bincount(cells, minlength=block.shape[0] * k).reshape(-1, k)
+    return counts
+
+
 def _score_profiles(
     idx: np.ndarray, score_rows: np.ndarray, pair_rows: np.ndarray, tie_policy: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,10 +261,26 @@ def _score_profiles(
     Returns per profile whether a strict pairwise-majority winner exists, how
     many candidates share the top score, and whether the rule earns credit
     (1/tied): the winner exists and is among them, alone under ``"fail"``.
+
+    Both the pairwise tallies and the score totals are integer sums over the
+    voters, taken as BLAS products of the per-profile ranking counts with the
+    pair and score rows. Every term and partial sum of a tally is at most the
+    voter count n, and of a total at most n times the top score, so a product
+    in :func:`._exact.exact_float_dtype` of that bound (float32 below 2^24,
+    else float64 below 2^53) gives the integers themselves. Totals past 2^53,
+    which only a custom vector of very wide scores reaches, are summed in
+    int64 from a gather of the score rows instead.
     """
-    n_voters, m = idx.shape[1], score_rows.shape[1]
-    totals = score_rows[idx].sum(axis=1, dtype=np.int64)
-    pairs = pair_rows[idx].sum(axis=1, dtype=np.int64)
+    rows, n_voters = idx.shape
+    k, m = score_rows.shape
+    # n voters are columns of idx, so n < 2^53 and a float dtype is found
+    counts = _ranking_counts(idx, k, exact_float_dtype(n_voters))
+    pairs = (counts @ pair_rows.reshape(k, m * m).astype(counts.dtype)).reshape(rows, m, m)
+    dtype = exact_float_dtype(n_voters * int(score_rows.max()))
+    if dtype is None:
+        totals = score_rows[idx].sum(axis=1, dtype=np.int64)
+    else:
+        totals = counts.astype(dtype, copy=False) @ score_rows.astype(dtype)
     is_cw = (2 * pairs > n_voters).sum(axis=2) == m - 1  # row a beats all others
     cw = np.argmax(is_cw, axis=1)
     at_top = totals == totals.max(axis=1, keepdims=True)

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+import numpy as np
+
 
 def banzhaf_brute(weights, quota):
     """Swing counts by explicit enumeration of the other players' coalitions."""
@@ -172,6 +174,26 @@ def efficiency_brute(score_vector, m, n_voters, tie_policy="fail"):
         elif cw in tied:
             hits += Fraction(1, len(tied))
     return hits / with_cw, with_cw
+
+
+def score_profiles_gather(idx, score_rows, pair_rows, tie_policy):
+    """``(has_cw, tied, hit)`` per profile row of ranking indices ``idx`` (rows, voters).
+
+    The scoring kernel in its first form: it gathers every voter's score and
+    pair rows and sums them in int64, with no ranking counts and no floats.
+    """
+    n_voters, m = idx.shape[1], score_rows.shape[1]
+    totals = score_rows[idx].sum(axis=1, dtype=np.int64)
+    pairs = pair_rows[idx].sum(axis=1, dtype=np.int64)
+    is_cw = (2 * pairs > n_voters).sum(axis=2) == m - 1  # row a beats all others
+    cw = np.argmax(is_cw, axis=1)
+    at_top = totals == totals.max(axis=1, keepdims=True)
+    tied = at_top.sum(axis=1)
+    has_cw = is_cw.any(axis=1)
+    hit = has_cw & np.take_along_axis(at_top, cw[:, None], axis=1)[:, 0]
+    if tie_policy == "fail":
+        hit &= tied == 1
+    return has_cw, tied, hit
 
 
 def random_rational_game(rng: random.Random, n: int):

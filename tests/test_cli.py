@@ -1,6 +1,7 @@
 import pytest
 
 from votefuse.cli import main
+from votefuse.errors import ConfigurationWarning
 from votefuse.io import parse_report
 
 from oracles import unique_wmr_brute
@@ -232,6 +233,26 @@ class TestFuseCommand:
             decisions[bias] = [r[1] for r in parse_report(out).rows]
         assert decisions == {"0": ["ND", "ND"], "0.4": ["B", "B"], "-0.4": ["A", "A"]}
 
+
+    def test_bias_a_rule_ignores_warns_and_a_non_finite_one_exits_three(
+        self, capsys, tmp_path
+    ):
+        p = tmp_path / "three.csv"
+        p.write_text(
+            "sample_id,true_label,c1,c2\ns1,a,a,a\ns2,b,b,c\ns3,c,c,c\n", encoding="utf-8"
+        )
+        for rule in ("wmr", "product"):
+            code, out, err = run(
+                capsys, "fuse", "--predictions", str(p), "--rule", rule, "--bias", "nan"
+            )
+            assert code == 3 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            _, plain, _ = run(capsys, "fuse", "--predictions", str(p), "--rule", rule)
+            with pytest.warns(ConfigurationWarning, match="ignores the bias"):
+                code, out, _ = run(
+                    capsys, "fuse", "--predictions", str(p), "--rule", rule, "--bias", "5"
+                )
+            assert code == 0 and out == plain
 
     @pytest.mark.parametrize("extra", [
         ("--rule", "sum", "--weights", "nan,1"),

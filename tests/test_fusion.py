@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from votefuse.errors import (
     SampleError,
 )
 from votefuse.fusion import (
+    FIXED_RULES,
     ClassifierOutput,
     ConfusionMatrix,
     CostMatrix,
@@ -574,6 +576,31 @@ class TestFuseDataset:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             fuse_dataset(small_predictions(), "vote-twice")
+
+    def test_bias_is_refused_if_not_finite_and_warned_where_ignored(self):
+        three = PredictionSet(
+            labels=("a", "b", "c"),
+            sample_ids=("s1", "s2", "s3"),
+            outputs=(
+                ClassifierOutput.from_hard(("a", "b", "c")),
+                ClassifierOutput.from_hard(("a", "c", "c")),
+            ),
+            classifier_names=("c1", "c2"),
+            true_labels=("a", "b", "c"),
+        )
+        for pred, rule in [(three, "wmr"), (small_predictions(), "wmr")] + [
+            (small_predictions(), r) for r in FIXED_RULES
+        ]:
+            with pytest.raises(ValueError, match="bias must be finite"):
+                fuse_dataset(pred, rule, bias=float("nan"))
+        for pred, rule in [(three, "wmr"), (small_predictions(), "sum")]:
+            with pytest.warns(ConfigurationWarning, match="ignores the bias"):
+                got = fuse_dataset(pred, rule, bias=5.0)
+            assert got == fuse_dataset(pred, rule)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # two-label wmr reads the bias: every signed sum is now below it
+            assert fuse_dataset(small_predictions(), "wmr", bias=1e9) == ["y"] * 4
 
 
 # ------------------------------------------------------------ the coded kernel

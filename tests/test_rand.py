@@ -9,13 +9,16 @@ changed ``repr``.
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from votefuse import _rand, jury, power, scoring
 from votefuse import (
     ScoringVector,
     VotingGame,
     competence_monte_carlo,
     condorcet_efficiency,
+    optimal_weights,
     power_monte_carlo,
 )
 from votefuse._rand import CHUNK
@@ -24,6 +27,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "votefuse"
 TRIALS = CHUNK + 17
 GAME = VotingGame((5, 3, 3, 2, 1, 1), 7)
 LOSING = VotingGame((2, 1, 1), 4)  # quota = total weight: even the grand coalition loses
+SKILLS = (0.7, 0.6, 0.55, 0.65, 0.8)
+GAME30 = VotingGame(tuple(i % 7 + 1 for i in range(30)), 60)
 
 
 PINNED = [
@@ -81,6 +86,89 @@ PINNED = [
         "stderr=0.0014007787869721878, ci95=(0.8969420995348097, 0.9024331523797408), "
         "trials=65553, seed=11)",
     ),
+    # competence with log-odds weights: the float where-sum route
+    (
+        lambda: competence_monte_carlo(optimal_weights(SKILLS), 0, SKILLS, TRIALS, 7, "coin-flip"),
+        "CompetenceEstimate(value=0.8216099949659055, stderr=0.0014952890138969818, "
+        "trials=65553, seed=7)",
+    ),
+    # integer weights with 2*sum|w| >= 2^24: the float64 product route, where
+    # float32 would round 2^25 + 2 and miss the stalemates at the bias
+    (
+        lambda: competence_monte_carlo(
+            ((1 << 24) + 1, (1 << 24) - 1, 1, 1, 1), 1, SKILLS, TRIALS, 7, "coin-flip"
+        ),
+        "CompetenceEstimate(value=0.683980900950376, stderr=0.0016913636890188211, "
+        "trials=65553, seed=7)",
+    ),
+    # negative integer weights and a non-zero integer bias
+    (
+        lambda: competence_monte_carlo(
+            (3, -2, 1, 2, -1, 4), 1, SKILLS + (0.4,), TRIALS, 7, "coin-flip"
+        ),
+        "CompetenceEstimate(value=0.4289429926929355, stderr=0.0018128705152775546, "
+        "trials=65553, seed=7)",
+    ),
+    (
+        lambda: power_monte_carlo(GAME30, "banzhaf", TRIALS, 3),
+        "PowerReport(kind='banzhaf', method='monte-carlo', raw=(17247877.910576176, "
+        "34135401.296904795, 51375089.33192989, 69933347.330679, 87533389.88995165, "
+        "105903280.75102589, 123789968.95458637, 17034941.146248072, 34331958.31013073, "
+        "51768203.35838177, 69581182.68198252, 87631668.39656462, 105526546.47567616, "
+        "125575361.82472198, 17297017.16388266, 34577654.57666316, 51874671.74054582, "
+        "69859638.45071927, 86771731.46370113, 105026964.06706025, 124256791.86099797, "
+        "17378915.91939347, 34815160.9676445, 51784583.10948393, 69687651.06414656, "
+        "87156655.61460193, 105395508.46685888, 124297741.23875338, 16772865.128613489, "
+        "34725072.336582616), normalized=(0.008568045989169926, 0.016957082470493948, "
+        "0.025521060061758284, 0.03474004971582242, 0.04348303681493265, "
+        "0.052608453317168236, 0.06149383434297409, 0.008462267643624618, "
+        "0.017054724020228073, 0.025716343161226545, 0.03456510860588209, "
+        "0.04353185758979972, 0.05242130701351115, 0.062380745086392436, "
+        "0.008592456376603459, 0.01717677595739574, 0.025769232333999196, "
+        "0.03470343413467211, 0.043104675809712896, 0.05217313474127024, "
+        "0.06172573302359265, 0.008633140355659347, 0.017294759496657812, "
+        "0.02572447995703772, 0.03461799777865474, 0.04329589051127557, "
+        "0.052356212647021734, 0.06174607501312059, 0.008332078910645777, "
+        "0.017250007119696337), stderr=(0.0001698335229284902, 0.0002197269930370557, "
+        "0.0002525157186194848, 0.00028038144592646493, 0.00030742589210498115, "
+        "0.00034462186192121884, 0.00039141617035404517, 0.0001689988290241288, "
+        "0.00022029279829164437, 0.0002528564347335348, 0.00028019181038485373, "
+        "0.0003086070468341501, 0.00034490446861569084, 0.00039148740476516506, "
+        "0.00017007079819092967, 0.0002206731686913189, 0.0002526975929842581, "
+        "0.0002798008879360237, 0.00030724885054687613, 0.0003451424240362437, "
+        "0.0003914496898564551, 0.00017035002514594302, 0.0002212250935657249, "
+        "0.0002529400048605798, 0.00027968530221177194, 0.0003081312787153449, "
+        "0.00034493142090455544, 0.0003918121904451479, 0.00016798953325180738, "
+        "0.00022093242495698555))",
+    ),
+    # a weight sum past 2^24: the float64 route
+    (
+        lambda: power_monte_carlo(
+            VotingGame((1 << 23, (1 << 22) + 1, 3 << 21, 5, 7), 1 << 24), "banzhaf", TRIALS, 3
+        ),
+        "PowerReport(kind='banzhaf', method='monte-carlo', raw=(4.015804005918874, "
+        "4.008237609262734, 4.012875078181014, 0.0, 0.0), normalized=(0.3336239759915645, "
+        "0.3329953767539946, 0.3333806472544407, 0.0, 0.0), stderr=(0.0015009800713251524, "
+        "0.0014995640450811783, 0.0015004320900716985, 0.0, 0.0))",
+    ),
+    (
+        lambda: condorcet_efficiency(
+            ScoringVector.borda(5), 5, 7, "monte-carlo", "split-credit", TRIALS, 11
+        ),
+        "EfficiencyResult(value=0.8734549267063972, method='monte-carlo', "
+        "tie_policy='split-credit', exact=None, profiles_with_winner=51346, "
+        "stderr=0.001307977310029756, ci95=(0.8708912911787389, 0.8760185622340556), "
+        "trials=65553, seed=11)",
+    ),
+    # integer scores times voters pass 2^53: totals keep the int64 gather
+    (
+        lambda: condorcet_efficiency(
+            ScoringVector((2**55, 1, 0)), 3, 5, "monte-carlo", "fail", TRIALS, 11
+        ),
+        "EfficiencyResult(value=0.9267007109899673, method='monte-carlo', tie_policy='fail', "
+        "exact=None, profiles_with_winner=60901, stderr=0.0010561144452763875, "
+        "ci95=(0.9246307266772256, 0.9287706953027091), trials=65553, seed=11)",
+    ),
 ]
 
 
@@ -99,3 +187,37 @@ def test_only_rand_makes_generators():
         if re.search(r"\b(default_rng|chunk_rng|chunk_sizes)\b", line)
     ]
     assert not offenders, f"random streams made outside _rand: {offenders}"
+
+
+def test_chunk_sums_only_sees_float64_int64_or_python_numbers(monkeypatch):
+    """Chunk statistics may be computed in float32, but never summed across chunks in it.
+
+    A float32 running sum would stop being exact once it passes 2^24 trials.
+    """
+    parts = []
+
+    def checked(trials, seed, draw):
+        def wrapped(rng, size):
+            part = draw(rng, size)
+            parts.extend(part)
+            return part
+
+        return _rand.chunk_sums(trials, seed, wrapped)
+
+    for module in (jury, power, scoring):
+        monkeypatch.setattr(module, "chunk_sums", checked)
+    power_monte_carlo(GAME, "banzhaf", TRIALS, 3)
+    power_monte_carlo(GAME, "shapley", TRIALS, 3)
+    competence_monte_carlo((2, 1, 1, 1, 1), 0, SKILLS, TRIALS, 7)
+    competence_monte_carlo(optimal_weights(SKILLS), 0, SKILLS, TRIALS, 7)
+    condorcet_efficiency(ScoringVector.borda(4), 4, 6, "monte-carlo", "split-credit", TRIALS, 11)
+    assert len(parts) == 2 * (2 + 1 + 2 + 2 + 3)  # two chunks of each estimator's tuple
+    bad = [
+        type(x).__name__ if not isinstance(x, np.ndarray) else str(x.dtype)
+        for x in parts
+        if not (
+            type(x) in (int, float)
+            or isinstance(x, np.ndarray) and x.dtype in (np.float64, np.int64)
+        )
+    ]
+    assert not bad, f"chunk parts of other types: {bad}"

@@ -1,12 +1,15 @@
 import math
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votefuse import _rand
+from votefuse import _rand, scoring
+from votefuse._exact import exact_float_dtype
 from votefuse.errors import (
     BallotError,
     CapacityError,
@@ -17,13 +20,14 @@ from votefuse.scoring import (
     RankedBallot,
     ScoringVector,
     _ranking_tables,
+    _score_profiles,
     condorcet_efficiency,
     condorcet_winner,
     pairwise_matrix,
     score_profile,
 )
 
-from oracles import efficiency_brute
+from oracles import efficiency_brute, score_profiles_gather
 
 
 def ballots(*rankings):
@@ -270,3 +274,54 @@ class TestEfficiencyMonteCarlo:
         )
         assert 0 < est.profiles_with_winner <= 10_000
         assert est.trials == 10_000 and est.seed == 0
+
+
+def _vector(kind: str, m: int) -> ScoringVector:
+    """Plurality, Borda, or a custom vector whose top score is 2^26 or 2^55 wide."""
+    if kind in ("plurality", "borda"):
+        return getattr(ScoringVector, kind)(m)
+    top = {"wide": 2**26, "wider": 2**55}[kind]
+    return ScoringVector((top,) + tuple(range(m - 2, -1, -1)))
+
+
+class TestScoreKernel:
+    """The count-product kernel against the int64 gather it replaced.
+
+    Borda and plurality totals take float32 products, the 2^26 vector float64
+    ones, and the 2^55 vector passes 2^53 and keeps the gather for totals.
+    """
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 12),
+        st.integers(1, 1500),
+        st.sampled_from(("fail", "split-credit")),
+        st.sampled_from(("plurality", "borda", "wide", "wider")),
+        st.sampled_from((7, 1 << 16)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_gather_oracle(self, m, n_voters, rows, tie_policy, kind, block, seed):
+        score_rows, pair_rows = _ranking_tables(_vector(kind, m), n_voters)
+        idx = np.random.default_rng(seed).integers(
+            0, math.factorial(m), size=(rows, n_voters)
+        )
+        with mock.patch.object(scoring, "_COUNT_BLOCK", block):
+            got = _score_profiles(idx, score_rows, pair_rows, tie_policy)
+        want = score_profiles_gather(idx, score_rows, pair_rows, tie_policy)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "bound, dtype",
+        [(2**24 - 1, np.float32), (2**24, np.float64), (2**53 - 1, np.float64), (2**53, None)],
+    )
+    def test_exact_float_dtype_at_its_edges(self, bound, dtype):
+        assert exact_float_dtype(bound) is dtype
+        # weights of total ``bound``: every subset sum is a partial sum under it
+        w = np.array([bound - 3, 2, 1], dtype=np.int64)
+        chosen = np.array(list(product((False, True), repeat=3)))
+        want = np.where(chosen, w, 0).sum(axis=1)
+        if dtype is not None:
+            got = chosen.astype(dtype) @ w.astype(dtype)
+            assert [int(x) for x in got] == want.tolist()
