@@ -53,18 +53,14 @@ def enumerate_patterns(off, on, start, op=np.add) -> np.ndarray:
     return out
 
 
-def exact_float_dtype(bound: int):
-    """The narrower float dtype that sums integers exactly, or None if neither does.
+def exact_in_float32(bound: int) -> bool:
+    """Whether float32 sums integers of at most ``bound`` exactly.
 
     A float sum of integers is exact in any order, as in a BLAS product,
-    while every partial sum stays below 2^24 in float32 or 2^53 in float64;
-    ``bound`` caps the absolute value of every term and partial sum.
+    while every partial sum stays below 2^24 in float32; ``bound`` caps the
+    absolute value of every term and partial sum.
     """
-    if bound < 1 << 24:
-        return np.float32
-    if bound < 1 << 53:
-        return np.float64
-    return None
+    return bound < 1 << 24
 
 
 def check_work(

@@ -17,9 +17,9 @@ competence and all n decisiveness values at once. One work cap bounds both.
 The Monte Carlo estimate sums each chunk's trials in float64. With
 integer-valued weights a trial's signed sum is twice the weight of the right
 judges less the total weight, taken as one BLAS product of the votes with 2w
-in float32 while 2*sum|w| stays below 2^24, or in float64 below 2^53: a
-float sum of integers under those bounds is exact in any order, so it equals
-the elementwise sum to the bit. Other weights, such as log-odds, keep the
+in float32 while 2*sum|w| stays below 2^24: a float sum of integers under
+that bound is exact in any order, so it equals the elementwise sum to the
+bit. Wider integer weights and other weights, such as log-odds, keep the
 elementwise ``np.where`` sum and its order.
 """
 
@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._exact import check_work, enumerate_patterns, exact_float_dtype, jury_values
+from ._exact import check_work, enumerate_patterns, exact_in_float32, jury_values
 from ._rand import chunk_sums
 from .errors import DimensionError
 from .model import SkillsLike, as_skills
@@ -137,19 +137,17 @@ def competence_monte_carlo(
     estimate is exactly 1.0, not merely close.
     """
     w, p, nd = _checked(weights, bias, skills, nd_policy)
-    dtype = None
-    if (w == np.round(w)).all():
-        dtype = exact_float_dtype(2 * sum(abs(int(x)) for x in w))
-    if dtype is not None:
-        twice, weight_sum = (2 * w).astype(dtype), w.sum()
+    product = (w == np.round(w)).all() and exact_in_float32(2 * sum(abs(int(x)) for x in w))
+    if product:
+        twice, weight_sum = (2 * w).astype(np.float32), w.sum()
 
     def draw(rng: np.random.Generator, size: int) -> tuple[float, float]:
         correct = rng.random((size, w.size)) < p
-        if dtype is None:
-            sums = np.where(correct, w, -w).sum(axis=1)
-        else:
+        if product:
             # the signed sum is twice the weight of the right judges less the total
-            sums = np.subtract(correct.astype(dtype) @ twice, weight_sum, dtype=np.float64)
+            sums = np.subtract(correct.astype(np.float32) @ twice, weight_sum, dtype=np.float64)
+        else:
+            sums = np.where(correct, w, -w).sum(axis=1)
         vals = (sums > bias) + nd * (sums == bias)
         return float(vals.sum()), float((vals * vals).sum())
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._exact import banzhaf_counts, exact_float_dtype, shapley_counts
+from ._exact import banzhaf_counts, exact_in_float32, shapley_counts
 from ._rand import chunk_sums
 from .model import VotingGame, integer_form
 
@@ -79,7 +79,7 @@ def shapley_shubik_exact(game: VotingGame) -> PowerReport:
 
 def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> PowerReport:
     # every weight sum and threshold below is an integer of at most this bound
-    dtype = exact_float_dtype(max(sum(map(int, ws)), quota)) or np.float64
+    dtype = np.float32 if exact_in_float32(max(sum(map(int, ws)), quota)) else np.float64
     wf = ws.astype(dtype)
 
     def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +89,7 @@ def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> P
         others = np.subtract(totals[:, None], np.multiply(member, wf, out=member), out=member)
         swing = (others > quota - wf) & (others <= quota)
         # counts of at most ``size`` trials: exact in float32, returned as float64
-        x = swing.astype(exact_float_dtype(size))
+        x = swing.astype(np.float32)
         return x.sum(axis=0).astype(np.float64), (x.T @ x).astype(np.float64)
 
     sum_x, sum_xx = chunk_sums(trials, seed, draw)

@@ -10,10 +10,12 @@ C(n+m!-1, m!-1) ranking-count multisets as sorted rows, in blocks of at most
 credits as integers over lcm(1..m) before building one Fraction; it is
 priced in the work units of :mod:`._exact` before any table is built. The
 Monte Carlo method draws whole profiles through the chunked driver of
-:mod:`._rand`. The kernel tallies each profile's rankings and takes its
-pairwise tallies and score totals as float BLAS products of those counts,
-exact because they are small integers (see :func:`_score_profiles`), and
-the chunk sums it returns are Python ints and floats.
+:mod:`._rand`. Where the m! rankings are few next to the voters, the
+kernel tallies each profile's rankings and takes its pairwise tallies and
+score totals as float32 BLAS products of those counts, exact because they
+are small integers; otherwise it gathers each voter's rows and sums them in
+int64 (see :func:`_score_profiles`). The chunk sums it returns are Python
+ints and floats.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _rand
-from ._exact import EXACT_WORK_MAX, check_work, exact_float_dtype
+from ._exact import EXACT_WORK_MAX, check_work, exact_in_float32
 from ._rand import chunk_sums
 from .errors import BallotError, DataError, DimensionError, EvidenceError
 from .model import as_fraction
@@ -237,13 +239,27 @@ def _ranking_tables(scoring: ScoringVector, n_voters: int) -> tuple[np.ndarray, 
     return score_rows, pair_rows
 
 
-#: Cells of the (rows, m!) ranking counts that one ``np.bincount`` fills.
+#: The kernel tallies ranking counts when m! is at most this many times the
+#: voter count n. Timed per profile at m = 4..7 on one core, the counts and
+#: the gather break even near m! = 20n to 25n, and at 16n the counts are 1.4
+#: to 1.8 times faster; their float32 (rows, m!) array then takes about the
+#: memory of the gather's int8 rows, and more beyond.
+_COUNTS_PER_VOTER = 16
+
+#: Cells of the (rows, m!) ranking counts that one ``np.bincount`` fills; one
+#: call over a whole 2^16-profile chunk takes twice the time and three times
+#: the memory at m = 5, in its int64 result and the float32 copy.
 _COUNT_BLOCK = 1 << 16
 
 
-def _ranking_counts(idx: np.ndarray, k: int, dtype) -> np.ndarray:
-    """How often each of ``k`` rankings occurs in each row of ``idx``, as ``dtype`` (rows, k)."""
-    counts = np.empty((idx.shape[0], k), dtype=dtype)
+def _tallies_counts(k: int, n_voters: int) -> bool:
+    """Whether profiles of ``n_voters`` over ``k`` rankings are tallied by ranking counts."""
+    return k <= _COUNTS_PER_VOTER * n_voters and exact_in_float32(n_voters)
+
+
+def _ranking_counts(idx: np.ndarray, k: int) -> np.ndarray:
+    """How often each of ``k`` rankings occurs in each row of ``idx``, as float32 (rows, k)."""
+    counts = np.empty((idx.shape[0], k), dtype=np.float32)
     step = max(1, _COUNT_BLOCK // k)
     offsets = np.arange(step)[:, None] * k
     for lo in range(0, idx.shape[0], step):
@@ -262,25 +278,28 @@ def _score_profiles(
     many candidates share the top score, and whether the rule earns credit
     (1/tied): the winner exists and is among them, alone under ``"fail"``.
 
-    Both the pairwise tallies and the score totals are integer sums over the
-    voters, taken as BLAS products of the per-profile ranking counts with the
-    pair and score rows. Every term and partial sum of a tally is at most the
-    voter count n, and of a total at most n times the top score, so a product
-    in :func:`._exact.exact_float_dtype` of that bound (float32 below 2^24,
-    else float64 below 2^53) gives the integers themselves. Totals past 2^53,
-    which only a custom vector of very wide scores reaches, are summed in
-    int64 from a gather of the score rows instead.
+    The pairwise tallies and score totals are integer sums over the voters.
+    Where the m! rankings are few next to the voters (:func:`_tallies_counts`),
+    they are BLAS products in float32 of the per-profile ranking counts with
+    the pair and score rows: a tally is at most the voter count n, a total at
+    most n times the top score, and a float32 sum of integers below 2^24 is
+    exact in any order, so the products are the integers themselves. Totals
+    from 2^24 up, which only a custom vector of wide scores reaches, and
+    every sum where m! passes 16 times the voter count, are summed in int64
+    from a gather of each voter's score and pair rows.
     """
     rows, n_voters = idx.shape
     k, m = score_rows.shape
-    # n voters are columns of idx, so n < 2^53 and a float dtype is found
-    counts = _ranking_counts(idx, k, exact_float_dtype(n_voters))
-    pairs = (counts @ pair_rows.reshape(k, m * m).astype(counts.dtype)).reshape(rows, m, m)
-    dtype = exact_float_dtype(n_voters * int(score_rows.max()))
-    if dtype is None:
-        totals = score_rows[idx].sum(axis=1, dtype=np.int64)
+    counts = None
+    if _tallies_counts(k, n_voters):
+        counts = _ranking_counts(idx, k)
+        pairs = (counts @ pair_rows.reshape(k, m * m).astype(np.float32)).reshape(rows, m, m)
     else:
-        totals = counts.astype(dtype, copy=False) @ score_rows.astype(dtype)
+        pairs = pair_rows[idx].sum(axis=1, dtype=np.int64)
+    if counts is not None and exact_in_float32(n_voters * int(score_rows.max())):
+        totals = counts @ score_rows.astype(np.float32)
+    else:
+        totals = score_rows[idx].sum(axis=1, dtype=np.int64)
     is_cw = (2 * pairs > n_voters).sum(axis=2) == m - 1  # row a beats all others
     cw = np.argmax(is_cw, axis=1)
     at_top = totals == totals.max(axis=1, keepdims=True)
@@ -300,8 +319,11 @@ def _credit_lcm(m: int) -> int:
 def _price_exact(m: int, n_voters: int) -> None:
     """Refuse exact efficiency over the work cap, or beyond the range of its int64 counts.
 
-    Profile counts reach (m!)^n, the products ``coeff * (j + 1)`` stay below
-    (m!)^n * n and the credit sums below (m!)^n * lcm(1..m).
+    A leaf costs the n*m^2 pair entries the kernel's gather writes; where it
+    tallies ranking counts instead (:func:`_tallies_counts`), its m! counts
+    and at most n*m gathered scores are fewer. Profile counts reach (m!)^n,
+    the products ``coeff * (j + 1)`` stay below (m!)^n * n and the credit
+    sums below (m!)^n * lcm(1..m).
     """
     rankings = math.factorial(m)
     leaves = math.comb(n_voters + rankings - 1, rankings - 1)

@@ -92,8 +92,8 @@ PINNED = [
         "CompetenceEstimate(value=0.8216099949659055, stderr=0.0014952890138969818, "
         "trials=65553, seed=7)",
     ),
-    # integer weights with 2*sum|w| >= 2^24: the float64 product route, where
-    # float32 would round 2^25 + 2 and miss the stalemates at the bias
+    # integer weights with 2*sum|w| >= 2^24 keep the where-sum: a float32
+    # product would round 2^25 + 2 and miss the stalemates at the bias
     (
         lambda: competence_monte_carlo(
             ((1 << 24) + 1, (1 << 24) - 1, 1, 1, 1), 1, SKILLS, TRIALS, 7, "coin-flip"
@@ -160,7 +160,16 @@ PINNED = [
         "stderr=0.001307977310029756, ci95=(0.8708912911787389, 0.8760185622340556), "
         "trials=65553, seed=11)",
     ),
-    # integer scores times voters pass 2^53: totals keep the int64 gather
+    # 5! rankings for 3 voters, more than 16 a voter: the int64 gather route
+    (
+        lambda: condorcet_efficiency(
+            ScoringVector.plurality(5), 5, 3, "monte-carlo", "fail", TRIALS, 11
+        ),
+        "EfficiencyResult(value=0.6202490289323701, method='monte-carlo', tie_policy='fail', "
+        "exact=None, profiles_with_winner=55094, stderr=0.0020676845474972587, "
+        "ci95=(0.6161963672192755, 0.6243016906454647), trials=65553, seed=11)",
+    ),
+    # integer scores times voters pass 2^24 (and 2^53): totals keep the int64 gather
     (
         lambda: condorcet_efficiency(
             ScoringVector((2**55, 1, 0)), 3, 5, "monte-carlo", "fail", TRIALS, 11

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votefuse import _rand, scoring
-from votefuse._exact import exact_float_dtype
+from votefuse._exact import exact_in_float32
 from votefuse.errors import (
     BallotError,
     CapacityError,
@@ -277,18 +277,27 @@ class TestEfficiencyMonteCarlo:
 
 
 def _vector(kind: str, m: int) -> ScoringVector:
-    """Plurality, Borda, or a custom vector whose top score is 2^26 or 2^55 wide."""
+    """Plurality, Borda, or a custom vector whose top score is 2^21 or 2^55 wide."""
     if kind in ("plurality", "borda"):
         return getattr(ScoringVector, kind)(m)
-    top = {"wide": 2**26, "wider": 2**55}[kind]
+    top = {"wide": 2**21, "wider": 2**55}[kind]
     return ScoringVector((top,) + tuple(range(m - 2, -1, -1)))
 
 
-class TestScoreKernel:
-    """The count-product kernel against the int64 gather it replaced.
+def _assert_matches_gather(idx, score_rows, pair_rows, tie_policy):
+    got = _score_profiles(idx, score_rows, pair_rows, tie_policy)
+    want = score_profiles_gather(idx, score_rows, pair_rows, tie_policy)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
-    Borda and plurality totals take float32 products, the 2^26 vector float64
-    ones, and the 2^55 vector passes 2^53 and keeps the gather for totals.
+
+class TestScoreKernel:
+    """The scoring kernel, on either route, against the int64 gather it began as.
+
+    Up to m = 5 and 12 voters, both routes run: m! <= 16n takes the ranking
+    counts (m = 4 from 2 voters, m = 5 from 8). Borda and plurality totals
+    there are float32 products; the 2^21 vector passes 2^24 from 8 voters and
+    the 2^55 vector always, and both then gather their totals.
     """
 
     @settings(deadline=None, max_examples=120)
@@ -307,21 +316,43 @@ class TestScoreKernel:
             0, math.factorial(m), size=(rows, n_voters)
         )
         with mock.patch.object(scoring, "_COUNT_BLOCK", block):
-            got = _score_profiles(idx, score_rows, pair_rows, tie_policy)
-        want = score_profiles_gather(idx, score_rows, pair_rows, tie_policy)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+            _assert_matches_gather(idx, score_rows, pair_rows, tie_policy)
 
     @pytest.mark.parametrize(
-        "bound, dtype",
-        [(2**24 - 1, np.float32), (2**24, np.float64), (2**53 - 1, np.float64), (2**53, None)],
+        "m, n_voters, counts",
+        [(6, 44, False), (6, 45, True), (7, 11, False), (9, 1, False)],
     )
-    def test_exact_float_dtype_at_its_edges(self, bound, dtype):
-        assert exact_float_dtype(bound) is dtype
-        # weights of total ``bound``: every subset sum is a partial sum under it
-        w = np.array([bound - 3, 2, 1], dtype=np.int64)
+    def test_many_rankings_take_the_gather(self, m, n_voters, counts):
+        assert scoring._tallies_counts(math.factorial(m), n_voters) is counts
+        score_rows, pair_rows = _ranking_tables(ScoringVector.borda(m), n_voters)
+        idx = np.random.default_rng(m).integers(0, math.factorial(m), size=(300, n_voters))
+        _assert_matches_gather(idx, score_rows, pair_rows, "split-credit")
+
+    def test_the_gather_price_bounds_the_count_route(self):
+        # a leaf is priced n*m^2; the count route writes m! counts and at
+        # most n*m gathered scores
+        for m in range(2, 10):
+            k = math.factorial(m)
+            for n_voters in range(1, 40 * k):
+                if scoring._tallies_counts(k, n_voters):
+                    assert k + n_voters * m <= n_voters * m * m
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_one_voter_over_many_candidates_is_exact(self, m):
+        res = condorcet_efficiency(ScoringVector.borda(m), m, 1)
+        assert res.exact == 1 and res.profiles_with_winner == math.factorial(m)
+
+    def test_monte_carlo_over_seven_candidates(self):
+        est = condorcet_efficiency(ScoringVector.borda(7), 7, 11, "monte-carlo", trials=2000)
+        assert 0 < est.profiles_with_winner <= 2000 and 0 < est.value <= 1
+
+    def test_exact_in_float32_at_its_edge(self):
+        assert exact_in_float32(2**24 - 1) and not exact_in_float32(2**24)
         chosen = np.array(list(product((False, True), repeat=3)))
-        want = np.where(chosen, w, 0).sum(axis=1)
-        if dtype is not None:
-            got = chosen.astype(dtype) @ w.astype(dtype)
-            assert [int(x) for x in got] == want.tolist()
+        # weights of a given total: every subset sum is a partial sum under it,
+        # and float32 first rounds at 2^24 + 1
+        for total, exact in ((2**24 - 1, True), (2**24 + 1, False)):
+            w = np.array([total - 3, 2, 1], dtype=np.int64)
+            want = np.where(chosen, w, 0).sum(axis=1)
+            got = chosen.astype(np.float32) @ w.astype(np.float32)
+            assert ([int(x) for x in got] == want.tolist()) is exact
