@@ -108,20 +108,34 @@ class CostMatrix:
 
 @dataclass(frozen=True, eq=False)
 class ClassifierOutput:
-    """One classifier's predictions for every sample, in one of three shapes."""
+    """One classifier's predictions for every sample, in one of three shapes.
+
+    Hard votes and rankings are kept factorized: ``values`` holds each
+    distinct label (``kind="hard"``) or ranking (``kind="rank"``) once, and
+    ``rows`` (N,) the index into ``values`` of every sample's prediction.
+    ``hard`` and ``ranks`` are per-sample views built from the two. A
+    ``kind="proba"`` output keeps its (N, M) rows in ``proba``.
+    """
 
     kind: str
-    hard: Optional[tuple[str, ...]] = None
-    ranks: Optional[tuple[tuple[str, ...], ...]] = None
+    values: tuple = ()
+    rows: Optional[np.ndarray] = None
     proba: Optional[np.ndarray] = None
 
     @classmethod
+    def _factorized(cls, kind: str, items) -> "ClassifierOutput":
+        codes: dict = {}
+        rows = np.fromiter((codes.setdefault(x, len(codes)) for x in items), np.intp)
+        rows.setflags(write=False)
+        return cls(kind, tuple(codes), rows)
+
+    @classmethod
     def from_hard(cls, predictions: Sequence[str]) -> "ClassifierOutput":
-        return cls("hard", hard=tuple(str(x) for x in predictions))
+        return cls._factorized("hard", (str(x) for x in predictions))
 
     @classmethod
     def from_ranks(cls, rankings: Sequence[Sequence[str]]) -> "ClassifierOutput":
-        return cls("rank", ranks=tuple(tuple(str(x) for x in r) for r in rankings))
+        return cls._factorized("rank", (tuple(str(x) for x in r) for r in rankings))
 
     @classmethod
     def from_proba(cls, matrix) -> "ClassifierOutput":
@@ -131,21 +145,27 @@ class ClassifierOutput:
 
     @property
     def n_samples(self) -> int:
-        if self.kind == "hard":
-            return len(self.hard)
-        if self.kind == "rank":
-            return len(self.ranks)
-        return self.proba.shape[0]
+        return self.proba.shape[0] if self.kind == "proba" else len(self.rows)
+
+    @property
+    def hard(self) -> Optional[tuple[str, ...]]:
+        """The predicted label of every sample; None unless ``kind="hard"``."""
+        return self._per_sample(self.values) if self.kind == "hard" else None
+
+    @property
+    def ranks(self) -> Optional[tuple[tuple[str, ...], ...]]:
+        """The ranking of every sample; None unless ``kind="rank"``."""
+        return self._per_sample(self.values) if self.kind == "rank" else None
+
+    def _per_sample(self, values: Sequence) -> tuple:
+        return tuple(map(values.__getitem__, self.rows.tolist()))
 
     def hard_labels(self, labels: Sequence[str]) -> tuple[str, ...]:
         """Reduce to one label per sample (top of ranking / argmax of proba)."""
-        if self.kind == "hard":
-            return self.hard
-        if self.kind == "rank":
-            return tuple(r[0] for r in self.ranks)
-        idx = np.argmax(self.proba, axis=1)
-        labs = tuple(labels)
-        return tuple(labs[i] for i in idx)
+        if self.kind == "proba":
+            labs = tuple(labels)
+            return tuple(labs[i] for i in np.argmax(self.proba, axis=1))
+        return self._per_sample([v if self.kind == "hard" else v[0] for v in self.values])
 
     def proba_matrix(self, labels: Sequence[str]) -> np.ndarray:
         """Embed into per-class scores: one-hot for hard votes, normalized
@@ -157,47 +177,54 @@ class ClassifierOutput:
     def _encode(self, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Hard-vote label codes (n,) and per-class scores (n, m).
 
-        Hard votes and rankings are checked and scored once per distinct
-        value; a bad value raises :class:`SampleError` at the first row that
-        holds it. Proba rows must be non-negative, finite and sum to one.
+        A hard or rank output is checked, coded and scored once per distinct
+        value in ``values``; the codes and scores of the samples are then
+        gathered by ``rows``. A bad value raises :class:`SampleError` at the
+        first row that holds a bad value. Proba rows must be non-negative,
+        finite and sum to one.
         """
+        if self.kind == "proba":
+            p = self.proba
+            bad = ((p < 0) | ~np.isfinite(p)).any(axis=1)
+            if bad.any():
+                raise SampleError(
+                    "has negative or non-finite probabilities", sample=int(np.argmax(bad))
+                )
+            bad = np.abs(p.sum(axis=1) - 1.0) > 1e-9
+            if bad.any():
+                raise SampleError("probability row does not sum to 1", sample=int(np.argmax(bad)))
+            return np.argmax(p, axis=1), p
+        rows = np.asarray(self.rows, dtype=np.intp)
+        if rows.size and (rows.min() < 0 or rows.max() >= len(self.values)):
+            raise ValueError("rows must index the distinct values")
         m = len(labels)
         index = {lab: i for i, lab in enumerate(labels)}
+        tops = np.zeros(len(self.values), dtype=np.intp)
+        points = np.zeros((len(self.values), m))
+        bad = []
         if self.kind == "hard":
-            for lab in dict.fromkeys(self.hard):
-                if lab not in index:
-                    raise SampleError(
-                        f"predicts unknown label {lab!r}", sample=self.hard.index(lab)
-                    )
-            codes = np.fromiter(map(index.__getitem__, self.hard), np.intp, len(self.hard))
-            return codes, np.eye(m)[codes]
-        if self.kind == "rank":
-            distinct = dict.fromkeys(self.ranks)
-            points = np.zeros((len(distinct), m))
-            tops = np.empty(len(distinct), dtype=np.intp)
+            message = "predicts unknown label {!r}"
+            for d, lab in enumerate(self.values):
+                if lab in index:
+                    tops[d] = index[lab]
+                    points[d, tops[d]] = 1.0
+                else:
+                    bad.append(d)
+        else:
+            message = "ranking {} is not a permutation of the labels"
+            ordered = sorted(labels)
             denom = m * (m - 1) / 2
-            for d, ranking in enumerate(distinct):
-                if sorted(ranking) != sorted(labels):
-                    raise SampleError(
-                        f"ranking {ranking} is not a permutation of the labels",
-                        sample=self.ranks.index(ranking),
-                    )
-                distinct[ranking] = d
+            for d, ranking in enumerate(self.values):
+                if sorted(ranking) != ordered:
+                    bad.append(d)
+                    continue
                 tops[d] = index[ranking[0]]
                 for pos, lab in enumerate(ranking):
                     points[d, index[lab]] = (m - 1 - pos) / denom
-            rows = np.fromiter(map(distinct.__getitem__, self.ranks), np.intp, len(self.ranks))
-            return tops[rows], points[rows]
-        p = self.proba
-        bad = ((p < 0) | ~np.isfinite(p)).any(axis=1)
-        if bad.any():
-            raise SampleError(
-                "has negative or non-finite probabilities", sample=int(np.argmax(bad))
-            )
-        bad = np.abs(p.sum(axis=1) - 1.0) > 1e-9
-        if bad.any():
-            raise SampleError("probability row does not sum to 1", sample=int(np.argmax(bad)))
-        return np.argmax(p, axis=1), p
+        if bad and np.isin(rows, bad).any():
+            sample = int(np.argmax(np.isin(rows, bad)))
+            raise SampleError(message.format(self.values[rows[sample]]), sample=sample)
+        return tops[rows], points[rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,6 +590,25 @@ def fuse_wmr_one_vs_rest(
 _NEIGHBOR_BLOCK = 1 << 16
 
 
+def _stable_smallest(d: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(d, axis=1, kind="stable")[:, :count]`` of a (B, N) array, without the sort.
+
+    ``np.partition`` gives each row's count-th smallest value t. The row
+    keeps every index below t and, to fill ``count``, the lowest-index ties
+    at t; a stable sort of those ``count`` values orders them. NaN counts as
+    larger than +inf and equal to NaN, as in the sort.
+    """
+    t = np.partition(d, count - 1, axis=1)[:, count - 1, None]
+    t_nan, d_nan = np.isnan(t), np.isnan(d)
+    below = np.where(t_nan, ~d_nan, d < t)
+    at = np.where(t_nan, d_nan, d == t)
+    need = count - below.sum(axis=1, keepdims=True)
+    keep = below | (at & (np.cumsum(at, axis=1) <= need))
+    cols = np.nonzero(keep)[1].reshape(d.shape[0], count)
+    order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 class ValidationIndex:
     """Nearest-neighbor lookup over a validation set with correctness flags.
 
@@ -639,6 +685,9 @@ class ValidationIndex:
         stable argsort, so ties go to the lower validation index. A single
         query passed as (1, d) is a batch of one; :func:`fuse_adaptive_wmr`
         takes one query of any shape.
+
+        No row sorts all N distances: :func:`_stable_smallest` finds the k'
+        by a partition in O(N) and sorts only them.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -651,7 +700,7 @@ class ValidationIndex:
         out = np.empty((q.shape[0], count), dtype=np.intp)
         for start in range(0, q.shape[0], step):
             d = self._distance_block(q[start : start + step])
-            out[start : start + step] = np.argsort(d, axis=1, kind="stable")[:, :count]
+            out[start : start + step] = _stable_smallest(d, count)
         return out[0] if single else out
 
     def skills(self, query, k: int) -> np.ndarray:

@@ -14,12 +14,13 @@ import io as _io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ParseError, SampleError
+from .errors import DataError, ParseError, SampleError
 from .fusion import ClassifierOutput, CostMatrix, PredictionSet
 from .jury import TeamStructure
 from .model import VotingGame, as_fraction
@@ -33,11 +34,23 @@ def _read_text(path: PathLike) -> str:
 
 
 def _csv_text(rows, head: str = "") -> str:
-    """``head`` followed by the rows as CSV lines ending in a bare newline."""
+    """``head`` followed by the rows as CSV lines ending in a bare newline.
+
+    A row whose first cell starts with ``#`` is written with every cell
+    quoted, so that its line does not read back as a comment.
+    """
+    rows = list(rows)
     buf = _io.StringIO()
-    buf.write(head)
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    body = buf.getvalue()
+    if body.startswith("#") or "\n#" in body:
+        buf = _io.StringIO()
+        plain = csv.writer(buf, lineterminator="\n")
+        quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quoted if row and str(row[0]).startswith("#") else plain).writerow(row)
+        body = buf.getvalue()
+    return head + body
 
 
 def _fraction_token(token: str, path: str, line: int, col: int) -> Fraction:
@@ -166,52 +179,94 @@ def load_team_structure(path: PathLike) -> TeamStructure:
     return parse_team_structure(_read_text(path), source=str(path))
 
 
-def _csv_rows(text: str, path: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Comment lines (without '# ') and (lineno, cells) rows of a CSV body.
+class _CsvText:
+    """The rows of a CSV text, one per line, and its ``#`` comment lines.
 
-    Each line is one row. When the text has no quote or NUL character, a line
-    within the field size limit is split at commas, which is what the CSV
-    reader makes of it; any other line goes through the reader on its own.
+    Blank lines are skipped, and a line that starts with ``#`` is a comment,
+    kept without the ``#`` and the blanks after it; ``numbers`` holds the
+    line number of every row. When the text has no quote or NUL character
+    and no line passes the field size limit, every row is split at its
+    commas, which is what the CSV reader makes of it, and a block of rows is
+    split in bulk by :meth:`columns`. Otherwise each row is split when the
+    text is read, through the reader where the rule above does not hold for
+    its own line, and the first line the reader refuses is an error.
     """
-    comments = []
-    numbered = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            comments.append(raw[1:].lstrip())
-            continue
-        if not raw.strip():
-            continue
-        numbered.append((lineno, raw))
-    plain = '"' not in text and "\0" not in text
-    limit = csv.field_size_limit()
-    rows = []
-    for lineno, raw in numbered:
-        if plain and len(raw) <= limit:
-            rows.append((lineno, raw.split(",")))
-            continue
+
+    def __init__(self, text: str, path: str):
+        self.path = path
+        self.comments: list[str] = []
+        lines = text.splitlines()
+        self.numbers: Sequence[int] = range(1, len(lines) + 1)
+        if "#" in text or "" in lines or any(map(str.isspace, lines)):
+            kept, self.numbers = [], []
+            for lineno, raw in enumerate(lines, start=1):
+                if raw.startswith("#"):
+                    self.comments.append(raw[1:].lstrip())
+                elif raw.strip():
+                    self.numbers.append(lineno)
+                    kept.append(raw)
+            lines = kept
+        plain = '"' not in text and "\0" not in text
+        limit = csv.field_size_limit()
+        self._lines: Optional[list[str]] = None
+        self._rows: Optional[list[list[str]]] = None
+        if plain and max(map(len, lines), default=0) <= limit:
+            self._lines = lines
+        else:
+            self._rows = [
+                raw.split(",") if plain and len(raw) <= limit else self._read(lineno, raw)
+                for lineno, raw in zip(self.numbers, lines)
+            ]
+
+    def _read(self, lineno: int, raw: str) -> list[str]:
         try:
-            cells = next(csv.reader([raw]))
+            return next(csv.reader([raw]))
         except csv.Error as exc:
-            raise ParseError(f"bad CSV row: {exc}", path=path, line=lineno, column=1) from None
-        rows.append((lineno, cells))
-    return comments, rows
+            raise ParseError(f"bad CSV row: {exc}", path=self.path, line=lineno, column=1) from None
 
+    def __len__(self) -> int:
+        return len(self.numbers)
 
-def _check_widths(rows: list[tuple[int, list[str]]], width: int, path: str) -> None:
-    for lineno, cells in rows:
-        if len(cells) != width:
+    def row(self, i: int) -> list[str]:
+        return self._lines[i].split(",") if self._rows is None else self._rows[i]
+
+    def rows(self) -> list[list[str]]:
+        return [raw.split(",") for raw in self._lines] if self._rows is None else self._rows
+
+    def columns(self, start: int, width: int) -> list[list[str]]:
+        """The cells of the rows from ``start`` on, as ``width`` columns.
+
+        A row of another width is an error at its line.
+        """
+        if self._rows is None:
+            body = self._lines[start:]
+            widths = [c + 1 for c in map(str.count, body, repeat(","))]
+        else:
+            body = self._rows[start:]
+            widths = list(map(len, body))
+        if widths.count(width) != len(widths):
+            i = next(i for i, w in enumerate(widths) if w != width)
             raise ParseError(
-                f"row has {len(cells)} cells, header has {width}", path=path, line=lineno, column=1
+                f"row has {widths[i]} cells, header has {width}",
+                path=self.path,
+                line=self.numbers[start + i],
+                column=1,
             )
+        if not body:
+            return [[] for _ in range(width)]
+        if self._rows is None:
+            flat = ",".join(body).split(",")
+            return [flat[i::width] for i in range(width)]
+        return [list(column) for column in zip(*body)]
 
 
 def parse_ballots(text: str, source: str = "<string>") -> list[RankedBallot]:
     """Parse a ballot CSV: one voter per row, labels in preference order."""
-    _, rows = _csv_rows(text, source)
-    if not rows:
+    table = _CsvText(text, source)
+    if not len(table):
         raise ParseError("no ballots found", path=source, line=1, column=1)
     ballots = []
-    for lineno, cells in rows:
+    for lineno, cells in zip(table.numbers, table.rows()):
         labels = [c.strip() for c in cells if c.strip()]
         if not labels:
             raise ParseError("empty ballot row", path=source, line=lineno, column=1)
@@ -257,25 +312,27 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     seen; probability groups must cover it exactly. No column name may
     repeat.
 
-    The body is read by columns: label and ranking cells are interpreted
-    once per distinct value, and all numeric cells are converted as one
-    block.
+    The body is read by columns, each split from the text in bulk where no
+    cell is quoted. A classifier's label or ranking cells are interpreted
+    once per distinct cell, and the output keeps the distinct values and a
+    row index into them (see :class:`ClassifierOutput`); all numeric cells
+    are converted as one block. The :class:`PredictionSet` built at the end
+    runs every check on values.
     """
-    _, rows = _csv_rows(text, source)
-    if not rows:
+    table = _CsvText(text, source)
+    if not len(table):
         raise ParseError("empty predictions file", path=source, line=1, column=1)
-    header_line, header = rows[0]
-    header = [h.strip() for h in header]
+    header_line = table.numbers[0]
+    header = [h.strip() for h in table.row(0)]
     if not header or header[0] != "sample_id":
         raise ParseError(
             "first header column must be sample_id", path=source, line=header_line, column=1
         )
-    body = rows[1:]
-    if not body:
+    if len(table) == 1:
         raise ParseError("no data rows", path=source, line=header_line, column=1)
-    _check_widths(body, len(header), source)
-    lines = [lineno for lineno, _ in body]
-    columns = list(zip(*(cells for _, cells in body)))
+    columns = table.columns(1, len(header))
+    lines = table.numbers[1:]
+    n = len(lines)
 
     def fail(message: str, row: Optional[int], col: int) -> ParseError:
         """An error at a data row (None: the header) and a 0-based column."""
@@ -322,7 +379,7 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
         try:
             block = np.array([columns[i] for i in numeric], dtype=np.float64)
         except ValueError:
-            for row in range(len(body)):
+            for row in range(n):
                 for i in numeric:
                     try:
                         float(columns[i][row])
@@ -367,16 +424,17 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
             continue
         column, cells = columns[cols[0]], votes[cols[0]]
         ranked = [raw for raw, v in cells.items() if isinstance(v, tuple)]
-        if len(ranked) == len(cells):
-            outputs.append(ClassifierOutput("rank", ranks=tuple(map(cells.__getitem__, column))))
-        elif ranked:
+        if ranked and len(ranked) < len(cells):
             raise fail(f"column {name!r} mixes plain labels and rankings",
                        column.index(ranked[0]), cols[0])
-        else:
-            empty = [raw for raw, v in cells.items() if not v]
-            if empty:
-                raise fail(f"empty vote in column {name!r}", column.index(empty[0]), cols[0])
-            outputs.append(ClassifierOutput("hard", hard=tuple(map(cells.__getitem__, column))))
+        empty = [raw for raw, v in cells.items() if not v]
+        if empty:
+            raise fail(f"empty vote in column {name!r}", column.index(empty[0]), cols[0])
+        codes: dict = {}
+        code_of = {raw: codes.setdefault(v, len(codes)) for raw, v in cells.items()}
+        rows = np.fromiter(map(code_of.__getitem__, column), np.intp, n)
+        rows.setflags(write=False)
+        outputs.append(ClassifierOutput("rank" if ranked else "hard", tuple(codes), rows))
 
     try:
         return PredictionSet(
@@ -398,34 +456,70 @@ def load_predictions(path: PathLike) -> PredictionSet:
     return parse_predictions(_read_text(path), source=str(path))
 
 
+def _reads_back(text: str) -> bool:
+    """Whether a cell of ``text`` parses back as ``text``; parsers strip cells and split lines."""
+    return text == text.strip() and len(text.splitlines()) <= 1
+
+
 def dump_predictions(pred: PredictionSet) -> str:
-    """Serialize a prediction set to CSV text that parses back equal."""
+    """Serialize a prediction set to CSV text that parses back equal.
+
+    A sample id that starts with ``#`` is quoted. A set that no text parses
+    back to raises :class:`DataError`, which names the sample, classifier or
+    label at fault: an empty sample id, text with surrounding blanks or a
+    line break, a voted label holding ``>``, a classifier name that reads
+    as another column, labels out of sorted order, or labels that no cell
+    shows.
+    """
+    labels = pred.labels
+    if list(labels) != sorted(labels):
+        raise DataError(f"labels {list(labels)} are not sorted, and they parse back sorted")
+    for lab in labels:
+        if not _reads_back(lab):
+            raise DataError(f"label {lab!r} has surrounding blanks or a line break")
+    for s, sid in enumerate(pred.sample_ids):
+        if not sid or not _reads_back(sid):
+            raise DataError(f"sample {s} has the id {sid!r}, which does not parse back")
     header = ["sample_id"]
+    columns = [pred.sample_ids]
+    shown: set = set()
     if pred.true_labels is not None:
         header.append("true_label")
-    n_feat = 0 if pred.features is None else pred.features.shape[1]
-    header += [f"feat_{j}" for j in range(n_feat)]
+        columns.append(["" if t is None else t for t in pred.true_labels])
+        shown.update(pred.true_labels)
+    if pred.features is not None:
+        if not pred.features.shape[1]:
+            raise DataError("a feature matrix with no columns does not parse back")
+        header += [f"feat_{j}" for j in range(pred.features.shape[1])]
+        columns += [list(map(repr, col.tolist())) for col in pred.features.T]
     for name, out in zip(pred.classifier_names, pred.outputs):
+        form = "proba" if out.kind == "proba" else "vote"
+        heads = [f"{name}:{lab}" for lab in labels] if form == "proba" else [name]
+        if not _reads_back(name) or any(
+            _column_kind(h) != form or h.split(":", 1)[0] != name for h in heads
+        ):
+            raise DataError(f"classifier name {name!r} does not parse back as a classifier")
+        header += heads
         if out.kind == "proba":
-            header += [f"{name}:{lab}" for lab in pred.labels]
-        else:
-            header.append(name)
-    rows = [header]
-    for s in range(pred.n_samples):
-        row = [pred.sample_ids[s]]
-        if pred.true_labels is not None:
-            t = pred.true_labels[s]
-            row.append("" if t is None else t)
-        row += [repr(float(x)) for x in (pred.features[s] if n_feat else ())]
-        for out in pred.outputs:
-            if out.kind == "proba":
-                row += [repr(float(x)) for x in out.proba[s]]
-            elif out.kind == "rank":
-                row.append(">".join(out.ranks[s]))
-            else:
-                row.append(out.hard[s])
-        rows.append(row)
-    return _csv_text(rows)
+            columns += [list(map(repr, col.tolist())) for col in out.proba.T]
+            shown.update(labels)
+            continue
+        rankings = out.values if out.kind == "rank" else [(v,) for v in out.values]
+        for d, ranking in enumerate(rankings):
+            for lab in ranking:
+                if ">" in lab:
+                    raise DataError(
+                        f"sample {int(np.argmax(out.rows == d))}: classifier {name!r} votes "
+                        f"{lab!r}, and '>' would make it a ranking"
+                    )
+            shown.update(ranking)
+        columns.append(out._per_sample([">".join(r) for r in rankings]))
+    missing = sorted(set(labels) - shown)
+    if missing:
+        raise DataError(f"labels {missing} appear in no cell, so they would not parse back")
+    if len(set(pred.classifier_names)) != pred.n_classifiers:
+        raise DataError(f"classifier names {list(pred.classifier_names)} repeat")
+    return _csv_text([header, *zip(*columns)])
 
 
 def save_predictions(pred: PredictionSet, path: PathLike) -> None:
@@ -439,21 +533,22 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
     starts with a true label. Labels are reordered to sorted order so the
     matrix aligns with confusion matrices built from predictions.
     """
-    _, rows = _csv_rows(text, source)
-    if len(rows) < 2:
+    table = _CsvText(text, source)
+    if len(table) < 2:
         raise ParseError("cost matrix needs a header and one row per label", path=source, line=1, column=1)
-    header_line, header = rows[0]
+    header_line = table.numbers[0]
+    header = table.row(0)
     cols = [h.strip() for h in header[1:]]
     if not cols or any(not c for c in cols):
         raise ParseError("header must list predicted labels", path=source, line=header_line, column=1)
-    body = rows[1:]
-    if len(body) != len(cols):
+    n_rows = len(table) - 1
+    if n_rows != len(cols):
         raise ParseError(
-            f"{len(body)} rows for {len(cols)} labels", path=source, line=header_line, column=1
+            f"{n_rows} rows for {len(cols)} labels", path=source, line=header_line, column=1
         )
-    _check_widths(body, len(header), source)
+    body = list(zip(*table.columns(1, len(header))))
     raw: dict[str, dict[str, float]] = {}
-    for lineno, cells in body:
+    for lineno, cells in zip(table.numbers[1:], body):
         rlab = cells[0].strip()
         if rlab in raw:
             raise ParseError(f"duplicate row label {rlab!r}", path=source, line=lineno, column=1)
@@ -501,13 +596,12 @@ class Report:
 
 
 def parse_report(text: str, source: str = "<string>") -> Report:
-    comments, rows = _csv_rows(text, source)
-    if not rows:
+    table = _CsvText(text, source)
+    if not len(table):
         raise ParseError("report has no header row", path=source, line=1, column=1)
-    header = tuple(rows[0][1])
-    _check_widths(rows[1:], len(header), source)
-    body = tuple(tuple(cells) for _, cells in rows[1:])
-    return Report(tuple(comments), header, body)
+    header = tuple(table.row(0))
+    body = tuple(zip(*table.columns(1, len(header))))
+    return Report(tuple(table.comments), header, body)
 
 
 def read_report(path: PathLike) -> Report:

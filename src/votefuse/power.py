@@ -10,10 +10,11 @@ their results to the bit.
 
 A Banzhaf chunk's coalition weights and swing counts are integers. The
 weights are summed in float32 while the total weight and the quota stay
-below 2^24, and in float64 otherwise; the swing counts of a chunk of at most
-2^16 trials, and their cross products, in float32. A float sum of integers
-under 2^24 is exact in any order, so the float64 sums a chunk returns are
-the same to the bit as all-float64 arithmetic gives.
+below 2^24, and in int64 otherwise (``integer_form`` keeps them below 2^62);
+the swing counts of a chunk of at most 2^16 trials, and their cross
+products, in float32. A float sum of integers under 2^24 is exact in any
+order, so every coalition weight is exact and the float64 sums a chunk
+returns are the same to the bit as exact arithmetic gives.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def shapley_shubik_exact(game: VotingGame) -> PowerReport:
 
 def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> PowerReport:
     # every weight sum and threshold below is an integer of at most this bound
-    dtype = np.float32 if exact_in_float32(max(sum(map(int, ws)), quota)) else np.float64
+    dtype = np.float32 if exact_in_float32(max(sum(map(int, ws)), quota)) else np.int64
     wf = ws.astype(dtype)
 
     def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ no code path with the package.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from fractions import Fraction
@@ -252,3 +253,160 @@ def wmr_one_vs_rest_brute(votes, labels, class_weights):
     """One duel per label, weights ``class_weights[c]``; ties to the lowest label."""
     scores = [signed_vote_sum(votes, lab, class_weights[c]) for c, lab in enumerate(labels)]
     return labels[scores.index(max(scores))]
+
+
+def _csv_rows_rowwise(text, path):
+    """(lineno, cells) of every non-comment, non-blank line, one CSV row each."""
+    from votefuse.errors import ParseError
+
+    plain = '"' not in text and "\0" not in text
+    limit = csv.field_size_limit()
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw.startswith("#") or not raw.strip():
+            continue
+        if plain and len(raw) <= limit:
+            rows.append((lineno, raw.split(",")))
+            continue
+        try:
+            rows.append((lineno, next(csv.reader([raw]))))
+        except csv.Error as exc:
+            raise ParseError(f"bad CSV row: {exc}", path=path, line=lineno, column=1) from None
+    return rows
+
+
+def predictions_rowwise(text, source="<string>"):
+    """A predictions CSV parsed row by row, every cell on its own.
+
+    The parser in its first form: it builds one Python list per row, then
+    reads each classifier cell by itself and builds the outputs through the
+    public ``ClassifierOutput.from_*`` constructors. Errors carry the same
+    message, line and column as ``votefuse.io.parse_predictions``.
+    """
+    from votefuse.errors import ParseError, SampleError
+    from votefuse.fusion import ClassifierOutput, PredictionSet
+
+    rows = _csv_rows_rowwise(text, source)
+    if not rows:
+        raise ParseError("empty predictions file", path=source, line=1, column=1)
+    header_line, header = rows[0]
+    header = [h.strip() for h in header]
+    if not header or header[0] != "sample_id":
+        raise ParseError(
+            "first header column must be sample_id", path=source, line=header_line, column=1
+        )
+    body = rows[1:]
+    if not body:
+        raise ParseError("no data rows", path=source, line=header_line, column=1)
+    for lineno, cells in body:
+        if len(cells) != len(header):
+            raise ParseError(
+                f"row has {len(cells)} cells, header has {len(header)}",
+                path=source, line=lineno, column=1,
+            )
+
+    def fail(message, row, col):
+        line = header_line if row is None else body[row][0]
+        return ParseError(message, path=source, line=line, column=col + 1)
+
+    classifiers = []  # [name, form, columns]
+    truth_col = None
+    feat_cols = []
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise fail(f"duplicate column {h!r}", None, i)
+        if h == "sample_id":
+            continue
+        if h == "true_label":
+            truth_col = i
+        elif h.startswith("feat_"):
+            feat_cols.append(i)
+        else:
+            form = "proba" if ":" in h else "vote"
+            name = h.split(":", 1)[0]
+            same = [c for c in classifiers if c[0] == name]
+            if not same:
+                classifiers.append([name, form, [i]])
+            elif form == "proba" and same[0][1] == "proba":
+                same[0][2].append(i)
+            else:
+                raise fail(f"duplicate classifier column {h!r}", None, i)
+    if not classifiers:
+        raise fail("no classifier columns found", None, 0)
+
+    sample_ids = []
+    for r, (_, cells) in enumerate(body):
+        if not cells[0].strip():
+            raise fail("empty sample_id", r, 0)
+        sample_ids.append(cells[0].strip())
+    truth = None
+    if truth_col is not None:
+        truth = [cells[truth_col].strip() or None for _, cells in body]
+
+    numeric = {}
+    for r, (_, cells) in enumerate(body):
+        for i in feat_cols + [i for _, form, cols in classifiers if form == "proba" for i in cols]:
+            try:
+                numeric[r, i] = float(cells[i])
+            except ValueError:
+                raise fail(f"not a number: {cells[i]!r}", r, i) from None
+
+    def cell(raw):
+        v = raw.strip()
+        return tuple(p.strip() for p in v.split(">")) if ">" in v else v
+
+    labels_seen = {t for t in truth or () if t is not None}
+    for name, form, cols in classifiers:
+        for i in cols:
+            if form == "proba":
+                labels_seen.add(header[i].split(":", 1)[1])
+                continue
+            for _, cells in body:
+                v = cell(cells[i])
+                labels_seen.update(v if isinstance(v, tuple) else (v,))
+    labels_seen.discard("")
+    labels = tuple(sorted(labels_seen))
+    if len(labels) < 2:
+        raise fail(f"found {len(labels)} distinct labels, need at least 2", None, 0)
+
+    outputs = []
+    for name, form, cols in classifiers:
+        if form == "proba":
+            suffix = {header[i].split(":", 1)[1]: i for i in cols}
+            if tuple(sorted(suffix)) != labels:
+                raise fail(
+                    f"probability group {name!r} covers {sorted(suffix)}, expected {list(labels)}",
+                    None, cols[0],
+                )
+            matrix = [[numeric[r, suffix[lab]] for lab in labels] for r in range(len(body))]
+            outputs.append(ClassifierOutput.from_proba(matrix))
+            continue
+        values = [cell(cells[cols[0]]) for _, cells in body]
+        kinds = [isinstance(v, tuple) for v in values]
+        if all(kinds):
+            outputs.append(ClassifierOutput.from_ranks(values))
+            continue
+        if any(kinds):
+            raise fail(f"column {name!r} mixes plain labels and rankings", kinds.index(True),
+                       cols[0])
+        if "" in values:
+            raise fail(f"empty vote in column {name!r}", values.index(""), cols[0])
+        outputs.append(ClassifierOutput.from_hard(values))
+
+    try:
+        return PredictionSet(
+            labels=labels,
+            sample_ids=tuple(sample_ids),
+            outputs=tuple(outputs),
+            classifier_names=tuple(name for name, _, _ in classifiers),
+            true_labels=None if truth is None else tuple(truth),
+            features=(
+                [[numeric[r, i] for i in feat_cols] for r in range(len(body))]
+                if feat_cols else None
+            ),
+        )
+    except SampleError as exc:
+        col = truth_col if exc.classifier is None else classifiers[exc.classifier][2][0]
+        raise fail(str(exc), exc.sample, col) from None
+    except Exception as exc:
+        raise fail(str(exc), None, 0) from None

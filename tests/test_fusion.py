@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -741,6 +742,32 @@ class TestWeightedVoteKernel:
             assert row.tolist() == np.argsort(d, kind="stable")[:7].tolist()
         assert np.array_equal(whole, blocked)
         assert np.array_equal(idx.skills(queries, 7)[5], idx.skills(queries[5], 7))
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 9),
+           st.sampled_from((1, 5, 64, 1 << 16)))
+    def test_neighbors_are_the_head_of_the_stable_argsort(self, seed, n, b, budget):
+        # ties from rounded features, and +-inf, -0.0 and NaN from a metric that
+        # looks a query's distances up in a table; every k from 1 to N + 1,
+        # with blocks of queries that end ragged
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, size=(n, 2)).astype(float)
+        queries = rng.integers(0, 3, size=(b, 2)).astype(float)
+        pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan])
+        table = pool[rng.integers(0, pool.size, size=(b, n))]
+        by_table = ValidationIndex(np.zeros((n, 1)), np.ones((n, 1), dtype=bool),
+                                   metric=lambda points, q: table[int(q[0])])
+        cases = [
+            (ValidationIndex(x, np.ones((n, 1), dtype=bool)), queries),
+            (by_table, np.arange(b, dtype=float)[:, None]),
+        ]
+        with mock.patch.object(fusion, "_NEIGHBOR_BLOCK", budget):
+            for idx, q in cases:
+                d = np.array([idx.distances(row) for row in q])
+                for k in range(1, n + 2):
+                    want = np.argsort(d, axis=1, kind="stable")[:, :k]
+                    assert np.array_equal(idx.neighbors(q, k), want)
+                    assert np.array_equal(idx.neighbors(q[0], k), want[0])
 
 
 class TestCodes:

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from votefuse.errors import ParseError
+from votefuse.errors import DataError, ParseError
 from votefuse.fusion import ClassifierOutput, PredictionSet
 from votefuse.io import (
     Report,
@@ -12,6 +14,7 @@ from votefuse.io import (
     dump_game,
     dump_predictions,
     load_game,
+    load_predictions,
     parse_ballots,
     parse_cost_matrix,
     parse_game,
@@ -22,6 +25,8 @@ from votefuse.io import (
     save_game,
 )
 from votefuse.model import VotingGame
+
+from oracles import predictions_rowwise
 
 
 class TestGameFiles:
@@ -264,6 +269,97 @@ class TestPredictionFiles:
             parse_predictions("sample_id,true_label\ns1,a\ns2,b\n")
 
 
+def _hard_set(labels, votes, ids=None, names=("c",), truth=None, **fields):
+    ids = ids or tuple(f"s{i}" for i in range(len(votes)))
+    outputs = tuple(ClassifierOutput.from_hard(votes) for _ in names)
+    return PredictionSet(labels, ids, outputs, names, true_labels=truth, **fields)
+
+
+#: Text that a dump must quote, or refuse, to stay equal when parsed back.
+AWKWARD = ("#f", " c", "d>e", "g,h", 'i"j', "k\nl", "m:n", "o ", "true_label", "feat_1", "")
+
+
+class TestDumpParsesBackEqual:
+    def test_an_id_starting_with_a_hash_is_quoted(self):
+        pred = _hard_set(("a", "b"), ("a", "b", "a"), ids=("s0", "#1", "s2"))
+        text = dump_predictions(pred)
+        assert '\n"#1",' in text
+        again = parse_predictions(text)
+        assert again.sample_ids == ("s0", "#1", "s2")
+        assert again.hard_votes(0) == pred.hard_votes(0)
+        assert dump_predictions(again) == text
+
+    @pytest.mark.parametrize("pred, match", [
+        (lambda: _hard_set(("a", "b>c"), ("a", "b>c", "a")), "sample 1: classifier 'c' votes"),
+        (lambda: _hard_set((" a", "b"), (" a", "b")), "label ' a'"),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), ids=("s0", "s1 ")), "sample 1 "),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), ids=("", "s1")), "sample 0 "),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), ids=("s\r0", "s1")), "sample 0 "),
+        (lambda: _hard_set(("b", "a"), ("a", "b")), "not sorted"),
+        (lambda: _hard_set(("a", "b", "c"), ("a", "b")), r"\['c'\] appear in no cell"),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), names=("true_label",)), "'true_label'"),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), names=("c:1",)), "'c:1'"),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), names=("c", "c")), "repeat"),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), features=np.zeros((2, 0))), "no columns"),
+    ])
+    def test_a_set_no_text_parses_back_to_is_refused(self, pred, match):
+        with pytest.raises(DataError, match=match):
+            dump_predictions(pred())
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_a_dump_parses_back_equal_or_is_refused(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def text(plain: str) -> str:
+            return str(rng.choice(AWKWARD)) if rng.random() < 0.15 else plain
+
+        m = int(rng.integers(2, 4))
+        labels = tuple(dict.fromkeys([text(f"l{i}") or f"l{i}" for i in range(m)] + ["l8", "l9"]))
+        labels = labels[: max(m, 2)]
+        if rng.random() < 0.8:
+            labels = tuple(sorted(labels))
+        m, n = len(labels), int(rng.integers(1, 6))
+        outputs = []
+        for _ in range(int(rng.integers(1, 4))):
+            kind = rng.choice(["hard", "rank", "proba"])
+            if kind == "hard":
+                outputs.append(ClassifierOutput.from_hard(rng.choice(labels, n)))
+            elif kind == "rank":
+                outputs.append(ClassifierOutput.from_ranks(
+                    [rng.permutation(labels) for _ in range(n)]))
+            else:
+                counts = rng.integers(1, 5, size=(n, m))
+                outputs.append(ClassifierOutput.from_proba(counts / counts.sum(1, keepdims=True)))
+        pred = PredictionSet(
+            labels,
+            tuple(text(f"s{i}") for i in range(n)),
+            tuple(outputs),
+            tuple(text(f"c{j}") for j in range(len(outputs))),
+            true_labels=(None if rng.random() < 0.3 else
+                         tuple(None if rng.random() < 0.2 else str(rng.choice(labels))
+                               for _ in range(n))),
+            features=None if rng.random() < 0.5 else rng.normal(size=(n, int(rng.integers(1, 3)))),
+        )
+        try:
+            dumped = dump_predictions(pred)
+        except DataError:
+            return
+        again = parse_predictions(dumped)
+        assert again.labels == pred.labels
+        assert again.sample_ids == pred.sample_ids
+        assert again.classifier_names == pred.classifier_names
+        assert again.true_labels == pred.true_labels
+        assert [o.kind for o in again.outputs] == [o.kind for o in pred.outputs]
+        assert np.array_equal(again.vote_codes, pred.vote_codes)
+        assert np.array_equal(again.score_tensor(), pred.score_tensor())
+        if pred.features is None:
+            assert again.features is None
+        else:
+            assert np.array_equal(again.features, pred.features)
+        assert dump_predictions(again) == dumped
+
+
 class TestCostFiles:
     def test_labels_are_reordered_to_sorted(self):
         text = ",b,a\nb,1.0,-2.0\na,-3.0,4.0\n"
@@ -307,6 +403,12 @@ class TestReports:
         assert rep.header == ("a", "b")
         assert rep.rows == (("1", "2"),)
 
+    def test_a_first_cell_starting_with_a_hash_is_quoted(self):
+        rep = Report(("note",), ("#key", "value"), (("#1", "x"), ("2", "#y")))
+        text = rep.to_text()
+        assert text == '# note\n"#key","value"\n"#1","x"\n2,#y\n'
+        assert parse_report(text) == rep
+
     def test_quoted_cells_survive(self):
         rep = Report((), ("name", "value"), (("a,b", "x\"y"),))
         assert parse_report(rep.to_text()) == rep
@@ -316,3 +418,149 @@ class TestReports:
             parse_report("a,b\n1\n")
         with pytest.raises(ParseError, match="no header"):
             parse_report("# only comments\n")
+
+
+#: Labels that hold blanks inside, or start with '#' off the start of a
+#: line, and two that need quoting.
+LABEL_POOL = ("a", "b", "hi", "lo", "c 3", "#h", "x,y", 'q"t')
+
+
+def _quoted(cell: str, force: bool) -> str:
+    if force or "," in cell or '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _prediction_grid(rng, quotes: bool):
+    """A valid predictions header and body as cells, and where each kind of cell sits.
+
+    Without ``quotes`` no cell needs quoting, so the parser splits the body in bulk.
+    """
+    m = int(rng.integers(2, 5))
+    pool = LABEL_POOL if quotes else LABEL_POOL[:-2]
+    labels = [str(x) for x in rng.choice(pool, m, replace=False)]
+    n = m + int(rng.integers(0, 8))
+    kinds = [str(rng.choice(["hard", "rank", "proba"])) for _ in range(rng.integers(1, 4))]
+    header = ["sample_id"]
+    spots = {"number": [], "hard": [], "rank": [], "proba_head": []}
+    if rng.random() < 0.7:
+        header.append("true_label")
+    for j in range(int(rng.integers(0, 3))):
+        spots["number"].append(len(header))
+        header.append(f"feat_{j}")
+    for k, kind in enumerate(kinds):
+        if kind == "proba":
+            spots["proba_head"].append(len(header))
+            spots["number"] += range(len(header), len(header) + m)
+            header += [f"c{k}:{lab}" for lab in labels]
+        else:
+            spots[kind].append(len(header))
+            header.append(f"c{k}")
+    rows = [[("#s" if quotes and rng.random() < 0.2 else "s") + str(i)] for i in range(n)]
+    if "true_label" in header:
+        for row in rows:
+            row.append("" if rng.random() < 0.2 else str(rng.choice(labels)))
+    for i, row in enumerate(rows):
+        for c in range(len(row), len(header)):
+            if c in spots["hard"]:
+                lab = labels[i] if i < m else str(rng.choice(labels))
+                row.append(" " + lab if rng.random() < 0.1 else lab)
+            elif c in spots["rank"]:
+                row.append(">".join(rng.permutation(labels)))
+            elif c in spots["proba_head"]:
+                counts = rng.integers(1, 9, size=m)
+                row += [repr(float(x)) for x in counts / counts.sum()]
+            elif header[c].startswith("feat_"):
+                row.append(repr(float(np.round(rng.normal(), 1))))
+    return header, rows, labels, spots
+
+
+def _predictions_text(rng, quotes: bool, header, rows) -> str:
+    """The grid as CSV text, with comment and blank lines and maybe CRLF line ends."""
+    lines = []
+    for cells in [header] + rows:
+        while rng.random() < 0.15:
+            lines.append(str(rng.choice(["# a note", "", "   ", "#"])))
+        force = [quotes and rng.random() < 0.15 for _ in cells]
+        force[0] = cells[0].startswith("#") or (quotes and cells is header)
+        lines.append(",".join(_quoted(c, f) for c, f in zip(cells, force)))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    return end.join(lines) + end
+
+
+def _mutated(rng, header, rows, labels, spots):
+    """A copy of the grid with one defect the parser must report."""
+    header, rows = list(header), [list(r) for r in rows]
+    r = int(rng.integers(0, len(rows)))
+    votes = spots["hard"] + spots["rank"]
+    kind = str(rng.choice(["short", "long", "number", "mixed", "empty", "group", "duplicate"]))
+    if kind == "number" and spots["number"]:
+        rows[r][int(rng.choice(spots["number"]))] = "abc"
+    elif kind in ("mixed", "empty") and votes:
+        c = int(rng.choice(votes))
+        plain = ">".join(labels) if c in spots["hard"] else labels[0]
+        rows[r][c] = plain if kind == "mixed" else ""
+    elif kind == "group" and spots["proba_head"]:
+        c = int(rng.choice(spots["proba_head"]))
+        header[c] = "cz:" + header[c].split(":", 1)[1]  # a group of one label
+    elif kind == "duplicate":
+        c = int(rng.integers(1, len(header)))
+        header[c] = header[int(rng.integers(0, c))]
+    elif kind == "short":
+        rows[r].pop()
+    else:
+        rows[r].append("x")
+    return header, rows
+
+
+def _outcome(parse, text):
+    """What a parser makes of a text: its error, or the values of the set."""
+    try:
+        pred = parse(text, "p.csv")
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+    return (
+        pred.labels,
+        pred.sample_ids,
+        pred.true_labels,
+        pred.classifier_names,
+        [o.kind for o in pred.outputs],
+        pred.vote_codes.tolist(),
+        pred.truth_codes.tolist(),
+        pred.score_tensor().tolist(),
+        None if pred.features is None else pred.features.tolist(),
+    )
+
+
+class TestPredictionsAgainstTheRowwiseOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_columnar_parse_equals_the_rowwise_parse(self, seed):
+        rng = np.random.default_rng(seed)
+        quotes = bool(rng.random() < 0.5)
+        header, rows, labels, spots = _prediction_grid(rng, quotes)
+        text = _predictions_text(rng, quotes, header, rows)
+        assert ('"' in text) == quotes
+        got = _outcome(parse_predictions, text)
+        assert got[0] != "error", got
+        assert got == _outcome(predictions_rowwise, text)
+        bad = _predictions_text(rng, quotes, *_mutated(rng, header, rows, labels, spots))
+        got = _outcome(parse_predictions, bad)
+        assert got[0] == "error"
+        assert got == _outcome(predictions_rowwise, bad)
+
+    def test_each_load_validates_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = PredictionSet.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(PredictionSet, "__post_init__", counted)
+        for i, text in enumerate((PREDICTIONS_CSV, PREDICTIONS_CSV.replace("s1", '"s,1"'))):
+            path = tmp_path / f"p{i}.csv"
+            path.write_text(text, encoding="utf-8")
+            calls.clear()
+            pred = load_predictions(path)
+            assert calls == [pred]

@@ -136,6 +136,16 @@ class TestPowerMonteCarlo:
         for est, ref, se in zip(rep.normalized, exact.normalized, rep.stderr):
             assert abs(est - ref) <= 4 * se + 1e-9
 
+    def test_coalition_weights_past_two_to_the_53_stay_exact(self):
+        # float64 rounds 2**53 + 2**52 + 2 down onto the quota, which handed
+        # the dummy (weight 1) swings
+        g = VotingGame((2**53, 2**52 + 1, 3, 1), 2**53 + 1)
+        exact = banzhaf_exact(g)
+        rep = power_monte_carlo(g, "banzhaf", trials=20_000, seed=1)
+        assert exact.normalized[3] == 0.0 and rep.normalized[3] == 0.0
+        for est, ref, se in zip(rep.normalized[:3], exact.normalized, rep.stderr):
+            assert abs(est - ref) <= 4 * se
+
     def test_stderr_shrinks_with_more_trials(self):
         g = VotingGame((3, 2, 1, 1), quota="7/2")
         small = power_monte_carlo(g, "banzhaf", trials=1_000, seed=1)
