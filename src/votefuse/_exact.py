@@ -15,6 +15,8 @@ and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`:
 Banzhaf takes n*(q+1) DP cells for quota q, Shapley-Shubik n*(n+1)*(q+1)
 and the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W,
 each or n*2^n by enumeration; a rule table or a nearest simple rule n*2^n;
+the enumeration of rules on n voters with weights up to mw
+C(mw+n, n)*n*2^n, one multiply-add per vote sign and weight vector;
 indirect competence of d players in k teams d*2^d + k*2^d*2^kc, kc the teams
 that can tie under coin-flip; Condorcet efficiency of m candidates and n
 voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves.

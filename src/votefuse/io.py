@@ -591,8 +591,23 @@ class Report:
     rows: tuple[tuple[str, ...], ...]
 
     def to_text(self) -> str:
+        """The report as CSV text, one line per comment and row.
+
+        Raises :class:`DataError`, naming the text, for a comment that starts
+        with a blank (the parser strips it) and for a comment or cell that
+        holds a line break (the parser reads one row per line).
+        """
+        for c in self.comments:
+            if c[:1].isspace():
+                raise DataError(f"report comment {c!r} starts with a blank: it does not parse back")
         head = "".join(f"# {c}\n" for c in self.comments)
-        return _csv_text((self.header, *self.rows), head)
+        text = _csv_text((self.header, *self.rows), head)
+        # the writer ends lines with a bare \n, so a \r\n ends a piece in \r
+        if "\r\n" in text or len(text.splitlines()) != len(self.comments) + len(self.rows) + 1:
+            parts = (self.comments, self.header, *self.rows)
+            bad = next((c for p in parts for c in p if c.splitlines() not in ([], [c])), text)
+            raise DataError(f"report text {bad!r} holds a line break: it does not parse back")
+        return text
 
 
 def parse_report(text: str, source: str = "<string>") -> Report:

@@ -9,6 +9,7 @@ n voters?" into plain table deduplication.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -34,15 +35,9 @@ OUTCOME_ND = 0
 #: raising the bound by one.
 DEFAULT_MAX_WEIGHT = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 5, 7: 9}
 
-#: Winning families are Python sets of bit masks, built and checked mask by
-#: mask, so they are capped in players rather than priced in work units.
+#: Winning families are Python sets of bit masks, built and searched in plain
+#: Python, so they are capped in players rather than priced in work units.
 TRADE_ROBUST_MAX = 12
-
-
-def _sign_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of votes: row m, column i holds +1 iff bit i of m is set."""
-    bits = (np.arange(1 << n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    return (2 * bits - 1).astype(np.int64)
 
 
 class DecisionRule:
@@ -122,10 +117,8 @@ def rule_from_game(game: VotingGame, bias=0) -> DecisionRule:
     if abs(b) > game.total_weight:
         raise ValueError(f"bias {b} exceeds the total weight {game.total_weight}")
     # rescale so weights and bias are integers, then S - bias is exact int64
-    scaled = VotingGame(game.weights + (abs(b),), quota=0)
-    ws_all, _ = integer_form(scaled)
-    ws, b_scaled = ws_all[:-1], int(np.sign(float(b))) * int(ws_all[-1])
-    return DecisionRule(n, _rule_table_int(ws, b_scaled))
+    ws, q = integer_form(VotingGame(game.weights, quota=abs(b)))
+    return DecisionRule(n, _rule_table_int(ws, q if b > 0 else -q))
 
 
 def _rule_table_int(weights: Sequence[int], bias: int = 0) -> np.ndarray:
@@ -181,20 +174,14 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
     weights survive), and deduplicates by decision table. The default bound
     per n is the smallest one whose rule count does not change when the bound
     is raised; see :func:`enumeration_is_bound_stable` to re-check this for a
-    custom bound.
+    custom bound. The scan costs C(max_weight+n, n)*n*2^n work units, and
+    :func:`check_work` refuses it past the work cap or for n outside 1..7.
 
     The result is sorted by weight vector. Up to symmetry (rules for the
     remaining orderings follow by permuting players), this is the complete
     list of decisive weighted rules for n <= 7.
     """
-    if not 1 <= n <= 7:
-        raise CapacityError(
-            f"exhaustive rule enumeration is capped at n=7 (got n={n}); "
-            f"weight vectors beyond that are out of reach of a full scan"
-        )
-    mw = DEFAULT_MAX_WEIGHT[n] if max_weight is None else int(max_weight)
-    if mw < 1:
-        raise ValueError("max_weight must be >= 1")
+    mw = _scan_bound(n, max_weight)
     # non-increasing vectors in lexicographic order, grown one column at a time
     vectors = np.arange(mw + 1, dtype=np.int64)[:, None]
     for _ in range(n - 1):
@@ -203,19 +190,31 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
         last = np.arange(reps.sum()) - starts
         vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
     vectors = vectors[np.argsort(vectors.sum(axis=1) % 2 == 0, kind="stable")]  # odd totals first
-    # one BLAS product; exact, since every signed sum is an integer below n * mw
-    sums = vectors.astype(np.float64) @ _sign_matrix(n).T.astype(np.float64)
+    # one BLAS product with the (n, 2^n) vote signs, exact: every sum is an integer below n * mw
+    eye = np.eye(n)[:, :, None]
+    sums = vectors.astype(np.float64) @ enumerate_patterns(-eye, eye, np.zeros(n))
     decisive = (sums != 0).all(axis=1)
-    vectors, packed = vectors[decisive], np.packbits(sums[decisive] > 0, axis=1)
+    vectors, packed = vectors[decisive], np.packbits((sums > 0)[decisive], axis=1)
     # the first vector in enumeration order reaching each distinct table
     tables = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first = np.unique(tables, return_index=True)
     return [CanonicalWMR(tuple(w)) for w in sorted(vectors[first].tolist())]
 
 
+def _scan_bound(n: int, max_weight: Optional[int], ahead: int = 0) -> int:
+    """The weight bound mw, once check_work has priced the scan of bound mw + ahead."""
+    mw = DEFAULT_MAX_WEIGHT.get(n, 1) if max_weight is None else int(max_weight)
+    beyond = "" if n in DEFAULT_MAX_WEIGHT else f"no bound is known to reach every rule for n={n}"
+    units = 0 if beyond or mw < 1 else math.comb(mw + ahead + n, n) * n << n
+    check_work("rule enumeration", units, how="C(max_weight+n, n)*n*2^n", beyond=beyond)
+    if mw < 1:
+        raise ValueError("max_weight must be >= 1")
+    return mw
+
+
 def enumeration_is_bound_stable(n: int, max_weight: Optional[int] = None) -> bool:
     """True iff raising the enumeration weight bound by one finds no new rules."""
-    mw = DEFAULT_MAX_WEIGHT[n] if max_weight is None else int(max_weight)
+    mw = _scan_bound(n, max_weight, ahead=1)  # the larger scan is priced before either runs
     return len(enumerate_unique_wmr(n, mw)) == len(enumerate_unique_wmr(n, mw + 1))
 
 
@@ -232,8 +231,8 @@ def wmr_network(rules: Sequence[RuleLike]) -> np.ndarray:
     if any(r.n != n for r in coerced):
         raise DimensionError("all rules in a network must share the same voter count")
     stack = np.stack([r.table for r in coerced])
-    diff = stack[:, None, :] != stack[None, :, :]
-    return diff.sum(axis=2).astype(np.int64)
+    # one rule against all at a time, so temporaries hold R * 2^n cells
+    return np.array([np.count_nonzero(stack != t, axis=1) for t in stack], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def nearest_simple_rule(
 
     w = np.asarray(list(target_weights), dtype=np.float64)
     n = w.size
-    check_work("nearest simple rule", n << n, how="n*2^n vote signs")
+    check_work("nearest simple rule", n << n, how="n*2^n outcomes")
     if candidates is None:
         candidates = enumerate_unique_wmr(n)
     cands = list(candidates)
@@ -269,8 +268,8 @@ def nearest_simple_rule(
         raise ValueError("candidate list is empty")
     if any(c.n != n for c in cands):
         raise DimensionError("candidate rules must match the target's voter count")
-    target_table = np.sign(_sign_matrix(n).astype(np.float64) @ w - float(bias)).astype(np.int8)
-    target = DecisionRule(n, target_table)
+    sums = enumerate_patterns(-w, w, np.float64(0.0))
+    target = DecisionRule(n, np.sign(np.subtract(sums, float(bias), out=sums), out=sums))
     best = None
     for cand in cands:
         d = rule_distance(target, cand)
@@ -286,10 +285,10 @@ def nearest_simple_rule(
 class WinningFamily:
     """A monotone simple game given extensionally by its winning coalitions.
 
-    ``winning`` holds bit masks. Families must be closed upward: every
-    superset of a winning coalition wins. Use :meth:`from_minimal` to build
-    the closure from a list of minimal winning coalitions, or
-    :meth:`from_game` to extract the family of a weighted game.
+    ``winning`` holds the bit masks of a family closed upward: its +1/-1 table
+    is a monotone :class:`DecisionRule`. Use :meth:`from_minimal` to build the
+    closure from minimal winning coalitions, or :meth:`from_game` to read the
+    family of a weighted game off its rule table.
     """
 
     n: int
@@ -297,13 +296,13 @@ class WinningFamily:
 
     def __post_init__(self):
         self._check_size(self.n)
-        full = (1 << self.n) - 1
-        for m in self.winning:
-            if m & ~full:
-                raise ValueError(f"winning mask {m} has members outside 0..{self.n - 1}")
-            for i in range(self.n):
-                if not m >> i & 1 and (m | 1 << i) not in self.winning:
-                    raise ValueError("family is not monotone: a superset of a winning coalition loses")
+        masks = sorted(self.winning)
+        if masks and not 0 <= masks[0] <= masks[-1] < 1 << self.n:
+            raise ValueError(f"winning masks {masks[0]}..{masks[-1]} pass 0..{(1 << self.n) - 1}")
+        table = np.full(1 << self.n, OUTCOME_B, dtype=np.int8)
+        table[masks] = OUTCOME_A
+        if not DecisionRule(self.n, table).is_monotone():
+            raise ValueError("family is not monotone: a superset of a winning coalition loses")
 
     @staticmethod
     def _check_size(n: int) -> None:
@@ -324,10 +323,9 @@ class WinningFamily:
     @classmethod
     def from_game(cls, game: VotingGame) -> "WinningFamily":
         cls._check_size(game.n)
-        ws, quota = integer_form(game)
-        sums = enumerate_patterns(np.zeros_like(ws), ws, np.int64(0))
-        winning = frozenset(int(m) for m in np.nonzero(sums > quota)[0])
-        return cls(game.n, winning)
+        # w(C) > q iff the signed sum 2w(C) - total passes 2q - total
+        table = rule_from_game(game, 2 * game.quota - game.total_weight).table
+        return cls(game.n, frozenset(np.flatnonzero(table == OUTCOME_A).tolist()))
 
     def is_winning(self, coalition) -> bool:
         mask = coalition if isinstance(coalition, int) else _coerce_coalition(coalition).mask

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from votefuse.cli import main
@@ -98,6 +100,35 @@ class TestWmrEnumCommand:
         assert code == 0 and bounds == [3, 4]
         assert "bound_stable=true" in parse_report(out).comments
 
+
+    def test_a_bound_priced_past_the_cap_exits_four_before_any_scan(self, capsys, monkeypatch):
+        import votefuse.cli as cli
+
+        scan = cli.enumerate_unique_wmr
+        bounds = []
+        monkeypatch.setattr(
+            cli, "enumerate_unique_wmr", lambda n, mw: bounds.append(mw) or scan(n, mw)
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "40")
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and out == "" and err.count("\n") == 1
+        assert "rule enumeration" in err
+        # bound 18 fits the cap alone, but its stability scan at 19 does not
+        code, out, err = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "18")
+        assert code == 4 and out == "" and "589,388,800" in err
+        assert bounds == []
+
+    def test_the_largest_answered_bound(self, capsys):
+        code, out, _ = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "17")
+        rep = parse_report(out)
+        assert code == 0
+        assert "count=135" in rep.comments and "bound_stable=true" in rep.comments
+
+    @pytest.mark.parametrize("n", ["0", "8"])
+    def test_voter_counts_outside_one_to_seven_exit_four(self, capsys, n):
+        code, out, err = run(capsys, "wmr", "enum", "--n", n, "--max-weight", "3")
+        assert code == 4 and out == "" and "no bound is known" in err
 
     def test_a_bound_that_is_not_stable_is_reported(self, capsys):
         code, out, _ = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "5")
@@ -387,6 +418,15 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "fewer significant digits" in err
+
+    def test_a_game_path_with_a_line_break_exits_three(self, capsys, tmp_path):
+        # the path goes into a report comment, which must stay one line
+        game = tmp_path / "g\nx.txt"
+        game.write_text("weights = 2 1 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "power", "--game", str(game))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "line break" in err and repr("game=g\nx.txt") in err
 
     def test_bad_data_in_predictions_exits_three(self, capsys, tmp_path):
         p = tmp_path / "p.csv"

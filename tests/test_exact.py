@@ -293,11 +293,12 @@ class TestOneCapacityPolicy:
         visit(tree, "")
         return found
 
-    def test_capacity_errors_are_built_in_three_places_only(self):
+    def test_capacity_errors_are_built_in_two_places_only(self):
+        # winning families are Python sets searched in plain Python, so they
+        # keep a cap in players; every other size refusal is priced in work
         allowed = {
             ("_exact.py", "check_work"),
             ("wmr.py", "WinningFamily._check_size"),
-            ("wmr.py", "enumerate_unique_wmr"),
         }
         built = {
             (path.name, scope)

@@ -409,6 +409,26 @@ class TestReports:
         assert text == '# note\n"#key","value"\n"#1","x"\n2,#y\n'
         assert parse_report(text) == rep
 
+    @pytest.mark.parametrize(
+        "report, culprit",
+        [
+            (Report(("a\nb",), ("h",), ()), "a\nb"),
+            (Report(("note", "a\r"), ("h",), ()), "a\r"),
+            (Report(("a\x0bb",), ("h",), ()), "a\x0bb"),
+            (Report(("a\u2028b",), ("h",), ()), "a\u2028b"),
+            (Report((" a",), ("h",), ()), " a"),
+            (Report(("\ta",), ("h",), ()), "\ta"),
+            (Report(("note",), ("h\nk",), ()), "h\nk"),
+            (Report(("note",), ("h",), (("x\ny",),)), "x\ny"),
+            (Report((), ("h", "k"), (("1", "2"), ("3", "y\x85"))), "y\x85"),
+            (Report((), ("h", "k"), (("1", "y\r"),)), "y\r"),
+        ],
+    )
+    def test_text_that_would_not_parse_back_is_refused(self, report, culprit):
+        with pytest.raises(DataError, match="does not parse back") as exc:
+            report.to_text()
+        assert repr(culprit) in str(exc.value)
+
     def test_quoted_cells_survive(self):
         rep = Report((), ("name", "value"), (("a,b", "x\"y"),))
         assert parse_report(rep.to_text()) == rep

@@ -1,13 +1,16 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votefuse import wmr
 from votefuse.errors import CapacityError, DimensionError
 from votefuse.model import Coalition, DecisionProfile, VotingGame
 from votefuse.wmr import (
@@ -29,6 +32,15 @@ from votefuse.wmr import (
 )
 
 from oracles import random_rational_game, rule_table_brute, unique_wmr_brute
+
+
+def traced_peak(call):
+    """The result of ``call()`` and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_rule_table_matches_brute_force_on_random_weights():
@@ -170,6 +182,20 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_unique_wmr(25)
 
+    @pytest.mark.parametrize("n", [0, 8])
+    def test_stability_outside_one_to_seven_is_a_capacity_error(self, n):
+        with pytest.raises(CapacityError, match="no bound is known"):
+            enumeration_is_bound_stable(n)
+
+    def test_the_scan_is_priced_by_its_weight_vectors(self):
+        # C(47, 7) = 62,891,499 vectors at bound 40, each times 7 * 2^7 signs
+        with pytest.raises(CapacityError, match="56,350,783,104"):
+            enumerate_unique_wmr(7, 40)
+        # bound 18 alone fits, but its stability check prices bound 19 before any scan
+        scan = mock.patch.object(wmr, "enumerate_unique_wmr", side_effect=AssertionError("scan"))
+        with scan, pytest.raises(CapacityError, match="589,388,800"):
+            enumeration_is_bound_stable(7, 18)
+
     def test_default_bounds_exist_for_small_sizes(self):
         assert DEFAULT_MAX_WEIGHT[7] == 9
 
@@ -195,6 +221,15 @@ class TestNetwork:
     def test_mixed_sizes_are_rejected(self):
         with pytest.raises(DimensionError):
             wmr_network([CanonicalWMR((1, 1, 1)), CanonicalWMR((1, 1, 1, 1, 1))])
+
+    def test_temporaries_hold_one_rule_against_all(self):
+        rng = random.Random(5)
+        rules = [
+            rule_from_game(VotingGame([rng.randint(1, 9) for _ in range(16)])) for _ in range(30)
+        ]
+        dist, peak = traced_peak(lambda: wmr_network(rules))
+        assert peak < 4 * len(rules) << 16
+        assert dist[3, 7] == dist[7, 3] == rule_distance(rules[3], rules[7])
 
 
 class TestNearestSimpleRule:
@@ -237,6 +272,38 @@ class TestNearestSimpleRule:
         res = nearest_simple_rule((5.0, 1.0, 1.0), candidates=only)
         assert res.candidate.weights == (1, 1, 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_the_target_is_the_exact_table_of_its_weights(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        # integer-valued weights, or dyadic ones whose float sums are all exact
+        top = data.draw(st.sampled_from([0, 20]), label="largest exponent")
+        ks = st.integers(0, top)
+        weights = [m * 2.0**-k for m, k in data.draw(
+            st.lists(st.tuples(st.integers(-1024, 1024), ks), min_size=n, max_size=n))]
+        # the signed sum of one profile, so that profile ties, or a step past it
+        profile = data.draw(st.integers(0, (1 << n) - 1), label="tied profile")
+        step = data.draw(st.sampled_from([0, 0, 1, -1]), label="step") * 2.0**-top
+        bias = sum((w if profile >> i & 1 else -w for i, w in enumerate(weights)), step)
+        targets = []
+        distance = wmr.rule_distance
+
+        def spy(a, b):
+            targets.append(a)
+            return distance(a, b)
+
+        dictator = CanonicalWMR((1,) + (0,) * (n - 1))
+        with mock.patch.object(wmr, "rule_distance", spy):
+            nearest_simple_rule(weights, candidates=[dictator], bias=bias)
+        assert targets[0].table.tolist() == rule_table_brute(weights, bias)
+
+    def test_twenty_voters_stay_small(self):
+        weights = np.linspace(-1.0, 2.0, 20)
+        candidate = CanonicalWMR((1,) * 19 + (0,))
+        res, peak = traced_peak(lambda: nearest_simple_rule(weights, candidates=[candidate]))
+        assert peak < 64 << 20
+        assert 0 < res.disagreements < 1 << 20
+
 
 def _competence_of(weights, skills):
     from votefuse.jury import group_competence
@@ -272,6 +339,11 @@ class TestWinningFamily:
     def test_upward_closure_is_enforced(self):
         with pytest.raises(ValueError):
             WinningFamily(3, frozenset({0b001}))  # superset 0b011 is missing
+
+    @pytest.mark.parametrize("masks", [{-1}, {0b111, -8}, {0b1000}, {0b111, 1 << 70}])
+    def test_masks_outside_the_players_are_refused(self, masks):
+        with pytest.raises(ValueError, match=r"pass 0\.\.7"):
+            WinningFamily(3, frozenset(masks))
 
     def test_from_minimal_builds_the_closure(self):
         fam = WinningFamily.from_minimal(3, [{0, 1}])
