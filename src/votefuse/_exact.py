@@ -20,6 +20,12 @@ C(mw+n, n)*n*2^n, one multiply-add per vote sign and weight vector;
 indirect competence of d players in k teams d*2^d + k*2^d*2^kc, kc the teams
 that can tie under coin-flip; Condorcet efficiency of m candidates and n
 voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves.
+
+Every weighted vote of the package is decided here: :func:`outcome` turns
+signed sums sum_i w_i v_i (v_i = +1 or -1) into 1 above the bias (A wins),
+-1 below it (B wins) and 0 at a stalemate (no decision), and
+:func:`pattern_outcomes` enumerates the +-w patterns that feed it. Jury
+credit, rule tables and fused decisions all read these outcomes.
 """
 
 from __future__ import annotations
@@ -34,6 +40,13 @@ from .errors import CapacityError
 #: Largest estimated work, in DP cells or enumerated entries, that an exact
 #: computation may take on; 24 players always fit by enumeration.
 EXACT_WORK_MAX = 1 << 29
+
+#: Elements in one block of the signed sums that :func:`pattern_outcomes`
+#: holds at once.
+OUTCOME_BLOCK = 1 << 17
+
+#: What a jury earns for a stalemate under each no-decision policy.
+ND_CREDIT = {"incorrect": 0.0, "coin-flip": 0.5}
 
 
 def enumerate_patterns(off, on, start, op=np.add) -> np.ndarray:
@@ -53,6 +66,50 @@ def enumerate_patterns(off, on, start, op=np.add) -> np.ndarray:
         op(low, a, out=low)
         half *= 2
     return out
+
+
+def outcome(sums, bias) -> np.ndarray:
+    """Decide signed sums against ``bias``: int8 1 above it, -1 below it, 0 at a stalemate."""
+    return np.subtract(sums > bias, sums < bias, dtype=np.int8)
+
+
+def credit(outcomes: np.ndarray, nd: float) -> np.ndarray:
+    """What each outcome earns: 1.0 for a win, ``nd`` for a stalemate, 0.0 for a loss."""
+    return np.array((nd, 1.0, 0.0))[outcomes]  # indexed by the outcome, -1 from the end
+
+
+def nd_credit(nd_policy: str) -> float:
+    """The stalemate credit of a no-decision policy."""
+    if nd_policy not in ND_CREDIT:
+        raise ValueError(f"nd_policy must be one of {sorted(ND_CREDIT)}, got {nd_policy!r}")
+    return ND_CREDIT[nd_policy]
+
+
+def pattern_outcomes(w, bias) -> np.ndarray:
+    """The :func:`outcome` of every +-w pattern: (2^n,) for (n,) weights, (k, 2^n) for (k, n).
+
+    In entry j player i adds +w_i iff bit i of j is set; ``bias`` is a scalar
+    or has one entry per row. The sums are built in blocks of at most
+    :data:`OUTCOME_BLOCK`: the low players vary inside a block, and the high
+    players, fixed per block, are added after them in player order, so each
+    sum is the float that ``enumerate_patterns(-w, w, 0)`` gives. Integer
+    weights sum in their own dtype.
+    """
+    w = np.asarray(w)
+    cols = np.atleast_2d(w).T[:, :, None]
+    n, k = cols.shape[:2]
+    bias = np.reshape(bias, (-1, 1))
+    bits = min(n, max(0, (OUTCOME_BLOCK // k).bit_length() - 1))
+    low = enumerate_patterns(-cols[:bits], cols[:bits], np.zeros(k, dtype=w.dtype))
+    if bits == n:
+        return outcome(low, bias).reshape(w.shape[:-1] + (1 << n,))
+    out = np.empty((k, 1 << n), dtype=np.int8)
+    for h in range(1 << (n - bits)):
+        sums = low.copy()
+        for b, col in enumerate(cols[bits:]):
+            np.add(sums, col if h >> b & 1 else -col, out=sums)
+        out[:, h << bits : (h + 1) << bits] = outcome(sums, bias)
+    return out.reshape(w.shape[:-1] + (1 << n,))
 
 
 def exact_in_float32(bound: int) -> bool:
@@ -246,15 +303,15 @@ def _each_judge(n: int, players: Sequence[int], root, absorb, leaf) -> list[floa
 
 
 def _jury_enumeration(w, p, bias, nd, players):
-    sums = enumerate_patterns(-w, w, np.float64(0.0))
+    outcomes = pattern_outcomes(w, bias)
     probs = enumerate_patterns(1.0 - p, p, np.float64(1.0), np.multiply)
-    win = sums > bias
+    win = outcomes > 0
     competence = float(probs[win].sum())
-    credit = np.where(win, 1.0, 0.0)
+    earned = np.where(win, 1.0, 0.0)
     if nd:
-        tie = sums == bias
+        tie = outcomes == 0
         competence += nd * float(probs[tie].sum())
-        credit[tie] = nd
+        earned[tie] = nd
 
     def absorb(table, lo, hi, a, b):
         # table[j]: expected credit when judge lo + k is right iff bit k of j
@@ -264,7 +321,7 @@ def _jury_enumeration(w, p, bias, nd, players):
         odds = enumerate_patterns(1.0 - p[a:b], p[a:b], np.float64(1.0), np.multiply)
         return grid @ odds if a == lo else odds @ grid
 
-    decisive = _each_judge(w.size, players, credit, absorb, lambda i, t: float(t[1] - t[0]))
+    decisive = _each_judge(w.size, players, earned, absorb, lambda i, t: float(t[1] - t[0]))
     return competence, decisive
 
 
@@ -275,8 +332,7 @@ def _jury_dp(w: list[int], p, bias, nd, players):
     w = [abs(x) for x in w]
     p = np.where(flip, 1.0 - p, p)
     width = sum(w) + 1
-    signed = 2.0 * np.arange(width) - sum(w)
-    credit = (signed > bias) + nd * (signed == bias)
+    earned = credit(outcome(2.0 * np.arange(width) - sum(w), bias), nd)
 
     def absorb(dist, lo, hi, a, b):
         for i in range(a, b):
@@ -286,12 +342,12 @@ def _jury_dp(w: list[int], p, bias, nd, players):
         return dist
 
     def leaf(i, others):
-        right = float(others[: width - w[i]] @ credit[w[i] :])
-        wrong = float(others @ credit)
+        right = float(others[: width - w[i]] @ earned[w[i] :])
+        wrong = float(others @ earned)
         return wrong - right if flip[i] else right - wrong
 
     n = len(w)
     start = np.zeros(width)
     start[0] = 1.0
-    competence = float(absorb(start, 0, n, 0, n) @ credit)
+    competence = float(absorb(start, 0, n, 0, n) @ earned)
     return competence, _each_judge(n, players, start, absorb, leaf)

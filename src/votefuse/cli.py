@@ -67,12 +67,24 @@ def _common_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _comments(args, command: str, extra: list[str]) -> list[str]:
+def _fusion_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--predictions", required=True)
+    sub.add_argument("--validation", default=None, help="predictions CSV used to estimate accuracies")
+    sub.add_argument("--weights", type=_float_list, default=None, help="classifier weights (sum/majority)")
+    sub.add_argument("--trim", type=float, default=0.1)
+    sub.add_argument("--k", type=int, default=5, help="neighborhood size for adaptive-wmr")
+    sub.add_argument("--bias", type=float, default=0.0)
+    sub.add_argument("--clip", type=float, default=1e-6)
+    sub.add_argument("--cost", default=None, help="cost matrix CSV for expected risk")
+
+
+def _report(args, command: str, extra: list[str], header: tuple[str, ...], rows) -> str:
+    """The report text: comments naming the command, the seed and ``extra``, then the rows."""
     lines = [f"command={command}", f"seed={args.seed}"] + extra
     if not args.reproducible:
         lines.append(f"version={__version__}")
         lines.append(f"generated={datetime.now(timezone.utc).isoformat()}")
-    return lines
+    return Report(tuple(lines), header, tuple(rows)).to_text()
 
 
 def _fmt(value) -> str:
@@ -103,12 +115,7 @@ def _cmd_power(args) -> str:
                     "" if rep.stderr is None else repr(rep.stderr[i]),
                 )
             )
-    report = Report(
-        tuple(_comments(args, "power", extra)),
-        ("kind", "player", "raw", "normalized", "stderr"),
-        tuple(rows),
-    )
-    return report.to_text()
+    return _report(args, "power", extra, ("kind", "player", "raw", "normalized", "stderr"), rows)
 
 
 def _cmd_wmr_enum(args) -> str:
@@ -131,10 +138,7 @@ def _cmd_wmr_enum(args) -> str:
     for c in rules:
         table = "".join("A" if v == 1 else "B" for v in c.rule().table)
         rows.append((" ".join(map(str, c.weights)), table))
-    report = Report(
-        tuple(_comments(args, "wmr enum", extra)), ("weights", "table"), tuple(rows)
-    )
-    return report.to_text()
+    return _report(args, "wmr enum", extra, ("weights", "table"), rows)
 
 
 def _cmd_jury(args) -> str:
@@ -167,12 +171,7 @@ def _cmd_jury(args) -> str:
         structure = load_team_structure(args.teams)
         ind = indirect_competence(structure, skills, nd_policy=args.nd_policy)
         rows.append(("indirect_competence", "", repr(ind), ""))
-    report = Report(
-        tuple(_comments(args, "jury", extra)),
-        ("metric", "player", "value", "stderr"),
-        tuple(rows),
-    )
-    return report.to_text()
+    return _report(args, "jury", extra, ("metric", "player", "value", "stderr"), rows)
 
 
 def _scoring_vector(text: str, m: int) -> ScoringVector:
@@ -213,12 +212,8 @@ def _cmd_efficiency(args) -> str:
         "" if res.trials is None else str(res.trials),
         res.method,
     )
-    report = Report(
-        tuple(_comments(args, "efficiency", extra)),
-        ("value", "exact", "profiles_with_winner", "stderr", "ci_low", "ci_high", "trials", "method"),
-        (row,),
-    )
-    return report.to_text()
+    header = ("value", "exact", "profiles_with_winner", "stderr", "ci_low", "ci_high", "trials", "method")
+    return _report(args, "efficiency", extra, header, (row,))
 
 
 def _fused_confusion(pred, codes) -> Optional[ConfusionMatrix]:
@@ -275,11 +270,8 @@ def _cmd_fuse(args) -> str:
             raise EvidenceError("cannot score risk: no labelled, decided samples")
         extra.append(f"expected_risk={expected_risk(cm, cost)!r}")
     names = np.array(pred.labels + ("ND",), dtype=object)
-    rows = tuple(zip(pred.sample_ids, names[codes].tolist()))
-    report = Report(
-        tuple(_comments(args, "fuse", extra)), ("sample_id", "decision"), rows
-    )
-    return report.to_text()
+    rows = zip(pred.sample_ids, names[codes].tolist())
+    return _report(args, "fuse", extra, ("sample_id", "decision"), rows)
 
 
 def _cmd_report(args) -> str:
@@ -319,10 +311,7 @@ def _cmd_report(args) -> str:
             if cm is not None:
                 rows.append(("fused_risk", rule, repr(expected_risk(cm, cost))))
     extra = [f"predictions={Path(args.predictions).name}", f"k={args.k}"]
-    report = Report(
-        tuple(_comments(args, "report", extra)), ("section", "key", "value"), tuple(rows)
-    )
-    return report.to_text()
+    return _report(args, "report", extra, ("section", "key", "value"), rows)
 
 
 @functools.cache
@@ -374,27 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_efficiency)
 
     p = sub.add_parser("fuse", help="fuse a predictions CSV with a chosen rule")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--validation", default=None, help="predictions CSV used to estimate accuracies")
     p.add_argument("--rule", required=True, choices=tuple(FIXED_RULES) + ("wmr", "adaptive-wmr"))
-    p.add_argument("--weights", type=_float_list, default=None, help="classifier weights (sum/majority)")
-    p.add_argument("--trim", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=5, help="neighborhood size for adaptive-wmr")
-    p.add_argument("--bias", type=float, default=0.0)
-    p.add_argument("--clip", type=float, default=1e-6)
-    p.add_argument("--cost", default=None, help="cost matrix CSV for expected risk")
+    _fusion_options(p)
     _common_options(p)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("report", help="per-classifier and fused summary of a predictions CSV")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--validation", default=None)
-    p.add_argument("--cost", default=None)
-    p.add_argument("--weights", type=_float_list, default=None)
-    p.add_argument("--trim", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--bias", type=float, default=0.0)
-    p.add_argument("--clip", type=float, default=1e-6)
+    _fusion_options(p)
     _common_options(p)
     p.set_defaults(func=_cmd_report)
 

@@ -19,8 +19,9 @@ kernel, :func:`_weighted_votes`. It adds +w for a classifier voting for the
 class and -w otherwise, over the classifiers in index order, starting from
 0.0. That order is the stalemate contract: each term is exact, so a score
 equals a sequential dot product of the weights with the +-1 votes bit for
-bit, and an exact 0 (an ``ND`` decision against bias 0) lands where that
-sum puts it, whatever the number of rows. The adaptive rule finds the
+bit, and :func:`._exact.outcome`, which decides every weighted vote of the
+package, finds a stalemate (an ``ND`` decision) where that sum meets the
+bias, whatever the number of rows. The adaptive rule finds the
 neighbors of all queries in one batched search.
 """
 
@@ -39,6 +40,7 @@ from .errors import (
     EvidenceError,
     SampleError,
 )
+from ._exact import outcome
 from .jury import optimal_weights
 
 FIXED_RULES = ("sum", "product", "min", "max", "median", "majority", "trimmed-mean")
@@ -159,20 +161,6 @@ class ClassifierOutput:
 
     def _per_sample(self, values: Sequence) -> tuple:
         return tuple(map(values.__getitem__, self.rows.tolist()))
-
-    def hard_labels(self, labels: Sequence[str]) -> tuple[str, ...]:
-        """Reduce to one label per sample (top of ranking / argmax of proba)."""
-        if self.kind == "proba":
-            labs = tuple(labels)
-            return tuple(labs[i] for i in np.argmax(self.proba, axis=1))
-        return self._per_sample([v if self.kind == "hard" else v[0] for v in self.values])
-
-    def proba_matrix(self, labels: Sequence[str]) -> np.ndarray:
-        """Embed into per-class scores: one-hot for hard votes, normalized
-        descending rank points for rankings, the rows themselves for proba."""
-        if self.kind == "proba":
-            return np.asarray(self.proba, dtype=np.float64)
-        return self._encode(tuple(labels))[1]
 
     def _encode(self, labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Hard-vote label codes (n,) and per-class scores (n, m).
@@ -514,8 +502,7 @@ def _two_label_decisions(codes: np.ndarray, weights: np.ndarray, bias: float) ->
     """Code 0 where the first label's score beats ``bias``, 1 below it, -1 on a stalemate."""
     if not np.isfinite(bias):
         raise ValueError(f"bias must be finite, got {bias}")
-    s = _weighted_votes(codes, weights, 2)[:, 0]
-    return np.where(s > bias, 0, np.where(s < bias, 1, -1))
+    return np.array((-1, 0, 1))[outcome(_weighted_votes(codes, weights, 2)[:, 0], bias)]
 
 
 def _one_vs_rest_weights(class_accuracies: np.ndarray, clip: float) -> np.ndarray:

@@ -582,6 +582,10 @@ def dump_cost_matrix(cost: CostMatrix) -> str:
     return _csv_text([[""] + list(cost.labels), *gains])
 
 
+#: A line break, then a line that is empty or holds only blanks.
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+
+
 @dataclass(frozen=True)
 class Report:
     """A CSV report: leading ``#`` comment lines, a header, and string rows."""
@@ -594,8 +598,9 @@ class Report:
         """The report as CSV text, one line per comment and row.
 
         Raises :class:`DataError`, naming the text, for a comment that starts
-        with a blank (the parser strips it) and for a comment or cell that
-        holds a line break (the parser reads one row per line).
+        with a blank (the parser strips it), for a comment or cell that holds
+        a line break (the parser reads one row per line), and for a row that
+        is empty or holds only blanks (the parser skips its blank line).
         """
         for c in self.comments:
             if c[:1].isspace():
@@ -607,6 +612,11 @@ class Report:
             parts = (self.comments, self.header, *self.rows)
             bad = next((c for p in parts for c in p if c.splitlines() not in ([], [c])), text)
             raise DataError(f"report text {bad!r} holds a line break: it does not parse back")
+        lines = "\n" + text  # so that the header line, too, follows a line break
+        blank = _BLANK_LINE.search(lines, len(head))
+        if blank:
+            row = (self.header, *self.rows)[lines.count("\n", len(head), blank.start())]
+            raise DataError(f"report row {row!r} is blank: it does not parse back")
         return text
 
 

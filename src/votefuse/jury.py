@@ -31,23 +31,25 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._exact import check_work, enumerate_patterns, exact_in_float32, jury_values
+from . import _exact
+from ._exact import (
+    check_work,
+    credit,
+    enumerate_patterns,
+    exact_in_float32,
+    jury_values,
+    nd_credit,
+    outcome,
+    pattern_outcomes,
+)
 from ._rand import chunk_sums
 from .errors import DimensionError
 from .model import SkillsLike, as_skills
 
-_ND_CREDIT = {"incorrect": 0.0, "coin-flip": 0.5}
-
-
-def _nd_credit(nd_policy: str) -> float:
-    if nd_policy not in _ND_CREDIT:
-        raise ValueError(f"nd_policy must be one of {sorted(_ND_CREDIT)}, got {nd_policy!r}")
-    return _ND_CREDIT[nd_policy]
-
 
 def _checked(weights, bias, skills, nd_policy: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Check a jury's inputs; return its weights, skills and stalemate credit."""
-    nd = _nd_credit(nd_policy)
+    nd = nd_credit(nd_policy)
     w = np.asarray(list(weights), dtype=np.float64)
     p = np.asarray(as_skills(skills).p, dtype=np.float64)
     if w.size != p.size:
@@ -148,7 +150,7 @@ def competence_monte_carlo(
             sums = np.subtract(correct.astype(np.float32) @ twice, weight_sum, dtype=np.float64)
         else:
             sums = np.where(correct, w, -w).sum(axis=1)
-        vals = (sums > bias) + nd * (sums == bias)
+        vals = credit(outcome(sums, bias), nd)
         return float(vals.sum()), float((vals * vals).sum())
 
     total, total_sq = chunk_sums(trials, seed, draw)
@@ -226,36 +228,9 @@ class TeamStructure:
         return tuple(sorted({i for team in self.teams for i in team}))
 
 
-#: Elements in one (teams, patterns) block of :func:`indirect_competence`.
-_INDIRECT_BLOCK = 1 << 17
-
-
-def _team_outcomes(team_w: np.ndarray, biases: np.ndarray, bits: int) -> np.ndarray:
-    """Each team's outcome on every pattern: 1 won, -1 lost, 0 tied; int8 (k, 2^d).
-
-    The signed sums are built block by block: the first ``bits`` players
-    vary inside a block, the others are fixed per block and added after
-    them in player order, so each sum is the same float as one enumeration
-    of all 2^d patterns would give.
-    """
-    k, d = team_w.shape
-    cols = team_w.T[:, :, None]
-    low = enumerate_patterns(-cols[:bits], cols[:bits], np.zeros(k))
-    size = low.shape[1]
-    codes = np.empty((k, 1 << d), dtype=np.int8)
-    for h in range(1 << (d - bits)):
-        sums = low.copy()
-        for b, col in enumerate(cols[bits:]):
-            np.add(sums, col if h >> b & 1 else -col, out=sums)
-        block = np.where(sums > biases, np.int8(1), np.int8(-1))
-        block[sums == biases] = 0
-        codes[:, h * size : (h + 1) * size] = block
-    return codes
-
-
-def _top_sums(top_w: np.ndarray, codes: np.ndarray, votes, bits: int) -> np.ndarray:
-    """``top_w @ votes(codes)`` over all patterns, one block of 2^bits patterns at a time."""
-    size = 1 << bits
+def _top_sums(top_w: np.ndarray, codes: np.ndarray, votes) -> np.ndarray:
+    """``top_w @ votes(codes)`` over all patterns, in blocks of at most OUTCOME_BLOCK votes."""
+    size = 1 << max(0, (_exact.OUTCOME_BLOCK // top_w.size).bit_length() - 1)
     top = np.empty(codes.shape[1])
     for lo in range(0, codes.shape[1], size):
         top[lo : lo + size] = top_w @ votes(codes[:, lo : lo + size])
@@ -275,12 +250,12 @@ def indirect_competence(
     coins (enumerated exactly) and a tied top level earns half credit.
 
     Team outcomes are kept as one int8 per team and pattern; the float
-    temporaries cover at most :data:`_INDIRECT_BLOCK` (team, pattern) pairs,
+    temporaries cover at most :data:`._exact.OUTCOME_BLOCK` (team, pattern) pairs,
     so memory does not grow with the team count times 2^d float64 values.
     The work is priced d*2^d + k*2^d*2^kc (kc tieable teams under
     ``"coin-flip"``, else 0) and refused beyond the one exact work cap.
     """
-    nd = _nd_credit(nd_policy)
+    nd = nd_credit(nd_policy)
     p_all = np.asarray(as_skills(skills).p, dtype=np.float64)
     players = structure.distinct_players
     if players and players[-1] >= p_all.size:
@@ -299,14 +274,13 @@ def indirect_competence(
     for t, (team, wrow) in enumerate(zip(structure.teams, structure.member_weights)):
         for i, wi in zip(team, wrow):
             team_w[t, pos[i]] += wi
-    bits = min(d, max(0, (_INDIRECT_BLOCK // k).bit_length() - 1))
-    codes = _team_outcomes(team_w, np.asarray(structure.team_biases)[:, None], bits)
+    codes = pattern_outcomes(team_w, np.asarray(structure.team_biases))
     pb = p_all[list(players)]
     probs = enumerate_patterns(1.0 - pb, pb, np.float64(1.0), np.multiply)
     top_w = np.asarray(structure.top_weights)
     if nd == 0.0:
-        top = _top_sums(top_w, codes, lambda c: np.where(c > 0, 1.0, -1.0), bits)
-        return float(probs[top > structure.top_bias].sum())
+        top = _top_sums(top_w, codes, lambda c: np.where(c > 0, 1.0, -1.0))
+        return float(probs[outcome(top, structure.top_bias) > 0].sum())
     # coin-flip: every team that can tie gets an independent fair coin,
     # enumerated exactly; a tied top level earns half credit
     coin_teams = np.nonzero(~codes.all(axis=1))[0]
@@ -317,7 +291,6 @@ def indirect_competence(
         coins = np.zeros((k, 1))
         for j, t in enumerate(coin_teams):
             coins[t] = 1.0 if assignment >> j & 1 else -1.0
-        top = _top_sums(top_w, codes, lambda c: np.where(c == 0, coins, c), bits)
-        credit = (top > structure.top_bias) + nd * (top == structure.top_bias)
-        value += float(probs @ credit)
+        top = _top_sums(top_w, codes, lambda c: np.where(c == 0, coins, c))
+        value += float(probs @ credit(outcome(top, structure.top_bias), nd))
     return value / (1 << kc)

@@ -15,8 +15,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._exact import check_work, enumerate_patterns
+from ._exact import OUTCOME_BLOCK, check_work, exact_in_float32, outcome, pattern_outcomes
 from .errors import CapacityError, DimensionError
+from .jury import group_competence
 from .model import (
     Coalition,
     DecisionProfile,
@@ -54,7 +55,7 @@ class DecisionRule:
         t = np.asarray(table, dtype=np.int8).copy()
         if t.shape != (1 << n,):
             raise DimensionError(f"table must have 2^{n} = {1 << n} entries, got {t.shape}")
-        if not np.isin(t, (-1, 0, 1)).all():
+        if t.min() < -1 or t.max() > 1:
             raise ValueError("table entries must be -1, 0, or +1")
         t.setflags(write=False)
         object.__setattr__(self, "n", n)
@@ -116,15 +117,9 @@ def rule_from_game(game: VotingGame, bias=0) -> DecisionRule:
     b = as_fraction(bias)
     if abs(b) > game.total_weight:
         raise ValueError(f"bias {b} exceeds the total weight {game.total_weight}")
-    # rescale so weights and bias are integers, then S - bias is exact int64
+    # rescale so weights and bias are integers, then every sum is exact int64
     ws, q = integer_form(VotingGame(game.weights, quota=abs(b)))
-    return DecisionRule(n, _rule_table_int(ws, q if b > 0 else -q))
-
-
-def _rule_table_int(weights: Sequence[int], bias: int = 0) -> np.ndarray:
-    ws = np.asarray(weights, dtype=np.int64)
-    sums = enumerate_patterns(-ws, ws, np.int64(-bias))
-    return np.sign(sums, out=sums).astype(np.int8)
+    return DecisionRule(n, pattern_outcomes(ws, q if b > 0 else -q))
 
 
 def rule_distance(a: "RuleLike", b: "RuleLike") -> int:
@@ -156,7 +151,7 @@ class CanonicalWMR:
         return len(self.weights)
 
     def rule(self) -> DecisionRule:
-        return DecisionRule(self.n, _rule_table_int(self.weights))
+        return DecisionRule(self.n, pattern_outcomes(np.array(self.weights, dtype=np.int64), 0))
 
 
 RuleLike = Union[DecisionRule, CanonicalWMR]
@@ -190,11 +185,18 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
         last = np.arange(reps.sum()) - starts
         vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
     vectors = vectors[np.argsort(vectors.sum(axis=1) % 2 == 0, kind="stable")]  # odd totals first
-    # one BLAS product with the (n, 2^n) vote signs, exact: every sum is an integer below n * mw
-    eye = np.eye(n)[:, :, None]
-    sums = vectors.astype(np.float64) @ enumerate_patterns(-eye, eye, np.zeros(n))
-    decisive = (sums != 0).all(axis=1)
-    vectors, packed = vectors[decisive], np.packbits((sums > 0)[decisive], axis=1)
+    # BLAS products with the (n, 2^n) vote signs, a block of vectors at a
+    # time; float32 is exact while every sum, an integer below n * mw, is
+    dtype = np.float32 if exact_in_float32(n * mw) else np.float64
+    signs = pattern_outcomes(np.eye(n), 0).astype(dtype)
+    step = max(1, OUTCOME_BLOCK >> n)
+    kept, packed = [], []
+    for lo in range(0, len(vectors), step):
+        table = outcome(vectors[lo : lo + step].astype(dtype) @ signs, 0)
+        decisive = np.flatnonzero(table.all(axis=1))
+        kept.append(lo + decisive)
+        packed.append(np.packbits(table[decisive] > 0, axis=1))
+    vectors, packed = vectors[np.concatenate(kept)], np.concatenate(packed)
     # the first vector in enumeration order reaching each distinct table
     tables = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first = np.unique(tables, return_index=True)
@@ -256,8 +258,6 @@ def nearest_simple_rule(
     given, by candidate order. ``candidates`` defaults to all distinct
     decisive rules for the target's voter count.
     """
-    from .jury import group_competence
-
     w = np.asarray(list(target_weights), dtype=np.float64)
     n = w.size
     check_work("nearest simple rule", n << n, how="n*2^n outcomes")
@@ -268,8 +268,7 @@ def nearest_simple_rule(
         raise ValueError("candidate list is empty")
     if any(c.n != n for c in cands):
         raise DimensionError("candidate rules must match the target's voter count")
-    sums = enumerate_patterns(-w, w, np.float64(0.0))
-    target = DecisionRule(n, np.sign(np.subtract(sums, float(bias), out=sums), out=sums))
+    target = DecisionRule(n, pattern_outcomes(w, float(bias)))
     best = None
     for cand in cands:
         d = rule_distance(target, cand)

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from votefuse import _exact, scoring
 from votefuse.errors import CapacityError
-from votefuse.jury import TeamStructure, group_competence, indirect_competence, jury_exact
+from votefuse.jury import (
+    TeamStructure,
+    group_competence,
+    indirect_competence,
+    jury_exact,
+    optimal_weights,
+)
 from votefuse.model import VotingGame, integer_form
 from votefuse.power import banzhaf_exact, shapley_shubik_exact
 from votefuse.scoring import ScoringVector, condorcet_efficiency
@@ -27,6 +33,7 @@ from oracles import (
     decisiveness_brute,
     majority_competence_binomial,
     random_rational_game,
+    rule_table_brute,
     shapley_brute,
 )
 
@@ -230,7 +237,7 @@ class TestCapacityBoundaries:
 
     def test_team_structures_are_priced_before_any_outcome_table(self, monkeypatch):
         monkeypatch.setattr(
-            "votefuse.jury._team_outcomes", lambda *a: pytest.fail("outcome table built")
+            "votefuse.jury.pattern_outcomes", lambda *a: pytest.fail("outcome table built")
         )
         structure = TeamStructure(teams=(tuple(range(25)),))
         assert_refused(lambda: indirect_competence(structure, (0.6,) * 25), 26 << 25)
@@ -320,3 +327,88 @@ class TestOneCapacityPolicy:
                     if isinstance(t, ast.Name) and t.id.endswith("_MAX")
                 }
         assert caps == {"_exact.EXACT_WORK_MAX", "wmr.TRADE_ROBUST_MAX"}
+
+
+class TestOneDecision:
+    """Only ``_exact`` turns signed sums into outcomes."""
+
+    BLOCKS = (1, 7, 97, 1 << 17)
+
+    def test_no_module_but_exact_compares_with_a_bias_or_takes_signs(self):
+        names, attrs = {"bias", "biases", "top_bias"}, {"top_bias", "team_biases"}
+        found = []
+        for path in TestOneCapacityPolicy.SOURCES:
+            if path.name == "_exact.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                # a decision compares by value; `is None` checks are not decisions
+                if isinstance(node, ast.Compare) and not all(
+                    isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops
+                ):
+                    found += [
+                        f"{path.name}:{node.lineno}"
+                        for x in (node.left, *node.comparators)
+                        if isinstance(x, ast.Name) and x.id in names
+                        or isinstance(x, ast.Attribute) and x.attr in attrs
+                    ]
+                elif isinstance(node, ast.Attribute) and node.attr == "sign":
+                    if isinstance(node.value, ast.Name) and node.value.id == "np":
+                        found.append(f"{path.name}:{node.lineno} np.sign")
+        assert found == []
+
+    @staticmethod
+    @st.composite
+    def weighted_votes(draw):
+        """(n,) or (k, n) weights and a scalar or (k,) bias: int64, dyadic or any floats."""
+        kind = draw(st.sampled_from(("int", "dyadic", "float")))
+        k = draw(st.sampled_from((None, 1, 3)))
+        n = draw(st.integers(1, 9))
+        values = st.floats(-4, 4) if kind == "float" else st.integers(-16, 16)
+        shape = (n,) if k is None else (k, n)
+        w = np.array(draw(st.lists(values, min_size=n * (k or 1), max_size=n * (k or 1))))
+        b = np.array(draw(st.lists(values, min_size=k or 1, max_size=k or 1)))
+        if k is None or draw(st.booleans()):
+            b = b[0]
+        w = w.reshape(shape)
+        if kind == "int":
+            return w.astype(np.int64), b.astype(np.int64), kind
+        return (w / 8, b / 8, kind) if kind == "dyadic" else (w, b, kind)
+
+    def blocked(self, call):
+        """``call()`` under each block size."""
+        out = []
+        for block in self.BLOCKS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_exact, "OUTCOME_BLOCK", block)
+                out.append(call())
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_votes())
+    def test_pattern_outcomes_are_the_signs_of_the_pattern_sums(self, case):
+        w, bias, kind = case
+        tables = self.blocked(lambda: _exact.pattern_outcomes(w, bias))
+        rows = np.atleast_2d(w)
+        biases = np.broadcast_to(bias, rows.shape[:1])
+        want = [
+            np.sign(_exact.enumerate_patterns(-r, r, np.zeros((), r.dtype)) - b)
+            for r, b in zip(rows, biases)
+        ]
+        for table in tables:
+            assert table.dtype == np.int8 and table.shape == w.shape[:-1] + (1 << w.shape[-1],)
+            assert np.array_equal(np.atleast_2d(table), want)
+        if kind != "float":
+            brute = [rule_table_brute(r.tolist(), b.item()) for r, b in zip(rows, biases)]
+            assert np.atleast_2d(tables[0]).tolist() == brute
+
+    def test_blocks_change_no_jury_value_and_no_target_table(self):
+        rng = np.random.default_rng(4)
+        p = rng.uniform(0.55, 0.9, 11)
+        # log-odds weights, and dyadic ones that tie on many patterns
+        for w, bias in ((optimal_weights(p), 0.1), (np.arange(1, 12) / 2, 1.5)):
+            reports = self.blocked(lambda: jury_exact(w, bias, p, nd_policy="coin-flip"))
+            assert all(r == reports[0] for r in reports)
+        cands = [CanonicalWMR((1,) * 7), CanonicalWMR((3, 2, 2, 1, 1, 1, 1))]
+        for w in (np.linspace(-1, 2, 7), np.arange(1, 8) / 4):
+            dists = self.blocked(lambda: [nearest_simple_rule(w, [c], bias=0.5) for c in cands])
+            assert all(d == dists[0] for d in dists)

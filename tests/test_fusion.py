@@ -63,32 +63,43 @@ class TestCostMatrix:
             CostMatrix(("a", "b"), [[1.0, 0.0]])
 
 
+def one_set(*outputs, labels=("a", "b", "c")):
+    """A prediction set holding ``outputs``, one classifier each."""
+    return PredictionSet(
+        labels=labels,
+        sample_ids=tuple(f"s{i}" for i in range(outputs[0].n_samples)),
+        outputs=outputs,
+        classifier_names=tuple(f"c{j}" for j in range(len(outputs))),
+    )
+
+
 class TestClassifierOutput:
     def test_hard_labels_for_each_kind(self):
-        labels = ("a", "b", "c")
-        hard = ClassifierOutput.from_hard(("b", "a"))
-        rank = ClassifierOutput.from_ranks((("c", "a", "b"), ("a", "b", "c")))
-        proba = ClassifierOutput.from_proba([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
-        assert hard.hard_labels(labels) == ("b", "a")
-        assert rank.hard_labels(labels) == ("c", "a")
-        assert proba.hard_labels(labels) == ("b", "a")
+        pred = one_set(
+            ClassifierOutput.from_hard(("b", "a")),
+            ClassifierOutput.from_ranks((("c", "a", "b"), ("a", "b", "c"))),
+            ClassifierOutput.from_proba([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]),
+        )
+        assert [pred.hard_votes(j) for j in range(3)] == [("b", "a"), ("c", "a"), ("b", "a")]
+        assert pred.vote_codes.tolist() == [[1, 2, 1], [0, 0, 0]]
 
     def test_score_embeddings(self):
-        labels = ("a", "b", "c")
-        hard = ClassifierOutput.from_hard(("b",))
-        assert hard.proba_matrix(labels).tolist() == [[0.0, 1.0, 0.0]]
-        rank = ClassifierOutput.from_ranks((("c", "a", "b"),))
-        # positions get m-1, m-2, ..., 0 points, normalized to sum 1
-        assert np.allclose(rank.proba_matrix(labels), [[1 / 3, 0.0, 2 / 3]])
         rows = [[0.2, 0.5, 0.3]]
-        proba = ClassifierOutput.from_proba(rows)
-        assert proba.proba_matrix(labels).tolist() == rows
+        scores = one_set(
+            ClassifierOutput.from_hard(("b",)),
+            ClassifierOutput.from_ranks((("c", "a", "b"),)),
+            ClassifierOutput.from_proba(rows),
+        ).score_tensor()[0]
+        assert scores[0].tolist() == [0.0, 1.0, 0.0]
+        # positions get m-1, m-2, ..., 0 points, normalized to sum 1
+        assert np.allclose(scores[1], [1 / 3, 0.0, 2 / 3])
+        assert scores[2].tolist() == rows[0]
 
     def test_rank_scores_always_sum_to_one(self):
         for m in (2, 3, 5):
             labels = tuple("abcdef"[:m])
-            out = ClassifierOutput.from_ranks((labels,))
-            assert abs(out.proba_matrix(labels).sum() - 1.0) < 1e-12
+            pred = one_set(ClassifierOutput.from_ranks((labels,)), labels=labels)
+            assert abs(pred.score_tensor().sum() - 1.0) < 1e-12
 
 
 def small_predictions(**overrides):
@@ -788,11 +799,21 @@ class TestCodes:
             classifier_names=("h", "r", "p"),
             true_labels=tuple(None if i % 4 == 0 else labels[i % 3] for i in range(n)),
         )
-        for j, out in enumerate(pred.outputs):
-            hard = out.hard_labels(labels)
+        def points(ranking):  # m-1, m-2, ..., 0 points by position, normalized
+            m = len(ranking)
+            return [(m - 1 - ranking.index(lab)) / (m * (m - 1) / 2) for lab in labels]
+
+        votes = pred.outputs[0].hard
+        proba = pred.outputs[2].proba
+        strings = (
+            (votes, [[float(lab == v) for lab in labels] for v in votes]),
+            (tuple(r[0] for r in ranks), [points(r) for r in ranks]),
+            (tuple(labels[i] for i in np.argmax(proba, axis=1)), proba),
+        )
+        for j, (hard, scores) in enumerate(strings):
             assert [labels[c] for c in pred.vote_codes[:, j]] == list(hard)
             assert pred.hard_votes(j) == hard
-            assert np.array_equal(pred.score_tensor()[:, j], out.proba_matrix(labels))
+            assert np.allclose(pred.score_tensor()[:, j], scores)
             rows = pred.labelled_indices()
             hits = sum(hard[i] == pred.true_labels[i] for i in rows)
             assert pred.accuracy(j) == hits / len(rows)

@@ -422,6 +422,10 @@ class TestReports:
             (Report(("note",), ("h",), (("x\ny",),)), "x\ny"),
             (Report((), ("h", "k"), (("1", "2"), ("3", "y\x85"))), "y\x85"),
             (Report((), ("h", "k"), (("1", "y\r"),)), "y\r"),
+            (Report(("c",), ("h",), (("  ",),)), ("  ",)),
+            (Report(("c",), ("h",), (("x",), ())), ()),
+            (Report((), ("h",), (("1",), ("\t",), ("2",))), ("\t",)),
+            (Report(("c",), (), ()), ()),
         ],
     )
     def test_text_that_would_not_parse_back_is_refused(self, report, culprit):
@@ -431,6 +435,8 @@ class TestReports:
 
     def test_quoted_cells_survive(self):
         rep = Report((), ("name", "value"), (("a,b", "x\"y"),))
+        assert parse_report(rep.to_text()) == rep
+        rep = Report(("c",), ("h",), (("",), ("x",)))  # an empty cell is quoted, not blank
         assert parse_report(rep.to_text()) == rep
 
     def test_ragged_report_is_refused(self):

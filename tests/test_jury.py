@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from votefuse import _exact
 from votefuse.errors import CapacityError, DimensionError
 from votefuse.jury import (
     CompetenceEstimate,
@@ -290,8 +291,6 @@ class TestIndirectCompetence:
 
     @pytest.mark.parametrize("block", [1, 7, 97])
     def test_blocks_give_the_same_floats(self, monkeypatch, block):
-        from votefuse import jury
-
         rng = random.Random(block)
         teams = ((0, 1, 2, 3), (2, 3, 4), (0, 4, 5, 6, 7), (1, 6), (5, 7, 8))
         skills = tuple(rng.uniform(0.4, 0.8) for _ in range(9))
@@ -304,7 +303,7 @@ class TestIndirectCompetence:
         cases = [(s, policy) for s in (TeamStructure(teams=teams), weighted)
                  for policy in ("incorrect", "coin-flip")]
         whole = [indirect_competence(s, skills, nd_policy=policy) for s, policy in cases]
-        monkeypatch.setattr(jury, "_INDIRECT_BLOCK", block)
+        monkeypatch.setattr(_exact, "OUTCOME_BLOCK", block)
         blocked = [indirect_competence(s, skills, nd_policy=policy) for s, policy in cases]
         assert blocked == whole
         for policy, credit, got in (("incorrect", 0.0, blocked[0]), ("coin-flip", 0.5, blocked[1])):

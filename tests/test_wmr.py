@@ -196,6 +196,13 @@ class TestEnumeration:
         with scan, pytest.raises(CapacityError, match="589,388,800"):
             enumeration_is_bound_stable(7, 18)
 
+    def test_the_scan_holds_one_block_of_sums_at_a_time(self):
+        # C(19, 7) = 50,388 weight vectors: their whole (vectors, 2^7) float64
+        # sum matrix alone would take 49 MiB
+        rules, peak = traced_peak(lambda: enumerate_unique_wmr(7, 12))
+        assert peak < 16 << 20
+        assert len(rules) == 135
+
     def test_default_bounds_exist_for_small_sizes(self):
         assert DEFAULT_MAX_WEIGHT[7] == 9
 
@@ -303,6 +310,15 @@ class TestNearestSimpleRule:
         res, peak = traced_peak(lambda: nearest_simple_rule(weights, candidates=[candidate]))
         assert peak < 64 << 20
         assert 0 < res.disagreements < 1 << 20
+
+
+    def test_twenty_four_voters_hold_no_float_sums(self):
+        # 2^24 float64 sums alone would take 128 MiB
+        weights = np.linspace(-1.0, 2.0, 24)
+        candidate = CanonicalWMR((1,) * 23 + (0,))
+        res, peak = traced_peak(lambda: nearest_simple_rule(weights, candidates=[candidate]))
+        assert peak < 96 << 20
+        assert 0 < res.disagreements < 1 << 24
 
 
 def _competence_of(weights, skills):
