@@ -41,8 +41,7 @@ from .errors import CapacityError
 #: computation may take on; 24 players always fit by enumeration.
 EXACT_WORK_MAX = 1 << 29
 
-#: Elements in one block of the signed sums that :func:`pattern_outcomes`
-#: holds at once.
+#: Elements in one block of signed sums held at once; see :func:`block_bits`.
 OUTCOME_BLOCK = 1 << 17
 
 #: What a jury earns for a stalemate under each no-decision policy.
@@ -85,6 +84,11 @@ def nd_credit(nd_policy: str) -> float:
     return ND_CREDIT[nd_policy]
 
 
+def block_bits(k: int) -> int:
+    """log2 of the most patterns (at least one) whose ``k`` sums each fit in one block."""
+    return max(0, (OUTCOME_BLOCK // k).bit_length() - 1)
+
+
 def pattern_outcomes(w, bias) -> np.ndarray:
     """The :func:`outcome` of every +-w pattern: (2^n,) for (n,) weights, (k, 2^n) for (k, n).
 
@@ -99,7 +103,7 @@ def pattern_outcomes(w, bias) -> np.ndarray:
     cols = np.atleast_2d(w).T[:, :, None]
     n, k = cols.shape[:2]
     bias = np.reshape(bias, (-1, 1))
-    bits = min(n, max(0, (OUTCOME_BLOCK // k).bit_length() - 1))
+    bits = min(n, block_bits(k))
     low = enumerate_patterns(-cols[:bits], cols[:bits], np.zeros(k, dtype=w.dtype))
     if bits == n:
         return outcome(low, bias).reshape(w.shape[:-1] + (1 << n,))

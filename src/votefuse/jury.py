@@ -230,7 +230,7 @@ class TeamStructure:
 
 def _top_sums(top_w: np.ndarray, codes: np.ndarray, votes) -> np.ndarray:
     """``top_w @ votes(codes)`` over all patterns, in blocks of at most OUTCOME_BLOCK votes."""
-    size = 1 << max(0, (_exact.OUTCOME_BLOCK // top_w.size).bit_length() - 1)
+    size = 1 << _exact.block_bits(top_w.size)
     top = np.empty(codes.shape[1])
     for lo in range(0, codes.shape[1], size):
         top[lo : lo + size] = top_w @ votes(codes[:, lo : lo + size])

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._exact import OUTCOME_BLOCK, check_work, exact_in_float32, outcome, pattern_outcomes
+from ._exact import block_bits, check_work, outcome, pattern_outcomes
 from .errors import CapacityError, DimensionError
 from .jury import group_competence
 from .model import (
@@ -185,14 +185,11 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
         last = np.arange(reps.sum()) - starts
         vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
     vectors = vectors[np.argsort(vectors.sum(axis=1) % 2 == 0, kind="stable")]  # odd totals first
-    # BLAS products with the (n, 2^n) vote signs, a block of vectors at a
-    # time; float32 is exact while every sum, an integer below n * mw, is
-    dtype = np.float32 if exact_in_float32(n * mw) else np.float64
-    signs = pattern_outcomes(np.eye(n), 0).astype(dtype)
-    step = max(1, OUTCOME_BLOCK >> n)
+    signs = pattern_outcomes(np.eye(n), 0).astype(np.float64)  # (n, 2^n) vote signs
+    step = 1 << block_bits(1 << n)  # weight vectors per block of BLAS products
     kept, packed = [], []
     for lo in range(0, len(vectors), step):
-        table = outcome(vectors[lo : lo + step].astype(dtype) @ signs, 0)
+        table = outcome(vectors[lo : lo + step] @ signs, 0)
         decisive = np.flatnonzero(table.all(axis=1))
         kept.append(lo + decisive)
         packed.append(np.packbits(table[decisive] > 0, axis=1))
@@ -269,15 +266,13 @@ def nearest_simple_rule(
     if any(c.n != n for c in cands):
         raise DimensionError("candidate rules must match the target's voter count")
     target = DecisionRule(n, pattern_outcomes(w, float(bias)))
-    best = None
-    for cand in cands:
-        d = rule_distance(target, cand)
+
+    def scored(cand: CanonicalWMR) -> NearestRuleResult:
         comp = group_competence(cand.weights, 0.0, skills) if skills is not None else 0.0
-        key = (d, -comp)
-        if best is None or key < best[0]:
-            best = (key, cand, d, comp)
-    _, cand, d, comp = best
-    return NearestRuleResult(cand, d, comp)
+        return NearestRuleResult(cand, rule_distance(target, cand), comp)
+
+    # fewest disagreements, then highest competence, then the first candidate
+    return min(map(scored, cands), key=lambda r: (r.disagreements, -r.competence))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from votefuse.jury import (
 from votefuse.model import VotingGame, integer_form
 from votefuse.power import banzhaf_exact, shapley_shubik_exact
 from votefuse.scoring import ScoringVector, condorcet_efficiency
-from votefuse.wmr import CanonicalWMR, nearest_simple_rule, rule_from_game
+from votefuse.wmr import CanonicalWMR, enumerate_unique_wmr, nearest_simple_rule, rule_from_game
 
 from oracles import (
     banzhaf_brute,
@@ -412,3 +412,7 @@ class TestOneDecision:
         for w in (np.linspace(-1, 2, 7), np.arange(1, 8) / 4):
             dists = self.blocked(lambda: [nearest_simple_rule(w, [c], bias=0.5) for c in cands])
             assert all(d == dists[0] for d in dists)
+        # the rule scan reads the block size at call time too: one vector per
+        # block at size 1, several at 97, all at 2^17
+        scans = self.blocked(lambda: [c.weights for c in enumerate_unique_wmr(5, 4)])
+        assert all(s == scans[0] for s in scans) and len(scans[0]) == 7

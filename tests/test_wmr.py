@@ -274,6 +274,13 @@ class TestNearestSimpleRule:
         )
         assert res.candidate.weights == best.weights
 
+    def test_a_full_tie_keeps_the_first_candidate(self):
+        # an all-zero target disagrees with every decisive rule everywhere
+        pair = [CanonicalWMR((1, 1, 1)), CanonicalWMR((1, 0, 0))]
+        for cands in (pair, pair[::-1]):
+            res = nearest_simple_rule((0.0, 0.0, 0.0), candidates=cands)
+            assert res.candidate.weights == cands[0].weights and res.disagreements == 8
+
     def test_explicit_candidates_are_respected(self):
         only = [CanonicalWMR((1, 1, 1))]
         res = nearest_simple_rule((5.0, 1.0, 1.0), candidates=only)
