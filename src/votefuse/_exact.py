@@ -12,8 +12,10 @@ identity, the jury kernels prefix/suffix summaries of the other judges.
 
 Every exact computation of the package prices itself in these work units,
 and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`:
-Banzhaf takes n*(q+1) DP cells for quota q, Shapley-Shubik n*(n+1)*(q+1)
-and the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W,
+Banzhaf takes n*(q+1) DP cells, Shapley-Shubik n*(n+1)*(q+1), where a game
+is priced and counted on its lowest integer weights (over their gcd) and on
+the smaller side of its quota, q = min(quota, W-1-quota) for total weight W;
+the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W;
 each or n*2^n by enumeration; a rule table or a nearest simple rule n*2^n;
 the enumeration of rules on n voters with weights up to mw
 C(mw+n, n)*n*2^n, one multiply-add per vote sign and weight vector;
@@ -162,13 +164,35 @@ def _choose_route(n: int, dp_cells: Optional[int], what: str, sampler: str) -> s
 
 
 def _count_dtype(n: int):
-    """int64 holds every count of up to 2^62 coalitions; beyond that use Python ints."""
+    """The narrowest dtype for counts of up to 2^n coalitions: int32, int64, then Python ints."""
+    if n <= 30:
+        return np.int32
     return np.int64 if n <= 62 else object
 
 
-def _window_bounds(q: int, w: int, windows: int) -> np.ndarray:
-    """Cumulative-sum positions of the windows (q-(j+1)w, q-jw], j < windows."""
-    return np.maximum(q - w * np.arange(windows + 1), -1) + 1
+def _cumsum(table: np.ndarray) -> np.ndarray:
+    """Running totals along the last axis after a leading 0, in int64 for int32 counts."""
+    dtype = np.int64 if table.dtype == np.int32 else table.dtype
+    cum = np.zeros(table.shape[:-1] + (table.shape[-1] + 1,), dtype=dtype)
+    cum[..., 1:] = table  # summed in place: a cast inside cumsum would copy the table
+    np.cumsum(cum[..., 1:], axis=-1, out=cum[..., 1:])
+    return cum
+
+
+def _reduced_game(ws: Sequence[int], q: int) -> tuple[list[int], int]:
+    """The same game on its lowest integer weights and the smaller side of its quota.
+
+    Weights over their gcd g and the quota over g, rounded down, win and lose
+    as before. Quota q and W-1-q give every player the same swings: the
+    coalitions of the others with weight in (q - w_i, q] are the complements,
+    among the others, of those with weight in (W-1-q - w_i, W-1-q], with size
+    n-1-k for k, and the pivot factor k!(n-1-k)! is symmetric in k. A quota
+    below 0 is left when no coalition wins (q >= W).
+    """
+    g = math.gcd(*ws) or 1
+    ws = [w // g for w in ws]
+    q //= g
+    return ws, min(q, sum(ws) - 1 - q)
 
 
 # ---------------------------------------------------------------- power
@@ -177,34 +201,33 @@ def _window_bounds(q: int, w: int, windows: int) -> np.ndarray:
 def banzhaf_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> list[int]:
     """Raw Banzhaf swing counts: coalitions of the others with weight in (q - w_i, q]."""
     n = len(ws)
+    ws, q = _reduced_game(ws, q)
+    if q < 0:
+        return [0] * n
     route = route or _choose_route(
         n, n * (q + 1), "Banzhaf", "power_monte_carlo(game, kind='banzhaf')"
     )
+    players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
+    swings = {0: 0}
     if route == "enumeration":
         sums = enumerate_patterns([0] * n, ws, np.int64(0))
-        raw = []
-        for i, w in enumerate(ws):
+        for w, i in players.items():
             others = sums.reshape(-1, 2, 1 << i)[:, 0, :]
-            raw.append(int(np.count_nonzero((others > q - w) & (others <= q))))
-        return raw
+            swings[w] = int(np.count_nonzero((others > q - w) & (others <= q)))
+        return [swings[w] for w in ws]
     counts = np.zeros(q + 1, dtype=_count_dtype(n))  # coalitions by weight, up to q
     counts[0] = 1
     for w in ws:
         if w <= q:
             counts[w:] += counts[: q + 1 - w]
-    cum = np.zeros(q + 2, dtype=counts.dtype)
-    np.cumsum(counts, out=cum[1:])
-    raw = []
-    for w in ws:
-        if w == 0:
-            raw.append(0)
-            continue
+    cum = _cumsum(counts)
+    for w in players.keys() - {0}:
         # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is the
         # alternating sum of c's totals over the windows below it
-        at = cum[_window_bounds(q, w, q // w + 1)]
-        window = at[:-1] - at[1:]
-        raw.append(int(window[0::2].sum() - window[1::2].sum()))
-    return raw
+        window = cum[q + 1 :: -w].copy()  # totals up to each window's upper end
+        window[:-1] -= window[1:]  # the last window reaches below weight 0
+        swings[w] = int(window[0::2].sum() - window[1::2].sum())
+    return [swings[w] for w in ws]
 
 
 def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> list[int]:
@@ -214,15 +237,18 @@ def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
     i pivotal in k!(n-1-k)! orderings.
     """
     n = len(ws)
+    ws, q = _reduced_game(ws, q)
+    if q < 0:
+        return [0] * n
     route = route or _choose_route(
         n, n * (n + 1) * (q + 1), "Shapley-Shubik", "power_monte_carlo(game, kind='shapley')"
     )
-    fact = [math.factorial(k) for k in range(n)]
+    players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
     if route == "enumeration":
         sums = enumerate_patterns([0] * n, ws, np.int64(0))
         sizes = enumerate_patterns([0] * n, [1] * n, np.int8(0))
         by_size = []
-        for i, w in enumerate(ws):
+        for w, i in players.items():
             others = sums.reshape(-1, 2, 1 << i)[:, 0, :]
             hit = (others > q - w) & (others <= q)
             by_size.append(np.bincount(sizes.reshape(-1, 2, 1 << i)[:, 0, :][hit], minlength=n))
@@ -232,19 +258,19 @@ def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
         for m, w in enumerate(ws):
             if w <= q:
                 table[1 : m + 2, w:] += table[: m + 1, : q + 1 - w]
-        cum = np.zeros((n + 1, q + 2), dtype=table.dtype)
-        np.cumsum(table, axis=1, out=cum[:, 1:])
-        by_size = []
-        for w in ws:
-            sized = np.zeros(n, dtype=table.dtype)
-            if w:
-                # as for Banzhaf, with the j-th window taken j sizes down
-                at = cum[:, _window_bounds(q, w, min(q // w + 1, n))]
-                window = at[:, :-1] - at[:, 1:]
-                for j in range(window.shape[1]):
-                    sized[j:] += (-1) ** j * window[: n - j, j]
-            by_size.append(sized)
-    return [sum(int(c) * fact[k] * fact[n - 1 - k] for k, c in enumerate(s)) for s in by_size]
+        # as for Banzhaf, with the j-th window taken j sizes down: window[k, d, j]
+        # totals size k over (q - (j+1)w, q - jw] for the d-th distinct weight w;
+        # a weight past q empties every window after the first, as q + 1 does
+        step = np.minimum(list(players), q + 1)[:, None]
+        at = _cumsum(table)[:, np.maximum(q - step * np.arange(n + 1), -1) + 1]
+        window = at[..., :-1] - at[..., 1:]
+        by_size = np.zeros((len(players), n), dtype=window.dtype)
+        for j in range(n):
+            by_size[:, j:] += (-1) ** j * window[: n - j, :, j].T
+    fact = [math.factorial(k) for k in range(n)]
+    orders = np.array([fact[k] * fact[n - 1 - k] for k in range(n)], dtype=object)
+    pivots = dict(zip(players, (np.asarray(by_size).astype(object) @ orders).tolist()))
+    return [pivots[w] for w in ws]
 
 
 # ---------------------------------------------------------------- jury

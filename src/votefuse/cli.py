@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._exact import pattern_outcomes
 from .errors import CapacityError, EvidenceError, VotefuseError
 from .fusion import (
     FIXED_RULES,
@@ -134,10 +135,12 @@ def _cmd_wmr_enum(args) -> str:
         f"count={len(rules)}",
         f"bound_stable={'true' if stable else 'false'}",
     ]
-    rows = []
-    for c in rules:
-        table = "".join("A" if v == 1 else "B" for v in c.rule().table)
-        rows.append((" ".join(map(str, c.weights)), table))
+    weights = np.array([c.weights for c in rules], dtype=np.int64)
+    tables = np.where(pattern_outcomes(weights, 0) == 1, ord("A"), ord("B")).astype(np.uint8)
+    rows = [
+        (" ".join(map(str, c.weights)), table.tobytes().decode("ascii"))
+        for c, table in zip(rules, tables)
+    ]
     return _report(args, "wmr enum", extra, ("weights", "table"), rows)
 
 

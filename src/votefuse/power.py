@@ -8,6 +8,10 @@ enumeration when that is cheaper, refused beyond one work cap. The Monte Carlo
 estimators draw through the chunked driver of :mod:`._rand`, so a seed fixes
 their results to the bit.
 
+An exact game is priced and counted on its lowest integer weights and on the
+smaller side of its quota, q = min(quota, W-1-quota), so a rescaled game
+costs the same.
+
 A Banzhaf chunk's coalition weights and swing counts are integers. The
 weights are summed in float32 while the total weight and the quota stay
 below 2^24, and in int64 otherwise (``integer_form`` keeps them below 2^62);

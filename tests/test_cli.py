@@ -402,6 +402,17 @@ class TestExitCodes:
         assert code == 4
         assert "power_monte_carlo" in err
 
+    def test_a_rescaled_game_is_answered_like_the_original(self, capsys, tmp_path):
+        rows = []
+        for scale in (1, 10**6):
+            game = tmp_path / f"game{scale}.txt"
+            weights = " ".join(str(scale * w) for w in range(1, 27))
+            game.write_text(f"weights = {weights}\n", encoding="utf-8")
+            code, out, _ = run(capsys, "power", "--game", str(game), "--kind", "both")
+            assert code == 0
+            rows.append(parse_report(out).rows)
+        assert rows[0] == rows[1] and len(rows[0]) == 52
+
     def test_weights_too_fine_to_scale_exit_three(self, capsys, tmp_path):
         fine = tmp_path / "fine.txt"
         fine.write_text("weights = 1/1000000007 1/1000000009 1/998244353 5\n", encoding="utf-8")

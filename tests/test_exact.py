@@ -48,11 +48,13 @@ def integer_games():
 
 
 def check_power_routes(ws, q):
+    """Both routes give the oracle counts; returns the Banzhaf and Shapley-Shubik counts."""
     want_b = banzhaf_brute(ws, q)
     want_s = [x * math.factorial(len(ws)) for x in shapley_brute(ws, q)]
     for route in ROUTES:
         assert _exact.banzhaf_counts(ws, q, route) == want_b
         assert _exact.shapley_counts(ws, q, route) == want_s
+    return want_b, want_s
 
 
 class TestPowerRoutes:
@@ -83,6 +85,49 @@ class TestPowerRoutes:
         assert rep.raw == (math.comb(29, 15),) * 30
         rep = shapley_shubik_exact(VotingGame(tuple(range(1, 31))))
         assert sum(rep.raw) == math.factorial(30)
+
+
+class TestReducedGame:
+    """Counts are taken on the lowest integer weights and the smaller side of the quota."""
+
+    @given(integer_games(), st.integers(2, 6), st.integers(0, 5))
+    def test_scaled_and_dual_games_count_as_the_original(self, game, c, r):
+        ws, q = game
+        want = check_power_routes(ws, q)
+        scaled = [c * w for w in ws], c * q + r % c  # the same game
+        variants = [scaled]
+        if q < sum(ws):  # W-1-q is a quota in [0, W) too
+            variants += [(ws, sum(ws) - 1 - q), (scaled[0], sum(scaled[0]) - 1 - scaled[1])]
+        for variant in variants:
+            assert check_power_routes(*variant) == want
+
+    @pytest.mark.parametrize(
+        "ws, q",
+        [
+            ([0, 0, 0], 0),  # nobody wins: the reduced quota is below 0
+            ([6, 0, 9, 3], 0),
+            ([6, 0, 9, 3], 18),  # quota = total: nobody wins
+            ([0, 5, 5, 0, 5], 4),
+            ([0, 5, 5, 0, 5], 5),
+            ([0, 5, 5, 0, 5], 10),
+            ([0, 5, 5, 0, 5], 14),
+        ],
+    )
+    def test_edge_games(self, ws, q):
+        check_power_routes(ws, q)
+
+    @pytest.mark.parametrize("n", [30, 31, 33])
+    def test_counts_cross_the_int32_boundary(self, n):
+        assert _exact._count_dtype(n) == (np.int32 if n <= 30 else np.int64)
+        q = n // 2
+        side = min(q, n - 1 - q)
+        assert _exact.banzhaf_counts([1] * n, q) == [math.comb(n - 1, side)] * n
+        assert _exact.shapley_counts([1] * n, q) == [math.factorial(n - 1)] * n
+        # n - 3 dummies of weight 0 double every count: past 2^31 in one cell at n = 33
+        ws = [0] * (n - 3) + [1, 1, 1]
+        dummies = [0] * (n - 3)
+        assert _exact.banzhaf_counts(ws, 1) == dummies + [2 << (n - 3)] * 3
+        assert _exact.shapley_counts(ws, 1) == dummies + [math.factorial(n) // 3] * 3
 
 
 def judges():
@@ -241,6 +286,29 @@ class TestCapacityBoundaries:
         )
         structure = TeamStructure(teams=(tuple(range(25)),))
         assert_refused(lambda: indirect_competence(structure, (0.6,) * 25), 26 << 25)
+
+    @pytest.mark.parametrize(
+        "kind, exact, price",
+        [
+            ("Banzhaf", banzhaf_exact, lambda n, q: n * (q + 1)),
+            ("Shapley-Shubik", shapley_shubik_exact, lambda n, q: n * (n + 1) * (q + 1)),
+        ],
+    )
+    def test_power_is_priced_on_the_reduced_game(self, kind, exact, price):
+        # 30 players, so only the DP can fit: weights 1000*a and 1000*(a+1),
+        # reduced by their gcd 1000, with a quota below half of the reduced total
+        n, g = 30, 1000
+        largest = _exact.EXACT_WORK_MAX // price(n, 0) - 1
+        a = largest // 12
+        reduced = [a] * 15 + [a + 1] * 15
+        assert price(n, largest) <= _exact.EXACT_WORK_MAX < price(n, largest + 1)
+        assert 2 * (largest + 1) < sum(reduced)
+        rep = exact(VotingGame(tuple(g * w for w in reduced), g * largest + g - 1))
+        assert min(rep.raw) > 0
+        smallest = VotingGame(tuple(g * w for w in reduced), g * (largest + 1))
+        message = assert_refused(lambda: exact(smallest), price(n, largest + 1))
+        assert f"exact {kind} needs" in message
+        assert f"counting DP {price(n, largest + 1):,} cells" in message
 
     def test_efficiency_with_few_leaves_is_exact(self):
         # 3 candidates, 9 voters: 2,002 ranking-count multisets

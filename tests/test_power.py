@@ -97,6 +97,23 @@ class TestShapleyShubikExact:
             shapley_shubik_exact(OVER_THE_WORK_CAP)
 
 
+class TestRescaledGames:
+    """A positive rescaling of the weights changes neither the counts nor whether there are any."""
+
+    def test_a_game_scaled_by_a_million_is_answered_alike(self):
+        game = VotingGame(tuple(range(1, 27)))
+        scaled = VotingGame(tuple(10**6 * w for w in range(1, 27)))
+        for exact in (banzhaf_exact, shapley_shubik_exact):
+            assert exact(scaled).raw == exact(game).raw
+
+    def test_a_large_game_with_gcd_one_is_still_refused(self):
+        # gcd 1 and an odd total: the reduced quota is the raw one rounded down
+        q = int(OVER_THE_WORK_CAP.total_weight) // 2
+        for exact, cells in ((banzhaf_exact, 30 * (q + 1)), (shapley_shubik_exact, 30 * 31 * (q + 1))):
+            with pytest.raises(CapacityError, match=f"counting DP {cells:,} cells"):
+                exact(OVER_THE_WORK_CAP)
+
+
 class TestHundredPlayers:
     """Games past the 63-player coalition masks: the DP and sampling use no masks."""
 
