@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -600,18 +600,12 @@ class ValidationIndex:
     """Nearest-neighbor lookup over a validation set with correctness flags.
 
     ``features`` is (N, d); ``correct`` is (N, K) booleans, one column per
-    classifier. The default distance is Euclidean after standardizing each
+    classifier. The distance is Euclidean after standardizing each
     feature by its validation-set mean and spread (constant features are
-    dropped); pass ``metric(points, query) -> distances`` to override.
-    Neighbor ties are broken by validation-set order.
+    dropped). Neighbor ties are broken by validation-set order.
     """
 
-    def __init__(
-        self,
-        features,
-        correct,
-        metric: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-    ):
+    def __init__(self, features, correct):
         x = np.asarray(features, dtype=np.float64)
         c = np.asarray(correct, dtype=bool)
         if x.ndim != 2 or x.shape[0] < 1:
@@ -624,7 +618,6 @@ class ValidationIndex:
             )
         self.features = x
         self.correct = c
-        self.metric = metric
         self._spread = x.std(axis=0)
         self._kept = self._spread > 0
         self._kept_features = x[:, self._kept]
@@ -637,24 +630,12 @@ class ValidationIndex:
     def n_classifiers(self) -> int:
         return self.correct.shape[1]
 
-    def distances(self, query) -> np.ndarray:
-        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        return self._distance_block(q)[0]
-
     def _distance_block(self, queries: np.ndarray) -> np.ndarray:
         """(B, N) distances from each of B queries (B, d) to every validation sample."""
         if queries.shape[1] != self.features.shape[1]:
             raise DimensionError(
                 f"query has {queries.shape[1]} features, index has {self.features.shape[1]}"
             )
-        if self.metric is not None:
-            out = np.empty((queries.shape[0], self.n_samples))
-            for b, q in enumerate(queries):
-                d = np.asarray(self.metric(self.features, q), dtype=np.float64)
-                if d.shape != (self.n_samples,):
-                    raise DimensionError("metric must return one distance per validation sample")
-                out[b] = d
-            return out
         # per query and sample: (x - q) / spread over the kept features, then
         # the root of the sum of squares over the last axis
         z = self._kept_features[None, :, :] - queries[:, None, self._kept]

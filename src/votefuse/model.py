@@ -27,12 +27,12 @@ WeightLike = Union[int, float, str, Fraction]
 
 
 def as_fraction(value: WeightLike) -> Fraction:
-    """Coerce ints, floats, Fractions, or strings like ``"3/4"`` to an exact Fraction."""
+    """Coerce ints, floats, Fractions, numpy scalars or strings like ``"3/4"`` to a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return Fraction(value.strip())
-    return Fraction(value)
+    return Fraction(value.item() if isinstance(value, np.generic) else value)
 
 
 class Coalition:

@@ -1,5 +1,10 @@
 """Positional scoring rules, pairwise majorities, and Condorcet efficiency.
 
+Ballot totals and pairwise tallies are exact sums of Fraction voter weights
+(a float counts as its binary value), rounded to float only for output.
+:func:`_decide` alone finds majority winners and top ties, for ballots and
+for the efficiency kernel.
+
 Condorcet efficiency of a scoring rule is the probability, conditional on a
 strict pairwise-majority winner existing, that the rule elects that winner
 when every voter draws a ranking independently and uniformly (the impartial
@@ -10,12 +15,9 @@ C(n+m!-1, m!-1) ranking-count multisets as sorted rows, in blocks of at most
 credits as integers over lcm(1..m) before building one Fraction; it is
 priced in the work units of :mod:`._exact` before any table is built. The
 Monte Carlo method draws whole profiles through the chunked driver of
-:mod:`._rand`. Where the m! rankings are few next to the voters, the
-kernel tallies each profile's rankings and takes its pairwise tallies and
-score totals as float32 BLAS products of those counts, exact because they
-are small integers; otherwise it gathers each voter's rows and sums them in
-int64 (see :func:`_score_profiles`). The chunk sums it returns are Python
-ints and floats.
+:mod:`._rand`. The kernel sums each profile's pairwise tallies and score
+totals as exact integers (see :func:`_score_profiles`); the chunk sums it
+returns are Python ints and floats.
 """
 
 from __future__ import annotations
@@ -94,27 +96,45 @@ class ScoringVector:
         return tuple(int(x * scale) for x in self.s)
 
 
-def _checked_profile(
-    ballots: Sequence[RankedBallot], voter_weights
-) -> tuple[tuple[str, ...], list[RankedBallot], np.ndarray]:
+def _tally(
+    ballots: Sequence[RankedBallot], voter_weights, scoring: Optional[ScoringVector] = None
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, object]:
+    """Sorted labels, pairwise tallies, score totals and total voter weight, all exact.
+
+    Weights are read by :func:`as_fraction` (a float counts as its binary
+    value). ``pairs[a, b]`` is the weight ranking a above b; the totals are
+    those of ``scoring``, or the Borda totals when it is None.
+    """
     bs = list(ballots)
     if not bs:
         raise BallotError("empty profile")
-    label_set = bs[0].labels
+    labels = tuple(sorted(bs[0].labels))
     for b in bs:
-        if b.labels != label_set:
-            raise BallotError(
-                f"ballots rank different label sets: {sorted(label_set)} vs {sorted(b.labels)}"
-            )
-    if voter_weights is None:
-        w = np.ones(len(bs))
-    else:
-        w = np.asarray(list(voter_weights), dtype=np.float64)
-        if w.size != len(bs):
-            raise DimensionError(f"{w.size} voter weights for {len(bs)} ballots")
-        if (w < 0).any():
-            raise ValueError("voter weights must be non-negative")
-    return tuple(sorted(label_set)), bs, w
+        if b.labels != bs[0].labels:
+            raise BallotError(f"ballots rank different label sets: {labels} vs {b.ranking}")
+    if scoring is not None and scoring.m != len(labels):
+        raise DimensionError(f"scoring vector has {scoring.m} positions for {len(labels)} labels")
+    ws = [1] * len(bs) if voter_weights is None else voter_weights
+    try:
+        w = np.array([as_fraction(x) for x in ws], dtype=object)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"voter weights must be finite numbers: {exc}") from None
+    if w.size != len(bs):
+        raise DimensionError(f"{w.size} voter weights for {len(bs)} ballots")
+    if (w < 0).any():
+        raise ValueError("voter weights must be non-negative")
+    index = {lab: c for c, lab in enumerate(labels)}
+    place = np.argsort([[index[lab] for lab in b.ranking] for b in bs], axis=1)  # [v, c]
+    pairs = np.tensordot(w, place[:, :, None] < place[:, None, :], axes=1)
+    if scoring is None:
+        return labels, pairs, pairs.sum(axis=1), w.sum()
+    return labels, pairs, w @ np.array(scoring.s, dtype=object)[place], w.sum()
+
+
+def _decide(pairs: np.ndarray, totals: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
+    """(..., m) masks per profile: who beats all others by a strict majority, who ties the top."""
+    beats_all = (2 * pairs > weight).sum(axis=-1) == pairs.shape[-1] - 1
+    return beats_all, totals == totals.max(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -141,25 +161,16 @@ def score_profile(
     Ties anywhere in the ranking are broken label-lexicographically;
     ``tied_top`` reports whether the winning score was shared.
     """
-    labels, bs, w = _checked_profile(ballots, voter_weights)
-    if scoring.m != len(labels):
-        raise DimensionError(
-            f"scoring vector has {scoring.m} positions for {len(labels)} labels"
-        )
-    points = [float(x) for x in scoring.s]
-    totals = {lab: 0.0 for lab in labels}
-    for b, wv in zip(bs, w.tolist()):
-        for pos, lab in enumerate(b.ranking):
-            totals[lab] += wv * points[pos]
-    ranking = tuple(sorted(labels, key=lambda lab: (-totals[lab], lab)))
-    top = totals[ranking[0]]
-    tied_top = len([lab for lab in labels if totals[lab] == top]) > 1
-    return ScoreResult(labels, totals, ranking, tied_top)
+    labels, pairs, totals, weight = _tally(ballots, voter_weights, scoring)
+    _, at_top = _decide(pairs, totals, weight)
+    order = sorted(range(len(labels)), key=lambda c: -totals[c])  # ties stay in label order
+    floats = dict(zip(labels, map(float, totals)))
+    return ScoreResult(labels, floats, tuple(labels[c] for c in order), bool(at_top.sum() > 1))
 
 
 @dataclass(frozen=True)
 class PairwiseResult:
-    """Entry (i, j) is the total voter weight preferring labels[i] to labels[j]."""
+    """Entry (i, j) is the exact voter weight preferring labels[i] to labels[j], as float64."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
@@ -169,16 +180,8 @@ def pairwise_matrix(
     ballots: Sequence[RankedBallot],
     voter_weights: Optional[Sequence[float]] = None,
 ) -> PairwiseResult:
-    labels, bs, w = _checked_profile(ballots, voter_weights)
-    index = {lab: i for i, lab in enumerate(labels)}
-    m = len(labels)
-    matrix = np.zeros((m, m))
-    for b, wv in zip(bs, w):
-        order = [index[lab] for lab in b.ranking]
-        for hi in range(m):
-            for lo in range(hi + 1, m):
-                matrix[order[hi], order[lo]] += wv
-    return PairwiseResult(labels, matrix)
+    labels, pairs, _, _ = _tally(ballots, voter_weights)
+    return PairwiseResult(labels, pairs.astype(np.float64))
 
 
 def condorcet_winner(
@@ -186,12 +189,9 @@ def condorcet_winner(
     voter_weights: Optional[Sequence[float]] = None,
 ) -> Optional[str]:
     """The label beating every other in strict pairwise majority, if one exists."""
-    pw = pairwise_matrix(ballots, voter_weights)
-    m = len(pw.labels)
-    for i in range(m):
-        if all(pw.matrix[i, j] > pw.matrix[j, i] for j in range(m) if j != i):
-            return pw.labels[i]
-    return None
+    labels, pairs, totals, weight = _tally(ballots, voter_weights)
+    beats_all, _ = _decide(pairs, totals, weight)
+    return labels[int(np.argmax(beats_all))] if beats_all.any() else None
 
 
 @dataclass(frozen=True)
@@ -300,9 +300,8 @@ def _score_profiles(
         totals = counts @ score_rows.astype(np.float32)
     else:
         totals = score_rows[idx].sum(axis=1, dtype=np.int64)
-    is_cw = (2 * pairs > n_voters).sum(axis=2) == m - 1  # row a beats all others
+    is_cw, at_top = _decide(pairs, totals, n_voters)
     cw = np.argmax(is_cw, axis=1)
-    at_top = totals == totals.max(axis=1, keepdims=True)
     tied = at_top.sum(axis=1)
     has_cw = is_cw.any(axis=1)
     hit = has_cw & np.take_along_axis(at_top, cw[:, None], axis=1)[:, 0]

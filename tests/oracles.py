@@ -177,6 +177,32 @@ def efficiency_brute(score_vector, m, n_voters, tie_policy="fail"):
     return hits / with_cw, with_cw
 
 
+def ballots_brute(rankings, points, weights):
+    """Weighted ranked ballots summed one ballot and one position at a time, in Fractions.
+
+    ``rankings`` are label sequences, ``points`` the scoring entries by position
+    and ``weights`` anything ``Fraction`` reads. Returns ``(totals, pairs,
+    ranking, tied_top, champion)``: totals by label, ``pairs[a, b]`` the weight
+    ranking a above b, the labels by falling total then label, whether the top
+    total is shared, and the label beating every other head to head, or None.
+    """
+    labels = sorted(rankings[0])
+    totals = {a: Fraction(0) for a in labels}
+    pairs = {(a, b): Fraction(0) for a in labels for b in labels}
+    for ranking, w in zip(rankings, weights):
+        for pos, a in enumerate(ranking):
+            totals[a] += Fraction(w) * Fraction(points[pos])
+            for b in ranking[pos + 1 :]:
+                pairs[a, b] += Fraction(w)
+    ranking = sorted(labels, key=lambda a: (-totals[a], a))
+    tied_top = sum(1 for a in labels if totals[a] == totals[ranking[0]]) > 1
+    champion = None
+    for a in labels:
+        if all(pairs[a, b] > pairs[b, a] for b in labels if b != a):
+            champion = a
+    return totals, pairs, tuple(ranking), tied_top, champion
+
+
 def score_profiles_gather(idx, score_rows, pair_rows, tie_policy):
     """``(has_cw, tied, hit)`` per profile row of ranking indices ``idx`` (rows, voters).
 

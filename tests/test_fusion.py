@@ -368,7 +368,7 @@ class TestValidationIndex:
     def test_standardized_distances_ignore_constant_features(self):
         x = [[0.0, 7.0], [2.0, 7.0], [4.0, 7.0]]
         idx = ValidationIndex(x, np.ones((3, 1), dtype=bool))
-        d = idx.distances([2.0, 100.0])  # second feature is constant: dropped
+        d = idx._distance_block(np.array([[2.0, 100.0]]))[0]  # constant feature dropped
         assert d[1] == 0.0 and d[0] == d[2] > 0
 
     def test_neighbor_ties_break_by_validation_order(self):
@@ -376,29 +376,12 @@ class TestValidationIndex:
         idx = ValidationIndex(x, np.ones((4, 2), dtype=bool))
         assert idx.neighbors([1.0], k=3).tolist() == [0, 1, 2]
 
-    def test_metric_override(self):
-        x = [[0.0], [1.0], [2.0]]
-        calls = []
-
-        def manhattan(points, query):
-            calls.append(1)
-            return np.abs(points - query).sum(axis=1)
-
-        idx = ValidationIndex(x, np.ones((3, 1), dtype=bool), metric=manhattan)
-        assert idx.neighbors([1.9], k=1).tolist() == [2]
-        assert calls
-
-    def test_bad_metric_shape_is_rejected(self):
-        idx = ValidationIndex(
-            [[0.0], [1.0]], np.ones((2, 1), dtype=bool), metric=lambda p, q: np.zeros(3)
-        )
-        with pytest.raises(DimensionError):
-            idx.distances([0.5])
-
     def test_query_dimension_is_checked(self):
         idx = ValidationIndex([[0.0, 1.0]], np.ones((1, 1), dtype=bool))
         with pytest.raises(DimensionError):
-            idx.distances([0.0])
+            idx.neighbors([0.0], k=1)
+        with pytest.raises(DimensionError):
+            idx.neighbors([[0.0, 1.0, 2.0]], k=1)
 
     def test_local_skill_is_smoothed_and_clamped(self):
         x = [[float(i)] for i in range(4)]
@@ -749,7 +732,7 @@ class TestWeightedVoteKernel:
         for q, row in zip(queries, blocked):
             z = (x[:, kept] - q[kept]) / x.std(axis=0)[kept]
             d = np.sqrt((z * z).sum(axis=1))
-            assert np.array_equal(idx.distances(q), d)
+            assert np.array_equal(idx._distance_block(q[None])[0], d)
             assert row.tolist() == np.argsort(d, kind="stable")[:7].tolist()
         assert np.array_equal(whole, blocked)
         assert np.array_equal(idx.skills(queries, 7)[5], idx.skills(queries[5], 7))
@@ -758,27 +741,24 @@ class TestWeightedVoteKernel:
     @given(st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 9),
            st.sampled_from((1, 5, 64, 1 << 16)))
     def test_neighbors_are_the_head_of_the_stable_argsort(self, seed, n, b, budget):
-        # ties from rounded features, and +-inf, -0.0 and NaN from a metric that
-        # looks a query's distances up in a table; every k from 1 to N + 1,
-        # with blocks of queries that end ragged
+        # ties from rounded features through the index, every k from 1 to
+        # N + 1, with blocks of queries that end ragged; and +-inf, -0.0 and
+        # NaN in distance tables given straight to the selection
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 3, size=(n, 2)).astype(float)
         queries = rng.integers(0, 3, size=(b, 2)).astype(float)
+        idx = ValidationIndex(x, np.ones((n, 1), dtype=bool))
         pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan])
         table = pool[rng.integers(0, pool.size, size=(b, n))]
-        by_table = ValidationIndex(np.zeros((n, 1)), np.ones((n, 1), dtype=bool),
-                                   metric=lambda points, q: table[int(q[0])])
-        cases = [
-            (ValidationIndex(x, np.ones((n, 1), dtype=bool)), queries),
-            (by_table, np.arange(b, dtype=float)[:, None]),
-        ]
         with mock.patch.object(fusion, "_NEIGHBOR_BLOCK", budget):
-            for idx, q in cases:
-                d = np.array([idx.distances(row) for row in q])
-                for k in range(1, n + 2):
-                    want = np.argsort(d, axis=1, kind="stable")[:, :k]
-                    assert np.array_equal(idx.neighbors(q, k), want)
-                    assert np.array_equal(idx.neighbors(q[0], k), want[0])
+            d = idx._distance_block(queries)
+            for k in range(1, n + 2):
+                want = np.argsort(d, axis=1, kind="stable")[:, :k]
+                assert np.array_equal(idx.neighbors(queries, k), want)
+                assert np.array_equal(idx.neighbors(queries[0], k), want[0])
+                count = min(k, n)
+                want = np.argsort(table, axis=1, kind="stable")[:, :count]
+                assert np.array_equal(fusion._stable_smallest(table, count), want)
 
 
 class TestCodes:

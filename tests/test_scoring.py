@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -27,7 +29,7 @@ from votefuse.scoring import (
     score_profile,
 )
 
-from oracles import efficiency_brute, score_profiles_gather
+from oracles import ballots_brute, efficiency_brute, score_profiles_gather
 
 
 def ballots(*rankings):
@@ -130,6 +132,149 @@ class TestPairwise:
     def test_voter_weights_can_flip_the_winner(self):
         bs = ballots("abc", "bca")
         assert condorcet_winner(bs, voter_weights=(1, 2)) == "b"
+
+
+@st.composite
+def weighted_profiles(draw, weights=st.fractions(0, 5, max_denominator=12)):
+    """(rankings, scoring entries, voter weights) over 2 to 4 labels and 1 to 7 ballots."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 7))
+    rankings = [draw(st.permutations("abcd"[:m])) for _ in range(n)]
+    points = sorted(draw(st.lists(st.fractions(0, 3, max_denominator=4), min_size=m,
+                                  max_size=m)), reverse=True)
+    if points[0] == points[-1]:
+        points[0] += 1
+    return rankings, points, draw(st.lists(weights, min_size=n, max_size=n))
+
+
+def decisions(rankings, points, weights):
+    """Winner, ranking, shared top and Condorcet winner of weighted ballots."""
+    res = score_profile(ballots(*rankings), ScoringVector(points), weights)
+    return res.winner, res.ranking, res.tied_top, condorcet_winner(ballots(*rankings), weights)
+
+
+class TestExactBallots:
+    """Ballot totals and tallies are exact, whatever form the weights take."""
+
+    TIE = ("ab", "ab", "ba")  # plurality: a scores w1 + w2, b scores w3
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(1, 2, 3), (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)), ("0.1", "0.2", "0.3")],
+    )
+    def test_rational_ties_are_ties(self, weights):
+        res = score_profile(ballots(*self.TIE), ScoringVector.plurality(2), weights)
+        assert res.tied_top and res.ranking == ("a", "b")
+        assert condorcet_winner(ballots(*self.TIE), weights) is None
+        pw = pairwise_matrix(ballots(*self.TIE), weights)
+        assert pw.matrix[0, 1] == pw.matrix[1, 0]
+
+    def test_float_weights_count_as_their_binary_values(self):
+        # 0.1 + 0.2 exceeds 0.3 as binary values: no tie
+        assert decisions(self.TIE, (1, 0), (0.1, 0.2, 0.3)) == ("a", ("a", "b"), False, "a")
+        assert decisions(self.TIE, (1, 0), (0.1, 1e-10, 0.0)) == ("a", ("a", "b"), False, "a")
+        res = score_profile(ballots(*self.TIE), ScoringVector.plurality(2), (0.1, 0.2, 0.3))
+        assert res.totals == {"a": float(Fraction(0.1) + Fraction(0.2)), "b": 0.3}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weights_are_refused(self, bad):
+        cycle = ballots("abc", "bca", "cab")
+        with pytest.raises(ValueError, match="finite"):
+            score_profile(cycle, ScoringVector.borda(3), (bad, 1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            condorcet_winner(cycle, (bad, 1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            pairwise_matrix(cycle, (1, 1, bad))
+
+    def test_weight_count_is_checked(self):
+        with pytest.raises(DimensionError):
+            condorcet_winner(ballots("ab", "ba"), (1, 2, 3))
+        with pytest.raises(DimensionError):
+            score_profile(ballots("ab", "ba"), ScoringVector.borda(2), ())
+
+    def test_numpy_weights_are_read_exactly(self):
+        w = np.array([0.5, 0.25, 0.75], dtype=np.float32)
+        assert decisions(self.TIE, (1, 0), w) == decisions(self.TIE, (1, 0), ("1/2", "1/4", "3/4"))
+
+    @settings(deadline=None, max_examples=150)
+    @given(weighted_profiles())
+    def test_matches_the_fraction_oracle(self, case):
+        rankings, points, weights = case
+        totals, pairs, ranking, tied_top, champion = ballots_brute(rankings, points, weights)
+        res = score_profile(ballots(*rankings), ScoringVector(points), weights)
+        assert res.totals == {a: float(t) for a, t in totals.items()}
+        assert (res.ranking, res.tied_top) == (ranking, tied_top)
+        pw = pairwise_matrix(ballots(*rankings), weights)
+        want = [[float(pairs[a, b]) for b in pw.labels] for a in pw.labels]
+        assert pw.matrix.dtype == np.float64 and pw.matrix.tolist() == want
+        assert condorcet_winner(ballots(*rankings), weights) == champion
+
+    @settings(deadline=None, max_examples=100)
+    @given(weighted_profiles(), st.fractions(Fraction(1, 1000), 1000).filter(lambda c: c > 0))
+    def test_scaling_the_weights_changes_no_decision(self, case, c):
+        rankings, points, weights = case
+        scaled = [c * w for w in weights]
+        assert decisions(rankings, points, scaled) == decisions(rankings, points, weights)
+
+    @settings(deadline=None, max_examples=100)
+    @given(weighted_profiles(), st.randoms(use_true_random=False))
+    def test_permuting_ballots_changes_nothing(self, case, rnd):
+        rankings, points, weights = case
+        order = list(range(len(rankings)))
+        rnd.shuffle(order)
+        moved = [rankings[i] for i in order], points, [weights[i] for i in order]
+        assert decisions(*moved) == decisions(rankings, points, weights)
+        a = score_profile(ballots(*rankings), ScoringVector(points), weights)
+        assert score_profile(ballots(*moved[0]), ScoringVector(points), moved[2]) == a
+        pw = pairwise_matrix(ballots(*moved[0]), moved[2]).matrix
+        assert np.array_equal(pw, pairwise_matrix(ballots(*rankings), weights).matrix)
+
+    @settings(deadline=None, max_examples=100)
+    @given(weighted_profiles(weights=st.integers(0, 400)), st.integers(1, 3))
+    def test_ints_fractions_and_decimal_strings_agree(self, case, digits):
+        rankings, points, ints = case
+        fractions = [Fraction(k, 10**digits) for k in ints]
+        strings = [f"{k // 10**digits}.{k % 10**digits:0{digits}d}" for k in ints]
+        assert [Fraction(x) for x in strings] == fractions
+        by_fraction = score_profile(ballots(*rankings), ScoringVector(points), fractions)
+        assert score_profile(ballots(*rankings), ScoringVector(points), strings) == by_fraction
+        assert decisions(rankings, points, ints) == decisions(rankings, points, fractions)
+        assert decisions(rankings, points, strings) == decisions(rankings, points, fractions)
+
+
+class TestOneDecision:
+    """Only ``scoring._decide`` compares pairwise tallies with a total weight."""
+
+    TREE = ast.parse(pathlib.Path(scoring.__file__).read_text())
+
+    def functions(self):
+        return {n.name: n for n in ast.walk(self.TREE) if isinstance(n, ast.FunctionDef)}
+
+    def test_no_function_but_decide_compares_tallies_or_totals(self):
+        inside = {id(n) for n in ast.walk(self.functions()["_decide"])}
+        tallies = {"pairs", "matrix", "totals", "weight"}
+        found = []
+        for node in ast.walk(self.TREE):
+            if isinstance(node, ast.Compare) and id(node) not in inside:
+                names = {x.id for x in ast.walk(node) if isinstance(x, ast.Name)}
+                names |= {x.attr for x in ast.walk(node) if isinstance(x, ast.Attribute)}
+                if names & tallies:
+                    found.append(f"scoring.py:{node.lineno}")
+        assert found == []
+
+    def test_every_ballot_question_and_the_kernel_call_decide(self):
+        callers = {
+            name
+            for name, fn in self.functions().items()
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_decide"
+        }
+        assert callers == {"score_profile", "condorcet_winner", "_score_profiles"}
+
+    def test_no_ballot_question_loops_over_ballots(self):
+        fns = self.functions()
+        for name in ("score_profile", "pairwise_matrix", "condorcet_winner"):
+            assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fns[name]))
 
 
 class TestEfficiencyExact:
