@@ -9,14 +9,16 @@ Each kernel estimates both costs and takes the cheaper route. Both routes give
 the same answers (counts exactly, probabilities up to float rounding), and
 neither divides to take a player out: the power DP uses an exact alternating
 identity, the jury kernels prefix/suffix summaries of the other judges.
+The power DP takes running totals in place, in a count dtype that bounds them.
 
 Every exact computation of the package prices itself in these work units,
 and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`:
 Banzhaf takes n*(q+1) DP cells, Shapley-Shubik n*(n+1)*(q+1), where a game
 is priced and counted on its lowest integer weights (over their gcd) and on
 the smaller side of its quota, q = min(quota, W-1-quota) for total weight W;
-the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W;
-each or n*2^n by enumeration; a rule table or a nearest simple rule n*2^n;
+the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W of its
+integer weights, also on their lowest terms; each or n*2^n by enumeration;
+a rule table or a nearest simple rule n*2^n;
 the enumeration of rules on n voters with weights up to mw
 C(mw+n, n)*n*2^n, one multiply-add per vote sign and weight vector;
 indirect competence of d players in k teams d*2^d + k*2^d*2^kc, kc the teams
@@ -38,6 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError
+from .model import as_fraction
 
 #: Largest estimated work, in DP cells or enumerated entries, that an exact
 #: computation may take on; 24 players always fit by enumeration.
@@ -164,19 +167,10 @@ def _choose_route(n: int, dp_cells: Optional[int], what: str, sampler: str) -> s
 
 
 def _count_dtype(n: int):
-    """The narrowest dtype for counts of up to 2^n coalitions: int32, int64, then Python ints."""
+    """int32, int64, then Python ints: the narrowest dtype for running totals of 2^n counts."""
     if n <= 30:
         return np.int32
     return np.int64 if n <= 62 else object
-
-
-def _cumsum(table: np.ndarray) -> np.ndarray:
-    """Running totals along the last axis after a leading 0, in int64 for int32 counts."""
-    dtype = np.int64 if table.dtype == np.int32 else table.dtype
-    cum = np.zeros(table.shape[:-1] + (table.shape[-1] + 1,), dtype=dtype)
-    cum[..., 1:] = table  # summed in place: a cast inside cumsum would copy the table
-    np.cumsum(cum[..., 1:], axis=-1, out=cum[..., 1:])
-    return cum
 
 
 def _reduced_game(ws: Sequence[int], q: int) -> tuple[list[int], int]:
@@ -220,13 +214,14 @@ def banzhaf_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
     for w in ws:
         if w <= q:
             counts[w:] += counts[: q + 1 - w]
-    cum = _cumsum(counts)
+    np.add.accumulate(counts, out=counts)  # running totals, in place
     for w in players.keys() - {0}:
-        # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is the
-        # alternating sum of c's totals over the windows below it
-        window = cum[q + 1 :: -w].copy()  # totals up to each window's upper end
-        window[:-1] -= window[1:]  # the last window reaches below weight 0
-        swings[w] = int(window[0::2].sum() - window[1::2].sum())
+        # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is
+        # 2 sum_j (-1)^j E_j - E_0 for the totals E_j = counts[q - j*w]; the
+        # alternating sum lies in [0, 2^n), and int64 sums (n <= 62) wrap mod 2^64
+        ends = counts[q::-w]
+        alternating = (int(ends[0::2].sum()) - int(ends[1::2].sum())) % (1 << max(n, 64))
+        swings[w] = 2 * alternating - int(ends[0])
     return [swings[w] for w in ws]
 
 
@@ -258,13 +253,14 @@ def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
         for m, w in enumerate(ws):
             if w <= q:
                 table[1 : m + 2, w:] += table[: m + 1, : q + 1 - w]
+        np.add.accumulate(table, axis=-1, out=table)  # running totals, in place
         # as for Banzhaf, with the j-th window taken j sizes down: window[k, d, j]
         # totals size k over (q - (j+1)w, q - jw] for the d-th distinct weight w;
         # a weight past q empties every window after the first, as q + 1 does
-        step = np.minimum(list(players), q + 1)[:, None]
-        at = _cumsum(table)[:, np.maximum(q - step * np.arange(n + 1), -1) + 1]
+        ends = q - np.minimum(list(players), q + 1)[:, None] * np.arange(n + 1)
+        at = np.where(ends < 0, 0, table[:, np.maximum(ends, 0)])  # 0 below weight 0
         window = at[..., :-1] - at[..., 1:]
-        by_size = np.zeros((len(players), n), dtype=window.dtype)
+        by_size = np.zeros((len(players), n), dtype=np.result_type(table, np.int64))
         for j in range(n):
             by_size[:, j:] += (-1) ** j * window[: n - j, :, j].T
     fact = [math.factorial(k) for k in range(n)]
@@ -291,11 +287,14 @@ def jury_values(
     earns ``nd``. Decisiveness is P(right | i right) - P(right | i wrong).
     """
     n = w.size
-    ints = None
-    if np.isfinite(w).all() and (w == np.round(w)).all():
-        ints = [int(x) for x in w]
     dp_cells = None
-    if ints is not None:
+    if np.isfinite(w).all() and (w == np.round(w)).all():
+        # the same decisions on the lowest integer weights, over their gcd g: an
+        # integer sum compares with bias/g as with the mean of its floor and ceiling
+        g = math.gcd(*map(int, w)) or 1
+        ints = [int(x) // g for x in w]
+        cut = as_fraction(bias) / g
+        w, bias = np.array(ints, dtype=np.float64), (math.floor(cut) + math.ceil(cut)) / 2
         # priced for every judge's decisiveness, so that the competence does
         # not depend on which decisiveness values were asked for
         dp_cells = n * (sum(map(abs, ints)) + 1) * (1 + (n - 1).bit_length())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,6 +59,28 @@ def _fraction_token(token: str, path: str, line: int, col: int) -> Fraction:
         return as_fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a number: {token!r}", path=path, line=line, column=col) from None
+
+
+def _numbers(columns, lines, cols, path: str) -> np.ndarray:
+    """Columns of numeric cells as one float64 array, indexed [column, row].
+
+    ``lines`` numbers the rows and ``cols`` the columns (from 1); the first
+    cell, row by row, that is not a finite number is an error at its own cell.
+    """
+    try:
+        block = np.array(columns, dtype=np.float64)
+    except ValueError:
+        block = None
+    if block is None or not np.isfinite(block).all():
+        for line, cells in zip(lines, zip(*columns)):
+            for col, cell in zip(cols, cells):
+                try:
+                    what = "" if math.isfinite(float(cell)) else "a finite number"
+                except ValueError:
+                    what = "a number"
+                if what:
+                    raise ParseError(f"not {what}: {cell!r}", path=path, line=line, column=col)
+    return block
 
 
 def _split_tokens(value: str) -> list[tuple[str, int]]:
@@ -373,19 +396,10 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
         truth_cells = {raw: raw.strip() or None for raw in dict.fromkeys(columns[truth_col])}
         truth = tuple(map(truth_cells.__getitem__, columns[truth_col]))
 
-    numeric = feat_cols + [i for _, form, cols in classifiers if form == "proba" for i in cols]
+    numeric = sorted(feat_cols + [i for _, form, c in classifiers if form == "proba" for i in c])
     values = {}
     if numeric:
-        try:
-            block = np.array([columns[i] for i in numeric], dtype=np.float64)
-        except ValueError:
-            for row in range(n):
-                for i in numeric:
-                    try:
-                        float(columns[i][row])
-                    except ValueError:
-                        raise fail(f"not a number: {columns[i][row]!r}", row, i) from None
-            raise
+        block = _numbers([columns[i] for i in numeric], lines, [i + 1 for i in numeric], source)
         values = dict(zip(numeric, block))
     features = np.column_stack([values[i] for i in feat_cols]) if feat_cols else None
 
@@ -546,30 +560,24 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
         raise ParseError(
             f"{n_rows} rows for {len(cols)} labels", path=source, line=header_line, column=1
         )
-    body = list(zip(*table.columns(1, len(header))))
-    raw: dict[str, dict[str, float]] = {}
-    for lineno, cells in zip(table.numbers[1:], body):
-        rlab = cells[0].strip()
-        if rlab in raw:
+    body = table.columns(1, len(header))
+    lines = table.numbers[1:]
+    rows: dict[str, int] = {}  # row label -> row
+    for lineno, cell in zip(lines, body[0]):
+        rlab = cell.strip()
+        if rlab in rows:
             raise ParseError(f"duplicate row label {rlab!r}", path=source, line=lineno, column=1)
-        entry = {}
-        for j, cell in enumerate(cells[1:]):
-            try:
-                entry[cols[j]] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"not a number: {cell!r}", path=source, line=lineno, column=j + 2
-                ) from None
-        raw[rlab] = entry
-    if sorted(raw) != sorted(cols):
+        rows[rlab] = len(rows)
+    values = _numbers(body[1:], lines, range(2, len(header) + 1), source)  # [column, row]
+    if sorted(rows) != sorted(cols):
         raise ParseError(
-            f"row labels {sorted(raw)} do not match column labels {sorted(cols)}",
+            f"row labels {sorted(rows)} do not match column labels {sorted(cols)}",
             path=source,
             line=header_line,
             column=1,
         )
     labels = tuple(sorted(cols))
-    gains = np.array([[raw[t][p] for p in labels] for t in labels], dtype=np.float64)
+    gains = values[np.ix_([cols.index(p) for p in labels], [rows[t] for t in labels])].T
     return CostMatrix(labels, gains)
 
 

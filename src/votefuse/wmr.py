@@ -373,31 +373,25 @@ def is_trade_robust(
     if trade_size_cap < 1:
         raise ValueError("trade_size_cap must be >= 1")
     mins = family.minimal_winning()
-    frontier: list[tuple[int, int]] = []
-    parents: dict[frozenset[int] | tuple[int, int], object] = {}
-    for ai in range(len(mins)):
-        for bi in range(ai + 1, len(mins)):
-            state = (mins[ai], mins[bi])
-            key = frozenset(state)
-            if key not in parents:
-                parents[key] = (None, None, state)
-                frontier.append(state)
+    # each entry: the pair, the pair it started from, and the trades since
+    frontier = [((a, b), (a, b), ()) for i, a in enumerate(mins) for b in mins[i + 1 :]]
+    seen = {frozenset(pair) for pair, _, _ in frontier}
     for _depth in range(trade_size_cap):
-        next_frontier: list[tuple[int, int]] = []
-        for a, b in frontier:
-            only_a = a & ~b
-            only_b = b & ~a
-            for x in _bits(only_a):
-                for y in _bits(only_b):
+        next_frontier = []
+        for (a, b), start, trades in frontier:
+            for x in _bits(a & ~b):
+                for y in _bits(b & ~a):
                     na = a & ~(1 << x) | 1 << y
                     nb = b & ~(1 << y) | 1 << x
                     key = frozenset((na, nb))
-                    if key in parents:
+                    if key in seen:
                         continue
-                    parents[key] = ((a, b), (x, y), (na, nb))
+                    seen.add(key)
+                    path = trades + ((x, y),)
                     if not family.is_winning(na) and not family.is_winning(nb):
-                        return TradeRobustness(False, _reconstruct(parents, (na, nb), family))
-                    next_frontier.append((na, nb))
+                        pairs = [tuple(map(Coalition.from_mask, p)) for p in (start, (na, nb))]
+                        return TradeRobustness(False, TradeWitness(pairs[0], path, pairs[1]))
+                    next_frontier.append(((na, nb), start, path))
         frontier = next_frontier
     return TradeRobustness(True, None)
 
@@ -409,21 +403,3 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reconstruct(parents, end_state, family: WinningFamily) -> TradeWitness:
-    trades = []
-    state = end_state
-    while True:
-        prev, trade, ordered = parents[frozenset(state)]
-        if prev is None:
-            start = ordered
-            break
-        trades.append(trade)
-        state = prev
-    trades.reverse()
-    end = end_state
-    assert not family.is_winning(end[0]) and not family.is_winning(end[1])
-    return TradeWitness(
-        (Coalition.from_mask(start[0]), Coalition.from_mask(start[1])),
-        tuple(trades),
-        (Coalition.from_mask(end[0]), Coalition.from_mask(end[1])),
-    )

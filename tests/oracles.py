@@ -371,11 +371,13 @@ def predictions_rowwise(text, source="<string>"):
 
     numeric = {}
     for r, (_, cells) in enumerate(body):
-        for i in feat_cols + [i for _, form, cols in classifiers if form == "proba" for i in cols]:
+        for i in sorted(feat_cols + [i for _, f, c in classifiers if f == "proba" for i in c]):
             try:
                 numeric[r, i] = float(cells[i])
             except ValueError:
                 raise fail(f"not a number: {cells[i]!r}", r, i) from None
+            if not math.isfinite(numeric[r, i]):
+                raise fail(f"not a finite number: {cells[i]!r}", r, i)
 
     def cell(raw):
         v = raw.strip()

@@ -174,6 +174,15 @@ class TestJuryCommand:
         row = next(r for r in rep.rows if r[0] == "competence")
         assert row[3] != ""
 
+    def test_rescaled_weights_are_answered_like_the_originals(self, capsys):
+        rows = []
+        for scale in (1, 10**6):
+            weights = ",".join(str(scale * w) for w in range(1, 31))
+            code, out, _ = run(capsys, "jury", "--skills", ",".join(["0.6"] * 30),
+                               "--weights", weights)
+            assert code == 0
+            rows.append(parse_report(out).rows)
+        assert rows[0] == rows[1] and rows[0][0][2] == "0.833297877800418"
 
     @pytest.mark.parametrize("extra", [
         ("--weights", "nan,1,1"),
@@ -393,6 +402,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "power", "--game", str(bad))
         assert code == 3
         assert f"{bad}:1:13" in err
+
+    @pytest.mark.parametrize(
+        "flag, text, where",
+        [
+            ("--cost", ",n,y\nn,1.0,0.0\ny,nan,1.0\n", ":3:2: not a finite number: 'nan'"),
+            ("--predictions", "sample_id,feat_0,c1\ns1,nan,y\ns2,0,n\n", ":2:2: "),
+            ("--predictions", "sample_id,c:n,c:y\ns1,0.5,0.5\ns2,0.5,inf\n", ":3:3: "),
+        ],
+    )
+    def test_non_finite_cells_exit_three_at_their_cell(
+        self, capsys, tmp_path, predictions_file, flag, text, where
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        files = {"--predictions": predictions_file, flag: str(bad)}
+        code, out, err = run(capsys, "report", *(x for kv in files.items() for x in kv))
+        assert code == 3 and out == ""
+        assert f"{bad}{where}" in err and "not a finite number" in err
 
     def test_capacity_exits_four(self, capsys, tmp_path):
         big = tmp_path / "big.txt"

@@ -4,6 +4,7 @@ import ast
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -128,6 +129,15 @@ class TestReducedGame:
         dummies = [0] * (n - 3)
         assert _exact.banzhaf_counts(ws, 1) == dummies + [2 << (n - 3)] * 3
         assert _exact.shapley_counts(ws, 1) == dummies + [math.factorial(n) // 3] * 3
+
+    def test_int64_totals_whose_sums_wrap_count_exactly(self, monkeypatch):
+        # 62 players: the int64 sum of the window ends of the weight-1 player
+        # passes 2^63 and wraps; Python-int counts are the reference
+        ws, q = [1] + [5] * 61, 152
+        assert _exact._count_dtype(len(ws)) == np.int64
+        got = _exact.banzhaf_counts(ws, q), _exact.shapley_counts(ws, q)
+        monkeypatch.setattr(_exact, "_count_dtype", lambda n: object)
+        assert (_exact.banzhaf_counts(ws, q), _exact.shapley_counts(ws, q)) == got
 
 
 def judges():
@@ -309,6 +319,28 @@ class TestCapacityBoundaries:
         message = assert_refused(lambda: exact(smallest), price(n, largest + 1))
         assert f"exact {kind} needs" in message
         assert f"counting DP {price(n, largest + 1):,} cells" in message
+
+    @pytest.mark.parametrize(
+        "exact, price, rows",
+        [
+            (banzhaf_exact, lambda n, q: n * (q + 1), 1),
+            (shapley_shubik_exact, lambda n, q: n * (n + 1) * (q + 1), 31),
+        ],
+    )
+    def test_power_dp_peaks_near_its_int32_table(self, exact, price, rows):
+        # the largest game above: its int32 table of rows x (q + 1) counts takes
+        # its running totals in place; the DP update's overlap copy stays
+        n, g = 30, 1000
+        largest = _exact.EXACT_WORK_MAX // price(n, 0) - 1
+        a = largest // 12
+        game = VotingGame(tuple(g * w for w in [a] * 15 + [a + 1] * 15), g * largest + g - 1)
+        tracemalloc.start()
+        try:
+            exact(game)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * rows * (largest + 1) * np.dtype(np.int32).itemsize
 
     def test_efficiency_with_few_leaves_is_exact(self):
         # 3 candidates, 9 voters: 2,002 ranking-count multisets

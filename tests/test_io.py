@@ -215,6 +215,18 @@ class TestPredictionFiles:
             parse_predictions(text)
         assert (err.value.line, err.value.column) == (3, 3)
 
+    @pytest.mark.parametrize(
+        "text, cell, where",
+        [
+            ("sample_id,feat_0,c\ns1,0.5,a\ns2,nan,b\n", "nan", (3, 2)),
+            ("sample_id,c:a,c:b\ns1,0.5,0.5\n# note\ns2,0.5,inf\n", "inf", (4, 3)),
+        ],
+    )
+    def test_non_finite_numbers_are_located_at_their_cell(self, text, cell, where):
+        with pytest.raises(ParseError, match=f"not a finite number: '{cell}'") as err:
+            parse_predictions(text, source="p.csv")
+        assert (err.value.line, err.value.column) == where
+
     def test_quoted_cells_round_trip_for_every_kind(self):
         labels = ("a,b", "plain", 'q"x')
         pred = PredictionSet(
@@ -382,6 +394,11 @@ class TestCostFiles:
         with pytest.raises(ParseError, match="duplicate row"):
             parse_cost_matrix(",a,b\na,1,0\na,0,1\n")
 
+    def test_non_finite_gains_are_located_at_their_cell(self):
+        with pytest.raises(ParseError, match="not a finite number: 'nan'") as err:
+            parse_cost_matrix(",a,b\na,1,0\nb,nan,1\n", source="c.csv")
+        assert str(err.value).startswith("c.csv:3:2: ")
+
 
 class TestReports:
     def test_round_trip_preserves_comments_and_rows(self):
@@ -519,9 +536,10 @@ def _mutated(rng, header, rows, labels, spots):
     header, rows = list(header), [list(r) for r in rows]
     r = int(rng.integers(0, len(rows)))
     votes = spots["hard"] + spots["rank"]
-    kind = str(rng.choice(["short", "long", "number", "mixed", "empty", "group", "duplicate"]))
-    if kind == "number" and spots["number"]:
-        rows[r][int(rng.choice(spots["number"]))] = "abc"
+    kinds = ["short", "long", "number", "nan", "inf", "mixed", "empty", "group", "duplicate"]
+    kind = str(rng.choice(kinds))
+    if kind in ("number", "nan", "inf") and spots["number"]:
+        rows[r][int(rng.choice(spots["number"]))] = {"number": "abc"}.get(kind, kind)
     elif kind in ("mixed", "empty") and votes:
         c = int(rng.choice(votes))
         plain = ">".join(labels) if c in spots["hard"] else labels[0]

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votefuse import _exact
 from votefuse.errors import CapacityError, DimensionError
@@ -13,6 +15,7 @@ from votefuse.jury import (
     decisiveness_probability,
     group_competence,
     indirect_competence,
+    jury_exact,
     optimal_weights,
 )
 from votefuse.power import banzhaf_exact
@@ -91,6 +94,33 @@ class TestGroupCompetence:
         weights = [10**9 + i for i in range(30)]  # integer DP and 2^30 patterns both too big
         with pytest.raises(CapacityError, match="competence_monte_carlo"):
             group_competence(weights, 0.0, (0.6,) * 30)
+
+    def test_rescaled_integer_weights_are_priced_and_counted_like_the_originals(self):
+        w = range(1, 31)
+        got = [group_competence([c * x for x in w], 0, [0.6] * 30) for c in (1, 10**6)]
+        assert got == [0.833297877800418] * 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=7),
+        st.integers(-16, 16),
+        st.integers(2, 10**6),
+        st.sampled_from(("incorrect", "coin-flip")),
+        st.data(),
+    )
+    def test_scaling_integer_weights_and_bias_changes_no_report(self, w, b, c, nd_policy, data):
+        p = data.draw(st.lists(st.floats(0.05, 0.95), min_size=len(w), max_size=len(w)))
+        scaled = [c * x for x in w]
+        bias = b / 2  # a stalemate only where the bias over the weights' gcd is an integer
+        want = jury_exact(w, bias, p, nd_policy)
+        assert jury_exact(scaled, c * bias, p, nd_policy) == want
+        nd = _exact.nd_credit(nd_policy)
+        for route in ("dp", "enumeration"):
+            got = _exact.jury_values(np.array(scaled, float), np.array(p), c * bias, nd,
+                                     range(len(w)), route)
+            base = _exact.jury_values(np.array(w, float), np.array(p), bias, nd,
+                                      range(len(w)), route)
+            assert got == base
 
 
 class TestDecisiveness:

@@ -405,6 +405,31 @@ class TestTradeRobustness:
         sizes = sorted(len(c) for c in w.start)
         assert sizes == sorted(len(c) for c in w.end)
 
+    def test_the_fano_witness_is_pinned(self):
+        lines = [{0, 1, 2}, {0, 3, 4}, {0, 5, 6}, {1, 3, 5}, {1, 4, 6}, {2, 3, 6}, {2, 4, 5}]
+        w = is_trade_robust(WinningFamily.from_minimal(7, lines)).witness
+        assert w.start == (Coalition({0, 1, 2}), Coalition({0, 3, 4}))
+        assert w.trades == ((1, 3),)
+        assert w.end == (Coalition({0, 2, 3}), Coalition({0, 1, 4}))
+
+    def test_witnesses_of_seeded_families_are_pinned(self):
+        # seed -> (start masks, trades); every other seed's family is robust
+        pinned = {
+            0: ((14, 25), ((1, 0),)), 10: ((27, 78), ((0, 2),)), 27: ((114, 169), ((1, 0),)),
+            35: ((12, 81), ((2, 0),)), 38: ((15, 49), ((1, 4),)), 40: ((24, 36), ((3, 2),)),
+            41: ((10, 33), ((1, 0),)),
+        }
+        for seed in range(50):
+            rng = random.Random(seed)
+            n = rng.randint(3, 8)
+            mins = [rng.sample(range(n), rng.randint(1, n - 1)) for _ in range(rng.randint(2, 8))]
+            fam = WinningFamily.from_minimal(n, mins)
+            w = is_trade_robust(fam, rng.randint(1, 3)).witness
+            got = None if w is None else (tuple(c.mask for c in w.start), w.trades)
+            assert got == pinned.get(seed), seed
+            if w is not None:
+                assert not any(fam.is_winning(c) for c in w.end)
+
     def test_two_disjoint_pairs_fail_in_one_trade(self):
         fam = WinningFamily.from_minimal(4, [{0, 1}, {2, 3}])
         res = is_trade_robust(fam)
