@@ -9,7 +9,9 @@ Each kernel estimates both costs and takes the cheaper route. Both routes give
 the same answers (counts exactly, probabilities up to float rounding), and
 neither divides to take a player out: the power DP uses an exact alternating
 identity, the jury kernels prefix/suffix summaries of the other judges.
-The power DP takes running totals in place, in a count dtype that bounds them.
+The power DP takes running totals in place, in a count dtype that bounds them,
+and adds each player in column blocks from the top down, so that no step
+copies more than one block of its table.
 
 Every exact computation of the package prices itself in these work units,
 and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`:
@@ -94,6 +96,11 @@ def block_bits(k: int) -> int:
     return max(0, (OUTCOME_BLOCK // k).bit_length() - 1)
 
 
+def block_rows(width: int) -> int:
+    """The most rows (at least one) of ``width`` elements that fit in one block."""
+    return max(1, OUTCOME_BLOCK // width)
+
+
 def pattern_outcomes(w, bias) -> np.ndarray:
     """The :func:`outcome` of every +-w pattern: (2^n,) for (n,) weights, (k, 2^n) for (k, n).
 
@@ -173,6 +180,22 @@ def _count_dtype(n: int):
     return np.int64 if n <= 62 else object
 
 
+def _add_shifted(target: np.ndarray, source: np.ndarray, w: int) -> None:
+    """``target[..., w:] += source[..., : width - w]``, as the source was before the update.
+
+    ``source`` may overlap ``target`` one player back, as in a DP table. The
+    columns are updated from the top down in blocks of at most
+    :data:`OUTCOME_BLOCK` elements: a block reads only columns below it, which
+    are not yet updated, so numpy's copy of an overlapping source holds at
+    most one block instead of the whole table.
+    """
+    width = target.shape[-1]
+    step = block_rows(target.size // width)  # columns per block
+    for hi in range(width, w, -step):
+        lo = max(w, hi - step)
+        target[..., lo:hi] += source[..., lo - w : hi - w]
+
+
 def _reduced_game(ws: Sequence[int], q: int) -> tuple[list[int], int]:
     """The same game on its lowest integer weights and the smaller side of its quota.
 
@@ -213,7 +236,7 @@ def banzhaf_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
     counts[0] = 1
     for w in ws:
         if w <= q:
-            counts[w:] += counts[: q + 1 - w]
+            _add_shifted(counts, counts, w)
     np.add.accumulate(counts, out=counts)  # running totals, in place
     for w in players.keys() - {0}:
         # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is
@@ -252,7 +275,7 @@ def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
         table[0, 0] = 1
         for m, w in enumerate(ws):
             if w <= q:
-                table[1 : m + 2, w:] += table[: m + 1, : q + 1 - w]
+                _add_shifted(table[1 : m + 2], table[: m + 1], w)
         np.add.accumulate(table, axis=-1, out=table)  # running totals, in place
         # as for Banzhaf, with the j-th window taken j sizes down: window[k, d, j]
         # totals size k over (q - (j+1)w, q - jw] for the d-th distinct weight w;

@@ -9,13 +9,21 @@ produce bit-identical estimates.
 :func:`chunk_sums` is the one driver: an estimator passes the statistic of
 one chunk and gets back the running sums over the whole budget, then applies
 its own closing formula for the estimate and its standard error.
+
+Inside a chunk, :func:`row_blocks` draws the trials in row blocks of at most
+:data:`._exact.OUTCOME_BLOCK` elements, so sampling memory follows that block
+and not the chunk times the players. The stream is unchanged: ``random``,
+``integers`` and ``permuted(axis=1)`` give the same values however the rows
+of one generator are split, and the blocks take them in row order.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
+
+from . import _exact
 
 CHUNK = 1 << 16
 
@@ -46,3 +54,20 @@ def chunk_sums(
         part = draw(chunk_rng(seed, chunk_index), size)
         sums = part if sums is None else tuple(a + b for a, b in zip(sums, part))
     return sums
+
+
+def row_blocks(
+    rng: np.random.Generator, size: int, width: int, block: Callable[..., object]
+) -> Iterator:
+    """``block(rng, rows)`` over consecutive row blocks of one chunk's ``size`` trials.
+
+    ``width`` is the elements ``block`` holds at once for one trial; each
+    block takes the most rows that keep it to :data:`._exact.OUTCOME_BLOCK`
+    elements (read at call time), and at least one. The results come lazily,
+    in row order, each drawn from the chunk's own generator ``rng`` when it
+    is asked for, so ``block`` draws exactly what one draw of the whole chunk
+    would.
+    """
+    step = _exact.block_rows(width)
+    for lo in range(0, size, step):
+        yield block(rng, min(step, size - lo))

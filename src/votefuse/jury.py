@@ -14,7 +14,10 @@ distributions of the others in O(n log n * W). Other weights, such as
 log-odds, take one enumeration of the 2^n vote patterns, which serves the
 competence and all n decisiveness values at once. One work cap bounds both.
 
-The Monte Carlo estimate sums each chunk's trials in float64. With
+The Monte Carlo estimate draws each chunk in row blocks
+(:func:`._rand.row_blocks`), so its memory follows one block and not the
+chunk times the judges; it joins the blocks' signed sums and sums the
+whole chunk's trials in float64, as one draw of the chunk would. With
 integer-valued weights a trial's signed sum is twice the weight of the right
 judges less the total weight, taken as one BLAS product of the votes with 2w
 in float32 while 2*sum|w| stays below 2^24: a float sum of integers under
@@ -42,7 +45,7 @@ from ._exact import (
     outcome,
     pattern_outcomes,
 )
-from ._rand import chunk_sums
+from ._rand import chunk_sums, row_blocks
 from .errors import DimensionError
 from .model import SkillsLike, as_skills
 
@@ -143,13 +146,15 @@ def competence_monte_carlo(
     if product:
         twice, weight_sum = (2 * w).astype(np.float32), w.sum()
 
-    def draw(rng: np.random.Generator, size: int) -> tuple[float, float]:
-        correct = rng.random((size, w.size)) < p
+    def signed_sums(rng: np.random.Generator, rows: int) -> np.ndarray:
+        correct = rng.random((rows, w.size)) < p
         if product:
             # the signed sum is twice the weight of the right judges less the total
-            sums = np.subtract(correct.astype(np.float32) @ twice, weight_sum, dtype=np.float64)
-        else:
-            sums = np.where(correct, w, -w).sum(axis=1)
+            return np.subtract(correct.astype(np.float32) @ twice, weight_sum, dtype=np.float64)
+        return np.where(correct, w, -w).sum(axis=1)
+
+    def draw(rng: np.random.Generator, size: int) -> tuple[float, float]:
+        sums = np.concatenate(list(row_blocks(rng, size, w.size, signed_sums)))
         vals = credit(outcome(sums, bias), nd)
         return float(vals.sum()), float((vals * vals).sum())
 

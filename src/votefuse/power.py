@@ -6,7 +6,9 @@ kernel in :mod:`._exact`: a counting DP over weights up to the quota, in
 O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or one 2^n
 enumeration when that is cheaper, refused beyond one work cap. The Monte Carlo
 estimators draw through the chunked driver of :mod:`._rand`, so a seed fixes
-their results to the bit.
+their results to the bit, and draw each chunk in row blocks
+(:func:`._rand.row_blocks`), so their memory follows one block and not the
+chunk times the players. Both sum per-block counts, which are integers.
 
 An exact game is priced and counted on its lowest integer weights and on the
 smaller side of its quota, q = min(quota, W-1-quota), so a rescaled game
@@ -15,10 +17,11 @@ costs the same.
 A Banzhaf chunk's coalition weights and swing counts are integers. The
 weights are summed in float32 while the total weight and the quota stay
 below 2^24, and in int64 otherwise (``integer_form`` keeps them below 2^62);
-the swing counts of a chunk of at most 2^16 trials, and their cross
-products, in float32. A float sum of integers under 2^24 is exact in any
-order, so every coalition weight is exact and the float64 sums a chunk
-returns are the same to the bit as exact arithmetic gives.
+the swing counts of each block and of a chunk of at most 2^16 trials, and
+their cross products, in float32. A float sum of integers under 2^24 is
+exact in any order, so every coalition weight is exact and the float64 sums
+a chunk returns are the same to the bit as exact arithmetic gives, however
+the chunk is split into blocks.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ._exact import banzhaf_counts, exact_in_float32, shapley_counts
-from ._rand import chunk_sums
+from ._rand import chunk_sums, row_blocks
 from .model import VotingGame, integer_form
 
 
@@ -87,15 +90,20 @@ def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> P
     dtype = np.float32 if exact_in_float32(max(sum(map(int, ws)), quota)) else np.int64
     wf = ws.astype(dtype)
 
-    def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        member = rng.integers(0, 2, size=(size, n)).astype(dtype)
+    def swings(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray]:
+        member = rng.integers(0, 2, size=(rows, n)).astype(dtype)
         totals = member @ wf
         # per player: sum over the *others*, shared across all players of one draw
         others = np.subtract(totals[:, None], np.multiply(member, wf, out=member), out=member)
-        swing = (others > quota - wf) & (others <= quota)
+        x = ((others > quota - wf) & (others <= quota)).astype(np.float32)
+        return x.sum(axis=0), x.T @ x
+
+    def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         # counts of at most ``size`` trials: exact in float32, returned as float64
-        x = swing.astype(np.float32)
-        return x.sum(axis=0).astype(np.float64), (x.T @ x).astype(np.float64)
+        sum_x = sum_xx = 0
+        for x, xx in row_blocks(rng, size, n, swings):
+            sum_x, sum_xx = sum_x + x, sum_xx + xx
+        return sum_x.astype(np.float64), sum_xx.astype(np.float64)
 
     sum_x, sum_xx = chunk_sums(trials, seed, draw)
     t = trials
@@ -123,11 +131,16 @@ def _shapley_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> P
     counts = np.zeros(n, dtype=np.int64)
     if int(ws.sum()) > quota:
 
+        def pivots(rng: np.random.Generator, rows: int) -> np.ndarray:
+            perms = np.tile(np.arange(n), (rows, 1))
+            rng.permuted(perms, axis=1, out=perms)
+            cum = ws[perms]
+            np.cumsum(cum, axis=1, out=cum)
+            return np.bincount(perms[np.arange(rows), np.argmax(cum > quota, axis=1)], minlength=n)
+
         def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray]:
-            perms = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
-            cum = np.cumsum(ws[perms], axis=1)
-            pivots = perms[np.arange(size), np.argmax(cum > quota, axis=1)]
-            return (np.bincount(pivots, minlength=n),)
+            # a trial holds its ordering and the running weights along it
+            return (sum(row_blocks(rng, size, 2 * n, pivots)),)
 
         (counts,) = chunk_sums(trials, seed, draw)
     t = trials

@@ -9,15 +9,17 @@ Condorcet efficiency of a scoring rule is the probability, conditional on a
 strict pairwise-majority winner existing, that the rule elects that winner
 when every voter draws a ranking independently and uniformly (the impartial
 culture). Both methods score blocks of profiles with one kernel, each
-profile a row of m!-ranking indices. The exact method enumerates the
-C(n+m!-1, m!-1) ranking-count multisets as sorted rows, in blocks of at most
-``_rand.CHUNK``, weights each by its multinomial coefficient, and sums the
+profile a row of m!-ranking indices, and both take the same blocks: as many
+rows of n + m! elements as fit in :data:`._exact.OUTCOME_BLOCK`. The
+exact method enumerates the C(n+m!-1, m!-1) ranking-count multisets as
+sorted rows, weights each by its multinomial coefficient, and sums the
 credits as integers over lcm(1..m) before building one Fraction; it is
 priced in the work units of :mod:`._exact` before any table is built. The
 Monte Carlo method draws whole profiles through the chunked driver of
-:mod:`._rand`. The kernel sums each profile's pairwise tallies and score
-totals as exact integers (see :func:`_score_profiles`); the chunk sums it
-returns are Python ints and floats.
+:mod:`._rand`, one row block at a time. The kernel sums each profile's
+pairwise tallies and score totals as exact integers (see
+:func:`_score_profiles`); the chunk sums it returns are Python ints and
+floats.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _rand
-from ._exact import EXACT_WORK_MAX, check_work, exact_in_float32
-from ._rand import chunk_sums
+from ._exact import EXACT_WORK_MAX, block_rows, check_work, exact_in_float32
+from ._rand import chunk_sums, row_blocks
 from .errors import BallotError, DataError, DimensionError, EvidenceError
 from .model import as_fraction
 
@@ -246,33 +247,44 @@ def _ranking_tables(scoring: ScoringVector, n_voters: int) -> tuple[np.ndarray, 
 #: memory of the gather's int8 rows, and more beyond.
 _COUNTS_PER_VOTER = 16
 
-#: Cells of the (rows, m!) ranking counts that one ``np.bincount`` fills; one
-#: call over a whole 2^16-profile chunk takes twice the time and three times
-#: the memory at m = 5, in its int64 result and the float32 copy.
-_COUNT_BLOCK = 1 << 16
-
 
 def _tallies_counts(k: int, n_voters: int) -> bool:
     """Whether profiles of ``n_voters`` over ``k`` rankings are tallied by ranking counts."""
     return k <= _COUNTS_PER_VOTER * n_voters and exact_in_float32(n_voters)
 
 
+def _profile_width(k: int, n_voters: int) -> int:
+    """Elements one profile of a block holds at once: its voters' rankings and its ``k`` counts.
+
+    Both routes of :func:`_score_profiles` take their blocks in rows of this
+    width; no other temporary of the kernel takes more than m times the bytes.
+    """
+    return n_voters + k
+
+
 def _ranking_counts(idx: np.ndarray, k: int) -> np.ndarray:
-    """How often each of ``k`` rankings occurs in each row of ``idx``, as float32 (rows, k)."""
-    counts = np.empty((idx.shape[0], k), dtype=np.float32)
-    step = max(1, _COUNT_BLOCK // k)
-    offsets = np.arange(step)[:, None] * k
-    for lo in range(0, idx.shape[0], step):
-        block = idx[lo : lo + step]
-        cells = (block + offsets[: block.shape[0]]).ravel()
-        counts[lo : lo + step] = np.bincount(cells, minlength=block.shape[0] * k).reshape(-1, k)
-    return counts
+    """How often each of ``k`` rankings occurs in each row of ``idx``, as float32 (rows, k).
+
+    Row r is counted in cells [r*k, (r+1)*k) of one ``np.bincount``; the row
+    offsets go onto ``idx`` in place and come off again, so that no copy of
+    ``idx`` is made.
+    """
+    rows = idx.shape[0]
+    offsets = k * np.arange(rows)[:, None]
+    idx += offsets
+    counts = np.bincount(idx.ravel(), minlength=rows * k)
+    idx -= offsets
+    return counts.reshape(rows, k).astype(np.float32)
 
 
 def _score_profiles(
     idx: np.ndarray, score_rows: np.ndarray, pair_rows: np.ndarray, tie_policy: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score a block of profiles, one per row of ranking indices ``idx`` (rows, voters).
+
+    Callers pass blocks of at most :func:`._exact.block_rows` rows of
+    :func:`_profile_width` elements, so the kernel's temporaries stay near
+    one block.
 
     Returns per profile whether a strict pairwise-majority winner exists, how
     many candidates share the top score, and whether the rule earns credit
@@ -344,7 +356,8 @@ def _efficiency_exact(
     with_winner = 0
     # each ranking-count multiset is a sorted row of ranking indices
     leaves = combinations_with_replacement(range(score_rows.shape[0]), n_voters)
-    while (flat := np.fromiter(chain.from_iterable(islice(leaves, _rand.CHUNK)), np.intp)).size:
+    rows = block_rows(_profile_width(score_rows.shape[0], n_voters))
+    while (flat := np.fromiter(chain.from_iterable(islice(leaves, rows)), np.intp)).size:
         idx = flat.reshape(-1, n_voters)
         coeff = run = np.ones(idx.shape[0], dtype=np.int64)
         for j in range(1, n_voters):
@@ -370,10 +383,15 @@ def _efficiency_mc(
     scoring: ScoringVector, m: int, n_voters: int, tie_policy: str, trials: int, seed: int
 ) -> EfficiencyResult:
     score_rows, pair_rows = _ranking_tables(scoring, n_voters)
+    k = score_rows.shape[0]
+
+    def score(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        draws = rng.integers(0, k, size=(rows, n_voters))
+        return _score_profiles(draws, score_rows, pair_rows, tie_policy)
 
     def draw(rng: np.random.Generator, size: int) -> tuple[int, float, float]:
-        draws = rng.integers(0, score_rows.shape[0], size=(size, n_voters))
-        has_cw, tied, hit = _score_profiles(draws, score_rows, pair_rows, tie_policy)
+        blocks = row_blocks(rng, size, _profile_width(k, n_voters), score)
+        has_cw, tied, hit = map(np.concatenate, zip(*blocks))
         credit = np.where(hit, 1.0 / tied, 0.0)
         return int(has_cw.sum()), float(credit.sum()), float((credit * credit).sum())
 

@@ -63,6 +63,12 @@ class TestPowerRoutes:
     def test_both_routes_count_exactly_as_the_oracles(self, game):
         check_power_routes(*game)
 
+    @given(integer_games(), st.sampled_from([1, 7, 97]))
+    def test_dp_updates_in_column_blocks_count_as_the_oracles(self, game, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_exact, "OUTCOME_BLOCK", block)
+            check_power_routes(*game)
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 7))
     def test_rational_games_through_their_integer_form(self, seed, n):
         weights, quota = random_rational_game(random.Random(seed), n)
@@ -329,7 +335,7 @@ class TestCapacityBoundaries:
     )
     def test_power_dp_peaks_near_its_int32_table(self, exact, price, rows):
         # the largest game above: its int32 table of rows x (q + 1) counts takes
-        # its running totals in place; the DP update's overlap copy stays
+        # its running totals in place, and each DP update copies at most one block
         n, g = 30, 1000
         largest = _exact.EXACT_WORK_MAX // price(n, 0) - 1
         a = largest // 12
@@ -340,7 +346,7 @@ class TestCapacityBoundaries:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.2 * rows * (largest + 1) * np.dtype(np.int32).itemsize
+        assert peak < 1.3 * rows * (largest + 1) * np.dtype(np.int32).itemsize
 
     def test_efficiency_with_few_leaves_is_exact(self):
         # 3 candidates, 9 voters: 2,002 ranking-count multisets

@@ -6,13 +6,15 @@ streams, the chunking or the order of the running sums shows up here as a
 changed ``repr``.
 """
 
+import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from votefuse import _rand, jury, power, scoring
+from votefuse import _exact, _rand, jury, power, scoring
 from votefuse import (
     ScoringVector,
     VotingGame,
@@ -230,3 +232,132 @@ def test_chunk_sums_only_sees_float64_int64_or_python_numbers(monkeypatch):
         )
     ]
     assert not bad, f"chunk parts of other types: {bad}"
+
+
+# ---------------------------------------------------------------- row blocks
+
+SMALL_CHUNK = 301
+GAME60 = VotingGame(tuple(i % 9 + 1 for i in range(60)), 150)
+UNEVEN = [
+    lambda: power_monte_carlo(GAME60, "banzhaf", TRIALS, 5),
+    lambda: power_monte_carlo(GAME60, "shapley", TRIALS, 5),
+    lambda: competence_monte_carlo((1,) * 59 + (2,), 0, (0.6,) * 60, TRIALS, 5),
+    lambda: condorcet_efficiency(
+        ScoringVector.borda(5), 5, 41, "monte-carlo", "split-credit", TRIALS, 5
+    ),
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 97])
+def test_row_blocks_keep_every_estimate_to_the_bit(monkeypatch, block):
+    """Every pinned estimator, and widths that split a chunk unevenly, in any block size.
+
+    The chunk and the budget are made small so that blocks of one row stay
+    fast; the budget still spans three chunks.
+    """
+    monkeypatch.setattr(_rand, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setitem(globals(), "TRIALS", 2 * SMALL_CHUNK + 17)
+    runs = [run for run, _ in PINNED] + UNEVEN
+    whole = [repr(run()) for run in runs]
+    monkeypatch.setattr(_exact, "OUTCOME_BLOCK", block)
+    assert [repr(run()) for run in runs] == whole
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda rng, rows, w: rng.random((rows, w)),
+        lambda rng, rows, w: rng.integers(0, 2, size=(rows, w)),
+        lambda rng, rows, w: rng.integers(0, 120, size=(rows, w)),
+        lambda rng, rows, w: rng.permuted(np.tile(np.arange(w), (rows, 1)), axis=1),
+    ],
+    ids=["random", "integers-2", "integers-120", "permuted"],
+)
+@pytest.mark.parametrize("width", [1, 7, 60])
+def test_draws_split_unevenly_into_rows_give_the_same_values(draw, width):
+    rows = 1001
+    whole = draw(np.random.default_rng([3, 1]), rows, width)
+    rng = np.random.default_rng([3, 1])
+    cuts = [0, 1, 250, 333, 334, 777, rows]
+    parts = [draw(rng, hi - lo, width) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _game(n: int) -> VotingGame:
+    return VotingGame(tuple(i % 9 + 1 for i in range(n)), 5 * n // 2)
+
+
+SAMPLERS = {
+    "jury": lambda n: competence_monte_carlo((1,) * n, 0, (0.6,) * n, CHUNK, 1),
+    "banzhaf": lambda n: power_monte_carlo(_game(n), "banzhaf", CHUNK, 1),
+    "shapley": lambda n: power_monte_carlo(_game(n), "shapley", CHUNK, 1),
+    "efficiency": lambda n: condorcet_efficiency(
+        ScoringVector.borda(5), 5, n, "monte-carlo", "fail", CHUNK, 1
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, sizes",
+    [("jury", (51, 101)), ("banzhaf", (30, 60)), ("shapley", (60, 200)), ("efficiency", (11, 41))],
+)
+def test_a_chunk_peaks_within_a_few_blocks_at_any_width(kind, sizes):
+    """A chunk of 2^16 trials holds a few blocks, however many players each trial has.
+
+    What is left grows with the chunk alone: per-trial vectors of 2^16 entries.
+    """
+    block = _exact.OUTCOME_BLOCK * 8  # bytes of one block of int64 or float64
+    small, large = (_traced_peak(lambda: SAMPLERS[kind](n)) for n in sizes)
+    assert large < 6 * block
+    assert large - small < block
+
+
+def test_shapley_of_200_players_peaks_under_64_mib():
+    assert _traced_peak(lambda: SAMPLERS["shapley"](200)) < 64 << 20
+
+
+def _draw_sites(tree: ast.AST, draws: set) -> list:
+    """(name of the innermost enclosing function, call) for each call of a method in ``draws``."""
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                inner = getattr(child, "name", "a lambda")
+            else:
+                inner = fn
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) in draws:
+                yield inner, child
+            yield from visit(child, inner)
+
+    return list(visit(tree, None))
+
+
+def test_no_estimator_draws_outside_a_row_block():
+    """Generator draws sit only in block functions passed to ``_rand.row_blocks``.
+
+    So no estimator can draw a whole chunk of trials times players at once.
+    """
+    draws = {"random", "integers", "permuted", "permutation", "choice", "shuffle"}
+    sites = 0
+    for module in (power, jury, scoring):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        blocks = {
+            arg.id
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "row_blocks"
+            for arg in call.args[3:] + [k.value for k in call.keywords if k.arg == "block"]
+            if isinstance(arg, ast.Name)
+        }
+        for fn, call in _draw_sites(tree, draws):
+            assert fn in blocks, f"{module.__name__}: {ast.unparse(call)} drawn in {fn}"
+            sites += 1
+    assert sites == 4  # one draw in each of the four samplers

@@ -3,14 +3,13 @@ import math
 import pathlib
 from fractions import Fraction
 from itertools import product
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votefuse import _rand, scoring
+from votefuse import _exact, scoring
 from votefuse._exact import exact_in_float32
 from votefuse.errors import (
     BallotError,
@@ -345,12 +344,12 @@ class TestEfficiencyExact:
         assert res.exact == want
         assert res.profiles_with_winner == with_cw
 
-    @pytest.mark.parametrize("m, n, chunk", [(3, 5, 7), (4, 3, 97)])
-    def test_many_leaf_blocks_give_the_same_fraction(self, monkeypatch, m, n, chunk):
+    @pytest.mark.parametrize("m, n, block", [(3, 5, 7), (4, 3, 97)])
+    def test_many_leaf_blocks_give_the_same_fraction(self, monkeypatch, m, n, block):
         sv = ScoringVector((3,) + (1,) * (m - 2) + (0,))
         whole = [condorcet_efficiency(sv, m, n, tie_policy=t) for t in ("fail", "split-credit")]
-        monkeypatch.setattr(_rand, "CHUNK", chunk)
-        assert math.comb(n + math.factorial(m) - 1, n) > 3 * chunk
+        monkeypatch.setattr(_exact, "OUTCOME_BLOCK", block)
+        assert math.comb(n + math.factorial(m) - 1, n) > 3 * block
         blocks = [condorcet_efficiency(sv, m, n, tie_policy=t) for t in ("fail", "split-credit")]
         assert blocks == whole
 
@@ -452,16 +451,14 @@ class TestScoreKernel:
         st.integers(1, 1500),
         st.sampled_from(("fail", "split-credit")),
         st.sampled_from(("plurality", "borda", "wide", "wider")),
-        st.sampled_from((7, 1 << 16)),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_the_gather_oracle(self, m, n_voters, rows, tie_policy, kind, block, seed):
+    def test_matches_the_gather_oracle(self, m, n_voters, rows, tie_policy, kind, seed):
         score_rows, pair_rows = _ranking_tables(_vector(kind, m), n_voters)
         idx = np.random.default_rng(seed).integers(
             0, math.factorial(m), size=(rows, n_voters)
         )
-        with mock.patch.object(scoring, "_COUNT_BLOCK", block):
-            _assert_matches_gather(idx, score_rows, pair_rows, tie_policy)
+        _assert_matches_gather(idx, score_rows, pair_rows, tie_policy)
 
     @pytest.mark.parametrize(
         "m, n_voters, counts",
