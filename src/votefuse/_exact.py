@@ -21,11 +21,11 @@ the smaller side of its quota, q = min(quota, W-1-quota) for total weight W;
 the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W of its
 integer weights, also on their lowest terms; each or n*2^n by enumeration;
 a rule table or a nearest simple rule n*2^n;
-the enumeration of rules on n voters with weights up to mw
-C(mw+n, n)*n*2^n, one multiply-add per vote sign and weight vector;
 indirect competence of d players in k teams d*2^d + k*2^d*2^kc, kc the teams
 that can tie under coin-flip; Condorcet efficiency of m candidates and n
-voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves.
+voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves. The enumeration
+of rules needs no price: it never scans past the weight bound that reaches
+every rule, and its largest scan, 7 voters at bound 9, is 2% of the cap.
 
 Every weighted vote of the package is decided here: :func:`outcome` turns
 signed sums sum_i w_i v_i (v_i = +1 or -1) into 1 above the bias (A wins),

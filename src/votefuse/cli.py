@@ -40,7 +40,7 @@ from .io import (
 from .jury import competence_monte_carlo, indirect_competence, jury_exact, optimal_weights
 from .power import banzhaf_exact, power_monte_carlo, shapley_shubik_exact
 from .scoring import ScoringVector, condorcet_efficiency
-from .wmr import DEFAULT_MAX_WEIGHT, _scan_bound, enumerate_unique_wmr
+from .wmr import DEFAULT_MAX_WEIGHT, enumerate_unique_wmr, enumeration_is_bound_stable
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -120,15 +120,9 @@ def _cmd_power(args) -> str:
 
 
 def _cmd_wmr_enum(args) -> str:
-    default = DEFAULT_MAX_WEIGHT.get(args.n)
-    bound = default if args.max_weight is None else args.max_weight
-    # the default bounds are stable (tests/test_wmr.py proves it for every n);
-    # any other bound takes the test of enumeration_is_bound_stable, without
-    # repeating the first scan, and the second scan is priced before the first
-    if bound != default:
-        _scan_bound(args.n, bound, ahead=1)
     rules = enumerate_unique_wmr(args.n, args.max_weight)
-    stable = bound == default or len(rules) == len(enumerate_unique_wmr(args.n, bound + 1))
+    stable = enumeration_is_bound_stable(args.n, args.max_weight)
+    bound = DEFAULT_MAX_WEIGHT[args.n] if args.max_weight is None else args.max_weight
     extra = [
         f"n={args.n}",
         f"max_weight={bound}",

@@ -370,8 +370,8 @@ def confidence_transform(
     if direction not in _DIRECTIONS:
         raise ValueError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     alpha = float(smoothing)
-    if alpha < 0:
-        raise ValueError(f"smoothing must be >= 0, got {alpha}")
+    if not np.isfinite(alpha) or alpha < 0:
+        raise ValueError(f"smoothing must be finite and >= 0, got {alpha}")
     m = len(cm.labels)
     c = cm.counts.astype(np.float64)
     axis = 1 if direction == "given-true" else 0
@@ -426,6 +426,8 @@ def fuse_fixed(
     fractions), and ``trimmed-mean`` (drop floor(trim*K) highest and lowest
     per class). Only sum and majority consume classifier weights; passing
     weights with any other rule earns a ConfigurationWarning and is ignored.
+    A NaN score is refused; -inf is a score, the ln 0 of
+    :func:`confidence_transform`.
     """
     a = np.asarray(scores, dtype=np.float64)
     single = a.ndim == 2
@@ -438,6 +440,8 @@ def fuse_fixed(
         raise DimensionError(f"need K >= 1 classifiers over M >= 2 classes, got K={k}, M={m}")
     if rule not in FIXED_RULES:
         raise ValueError(f"rule must be one of {FIXED_RULES}, got {rule!r}")
+    if np.isnan(a).any():
+        raise DataError("scores must not be NaN")
     w = _weights_or_warn(rule, classifier_weights, k)
     if rule == "sum":
         if w is None:
@@ -652,7 +656,8 @@ class ValidationIndex:
         :data:`_NEIGHBOR_BLOCK` elements. Each row gives the first k' of its
         stable argsort, so ties go to the lower validation index. A single
         query passed as (1, d) is a batch of one; :func:`fuse_adaptive_wmr`
-        takes one query of any shape.
+        takes one query of any shape. A query that is not finite is refused,
+        as the index's own features are.
 
         No row sorts all N distances: :func:`_stable_smallest` finds the k'
         by a partition in O(N) and sorts only them.
@@ -660,6 +665,8 @@ class ValidationIndex:
         if k < 1:
             raise ValueError("k must be >= 1")
         q = np.asarray(query, dtype=np.float64)
+        if not np.isfinite(q).all():
+            raise DataError("query features must be finite")
         single = q.ndim < 2
         q = q.reshape(1, -1) if single else q
         count = min(k, self.n_samples)
@@ -734,8 +741,8 @@ def expected_risk(
         priors = np.asarray(list(class_priors), dtype=np.float64)
         if priors.size != len(cm.labels):
             raise DimensionError(f"{priors.size} priors for {len(cm.labels)} labels")
-        if (priors < 0).any() or priors.sum() <= 0:
-            raise ValueError("priors must be non-negative with positive sum")
+        if not np.isfinite(priors).all() or (priors < 0).any() or priors.sum() <= 0:
+            raise ValueError("priors must be finite and non-negative with positive sum")
         priors = priors / priors.sum()
     value = 0.0
     for t in range(len(cm.labels)):

@@ -10,7 +10,8 @@ strict pairwise-majority winner existing, that the rule elects that winner
 when every voter draws a ranking independently and uniformly (the impartial
 culture). Both methods score blocks of profiles with one kernel, each
 profile a row of m!-ranking indices, and both take the same blocks: as many
-rows of n + m! elements as fit in :data:`._exact.OUTCOME_BLOCK`. The
+rows as fit in :data:`._exact.OUTCOME_BLOCK` at the width, n + m! or n*m^2,
+that the kernel's route holds per profile (:func:`_profile_width`). The
 exact method enumerates the C(n+m!-1, m!-1) ranking-count multisets as
 sorted rows, weights each by its multinomial coefficient, and sums the
 credits as integers over lcm(1..m) before building one Fraction; it is
@@ -253,13 +254,16 @@ def _tallies_counts(k: int, n_voters: int) -> bool:
     return k <= _COUNTS_PER_VOTER * n_voters and exact_in_float32(n_voters)
 
 
-def _profile_width(k: int, n_voters: int) -> int:
-    """Elements one profile of a block holds at once: its voters' rankings and its ``k`` counts.
+def _profile_width(k: int, m: int, n_voters: int) -> int:
+    """Elements one profile holds at once on the route :func:`_score_profiles` takes.
 
-    Both routes of :func:`_score_profiles` take their blocks in rows of this
-    width; no other temporary of the kernel takes more than m times the bytes.
+    Tallying ranking counts, a profile holds its voters' rankings and its
+    ``k`` counts; gathering, it holds each voter's m*m pair entries. Callers
+    take their blocks in rows of this width. Every other temporary of a
+    profile takes at most 8 bytes per element of it, save the score gather
+    that the counts route makes for totals from 2^24 up.
     """
-    return n_voters + k
+    return n_voters + k if _tallies_counts(k, n_voters) else n_voters * m * m
 
 
 def _ranking_counts(idx: np.ndarray, k: int) -> np.ndarray:
@@ -356,7 +360,7 @@ def _efficiency_exact(
     with_winner = 0
     # each ranking-count multiset is a sorted row of ranking indices
     leaves = combinations_with_replacement(range(score_rows.shape[0]), n_voters)
-    rows = block_rows(_profile_width(score_rows.shape[0], n_voters))
+    rows = block_rows(_profile_width(score_rows.shape[0], m, n_voters))
     while (flat := np.fromiter(chain.from_iterable(islice(leaves, rows)), np.intp)).size:
         idx = flat.reshape(-1, n_voters)
         coeff = run = np.ones(idx.shape[0], dtype=np.int64)
@@ -390,7 +394,7 @@ def _efficiency_mc(
         return _score_profiles(draws, score_rows, pair_rows, tie_policy)
 
     def draw(rng: np.random.Generator, size: int) -> tuple[int, float, float]:
-        blocks = row_blocks(rng, size, _profile_width(k, n_voters), score)
+        blocks = row_blocks(rng, size, _profile_width(k, m, n_voters), score)
         has_cw, tied, hit = map(np.concatenate, zip(*blocks))
         credit = np.where(hit, 1.0 / tied, 0.0)
         return int(has_cw.sum()), float(credit.sum()), float((credit * credit).sum())

@@ -9,7 +9,6 @@ n voters?" into plain table deduplication.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -31,10 +30,11 @@ OUTCOME_A = 1
 OUTCOME_B = -1
 OUTCOME_ND = 0
 
-#: Enumeration of all distinct decisive rules is only tractable for small n;
-#: these search bounds are the smallest that make the counts stable under
-#: raising the bound by one.
-DEFAULT_MAX_WEIGHT = {1: 1, 2: 1, 3: 2, 4: 2, 5: 3, 6: 5, 7: 9}
+#: Enumeration of all distinct decisive rules is only tractable for small n.
+#: These weight bounds are the smallest that reach every rule: each smaller
+#: bound misses a rule that the next one finds, and no larger bound finds a
+#: new rule or an earlier weight vector for a known one.
+DEFAULT_MAX_WEIGHT = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 9}
 
 #: Winning families are Python sets of bit masks, built and searched in plain
 #: Python, so they are capped in players rather than priced in work units.
@@ -166,11 +166,14 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
 
     Scans every non-increasing integer weight vector with entries up to
     ``max_weight``, discards vectors whose rule can tie (only odd total
-    weights survive), and deduplicates by decision table. The default bound
-    per n is the smallest one whose rule count does not change when the bound
-    is raised; see :func:`enumeration_is_bound_stable` to re-check this for a
-    custom bound. The scan costs C(max_weight+n, n)*n*2^n work units, and
-    :func:`check_work` refuses it past the work cap or for n outside 1..7.
+    weights survive), and deduplicates by decision table. The scan stops at
+    n's :data:`DEFAULT_MAX_WEIGHT`, which reaches every rule, so a larger
+    ``max_weight`` gets the default's list, as a full scan would: no larger
+    bound finds an earlier vector for a known rule either, since every
+    default canonical vector has an odd total and the vectors before it in
+    the enumeration order have no entry above its first. The largest scan,
+    n = 7 at bound 9, takes 11,440 vectors; n outside 1..7, with no such
+    bound known, is refused with :class:`CapacityError`.
 
     The result is sorted by weight vector. Up to symmetry (rules for the
     remaining orderings follow by permuting players), this is the complete
@@ -200,21 +203,25 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
     return [CanonicalWMR(tuple(w)) for w in sorted(vectors[first].tolist())]
 
 
-def _scan_bound(n: int, max_weight: Optional[int], ahead: int = 0) -> int:
-    """The weight bound mw, once check_work has priced the scan of bound mw + ahead."""
-    mw = DEFAULT_MAX_WEIGHT.get(n, 1) if max_weight is None else int(max_weight)
-    beyond = "" if n in DEFAULT_MAX_WEIGHT else f"no bound is known to reach every rule for n={n}"
-    units = 0 if beyond or mw < 1 else math.comb(mw + ahead + n, n) * n << n
-    check_work("rule enumeration", units, how="C(max_weight+n, n)*n*2^n", beyond=beyond)
+def _scan_bound(n: int, max_weight: Optional[int]) -> int:
+    """The bound the scan takes: ``max_weight`` (n's default if None), at most n's default."""
+    if n not in DEFAULT_MAX_WEIGHT:
+        beyond = f"no bound is known to reach every rule for n={n}"
+        check_work("rule enumeration", 0, beyond=beyond)
+    mw = DEFAULT_MAX_WEIGHT[n] if max_weight is None else int(max_weight)
     if mw < 1:
         raise ValueError("max_weight must be >= 1")
-    return mw
+    return min(mw, DEFAULT_MAX_WEIGHT[n])
 
 
 def enumeration_is_bound_stable(n: int, max_weight: Optional[int] = None) -> bool:
-    """True iff raising the enumeration weight bound by one finds no new rules."""
-    mw = _scan_bound(n, max_weight, ahead=1)  # the larger scan is priced before either runs
-    return len(enumerate_unique_wmr(n, mw)) == len(enumerate_unique_wmr(n, mw + 1))
+    """True iff raising the enumeration weight bound by one finds no new rules.
+
+    A lookup, with no scan: the bound is stable exactly when it reaches n's
+    :data:`DEFAULT_MAX_WEIGHT`, since every smaller bound misses a rule that
+    the next one finds and every larger one finds the default's rules.
+    """
+    return _scan_bound(n, max_weight) == DEFAULT_MAX_WEIGHT[n]
 
 
 def wmr_network(rules: Sequence[RuleLike]) -> np.ndarray:

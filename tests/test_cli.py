@@ -80,7 +80,7 @@ class TestWmrEnumCommand:
         assert [r[0] for r in rep.rows] == ["1 0 0 0", "1 1 1 0", "2 1 1 1"]
         assert all(set(r[1]) <= {"A", "B"} and len(r[1]) == 16 for r in rep.rows)
 
-    def test_bound_stability_takes_one_extra_scan(self, capsys, monkeypatch):
+    def test_bound_stability_takes_no_extra_scan(self, capsys, monkeypatch):
         import votefuse.cli as cli
 
         bounds = []
@@ -91,33 +91,26 @@ class TestWmrEnumCommand:
             return scan(n, max_weight)
 
         monkeypatch.setattr(cli, "enumerate_unique_wmr", counted)
-        # the default bound is known to be stable, so it takes no extra scan
-        code, out, _ = run(capsys, "wmr", "enum", "--n", "4")
-        assert code == 0 and bounds == [None]
-        assert "bound_stable=true" in parse_report(out).comments
-        bounds.clear()
-        code, out, _ = run(capsys, "wmr", "enum", "--n", "4", "--max-weight", "3")
-        assert code == 0 and bounds == [3, 4]
-        assert "bound_stable=true" in parse_report(out).comments
+        # stability is a lookup, so every bound takes its one scan alone
+        for argv, stable in (([], "true"), (["--max-weight", "1"], "false"),
+                             (["--max-weight", "3"], "true")):
+            bounds.clear()
+            code, out, _ = run(capsys, "wmr", "enum", "--n", "4", *argv)
+            assert code == 0 and bounds == [int(argv[1]) if argv else None]
+            assert f"bound_stable={stable}" in parse_report(out).comments
 
-
-    def test_a_bound_priced_past_the_cap_exits_four_before_any_scan(self, capsys, monkeypatch):
-        import votefuse.cli as cli
-
-        scan = cli.enumerate_unique_wmr
-        bounds = []
-        monkeypatch.setattr(
-            cli, "enumerate_unique_wmr", lambda n, mw: bounds.append(mw) or scan(n, mw)
-        )
-        start = time.perf_counter()
-        code, out, err = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "40")
-        assert time.perf_counter() - start < 1.0
-        assert code == 4 and out == "" and err.count("\n") == 1
-        assert "rule enumeration" in err
-        # bound 18 fits the cap alone, but its stability scan at 19 does not
-        code, out, err = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "18")
-        assert code == 4 and out == "" and "589,388,800" in err
-        assert bounds == []
+    def test_bounds_past_the_default_answer_at_once_with_its_rows(self, capsys):
+        _, default, _ = run(capsys, "wmr", "enum", "--n", "7")
+        for bound in ("18", "40"):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", bound)
+            assert time.perf_counter() - start < 1.0
+            rep = parse_report(out)
+            assert code == 0 and rep.rows == parse_report(default).rows
+            assert "count=135" in rep.comments and "bound_stable=true" in rep.comments
+            assert f"max_weight={bound}" in rep.comments
+        code, out, err = run(capsys, "wmr", "enum", "--n", "8")
+        assert code == 4 and out == "" and "no bound is known" in err
 
     def test_the_largest_answered_bound(self, capsys):
         code, out, _ = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "17")

@@ -204,6 +204,9 @@ class TestConfidenceTransform:
             confidence_transform(self.cm, direction="sideways")
         with pytest.raises(ValueError):
             confidence_transform(self.cm, smoothing=-1.0)
+        for smoothing in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                confidence_transform(self.cm, smoothing=smoothing)
 
 
 class TestFuseFixed:
@@ -299,6 +302,14 @@ class TestFuseFixed:
             with pytest.raises(ValueError, match="finite"):
                 fuse_fixed(self.scores, rule, classifier_weights=(bad, 1, 1))
 
+    @pytest.mark.parametrize("rule", FIXED_RULES)
+    def test_a_nan_score_is_refused_and_minus_infinity_is_a_score(self, rule):
+        with pytest.raises(DataError, match="NaN"):
+            fuse_fixed([[math.nan, 0.4], [0.7, 0.3], [0.1, 0.9]], rule)
+        # ln 0 of a log-likelihood confidence
+        got = fuse_fixed([[-math.inf, 0.0], [-0.5, -1.0], [-2.0, -0.1]], rule)
+        assert got.winner == 1
+
 
 class TestFuseWmr:
     def test_two_fair_votes_outweigh_one_good_one(self):
@@ -382,6 +393,17 @@ class TestValidationIndex:
             idx.neighbors([0.0], k=1)
         with pytest.raises(DimensionError):
             idx.neighbors([[0.0, 1.0, 2.0]], k=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_query_that_is_not_finite_is_refused(self, bad):
+        idx = region_index()
+        for query in ([bad], [[0.5], [bad]]):
+            with pytest.raises(DataError, match="finite"):
+                idx.neighbors(query, k=2)
+            with pytest.raises(DataError, match="finite"):
+                idx.skills(query, k=2)
+        with pytest.raises(DataError, match="finite"):
+            fuse_adaptive_wmr([bad], ("A", "B"), idx, k=4)
 
     def test_local_skill_is_smoothed_and_clamped(self):
         x = [[float(i)] for i in range(4)]
@@ -471,6 +493,9 @@ class TestExpectedRisk:
             expected_risk(self.cm, good, class_priors=(0.0, 0.0))
         with pytest.raises(DimensionError):
             expected_risk(self.cm, good, class_priors=(1.0,))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                expected_risk(self.cm, good, class_priors=(bad, 1.0))
 
 
 class TestFuseDataset:

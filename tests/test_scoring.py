@@ -484,6 +484,22 @@ class TestScoreKernel:
         res = condorcet_efficiency(ScoringVector.borda(m), m, 1)
         assert res.exact == 1 and res.profiles_with_winner == math.factorial(m)
 
+    def test_gather_blocks_are_sized_by_the_gather(self, monkeypatch):
+        # the gather holds n*m^2 = 64 pair entries per profile, so 2^17 // 64
+        # rows go in one call: 20 calls for 8! leaves, where blocks sized by
+        # the m! = 40,320 counts the gather does not hold take 13,440
+        calls = []
+        kernel = scoring._score_profiles
+
+        def counted(idx, *args):
+            calls.append(idx.shape[0])
+            return kernel(idx, *args)
+
+        monkeypatch.setattr(scoring, "_score_profiles", counted)
+        res = condorcet_efficiency(ScoringVector.borda(8), 8, 1)
+        assert res.exact == 1 and sum(calls) == math.factorial(8)
+        assert len(calls) <= 40
+
     def test_monte_carlo_over_seven_candidates(self):
         est = condorcet_efficiency(ScoringVector.borda(7), 7, 11, "monte-carlo", trials=2000)
         assert 0 < est.profiles_with_winner <= 2000 and 0 < est.value <= 1

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votefuse import wmr
+from votefuse import _exact, wmr
 from votefuse.errors import CapacityError, DimensionError
 from votefuse.model import Coalition, DecisionProfile, VotingGame
 from votefuse.wmr import (
@@ -32,6 +33,26 @@ from votefuse.wmr import (
 )
 
 from oracles import random_rational_game, rule_table_brute, unique_wmr_brute
+
+
+def muroga_bound(n):
+    """Muroga's bound on the integer weights of a threshold function, floored."""
+    # (n+1)^((n+1)/2) / 2^n (Muroga, Threshold Logic and Its Applications, 1971)
+    return math.isqrt((n + 1) ** (n + 1)) >> n
+
+
+def checked_bound(n):
+    """The largest bound checked against the oracle, past the default by at least one.
+
+    Muroga's bound for n <= 6; for n = 7 it is 32, where the oracle would
+    take minutes, so 12 (1.5 s).
+    """
+    return max(DEFAULT_MAX_WEIGHT[n] + 1, muroga_bound(n) if n <= 6 else 12)
+
+
+@functools.lru_cache(maxsize=None)
+def brute(n, bound):
+    return unique_wmr_brute(n, bound)
 
 
 def traced_peak(call):
@@ -161,13 +182,14 @@ class TestEnumeration:
             assert not rules_equivalent(a.rule(), b.rule())
 
     def test_every_representative_is_decisive_and_monotone(self):
-        for wmr in enumerate_unique_wmr(5):
+        # an odd total also keeps every earlier vector inside the default scan
+        for wmr in itertools.chain.from_iterable(map(enumerate_unique_wmr, range(1, 8))):
             rule = wmr.rule()
             assert rule.is_decisive() and rule.is_monotone()
             assert sum(wmr.weights) % 2 == 1
 
     def test_default_bound_is_stable(self):
-        # the CLI reports bound_stable=true at these bounds without a scan
+        # a lookup; test_stability_is_what_the_next_bound_finds checks it
         for n in range(1, 8):
             assert enumeration_is_bound_stable(n)
 
@@ -187,20 +209,30 @@ class TestEnumeration:
         with pytest.raises(CapacityError, match="no bound is known"):
             enumeration_is_bound_stable(n)
 
-    def test_the_scan_is_priced_by_its_weight_vectors(self):
-        # C(47, 7) = 62,891,499 vectors at bound 40, each times 7 * 2^7 signs
-        with pytest.raises(CapacityError, match="56,350,783,104"):
-            enumerate_unique_wmr(7, 40)
-        # bound 18 alone fits, but its stability check prices bound 19 before any scan
+    def test_bounds_past_the_default_reuse_its_scan(self):
+        # no bound is priced or refused: C(10^6 + 7, 7) vectors could not be scanned
+        default = enumerate_unique_wmr(7)
+        for bound in (18, 40, 10**6):
+            assert enumerate_unique_wmr(7, bound) == default
+        # and stability is a lookup, with no scan at any bound
         scan = mock.patch.object(wmr, "enumerate_unique_wmr", side_effect=AssertionError("scan"))
-        with scan, pytest.raises(CapacityError, match="589,388,800"):
-            enumeration_is_bound_stable(7, 18)
+        with scan:
+            assert enumeration_is_bound_stable(7, 18) and enumeration_is_bound_stable(7, 10**6)
+            assert not enumeration_is_bound_stable(7, 8)
 
-    def test_the_scan_holds_one_block_of_sums_at_a_time(self):
-        # C(19, 7) = 50,388 weight vectors: their whole (vectors, 2^7) float64
-        # sum matrix alone would take 49 MiB
+    def test_a_huge_bound_holds_no_more_than_the_default_scan(self):
+        # at 2^22 the whole weight-vector column took 132 MiB traced
+        rules, peak = traced_peak(lambda: enumerate_unique_wmr(1, 2**28 - 1))
+        assert [r.weights for r in rules] == [(1,)]
+        assert peak < 1 << 20
+
+    def test_the_scan_holds_one_block_of_sums_at_a_time(self, monkeypatch):
+        # C(16, 7) = 11,440 weight vectors at the default bound 9, which bound
+        # 12 scans: their whole (vectors, 2^7) float64 sum matrix alone would
+        # take 11 MiB; blocks of 2^14 sums split the scan into 90 blocks
+        monkeypatch.setattr(_exact, "OUTCOME_BLOCK", 1 << 14)
         rules, peak = traced_peak(lambda: enumerate_unique_wmr(7, 12))
-        assert peak < 16 << 20
+        assert peak < 4 << 20
         assert len(rules) == 135
 
     def test_default_bounds_exist_for_small_sizes(self):
@@ -208,9 +240,19 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_matches_a_dict_dedup_reference_at_every_bound(self, n):
-        for bound in range(1, DEFAULT_MAX_WEIGHT[n] + 2):
+        # past the default bound the scan stops there, so this also checks
+        # that no larger bound up to checked_bound(n) finds other vectors
+        for bound in range(1, checked_bound(n) + 1):
             got = [c.weights for c in enumerate_unique_wmr(n, bound)]
-            assert got == unique_wmr_brute(n, bound), bound
+            assert got == brute(n, bound), bound
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_stability_is_what_the_next_bound_finds(self, n):
+        # the oracle's count rises at every bound below the default, and not after
+        for bound in range(1, checked_bound(n)):
+            stable = len(brute(n, bound)) == len(brute(n, bound + 1))
+            assert enumeration_is_bound_stable(n, bound) == stable, bound
+            assert stable == (bound >= DEFAULT_MAX_WEIGHT[n])
 
 
 class TestNetwork:
