@@ -3,8 +3,12 @@
 Every exact question here is a sum over the 2^n coalitions (or vote patterns)
 of n players, taken one of two ways: a counting DP over integer weights, which
 tabulates coalitions (or probability) by total weight in O(n * W) cells for
-total weight W (Brams & Affuso 1976; Matsui & Matsui 2000; Uno 2012), or one
-enumeration of all 2^n patterns by array doubling, which takes any weights.
+total weight W (Brams & Affuso 1976; Matsui & Matsui 2000; Uno 2012), or a
+route for any weights priced at n*2^n: power indices enumerate all 2^n
+coalitions by array doubling, and the jury meets in the middle (Horowitz &
+Sahni 1974), sorting one half's 2^(n/2) signed sums, settling the pairs of
+half patterns that are certainly won or lost by binary search, and deciding
+the band of near ties by their sum in player order (:func:`_jury_halves`).
 Each kernel estimates both costs and takes the cheaper route. Both routes give
 the same answers (counts exactly, probabilities up to float rounding), and
 neither divides to take a player out: the power DP uses an exact alternating
@@ -19,7 +23,7 @@ Banzhaf takes n*(q+1) DP cells, Shapley-Shubik n*(n+1)*(q+1), where a game
 is priced and counted on its lowest integer weights (over their gcd) and on
 the smaller side of its quota, q = min(quota, W-1-quota) for total weight W;
 the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W of its
-integer weights, also on their lowest terms; each or n*2^n by enumeration;
+integer weights, also on their lowest terms; each or n*2^n by the other route;
 a rule table or a nearest simple rule n*2^n;
 indirect competence of d players in k teams d*2^d + k*2^d*2^kc, kc the teams
 that can tie under coin-flip; Condorcet efficiency of m candidates and n
@@ -324,7 +328,7 @@ def jury_values(
     route = route or _choose_route(n, dp_cells, "jury competence", "competence_monte_carlo")
     if route == "dp":
         return _jury_dp(ints, p, bias, nd, players)
-    return _jury_enumeration(w, p, bias, nd, players)
+    return _jury_halves(w, p, bias, nd, players)
 
 
 def _each_judge(n: int, players: Sequence[int], root, absorb, leaf) -> list[float]:
@@ -354,16 +358,82 @@ def _each_judge(n: int, players: Sequence[int], root, absorb, leaf) -> list[floa
     return [out[i] for i in players]
 
 
-def _jury_enumeration(w, p, bias, nd, players):
-    outcomes = pattern_outcomes(w, bias)
-    probs = enumerate_patterns(1.0 - p, p, np.float64(1.0), np.multiply)
-    win = outcomes > 0
-    competence = float(probs[win].sum())
-    earned = np.where(win, 1.0, 0.0)
-    if nd:
-        tie = outcomes == 0
-        competence += nd * float(probs[tie].sum())
-        earned[tie] = nd
+def _jury_halves(w, p, bias, nd, players):
+    """Competence and decisiveness by meet in the middle, deciding as in player order.
+
+    A pattern is decided by its sum S = fl(...fl(x_0 + x_1)... + x_{n-1}) in
+    player order, x_i = +-w_i, as :func:`pattern_outcomes` sums it. With
+    h = n // 2, half A = [0, h) has the prefixes s of S, and half B the sums t
+    of its own terms in order, sorted once.
+
+    A sum of k terms in order is within gamma_(k-1) * sum|x_i| of the real
+    sum, gamma_k = k*u / (1 - k*u), u = 2^-53 (Higham 2002, section 4.2), so S
+    is within 2 * gamma_(n-1) * W of s + t, for W = sum|w_i|. Rounding
+    d = fl(bias - s) and fl(d +- e) adds at most u * (|bias| + |s| + |d +- e|).
+    All of this stays below e = 2 * gamma_(n+1) * (W + |bias|), so t > fl(d + e)
+    means S > bias and t < fl(d - e) means S < bias; e is doubled for the
+    rounding of W and e themselves. Two ``searchsorted`` calls thus settle the
+    certain pairs of each A sum. The band between, ties and near ties, is
+    decided by S itself: s continued with judges h, ..., n-1 in order, once
+    per distinct s, in blocks of at most :data:`OUTCOME_BLOCK` pairs. If
+    W + |bias| could overflow, every pair is in the band.
+
+    C_A[a], the expected credit over B given A's pattern a, is the mass of its
+    certain wins (a suffix sum of B's sorted probabilities) plus its band;
+    C_B[b] is the mass of the A sums with which b certainly wins (a running
+    total) plus the same band. The competence is q_A . C_A, and each half's
+    table gives its judges' decisiveness. Every pair can fall in the band,
+    so the work is priced at n*2^n.
+    """
+    n, h = w.size, w.size // 2
+    prefixes = enumerate_patterns(-w[:h], w[:h], np.float64(0.0))
+    s = np.sort(prefixes)
+    s = s[np.concatenate(([True], s[1:] != s[:-1]))]  # the distinct sums
+    at = s.searchsorted(prefixes)
+    q_a = enumerate_patterns(1.0 - p[:h], p[:h], np.float64(1.0), np.multiply)
+    mass = np.bincount(at, weights=q_a, minlength=s.size)  # A's mass at each distinct sum
+    t = enumerate_patterns(-w[h:], w[h:], np.float64(0.0))
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    q_b = enumerate_patterns(1.0 - p[h:], p[h:], np.float64(1.0), np.multiply)[order]
+    scale = abs(bias) + sum(np.abs(w).tolist())  # inf past the float range, with no warning
+    if scale < np.finfo(np.float64).max / 2:
+        u = 2.0**-53
+        e = 4 * (n + 1) * u / (1 - (n + 1) * u) * scale
+        lo = t.searchsorted((bias - s) - e, "left")  # B positions below lo: certain losses
+        hi = t.searchsorted((bias - s) + e, "right")  # from hi up: certain wins
+    else:
+        lo, hi = np.zeros(s.size, dtype=np.intp), np.full(s.size, t.size)
+    wins = np.zeros(t.size + 1)  # wins[r]: B's mass at sorted positions r and up
+    q_b[::-1].cumsum(out=wins[-2::-1])
+    c_a = wins[hi]
+    c_b = np.bincount(hi, weights=mass, minlength=t.size + 1)[:-1].cumsum()
+    ends = (hi - lo).cumsum()
+    shift = hi - ends  # band pair g of A sum a is B position g + shift[a]
+    band = int(ends[-1])
+    if band:  # terms[j, r]: the term of judge h + j in the B pattern at sorted position r
+        terms = np.where(order >> np.arange(n - h)[:, None] & 1, w[h:, None], -w[h:, None])
+    for start in range(0, band, OUTCOME_BLOCK):
+        g = np.arange(start, min(start + OUTCOME_BLOCK, band))
+        a = ends.searchsorted(g, "right")
+        r = g + shift[a]
+        sums = s[a]
+        for row in terms:
+            sums += row[r]
+        earned = credit(outcome(sums, bias), nd)
+        c_a += np.bincount(a, weights=earned * q_b[r], minlength=s.size)
+        c_b += np.bincount(r, weights=earned * mass[a], minlength=t.size)
+    c_a = c_a[at]
+    c_b[order] = c_b.copy()
+    want_a = [i for i in players if i < h]
+    want_b = [i - h for i in players if i >= h]
+    decisive = dict(zip(want_a, _decisiveness(c_a, p[:h], want_a)))
+    decisive.update(zip((i + h for i in want_b), _decisiveness(c_b, p[h:], want_b)))
+    return float(q_a @ c_a), [decisive[i] for i in players]
+
+
+def _decisiveness(table: np.ndarray, p: np.ndarray, players: Sequence[int]) -> list[float]:
+    """The decisiveness of each of ``players`` among judges of skills ``p``."""
 
     def absorb(table, lo, hi, a, b):
         # table[j]: expected credit when judge lo + k is right iff bit k of j
@@ -373,8 +443,7 @@ def _jury_enumeration(w, p, bias, nd, players):
         odds = enumerate_patterns(1.0 - p[a:b], p[a:b], np.float64(1.0), np.multiply)
         return grid @ odds if a == lo else odds @ grid
 
-    decisive = _each_judge(w.size, players, earned, absorb, lambda i, t: float(t[1] - t[0]))
-    return competence, decisive
+    return _each_judge(p.size, players, table, absorb, lambda i, t: float(t[1] - t[0]))
 
 
 def _jury_dp(w: list[int], p, bias, nd, players):

@@ -11,8 +11,13 @@ Exact routines share the kernel in :mod:`._exact`. Integer-valued weights
 take a DP over the distribution of the signed sum, O(n * W) cells for total
 absolute weight W, and every judge's decisiveness comes from prefix/suffix
 distributions of the others in O(n log n * W). Other weights, such as
-log-odds, take one enumeration of the 2^n vote patterns, which serves the
-competence and all n decisiveness values at once. One work cap bounds both.
+log-odds, meet in the middle: one half's 2^(n/2) signed sums are sorted, a
+binary search settles the pairs of half patterns that are certainly won or
+lost, and the pairs near the bias are decided by their sum in player order,
+as an enumeration of all 2^n patterns decides them. Each half's expected
+credit serves the competence and all n decisiveness values at once. One work
+cap bounds both routes, the second at n*2^n, since every pair can lie near
+the bias.
 
 The Monte Carlo estimate draws each chunk in row blocks
 (:func:`._rand.row_blocks`), so its memory follows one block and not the
@@ -77,8 +82,10 @@ def jury_exact(
 ) -> JuryReport:
     """Group competence and the decisiveness of every judge, from one kernel run.
 
-    The kernel is a DP over the signed sum for integer-valued weights, or one
-    enumeration of the 2^n vote patterns, whichever is estimated cheaper.
+    The kernel is a DP over the signed sum for integer-valued weights, or a
+    meet in the middle over the two halves' 2^(n/2) signed sums that decides
+    each vote pattern by its sum in player order, whichever is estimated
+    cheaper.
     """
     w, p, nd = _checked(weights, bias, skills, nd_policy)
     competence, decisive = jury_values(w, p, bias, nd, range(w.size))

@@ -422,6 +422,17 @@ class TestExitCodes:
         assert code == 4
         assert "power_monte_carlo" in err
 
+    def test_float_juries_are_exact_up_to_24_judges(self, capsys):
+        def jury(n):
+            weights = ",".join(str(0.5 + i) for i in range(n))
+            skills = ",".join(["0.6"] * n)
+            return run(capsys, "jury", "--method", "exact", "--skills", skills, "--weights", weights)
+
+        assert jury(24)[0] == 0
+        code, out, err = jury(25)
+        assert code == 4 and out == ""
+        assert "838,860,800 work units" in err and "competence_monte_carlo" in err
+
     def test_a_rescaled_game_is_answered_like_the_original(self, capsys, tmp_path):
         rows = []
         for scale in (1, 10**6):

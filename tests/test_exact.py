@@ -206,6 +206,89 @@ class TestJuryRoutes:
         assert abs(got - majority_competence_binomial(25, 0.6)) < 1e-12
 
 
+@st.composite
+def float_juries(draw):
+    """Float weights that tie often, all 0.1, or log-odds, with skills that
+    give every vote pattern enough mass for one changed decision to show."""
+    n = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from(("decimal", "tenths", "log-odds")))
+    skill = st.one_of(st.sampled_from([0.5, 0.3, 0.65]), st.floats(0.2, 0.8))
+    p = draw(st.lists(skill, min_size=n, max_size=n))
+    if kind == "decimal":
+        w = draw(st.lists(st.sampled_from([0.1, 0.2, 0.25, 0.3, -0.3]), min_size=n, max_size=n))
+    else:
+        w = [0.1] * n if kind == "tenths" else [math.log(x / (1 - x)) for x in p]
+    bias = draw(st.sampled_from([0.0, 0.1, 0.30000000000000004]))
+    nd = draw(st.sampled_from([0.0, 0.5]))
+    # one judge, or two asked for out of order
+    players = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    if len(players) == 2:
+        players.sort(reverse=True)
+    return w, p, bias, nd, players
+
+
+class TestFloatJury:
+    """Float weights meet in the middle and keep every decision of the player-order sum."""
+
+    BLOCKS = (1, 7, 97)
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_juries())
+    def test_every_decision_is_the_player_order_sum(self, case):
+        # the oracles sum each pattern in player order, so they encode the
+        # decisions; the smallest pattern mass, 0.2^14, is far above 1e-12
+        w, p, bias, nd, players = case
+        want_c = competence_brute(w, bias, p, nd)
+        want_d = [decisiveness_brute(w, bias, p, i, nd) for i in players]
+        for block in self.BLOCKS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_exact, "OUTCOME_BLOCK", block)
+                got_c, got_d = _exact.jury_values(
+                    np.array(w), np.array(p), bias, nd, players, "enumeration"
+                )
+            assert abs(got_c - want_c) < 1e-12
+            assert np.allclose(got_d, want_d, rtol=0.0, atol=1e-12)
+
+    def test_decimal_ties_are_decided_as_binary_floats(self):
+        # fl(0.1) + fl(0.2) - fl(0.3) = 2^-55, so the decimal stalemate is a win
+        # in binary; ROADMAP item 2 will change this on purpose to 0.375
+        assert jury_exact((0.1, 0.2, 0.3), 0, (0.5,) * 3).competence == 0.5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_sums_that_may_overflow_are_decided_in_player_order(self):
+        w, p = [1e308, 1e308, -1e308, 0.5], [0.6, 0.7, 0.55, 0.8]
+        got_c, got_d = _exact.jury_values(np.array(w), np.array(p), 0.0, 0.0, range(4))
+        assert abs(got_c - competence_brute(w, 0.0, p)) < 1e-12
+        want_d = [decisiveness_brute(w, 0.0, p, i) for i in range(4)]
+        assert np.allclose(got_d, want_d, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["log-odds", "tenths"])
+    def test_24_judges_peak_near_the_half_tables(self, kind, monkeypatch):
+        # the halves hold O(2^12) values and the band one block of pairs;
+        # one 2^24 float64 table alone would take 128 MiB
+        p = np.random.default_rng(24).uniform(0.55, 0.9, 24)
+        w = optimal_weights(p) if kind == "log-odds" else np.full(24, 0.1)
+        monkeypatch.setattr(_exact, "OUTCOME_BLOCK", 1 << 12)
+        jury_exact((0.5, 0.25, 0.125), 0.0, (0.6,) * 3)  # first-call allocations
+        tracemalloc.start()
+        try:
+            jury_exact(w, 0.0, p, nd_policy="coin-flip")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (64 * (1 << 12) + 16 * _exact.OUTCOME_BLOCK)
+
+    def test_24_float_judges_are_answered_and_25_refused(self):
+        assert 0.0 < group_competence([0.5 + i for i in range(24)], 0.0, (0.6,) * 24) < 1.0
+        with pytest.raises(CapacityError) as info:
+            group_competence([0.5 + i for i in range(25)], 0.0, (0.6,) * 25)
+        assert str(info.value) == (
+            "exact jury competence needs an estimated 838,860,800 work units (no counting DP "
+            "(weights are not integers), enumeration n*2^n = 838,860,800), over the limit of "
+            "536,870,912. Use competence_monte_carlo instead."
+        )
+
+
 class TestWorkCap:
     def test_the_cheaper_route_is_chosen(self):
         assert _exact._choose_route(30, 30 * 31, "Banzhaf", "x") == "dp"

@@ -472,10 +472,12 @@ class TestScoreKernel:
 
     def test_the_gather_price_bounds_the_count_route(self):
         # a leaf is priced n*m^2; the count route writes m! counts and at
-        # most n*m gathered scores
+        # most n*m gathered scores. k + n*m <= n*m^2 is k <= n*m*(m-1), which
+        # holds for every n from k / (m*(m-1)) up, so only the voter counts
+        # below that threshold need the route's own answer
         for m in range(2, 10):
             k = math.factorial(m)
-            for n_voters in range(1, 40 * k):
+            for n_voters in range(1, -(-k // (m * (m - 1)))):
                 if scoring._tallies_counts(k, n_voters):
                     assert k + n_voters * m <= n_voters * m * m
 

@@ -2,9 +2,12 @@
 
 Runs each job of ``bench/jobgen.generate(workload, seed, dir)`` in-process
 through ``votefuse.cli.main``, in a temporary directory, and writes one JSON
-line per job: its id (``workload/seed/job``), its exit code, and the SHA-256
-digests of its report and of its stderr. ``--compare A B`` lists the ids
-whose lines differ between two such files and exits 1 if there are any.
+line per job: its id (``workload/seed/job``), its exit code, the SHA-256
+digests of its report and of its stderr, and the report split as the
+benchmark's reference check splits it (``bench/checks.py``): the digest of
+its exact tokens and the list of its floats. ``--compare A B`` lists the ids
+whose lines differ between two such files, each with whether only floats
+moved and by how much at most (relative), and exits 1 if any differ.
 Run from the root of a source checkout::
 
     python tools/report_digests.py --src ../parent/src > parent.jsonl
@@ -23,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -32,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
 sys.path.insert(0, str(ROOT / "bench"))
 import jobgen  # noqa: E402
+from checks import Report, digest_tokens  # noqa: E402
 
 
 def _sha256(data: bytes) -> str:
@@ -39,7 +44,7 @@ def _sha256(data: bytes) -> str:
 
 
 def digests(workloads, seeds):
-    """One dict per job: id, exit code, and digests of the report and stderr."""
+    """One dict per job: id, exit code, digests of the report and stderr, exact tokens, floats."""
     from votefuse.cli import main
 
     home = os.getcwd()
@@ -56,11 +61,14 @@ def digests(workloads, seeds):
                         # the report is the -o file the job names, or stdout without one
                         path = Path("out", f"{job['id']}.csv")
                         report = path.read_bytes() if path.exists() else out.getvalue().encode()
+                        exact, floats = digest_tokens(Report(report.decode()).tokens())
                         yield {
                             "id": f"{workload}/{seed}/{job['id']}",
                             "exit": code,
                             "report": _sha256(report),
                             "stderr": _sha256(err.getvalue().encode()),
+                            "exact": exact,
+                            "floats": floats,
                         }
                 finally:
                     os.chdir(home)
@@ -71,14 +79,44 @@ def _load(path: str) -> dict:
     return {d["id"]: d for d in map(json.loads, lines)}
 
 
+def _run(line):
+    """A line's exit code and digests: its tokens follow from the report digest.
+
+    Jobs are compared on these, not on the float lists, because NaN != NaN.
+    """
+    return line and (line["exit"], line["report"], line["stderr"])
+
+
+def _relative(x: float, y: float) -> float:
+    if x == y or math.isnan(x) and math.isnan(y):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+
+
+def _how(a, b) -> str:
+    """How one job's lines differ: in floats only, by their largest relative change, or not."""
+    if a is None or b is None:
+        return "missing"
+    # the exact digest holds a placeholder for each float, so equal digests
+    # mean the floats stand at the same places
+    if "exact" not in a or any(a.get(k) != b.get(k) for k in ("exit", "stderr", "exact")):
+        return "exit, stderr or exact tokens differ"
+    worst = max(map(_relative, a["floats"], b["floats"]), default=0.0)
+    if worst == 0.0:
+        return "same tokens, other bytes"
+    return f"floats only, max relative difference {worst:.2g}"
+
+
 def compare(a: str, b: str) -> int:
-    """Print the ids whose lines differ between two digest files; 1 if any do."""
+    """Print the ids whose lines differ between two digest files, and how; 1 if any do."""
     left, right = _load(a), _load(b)
     ids = left.keys() | right.keys()
-    differ = sorted(i for i in ids if left.get(i) != right.get(i))
-    for i in differ:
-        print(i)
-    print(f"{len(differ)} of {len(ids)} jobs differ", file=sys.stderr)
+    differ = sorted(i for i in ids if _run(left.get(i)) != _run(right.get(i)))
+    hows = [_how(left.get(i), right.get(i)) for i in differ]
+    for i, how in zip(differ, hows):
+        print(f"{i}\t{how}")
+    floats = sum(how.startswith("floats only") for how in hows)
+    print(f"{len(differ)} of {len(ids)} jobs differ, {floats} in floats only", file=sys.stderr)
     return 1 if differ else 0
 
 
