@@ -52,7 +52,7 @@ from .model import as_fraction
 #: computation may take on; 24 players always fit by enumeration.
 EXACT_WORK_MAX = 1 << 29
 
-#: Elements in one block of signed sums held at once; see :func:`block_bits`.
+#: Elements in one block of temporaries held at once; see :func:`block_rows`.
 OUTCOME_BLOCK = 1 << 17
 
 #: What a jury earns for a stalemate under each no-decision policy.
@@ -95,11 +95,6 @@ def nd_credit(nd_policy: str) -> float:
     return ND_CREDIT[nd_policy]
 
 
-def block_bits(k: int) -> int:
-    """log2 of the most patterns (at least one) whose ``k`` sums each fit in one block."""
-    return max(0, (OUTCOME_BLOCK // k).bit_length() - 1)
-
-
 def block_rows(width: int) -> int:
     """The most rows (at least one) of ``width`` elements that fit in one block."""
     return max(1, OUTCOME_BLOCK // width)
@@ -119,13 +114,12 @@ def pattern_outcomes(w, bias) -> np.ndarray:
     cols = np.atleast_2d(w).T[:, :, None]
     n, k = cols.shape[:2]
     bias = np.reshape(bias, (-1, 1))
-    bits = min(n, block_bits(k))
+    bits = min(n, block_rows(k).bit_length() - 1)  # low players varied inside a block
     low = enumerate_patterns(-cols[:bits], cols[:bits], np.zeros(k, dtype=w.dtype))
-    if bits == n:
-        return outcome(low, bias).reshape(w.shape[:-1] + (1 << n,))
     out = np.empty((k, 1 << n), dtype=np.int8)
+    sums = np.empty_like(low)
     for h in range(1 << (n - bits)):
-        sums = low.copy()
+        np.copyto(sums, low)
         for b, col in enumerate(cols[bits:]):
             np.add(sums, col if h >> b & 1 else -col, out=sums)
         out[:, h << bits : (h + 1) << bits] = outcome(sums, bias)
@@ -163,17 +157,20 @@ def check_work(
     )
 
 
-def _choose_route(n: int, dp_cells: Optional[int], what: str, sampler: str) -> str:
-    """'dp' or 'enumeration', whichever is estimated cheaper; refuse both if over the cap."""
-    enum_cells = n << n
-    if dp_cells is not None and dp_cells <= enum_cells:
+def _choose_route(
+    n: int, dp_cells: Optional[int], what: str, sampler: str, other: str = "enumeration"
+) -> str:
+    """'dp' or ``other`` (n*2^n), whichever is estimated cheaper; refuse both if over the cap."""
+    cells = n << n
+    if dp_cells is not None and dp_cells <= cells:
         route, need = "dp", dp_cells
     else:
-        route, need = "enumeration", enum_cells
+        route, need = other, cells
     dp = "no counting DP (weights are not integers)" if dp_cells is None else (
         f"counting DP {dp_cells:,} cells"
     )
-    check_work(what, need, sampler, f"{dp}, enumeration n*2^n = {enum_cells:,}")
+    named = "meet in the middle" if other == "halves" else other
+    check_work(what, need, sampler, f"{dp}, {named} n*2^n = {cells:,}")
     return route
 
 
@@ -312,6 +309,7 @@ def jury_values(
     Judge i is right with probability p_i; the group is right iff
     sum_i w_i v_i > bias (v_i = +1 if right, -1 if wrong), and a stalemate
     earns ``nd``. Decisiveness is P(right | i right) - P(right | i wrong).
+    ``route`` forces 'dp' or 'halves'; by default the cheaper one runs.
     """
     n = w.size
     dp_cells = None
@@ -325,7 +323,9 @@ def jury_values(
         # priced for every judge's decisiveness, so that the competence does
         # not depend on which decisiveness values were asked for
         dp_cells = n * (sum(map(abs, ints)) + 1) * (1 + (n - 1).bit_length())
-    route = route or _choose_route(n, dp_cells, "jury competence", "competence_monte_carlo")
+    route = route or _choose_route(
+        n, dp_cells, "jury competence", "competence_monte_carlo", "halves"
+    )
     if route == "dp":
         return _jury_dp(ints, p, bias, nd, players)
     return _jury_halves(w, p, bias, nd, players)

@@ -40,7 +40,7 @@ from .errors import (
     EvidenceError,
     SampleError,
 )
-from ._exact import outcome
+from ._exact import block_rows, outcome
 from .jury import optimal_weights
 
 FIXED_RULES = ("sum", "product", "min", "max", "median", "majority", "trimmed-mean")
@@ -577,10 +577,6 @@ def fuse_wmr_one_vs_rest(
     return labs[int(np.argmax(scores[0]))]
 
 
-#: Elements in one (queries, validation samples, features) distance temporary.
-_NEIGHBOR_BLOCK = 1 << 16
-
-
 def _stable_smallest(d: np.ndarray, count: int) -> np.ndarray:
     """``np.argsort(d, axis=1, kind="stable")[:, :count]`` of a (B, N) array, without the sort.
 
@@ -652,12 +648,11 @@ class ValidationIndex:
 
         ``query`` is one point (d,), giving (k',), or a batch (B, d), giving
         (B, k'), where k' = min(k, N). A batch is searched in blocks of
-        queries whose (block, N, d) temporary holds at most
-        :data:`_NEIGHBOR_BLOCK` elements. Each row gives the first k' of its
-        stable argsort, so ties go to the lower validation index. A single
-        query passed as (1, d) is a batch of one; :func:`fuse_adaptive_wmr`
-        takes one query of any shape. A query that is not finite is refused,
-        as the index's own features are.
+        queries whose (block, N, d) temporary fits one :func:`._exact.block_rows`
+        block. Each row gives the first k' of its stable argsort, so ties go
+        to the lower validation index. A single query passed as (1, d) is a
+        batch of one; :func:`fuse_adaptive_wmr` takes one query of any shape.
+        A query that is not finite is refused, as the index's own features are.
 
         No row sorts all N distances: :func:`_stable_smallest` finds the k'
         by a partition in O(N) and sorts only them.
@@ -671,7 +666,7 @@ class ValidationIndex:
         q = q.reshape(1, -1) if single else q
         count = min(k, self.n_samples)
         width = max(1, self._kept_features.shape[1])
-        step = max(1, _NEIGHBOR_BLOCK // (self.n_samples * width))
+        step = block_rows(self.n_samples * width)
         out = np.empty((q.shape[0], count), dtype=np.intp)
         for start in range(0, q.shape[0], step):
             d = self._distance_block(q[start : start + step])

@@ -39,8 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _exact
 from ._exact import (
+    block_rows,
     check_work,
     credit,
     enumerate_patterns,
@@ -240,15 +240,6 @@ class TeamStructure:
         return tuple(sorted({i for team in self.teams for i in team}))
 
 
-def _top_sums(top_w: np.ndarray, codes: np.ndarray, votes) -> np.ndarray:
-    """``top_w @ votes(codes)`` over all patterns, in blocks of at most OUTCOME_BLOCK votes."""
-    size = 1 << _exact.block_bits(top_w.size)
-    top = np.empty(codes.shape[1])
-    for lo in range(0, codes.shape[1], size):
-        top[lo : lo + size] = top_w @ votes(codes[:, lo : lo + size])
-    return top
-
-
 def indirect_competence(
     structure: TeamStructure, skills: SkillsLike, nd_policy: str = "incorrect"
 ) -> float:
@@ -256,14 +247,20 @@ def indirect_competence(
 
     Players appearing on several teams cast a single correct-or-not draw that
     all their teams see, so team outcomes are dependent; the computation
-    enumerates the 2^d patterns of the d distinct players. Under the default
-    policy a tied team casts an incorrect vote and a tied top level is an
-    incorrect answer; under ``"coin-flip"`` tied teams flip independent fair
-    coins (enumerated exactly) and a tied top level earns half credit.
+    enumerates the 2^d patterns of the d distinct players. A tied team votes
+    -1 and a tied top level is an incorrect answer; under ``"coin-flip"``
+    each team that can tie flips an independent fair coin (enumerated
+    exactly), and a tied top level earns half credit.
 
-    Team outcomes are kept as one int8 per team and pattern; the float
-    temporaries cover at most :data:`._exact.OUTCOME_BLOCK` (team, pattern) pairs,
-    so memory does not grow with the team count times 2^d float64 values.
+    Each pattern's top sum, twice the top weight of the winning teams less
+    the total, is taken once; each coin assignment adds 2*w_t for each tied
+    team t whose coin is +1 and reduces its outcomes over all patterns at
+    once, so blocks change no float. Float top weights, which only the API
+    sets, may round a sum at an exact tie otherwise than a sum of +-w_t; the
+    top weights 1.0 of team files sum exactly. Besides the probabilities and
+    an int8 outcome per team and pattern, this holds a float64 top sum and an
+    int8 top outcome per pattern, and a reduction gathers the won (or tied)
+    probabilities; other temporaries fit one :func:`._exact.block_rows` block.
     The work is priced d*2^d + k*2^d*2^kc (kc tieable teams under
     ``"coin-flip"``, else 0) and refused beyond the one exact work cap.
     """
@@ -281,28 +278,25 @@ def indirect_competence(
         check_work("indirect competence", (d << d) + (k << d << kc), how=how)
 
     price(0)
-    pos = {player: b for b, player in enumerate(players)}
     team_w = np.zeros((k, d))
     for t, (team, wrow) in enumerate(zip(structure.teams, structure.member_weights)):
-        for i, wi in zip(team, wrow):
-            team_w[t, pos[i]] += wi
+        team_w[t, np.searchsorted(players, team)] = wrow
     codes = pattern_outcomes(team_w, np.asarray(structure.team_biases))
     pb = p_all[list(players)]
     probs = enumerate_patterns(1.0 - pb, pb, np.float64(1.0), np.multiply)
     top_w = np.asarray(structure.top_weights)
-    if nd == 0.0:
-        top = _top_sums(top_w, codes, lambda c: np.where(c > 0, 1.0, -1.0))
-        return float(probs[outcome(top, structure.top_bias) > 0].sum())
-    # coin-flip: every team that can tie gets an independent fair coin,
-    # enumerated exactly; a tied top level earns half credit
-    coin_teams = np.nonzero(~codes.all(axis=1))[0]
-    kc = coin_teams.size
-    price(kc)
+    coins = np.flatnonzero(~codes.all(axis=1)) if nd else np.empty(0, dtype=np.intp)
+    price(coins.size)
+    step = block_rows(k)
+    decided = np.empty(1 << d)  # top sums with every tied team voting -1
+    for lo in range(0, 1 << d, step):
+        decided[lo : lo + step] = 2 * top_w @ (codes[:, lo : lo + step] > 0) - top_w.sum()
+    out = np.empty(1 << d, dtype=np.int8)
     value = 0.0
-    for assignment in range(1 << kc):
-        coins = np.zeros((k, 1))
-        for j, t in enumerate(coin_teams):
-            coins[t] = 1.0 if assignment >> j & 1 else -1.0
-        top = _top_sums(top_w, codes, lambda c: np.where(c == 0, coins, c))
-        value += float(probs @ credit(outcome(top, structure.top_bias), nd))
-    return value / (1 << kc)
+    for assignment in range(1 << coins.size):
+        up = coins[assignment >> np.arange(coins.size) & 1 == 1]  # the coins that say +1
+        for lo in range(0, 1 << d, step):
+            lift = 2 * top_w[up] @ (codes[up, lo : lo + step] == 0) if up.size else 0.0
+            out[lo : lo + step] = outcome(decided[lo : lo + step] + lift, structure.top_bias)
+        value += probs[out > 0].sum() + nd * probs[out == 0].sum()
+    return float(value) / (1 << coins.size)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._exact import block_bits, check_work, outcome, pattern_outcomes
+from ._exact import block_rows, check_work, outcome, pattern_outcomes
 from .errors import CapacityError, DimensionError
 from .jury import group_competence
 from .model import (
@@ -189,7 +189,7 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
         vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
     vectors = vectors[np.argsort(vectors.sum(axis=1) % 2 == 0, kind="stable")]  # odd totals first
     signs = pattern_outcomes(np.eye(n), 0).astype(np.float64)  # (n, 2^n) vote signs
-    step = 1 << block_bits(1 << n)  # weight vectors per block of BLAS products
+    step = block_rows(1 << n)  # weight vectors per block of BLAS products
     kept, packed = [], []
     for lo in range(0, len(vectors), step):
         table = outcome(vectors[lo : lo + step] @ signs, 0)

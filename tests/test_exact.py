@@ -38,7 +38,8 @@ from oracles import (
     shapley_brute,
 )
 
-ROUTES = ("dp", "enumeration")
+POWER_ROUTES = ("dp", "enumeration")
+JURY_ROUTES = ("dp", "halves")
 
 
 def integer_games():
@@ -52,7 +53,7 @@ def check_power_routes(ws, q):
     """Both routes give the oracle counts; returns the Banzhaf and Shapley-Shubik counts."""
     want_b = banzhaf_brute(ws, q)
     want_s = [x * math.factorial(len(ws)) for x in shapley_brute(ws, q)]
-    for route in ROUTES:
+    for route in POWER_ROUTES:
         assert _exact.banzhaf_counts(ws, q, route) == want_b
         assert _exact.shapley_counts(ws, q, route) == want_s
     return want_b, want_s
@@ -161,7 +162,7 @@ def judges():
     )
 
 
-def check_jury_routes(w, p, bias, routes=ROUTES):
+def check_jury_routes(w, p, bias, routes=JURY_ROUTES):
     n = len(w)
     for nd in (0.0, 0.5):
         want_c = competence_brute(w, bias, p, nd)
@@ -187,9 +188,9 @@ class TestJuryRoutes:
 
     @settings(deadline=None)
     @given(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=6))
-    def test_log_odds_weights_take_the_enumeration(self, p):
+    def test_log_odds_weights_take_the_halves(self, p):
         w = [math.log(x / (1 - x)) for x in p]
-        check_jury_routes(w, p, 0.0, routes=("enumeration",))
+        check_jury_routes(w, p, 0.0, routes=("halves",))
 
     def test_certain_judges_are_not_divided_away(self):
         # skills of exactly 0 and 1: a division by p or 1-p would fail here
@@ -244,7 +245,7 @@ class TestFloatJury:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(_exact, "OUTCOME_BLOCK", block)
                 got_c, got_d = _exact.jury_values(
-                    np.array(w), np.array(p), bias, nd, players, "enumeration"
+                    np.array(w), np.array(p), bias, nd, players, "halves"
                 )
             assert abs(got_c - want_c) < 1e-12
             assert np.allclose(got_d, want_d, rtol=0.0, atol=1e-12)
@@ -284,8 +285,8 @@ class TestFloatJury:
             group_competence([0.5 + i for i in range(25)], 0.0, (0.6,) * 25)
         assert str(info.value) == (
             "exact jury competence needs an estimated 838,860,800 work units (no counting DP "
-            "(weights are not integers), enumeration n*2^n = 838,860,800), over the limit of "
-            "536,870,912. Use competence_monte_carlo instead."
+            "(weights are not integers), meet in the middle n*2^n = 838,860,800), over the "
+            "limit of 536,870,912. Use competence_monte_carlo instead."
         )
 
 
@@ -293,7 +294,7 @@ class TestWorkCap:
     def test_the_cheaper_route_is_chosen(self):
         assert _exact._choose_route(30, 30 * 31, "Banzhaf", "x") == "dp"
         assert _exact._choose_route(4, 10**6, "Banzhaf", "x") == "enumeration"
-        assert _exact._choose_route(20, None, "jury competence", "x") == "enumeration"
+        assert _exact._choose_route(20, None, "jury competence", "x", "halves") == "halves"
 
     def test_refusal_states_the_estimate_the_limit_and_the_sampler(self):
         with pytest.raises(CapacityError) as info:
@@ -503,19 +504,28 @@ class TestOneCapacityPolicy:
         }
         assert built == allowed
 
-    def test_no_module_keeps_a_cap_of_its_own(self):
-        caps = set()
-        for path in self.SOURCES:
+    @classmethod
+    def module_constants(cls, suffix):
+        """``module.NAME`` for each module-level assignment to a name ending in ``suffix``."""
+        found = set()
+        for path in cls.SOURCES:
             for node in ast.parse(path.read_text()).body:
                 targets = node.targets if isinstance(node, ast.Assign) else (
                     [node.target] if isinstance(node, ast.AnnAssign) else []
                 )
-                caps |= {
+                found |= {
                     f"{path.stem}.{t.id}"
                     for t in targets
-                    if isinstance(t, ast.Name) and t.id.endswith("_MAX")
+                    if isinstance(t, ast.Name) and t.id.endswith(suffix)
                 }
-        assert caps == {"_exact.EXACT_WORK_MAX", "wmr.TRADE_ROBUST_MAX"}
+        return found
+
+    def test_no_module_keeps_a_cap_of_its_own(self):
+        assert self.module_constants("_MAX") == {"_exact.EXACT_WORK_MAX", "wmr.TRADE_ROBUST_MAX"}
+
+    def test_no_module_keeps_a_block_of_its_own(self):
+        # every block of temporaries is sized by _exact.block_rows
+        assert self.module_constants("_BLOCK") == {"_exact.OUTCOME_BLOCK"}
 
 
 class TestOneDecision:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from votefuse import fusion
+from votefuse import _exact, fusion
 from votefuse.errors import (
     ConfigurationWarning,
     DataError,
@@ -751,7 +751,7 @@ class TestWeightedVoteKernel:
         queries = rng.integers(0, 4, size=(23, 3)).astype(float)
         idx = ValidationIndex(x, rng.random((40, 4)) < 0.6)
         whole = idx.neighbors(queries, 7)
-        monkeypatch.setattr(fusion, "_NEIGHBOR_BLOCK", budget)
+        monkeypatch.setattr(_exact, "OUTCOME_BLOCK", budget)
         blocked = idx.neighbors(queries, 7)
         kept = x.std(axis=0) > 0
         for q, row in zip(queries, blocked):
@@ -775,7 +775,7 @@ class TestWeightedVoteKernel:
         idx = ValidationIndex(x, np.ones((n, 1), dtype=bool))
         pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan])
         table = pool[rng.integers(0, pool.size, size=(b, n))]
-        with mock.patch.object(fusion, "_NEIGHBOR_BLOCK", budget):
+        with mock.patch.object(_exact, "OUTCOME_BLOCK", budget):
             d = idx._distance_block(queries)
             for k in range(1, n + 2):
                 want = np.argsort(d, axis=1, kind="stable")[:, :k]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ class TestGroupCompetence:
         want = jury_exact(w, bias, p, nd_policy)
         assert jury_exact(scaled, c * bias, p, nd_policy) == want
         nd = _exact.nd_credit(nd_policy)
-        for route in ("dp", "enumeration"):
+        for route in ("dp", "halves"):
             got = _exact.jury_values(np.array(scaled, float), np.array(p), c * bias, nd,
                                      range(len(w)), route)
             base = _exact.jury_values(np.array(w, float), np.array(p), bias, nd,
@@ -338,6 +339,44 @@ class TestIndirectCompetence:
         assert blocked == whole
         for policy, credit, got in (("incorrect", 0.0, blocked[0]), ("coin-flip", 0.5, blocked[1])):
             assert abs(got - indirect_brute(teams, skills, nd_credit=credit)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_overlapping_structures_match_brute_force(self, data):
+        # odd and even teams, so that coins occur, with players shared at random
+        n = data.draw(st.integers(1, 9))
+        team = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        teams = tuple(tuple(sorted(t)) for t in data.draw(st.lists(team, min_size=1, max_size=6)))
+        skills = data.draw(st.lists(st.floats(0.05, 0.95), min_size=n, max_size=n))
+        s = TeamStructure(teams=teams)
+        for policy, credit in (("incorrect", 0.0), ("coin-flip", 0.5)):
+            got = []
+            for block in (1, 7, 97):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(_exact, "OUTCOME_BLOCK", block)
+                    got.append(indirect_competence(s, skills, nd_policy=policy))
+            assert got == [got[0]] * 3
+            assert abs(got[0] - indirect_brute(teams, skills, nd_credit=credit)) < 1e-12
+
+    @pytest.mark.parametrize("policy", ["incorrect", "coin-flip"])
+    def test_memory_is_held_per_pattern_not_per_coin(self, policy):
+        # 20 players in six four-player teams, each of which can tie: coin-flip
+        # takes 2^6 coin assignments of 2^20 patterns, with no table of both
+        teams = tuple(tuple(range(4 * t, 4 * t + 4)) for t in range(5)) + ((0, 5, 10, 15),)
+        s, skills = TeamStructure(teams=teams), tuple(np.linspace(0.55, 0.75, 20))
+        indirect_competence(TeamStructure(teams=((0, 1), (1, 2))), (0.6,) * 3, policy)
+        tracemalloc.start()
+        try:
+            got = indirect_competence(s, skills, nd_policy=policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < got < 1.0
+        # bytes per pattern: 8 of probability and 6 of team outcomes; 8 of top
+        # sum and 1 of top outcome; at most 1 of mask and 8 gathered by a
+        # reduction, which runs once the block temporaries are freed
+        patterns = 1 << 20
+        assert peak < (8 + 6 + 9 + 9) * patterns + 8 * _exact.OUTCOME_BLOCK
 
     def test_member_weights_and_biases_are_honored(self):
         # a dominant member turns their team into a proxy for themselves
