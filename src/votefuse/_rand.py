@@ -6,20 +6,21 @@ depends only on the seed and the trial's position in the budget, never on
 scheduling: serial runs, restarts, and any parallel split of the chunks
 produce bit-identical estimates.
 
-:func:`chunk_sums` is the one driver: an estimator passes the statistic of
-one chunk and gets back the running sums over the whole budget, then applies
-its own closing formula for the estimate and its standard error.
-
-Inside a chunk, :func:`row_blocks` draws the trials in row blocks of at most
+:func:`chunk_sums` is the one loop over chunks and the rows inside them.
+Each chunk draws its trials in row blocks of at most
 :data:`._exact.OUTCOME_BLOCK` elements, so sampling memory follows that block
 and not the chunk times the players. The stream is unchanged: ``random``,
 ``integers`` and ``permuted(axis=1)`` give the same values however the rows
-of one generator are split, and the blocks take them in row order.
+of one generator are split, and the blocks take them in row order. An
+estimator passes the statistic of one block, which holds only exact numbers
+(integer counts, as ints or in float64 or int64), so no split into chunks or
+blocks can change a sum; it then applies its own closing formula for the
+estimate and its standard error.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -40,34 +41,22 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def chunk_sums(
-    trials: int, seed: int, draw: Callable[[np.random.Generator, int], tuple]
+    trials: int, seed: int, width: int, block: Callable[[np.random.Generator, int], tuple]
 ) -> tuple:
-    """Elementwise sum over all chunks of ``draw(chunk_rng(seed, i), size)``.
+    """Elementwise sum of ``block(rng, rows)`` over every row block of every chunk.
 
-    ``draw`` returns one tuple of sums (floats, ints or arrays) per chunk of
-    ``size`` trials; the chunks run in order. The first chunk's tuple is
-    taken as it is, so a sum equals a loop that starts from zero and adds
-    each chunk in turn, to the bit.
+    Chunk i draws from ``chunk_rng(seed, i)``, its rows in order, in blocks of
+    :func:`._exact.block_rows` of ``width`` (read at call time), the elements
+    ``block`` holds at once for one trial. ``block`` returns one tuple of
+    exact counts (ints, or float64 or int64 arrays of integers) for its
+    ``rows`` trials; the first tuple is taken as it is, and the sums are
+    exact whatever the chunk and block sizes.
     """
     sums = None
-    for chunk_index, size in enumerate(chunk_sizes(trials)):
-        part = draw(chunk_rng(seed, chunk_index), size)
-        sums = part if sums is None else tuple(a + b for a, b in zip(sums, part))
-    return sums
-
-
-def row_blocks(
-    rng: np.random.Generator, size: int, width: int, block: Callable[..., object]
-) -> Iterator:
-    """``block(rng, rows)`` over consecutive row blocks of one chunk's ``size`` trials.
-
-    ``width`` is the elements ``block`` holds at once for one trial; each
-    block takes the most rows that keep it to :data:`._exact.OUTCOME_BLOCK`
-    elements (read at call time), and at least one. The results come lazily,
-    in row order, each drawn from the chunk's own generator ``rng`` when it
-    is asked for, so ``block`` draws exactly what one draw of the whole chunk
-    would.
-    """
     step = _exact.block_rows(width)
-    for lo in range(0, size, step):
-        yield block(rng, min(step, size - lo))
+    for chunk_index, size in enumerate(chunk_sizes(trials)):
+        rng = chunk_rng(seed, chunk_index)
+        for lo in range(0, size, step):
+            part = block(rng, min(step, size - lo))
+            sums = part if sums is None else tuple(a + b for a, b in zip(sums, part))
+    return sums

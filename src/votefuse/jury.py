@@ -19,10 +19,11 @@ credit serves the competence and all n decisiveness values at once. One work
 cap bounds both routes, the second at n*2^n, since every pair can lie near
 the bias.
 
-The Monte Carlo estimate draws each chunk in row blocks
-(:func:`._rand.row_blocks`), so its memory follows one block and not the
-chunk times the judges; it joins the blocks' signed sums and sums the
-whole chunk's trials in float64, as one draw of the chunk would. With
+The Monte Carlo estimate draws each chunk in row blocks through
+:func:`._rand.chunk_sums`, so its memory follows one block and not the
+chunk times the judges. A block counts its wins and stalemates as ints,
+exact numbers whose sums do not depend on the split into blocks; the credit
+sums follow as wins + nd*ties, exact since nd is 0 or 1/2. With
 integer-valued weights a trial's signed sum is twice the weight of the right
 judges less the total weight, taken as one BLAS product of the votes with 2w
 in float32 while 2*sum|w| stays below 2^24: a float sum of integers under
@@ -42,7 +43,6 @@ import numpy as np
 from ._exact import (
     block_rows,
     check_work,
-    credit,
     enumerate_patterns,
     exact_in_float32,
     jury_values,
@@ -50,7 +50,7 @@ from ._exact import (
     outcome,
     pattern_outcomes,
 )
-from ._rand import chunk_sums, row_blocks
+from ._rand import chunk_sums
 from .errors import DimensionError
 from .model import SkillsLike, as_skills
 
@@ -153,19 +153,18 @@ def competence_monte_carlo(
     if product:
         twice, weight_sum = (2 * w).astype(np.float32), w.sum()
 
-    def signed_sums(rng: np.random.Generator, rows: int) -> np.ndarray:
+    def wins_and_ties(rng: np.random.Generator, rows: int) -> tuple[int, int]:
         correct = rng.random((rows, w.size)) < p
         if product:
             # the signed sum is twice the weight of the right judges less the total
-            return np.subtract(correct.astype(np.float32) @ twice, weight_sum, dtype=np.float64)
-        return np.where(correct, w, -w).sum(axis=1)
+            sums = np.subtract(correct.astype(np.float32) @ twice, weight_sum, dtype=np.float64)
+        else:
+            sums = np.where(correct, w, -w).sum(axis=1)
+        decided = outcome(sums, bias)
+        return int(np.count_nonzero(decided > 0)), int(np.count_nonzero(decided == 0))
 
-    def draw(rng: np.random.Generator, size: int) -> tuple[float, float]:
-        sums = np.concatenate(list(row_blocks(rng, size, w.size, signed_sums)))
-        vals = credit(outcome(sums, bias), nd)
-        return float(vals.sum()), float((vals * vals).sum())
-
-    total, total_sq = chunk_sums(trials, seed, draw)
+    wins, ties = chunk_sums(trials, seed, w.size, wins_and_ties)
+    total, total_sq = wins + nd * ties, wins + nd * nd * ties
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0) * trials / max(trials - 1, 1)
     return CompetenceEstimate(mean, float(np.sqrt(var / trials)), trials, seed)

@@ -6,9 +6,9 @@ kernel in :mod:`._exact`: a counting DP over weights up to the quota, in
 O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or one 2^n
 enumeration when that is cheaper, refused beyond one work cap. The Monte Carlo
 estimators draw through the chunked driver of :mod:`._rand`, so a seed fixes
-their results to the bit, and draw each chunk in row blocks
-(:func:`._rand.row_blocks`), so their memory follows one block and not the
-chunk times the players. Both sum per-block counts, which are integers.
+their results to the bit, in row blocks, so their memory follows one block
+and not the chunk times the players. A block's statistics are exact numbers,
+integer counts, so their sums do not depend on the split into blocks.
 
 An exact game is priced and counted on its lowest integer weights and on the
 smaller side of its quota, q = min(quota, W-1-quota), so a rescaled game
@@ -17,23 +17,21 @@ costs the same.
 A Banzhaf chunk's coalition weights and swing counts are integers. The
 weights are summed in float32 while the total weight and the quota stay
 below 2^24, and in int64 otherwise (``integer_form`` keeps them below 2^62);
-the swing counts of each block and of a chunk of at most 2^16 trials, and
-their cross products, in float32. A float sum of integers under 2^24 is
-exact in any order, so every coalition weight is exact and the float64 sums
-a chunk returns are the same to the bit as exact arithmetic gives, however
-the chunk is split into blocks.
+the swing counts of each block, of at most 2^16 trials, and their cross
+products, in float32. A float sum of integers under 2^24 is exact in any
+order, so every coalition weight and every block count is exact; the counts
+are returned as float64, where their sums over all blocks stay exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from ._exact import banzhaf_counts, exact_in_float32, shapley_counts
-from ._rand import chunk_sums, row_blocks
+from ._rand import chunk_sums
 from .model import VotingGame, integer_form
 
 
@@ -58,7 +56,7 @@ class PowerReport:
 def _exact_report(kind: str, raw: list[int]) -> PowerReport:
     """Raw counts normalized by their exact total, or all zero if nobody has power."""
     total = sum(raw)
-    normalized = tuple(float(Fraction(r, total)) for r in raw) if total else (0.0,) * len(raw)
+    normalized = tuple(r / total for r in raw) if total else (0.0,) * len(raw)
     return PowerReport(kind, "exact", tuple(raw), normalized)
 
 
@@ -96,16 +94,10 @@ def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> P
         # per player: sum over the *others*, shared across all players of one draw
         others = np.subtract(totals[:, None], np.multiply(member, wf, out=member), out=member)
         x = ((others > quota - wf) & (others <= quota)).astype(np.float32)
-        return x.sum(axis=0), x.T @ x
+        # counts of at most 2^16 trials: exact in float32, summed in float64
+        return x.sum(axis=0, dtype=np.float64), (x.T @ x).astype(np.float64)
 
-    def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        # counts of at most ``size`` trials: exact in float32, returned as float64
-        sum_x = sum_xx = 0
-        for x, xx in row_blocks(rng, size, n, swings):
-            sum_x, sum_xx = sum_x + x, sum_xx + xx
-        return sum_x.astype(np.float64), sum_xx.astype(np.float64)
-
-    sum_x, sum_xx = chunk_sums(trials, seed, draw)
+    sum_x, sum_xx = chunk_sums(trials, seed, n, swings)
     t = trials
     p = sum_x / t
     raw = tuple(float(x) * 2.0 ** (n - 1) for x in p)
@@ -131,18 +123,16 @@ def _shapley_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> P
     counts = np.zeros(n, dtype=np.int64)
     if int(ws.sum()) > quota:
 
-        def pivots(rng: np.random.Generator, rows: int) -> np.ndarray:
+        def pivots(rng: np.random.Generator, rows: int) -> tuple[np.ndarray]:
             perms = np.tile(np.arange(n), (rows, 1))
             rng.permuted(perms, axis=1, out=perms)
             cum = ws[perms]
             np.cumsum(cum, axis=1, out=cum)
-            return np.bincount(perms[np.arange(rows), np.argmax(cum > quota, axis=1)], minlength=n)
+            pivot = perms[np.arange(rows), np.argmax(cum > quota, axis=1)]
+            return (np.bincount(pivot, minlength=n),)
 
-        def draw(rng: np.random.Generator, size: int) -> tuple[np.ndarray]:
-            # a trial holds its ordering and the running weights along it
-            return (sum(row_blocks(rng, size, 2 * n, pivots)),)
-
-        (counts,) = chunk_sums(trials, seed, draw)
+        # a trial holds its ordering and the running weights along it
+        (counts,) = chunk_sums(trials, seed, 2 * n, pivots)
     t = trials
     p = counts / t
     stderr = np.sqrt(p * (1.0 - p) / t)

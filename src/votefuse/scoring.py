@@ -19,8 +19,9 @@ priced in the work units of :mod:`._exact` before any table is built. The
 Monte Carlo method draws whole profiles through the chunked driver of
 :mod:`._rand`, one row block at a time. The kernel sums each profile's
 pairwise tallies and score totals as exact integers (see
-:func:`_score_profiles`); the chunk sums it returns are Python ints and
-floats.
+:func:`_score_profiles`), and each block returns exact numbers: Python ints
+counting the profiles with a winner and summing the same integer credits
+over lcm(1..m), and their squares, that the exact method sums.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._exact import EXACT_WORK_MAX, block_rows, check_work, exact_in_float32
-from ._rand import chunk_sums, row_blocks
+from ._rand import chunk_sums
 from .errors import BallotError, DataError, DimensionError, EvidenceError
 from .model import as_fraction
 
@@ -386,24 +387,28 @@ def _efficiency_exact(
 def _efficiency_mc(
     scoring: ScoringVector, m: int, n_voters: int, tie_policy: str, trials: int, seed: int
 ) -> EfficiencyResult:
+    """Sampled efficiency from the integer credits lcm(1..m)/tied that the exact method sums.
+
+    A block of at most 2^16 profiles sums them and their squares in int64,
+    exact while lcm(1..m)^2 * 2^16 < 2^63: up to m = 16, past every m whose
+    m! ranking table can be built.
+    """
     score_rows, pair_rows = _ranking_tables(scoring, n_voters)
     k = score_rows.shape[0]
+    lcm = _credit_lcm(m)
 
-    def score(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def credits(rng: np.random.Generator, rows: int) -> tuple[int, int, int]:
         draws = rng.integers(0, k, size=(rows, n_voters))
-        return _score_profiles(draws, score_rows, pair_rows, tie_policy)
+        has_cw, tied, hit = _score_profiles(draws, score_rows, pair_rows, tie_policy)
+        share = lcm // tied[hit]  # the credit 1/tied over lcm(1..m)
+        return int(np.count_nonzero(has_cw)), int(share.sum()), int(share @ share)
 
-    def draw(rng: np.random.Generator, size: int) -> tuple[int, float, float]:
-        blocks = row_blocks(rng, size, _profile_width(k, m, n_voters), score)
-        has_cw, tied, hit = map(np.concatenate, zip(*blocks))
-        credit = np.where(hit, 1.0 / tied, 0.0)
-        return int(has_cw.sum()), float(credit.sum()), float((credit * credit).sum())
-
-    with_winner, credit_sum, credit_sq = chunk_sums(trials, seed, draw)
+    width = _profile_width(k, m, n_voters)
+    with_winner, hits, hits_sq = chunk_sums(trials, seed, width, credits)
     if with_winner == 0:
         raise EvidenceError("no sampled profile had a pairwise-majority winner")
-    value = credit_sum / with_winner
-    var = max(credit_sq / with_winner - value * value, 0.0)
+    value = hits / (lcm * with_winner)
+    var = max(hits_sq / (lcm * lcm * with_winner) - value * value, 0.0)
     var *= with_winner / max(with_winner - 1, 1)
     stderr = math.sqrt(var / with_winner)
     return EfficiencyResult(

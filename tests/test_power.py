@@ -97,6 +97,24 @@ class TestShapleyShubikExact:
             shapley_shubik_exact(OVER_THE_WORK_CAP)
 
 
+class TestNormalization:
+    """Exact counts are normalized by int true division, which CPython rounds correctly."""
+
+    def test_int_division_is_the_rounded_fraction(self):
+        rng = random.Random(18)
+        for _ in range(20_000):
+            total = rng.getrandbits(rng.randint(1, 300)) + 1
+            r = rng.randrange(total + 1)
+            assert r / total == float(Fraction(r, total))
+
+    @pytest.mark.parametrize("exact", [banzhaf_exact, shapley_shubik_exact])
+    def test_reports_normalize_as_the_exact_fraction(self, exact):
+        # 26 players: Shapley-Shubik counts near 26!, past any float's integers
+        rep = exact(VotingGame(tuple(range(1, 27))))
+        total = sum(rep.raw)
+        assert rep.normalized == tuple(float(Fraction(r, total)) for r in rep.raw)
+
+
 class TestRescaledGames:
     """A positive rescaling of the weights changes neither the counts nor whether there are any."""
 

@@ -7,8 +7,10 @@ changed ``repr``.
 """
 
 import ast
+import math
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,8 @@ from votefuse import (
     power_monte_carlo,
 )
 from votefuse._rand import CHUNK
+
+from oracles import score_profiles_gather
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "votefuse"
 TRIALS = CHUNK + 17
@@ -85,7 +89,7 @@ PINNED = [
         ),
         "EfficiencyResult(value=0.8996876259572752, method='monte-carlo', "
         "tie_policy='split-credit', exact=None, profiles_with_winner=26464, "
-        "stderr=0.0014007787869721878, ci95=(0.8969420995348097, 0.9024331523797408), "
+        "stderr=0.0014007787869721863, ci95=(0.8969420995348097, 0.9024331523797408), "
         "trials=65553, seed=11)",
     ),
     # competence with log-odds weights: the float where-sum route
@@ -157,9 +161,9 @@ PINNED = [
         lambda: condorcet_efficiency(
             ScoringVector.borda(5), 5, 7, "monte-carlo", "split-credit", TRIALS, 11
         ),
-        "EfficiencyResult(value=0.8734549267063972, method='monte-carlo', "
+        "EfficiencyResult(value=0.8734549267063971, method='monte-carlo', "
         "tie_policy='split-credit', exact=None, profiles_with_winner=51346, "
-        "stderr=0.001307977310029756, ci95=(0.8708912911787389, 0.8760185622340556), "
+        "stderr=0.0013079773100297576, ci95=(0.8708912911787388, 0.8760185622340555), "
         "trials=65553, seed=11)",
     ),
     # 5! rankings for 3 voters, more than 16 a voter: the int64 gather route
@@ -201,19 +205,21 @@ def test_only_rand_makes_generators():
 
 
 def test_chunk_sums_only_sees_float64_int64_or_python_numbers(monkeypatch):
-    """Chunk statistics may be computed in float32, but never summed across chunks in it.
+    """Block statistics may be computed in float32, but are summed only as exact numbers.
 
     A float32 running sum would stop being exact once it passes 2^24 trials.
+    Every part a block returns is an int, or a float64 or int64 array of
+    integers; the jury's and the efficiency's parts are ints.
     """
-    parts = []
+    parts = {}
 
-    def checked(trials, seed, draw):
-        def wrapped(rng, size):
-            part = draw(rng, size)
-            parts.extend(part)
+    def checked(trials, seed, width, block):
+        def wrapped(rng, rows):
+            part = block(rng, rows)
+            parts.setdefault(block.__qualname__, []).extend(part)
             return part
 
-        return _rand.chunk_sums(trials, seed, wrapped)
+        return _rand.chunk_sums(trials, seed, width, wrapped)
 
     for module in (jury, power, scoring):
         monkeypatch.setattr(module, "chunk_sums", checked)
@@ -222,16 +228,53 @@ def test_chunk_sums_only_sees_float64_int64_or_python_numbers(monkeypatch):
     competence_monte_carlo((2, 1, 1, 1, 1), 0, SKILLS, TRIALS, 7)
     competence_monte_carlo(optimal_weights(SKILLS), 0, SKILLS, TRIALS, 7)
     condorcet_efficiency(ScoringVector.borda(4), 4, 6, "monte-carlo", "split-credit", TRIALS, 11)
-    assert len(parts) == 2 * (2 + 1 + 2 + 2 + 3)  # two chunks of each estimator's tuple
-    bad = [
-        type(x).__name__ if not isinstance(x, np.ndarray) else str(x.dtype)
-        for x in parts
-        if not (
-            type(x) in (int, float)
-            or isinstance(x, np.ndarray) and x.dtype in (np.float64, np.int64)
-        )
+    assert sorted(parts) == [
+        "_banzhaf_mc.<locals>.swings",
+        "_efficiency_mc.<locals>.credits",
+        "_shapley_mc.<locals>.pivots",
+        "competence_monte_carlo.<locals>.wins_and_ties",
     ]
-    assert not bad, f"chunk parts of other types: {bad}"
+    bad = [
+        f"{name}: {type(x).__name__ if not isinstance(x, np.ndarray) else x.dtype}"
+        for name, xs in parts.items()
+        for x in xs
+        if not (
+            type(x) is int
+            or isinstance(x, np.ndarray)
+            and x.dtype in (np.float64, np.int64)
+            and np.array_equal(x, np.round(x))
+        )
+        or name.startswith(("competence", "_efficiency")) and type(x) is not int
+    ]
+    assert not bad, f"block parts that are not exact numbers: {bad}"
+
+
+@pytest.mark.parametrize(
+    "vector, n_voters", [(ScoringVector.plurality(4), 6), (ScoringVector.borda(5), 7)]
+)
+def test_split_credit_efficiency_is_the_rounded_ratio_of_its_integer_credits(vector, n_voters):
+    """The estimate equals Fraction(hits, lcm * with_winner), from the oracle's scoring.
+
+    The profiles are redrawn from the same chunk streams, whole chunks at a
+    time, and scored by the int64 gather the kernel began as.
+    """
+    m = vector.m
+    est = condorcet_efficiency(vector, m, n_voters, "monte-carlo", "split-credit", TRIALS, 11)
+    score_rows, pair_rows = scoring._ranking_tables(vector, n_voters)
+    lcm = math.lcm(*range(1, m + 1))
+    hits = hits_sq = with_winner = 0
+    for i, size in enumerate(_rand.chunk_sizes(TRIALS)):
+        idx = _rand.chunk_rng(11, i).integers(0, score_rows.shape[0], size=(size, n_voters))
+        has_cw, tied, hit = score_profiles_gather(idx, score_rows, pair_rows, "split-credit")
+        share = [lcm // int(t) for t in tied[hit]]
+        with_winner += int(has_cw.sum())
+        hits += sum(share)
+        hits_sq += sum(x * x for x in share)
+    assert est.profiles_with_winner == with_winner
+    value = Fraction(hits, lcm * with_winner)
+    assert est.value == float(value)
+    var = (Fraction(hits_sq, lcm * lcm * with_winner) - value**2) / (with_winner - 1)
+    assert est.stderr == pytest.approx(math.sqrt(var), rel=1e-12)
 
 
 # ---------------------------------------------------------------- row blocks
@@ -313,7 +356,7 @@ SAMPLERS = {
 def test_a_chunk_peaks_within_a_few_blocks_at_any_width(kind, sizes):
     """A chunk of 2^16 trials holds a few blocks, however many players each trial has.
 
-    What is left grows with the chunk alone: per-trial vectors of 2^16 entries.
+    Each block returns only its sums, so no per-trial vector of the chunk is kept.
     """
     block = _exact.OUTCOME_BLOCK * 8  # bytes of one block of int64 or float64
     small, large = (_traced_peak(lambda: SAMPLERS[kind](n)) for n in sizes)
@@ -342,7 +385,7 @@ def _draw_sites(tree: ast.AST, draws: set) -> list:
 
 
 def test_no_estimator_draws_outside_a_row_block():
-    """Generator draws sit only in block functions passed to ``_rand.row_blocks``.
+    """Generator draws sit only in block functions passed to ``_rand.chunk_sums``.
 
     So no estimator can draw a whole chunk of trials times players at once.
     """
@@ -353,7 +396,7 @@ def test_no_estimator_draws_outside_a_row_block():
         blocks = {
             arg.id
             for call in ast.walk(tree)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "row_blocks"
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "chunk_sums"
             for arg in call.args[3:] + [k.value for k in call.keywords if k.arg == "block"]
             if isinstance(arg, ast.Name)
         }
