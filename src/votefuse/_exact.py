@@ -25,11 +25,17 @@ the smaller side of its quota, q = min(quota, W-1-quota) for total weight W;
 the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W of its
 integer weights, also on their lowest terms; each or n*2^n by the other route;
 a rule table or a nearest simple rule n*2^n;
-indirect competence of d players in k teams d*2^d + k*2^d*2^kc, kc the teams
-that can tie under coin-flip; Condorcet efficiency of m candidates and n
-voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves. The enumeration
-of rules needs no price: it never scans past the weight bound that reaches
-every rule, and its largest scan, 7 voters at bound 9, is 2% of the cap.
+indirect competence m*2^m for each team of m members with a shared player,
+or u*2^u for one table of the teams of shared players only over the u players
+they cover, and the jury's price for each other team, plus 2^s times the top
+level's price for each pattern of the s shared players: k + (k_r+1)*(W_r+1)
+by a DP over the top weight W_r of the k_r teams whose vote is not fixed, or
+(k+1)*2^k_r by enumerating their votes, checked with k_r = 0 before any table
+is built and again once the tables show k_r; Condorcet efficiency of m
+candidates and n voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves.
+The enumeration of rules needs no price: it never scans past the weight
+bound that reaches every rule, and its largest scan, 7 voters at bound 9, is
+2% of the cap.
 
 Every weighted vote of the package is decided here: :func:`outcome` turns
 signed sums sum_i w_i v_i (v_i = +1 or -1) into 1 above the bias (A wins),
@@ -162,16 +168,18 @@ def _choose_route(
 ) -> str:
     """'dp' or ``other`` (n*2^n), whichever is estimated cheaper; refuse both if over the cap."""
     cells = n << n
-    if dp_cells is not None and dp_cells <= cells:
-        route, need = "dp", dp_cells
-    else:
-        route, need = other, cells
+    route, need = cheaper_route(dp_cells, cells, other)
     dp = "no counting DP (weights are not integers)" if dp_cells is None else (
         f"counting DP {dp_cells:,} cells"
     )
     named = "meet in the middle" if other == "halves" else other
     check_work(what, need, sampler, f"{dp}, {named} n*2^n = {cells:,}")
     return route
+
+
+def cheaper_route(dp_cells: Optional[int], units: int, other: str) -> tuple[str, int]:
+    """'dp' and its cells if a DP is priced at no more than ``units``, else ``other``, ``units``."""
+    return ("dp", dp_cells) if dp_cells is not None and dp_cells <= units else (other, units)
 
 
 def _count_dtype(n: int):
@@ -313,22 +321,45 @@ def jury_values(
     """
     n = w.size
     dp_cells = None
-    if np.isfinite(w).all() and (w == np.round(w)).all():
-        # the same decisions on the lowest integer weights, over their gcd g: an
-        # integer sum compares with bias/g as with the mean of its floor and ceiling
-        g = math.gcd(*map(int, w)) or 1
-        ints = [int(x) // g for x in w]
-        cut = as_fraction(bias) / g
-        w, bias = np.array(ints, dtype=np.float64), (math.floor(cut) + math.ceil(cut)) / 2
-        # priced for every judge's decisiveness, so that the competence does
-        # not depend on which decisiveness values were asked for
-        dp_cells = n * (sum(map(abs, ints)) + 1) * (1 + (n - 1).bit_length())
+    lowest = lowest_terms(w, bias)
+    if lowest is not None:
+        ints, bias = lowest
+        w, dp_cells = np.array(ints, dtype=np.float64), _jury_dp_cells(ints)
     route = route or _choose_route(
         n, dp_cells, "jury competence", "competence_monte_carlo", "halves"
     )
     if route == "dp":
         return _jury_dp(ints, p, bias, nd, players)
     return _jury_halves(w, p, bias, nd, players)
+
+
+def lowest_terms(w: np.ndarray, bias: float) -> Optional[tuple[list[int], float]]:
+    """Integer-valued weights over their gcd g, and a bias that decides their sums alike.
+
+    An integer sum compares with bias/g as with the mean of its floor and
+    ceiling. Weights that are not all integer-valued give None.
+    """
+    values = w.tolist()
+    if not all(float(x).is_integer() for x in values):
+        return None
+    ints = [int(x) for x in values]
+    g = math.gcd(*ints) or 1
+    cut = as_fraction(bias) / g
+    return [x // g for x in ints], (math.floor(cut) + math.ceil(cut)) / 2
+
+
+def _jury_dp_cells(ints: Sequence[int]) -> int:
+    # priced for every judge's decisiveness, so that the competence does not
+    # depend on which decisiveness values were asked for
+    n = len(ints)
+    return n * (sum(map(abs, ints)) + 1) * (1 + (n - 1).bit_length())
+
+
+def jury_units(w: np.ndarray) -> int:
+    """The work units :func:`jury_values` prices for weights ``w``: its cheaper route's."""
+    lowest, n = lowest_terms(w, 0.0), w.size
+    dp_cells = None if lowest is None else _jury_dp_cells(lowest[0])
+    return cheaper_route(dp_cells, n << n, "halves")[1]
 
 
 def _each_judge(n: int, players: Sequence[int], root, absorb, leaf) -> list[float]:

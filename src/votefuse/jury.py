@@ -34,6 +34,7 @@ elementwise ``np.where`` sum and its order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -42,10 +43,14 @@ import numpy as np
 
 from ._exact import (
     block_rows,
+    cheaper_route,
     check_work,
+    credit,
     enumerate_patterns,
     exact_in_float32,
+    jury_units,
     jury_values,
+    lowest_terms,
     nd_credit,
     outcome,
     pattern_outcomes,
@@ -245,23 +250,33 @@ def indirect_competence(
     """Exact probability that the top-level vote over team outcomes is correct.
 
     Players appearing on several teams cast a single correct-or-not draw that
-    all their teams see, so team outcomes are dependent; the computation
-    enumerates the 2^d patterns of the d distinct players. A tied team votes
-    -1 and a tied top level is an incorrect answer; under ``"coin-flip"``
-    each team that can tie flips an independent fair coin (enumerated
-    exactly), and a tied top level earns half credit.
+    all their teams see, so team outcomes are dependent. A tied team votes -1
+    and a tied top level is an incorrect answer; under ``"coin-flip"`` each
+    tied team flips an independent fair coin, and a tied top level earns half
+    credit.
 
-    Each pattern's top sum, twice the top weight of the winning teams less
-    the total, is taken once; each coin assignment adds 2*w_t for each tied
-    team t whose coin is +1 and reduces its outcomes over all patterns at
-    once, so blocks change no float. Float top weights, which only the API
-    sets, may round a sum at an exact tie otherwise than a sum of +-w_t; the
-    top weights 1.0 of team files sum exactly. Besides the probabilities and
-    an int8 outcome per team and pattern, this holds a float64 top sum and an
-    int8 top outcome per pattern, and a reduction gathers the won (or tied)
-    probabilities; other temporaries fit one :func:`._exact.block_rows` block.
-    The work is priced d*2^d + k*2^d*2^kc (kc tieable teams under
-    ``"coin-flip"``, else 0) and refused beyond the one exact work cap.
+    Given the votes of the s shared players, those on two or more teams, the
+    teams are independent (Boland, Proschan & Tong 1989; Grofman, Owen & Feld
+    1983). So each team t gets q_t = P(win) + c*P(tie) for each pattern of
+    its shared members, taken over its own members' patterns, c = 1/2 under
+    ``"coin-flip"`` and 0 otherwise (:func:`_team_skill`), and each of the
+    2^s shared patterns is a top-level jury of skills q_t (:func:`_top_level`)
+    whose expected credit is weighted by the pattern's probability. A team
+    of shared players only keeps the outcome of each pattern of its members
+    (:func:`._exact.pattern_outcomes`), by itself or in one table with the
+    other such teams, and its vote is fixed in every pattern unless it can
+    tie under ``"coin-flip"``. The patterns are taken in
+    :func:`._exact.block_rows` blocks and summed in fixed runs of 2^16, so no
+    block size changes a float.
+
+    The work is priced before any table is built: m*2^m for each team of m
+    members with a shared one and one of its own, the jury's price for each
+    team with no shared member, and for the teams of shared players only
+    m*2^m each or u*2^u for one table over the u players they cover,
+    whichever is less; plus 2^s times the top level's price per pattern
+    with no team voting at random. Once the tables show which teams do, the
+    top level is priced again. Either price is refused beyond the one exact
+    work cap.
     """
     nd = nd_credit(nd_policy)
     p_all = np.asarray(as_skills(skills).p, dtype=np.float64)
@@ -270,32 +285,174 @@ def indirect_competence(
         raise DimensionError(
             f"structure names player {players[-1]} but only {p_all.size} skills were given"
         )
-    d, k = len(players), len(structure.teams)
-
-    def price(kc: int) -> None:
-        how = f"d*2^d + k*2^d*2^kc, d={d} distinct players, k={k} teams, kc={kc} tieable"
-        check_work("indirect competence", (d << d) + (k << d << kc), how=how)
-
-    price(0)
-    team_w = np.zeros((k, d))
-    for t, (team, wrow) in enumerate(zip(structure.teams, structure.member_weights)):
-        team_w[t, np.searchsorted(players, team)] = wrow
-    codes = pattern_outcomes(team_w, np.asarray(structure.team_biases))
-    pb = p_all[list(players)]
-    probs = enumerate_patterns(1.0 - pb, pb, np.float64(1.0), np.multiply)
+    seats = Counter(chain.from_iterable(structure.teams))
+    shared = [i for i in players if seats[i] > 1]
+    s, k = len(shared), len(structure.teams)
+    bit_of = {i: b for b, i in enumerate(shared)}
+    # each team's members in player order, the order its sum takes them in, with
+    # their weights and their bits among the shared players (-1 if on no other team)
+    teams = [sorted(zip(team, w)) for team, w in zip(structure.teams, structure.member_weights)]
+    weights = [np.array([x for _, x in team]) for team in teams]
+    spots = [[bit_of.get(i, -1) for i, _ in team] for team in teams]
+    biases = structure.team_biases
+    # a team of shared players only holds the outcome of each pattern of its
+    # members, tabulated by itself (m*2^m) or with every other such team in one
+    # pass over the u shared players they cover (u*2^u, as a rule table is),
+    # whichever costs less
+    pooled = [t for t, spot in enumerate(spots) if min(spot) >= 0]
+    union = sorted({b for t in pooled for b in spots[t]})
+    alone = sum(weights[t].size << weights[t].size for t in pooled)
+    together = len(union) << len(union)
+    tables = min(alone, together) + sum(
+        w.size << w.size if max(spot) >= 0 else jury_units(w)
+        for w, spot in zip(weights, spots)
+        if min(spot) < 0
+    )
     top_w = np.asarray(structure.top_weights)
-    coins = np.flatnonzero(~codes.all(axis=1)) if nd else np.empty(0, dtype=np.intp)
-    price(coins.size)
-    step = block_rows(k)
-    decided = np.empty(1 << d)  # top sums with every tied team voting -1
-    for lo in range(0, 1 << d, step):
-        decided[lo : lo + step] = 2 * top_w @ (codes[:, lo : lo + step] > 0) - top_w.sum()
-    out = np.empty(1 << d, dtype=np.int8)
-    value = 0.0
-    for assignment in range(1 << coins.size):
-        up = coins[assignment >> np.arange(coins.size) & 1 == 1]  # the coins that say +1
-        for lo in range(0, 1 << d, step):
-            lift = 2 * top_w[up] @ (codes[up, lo : lo + step] == 0) if up.size else 0.0
-            out[lo : lo + step] = outcome(decided[lo : lo + step] + lift, structure.top_bias)
-        value += probs[out > 0].sum() + nd * probs[out == 0].sum()
-    return float(value) / (1 << coins.size)
+    lowest = lowest_terms(top_w, structure.top_bias)
+
+    def top_route(random: list[int]) -> tuple[str, int]:
+        """The top level's route when ``random`` teams vote at random, and its units per pattern."""
+        dp = None
+        if lowest is not None:
+            dp = k + (len(random) + 1) * (sum(abs(lowest[0][t]) for t in random) + 1)
+        return cheaper_route(dp, (k + 1) << len(random), "enumeration")
+
+    def price(per_row: int) -> None:
+        how = f"team tables {tables:,} + 2^s*{per_row:,}, s={s} shared players, k={k} teams"
+        check_work("indirect competence", tables + (per_row << s), how=how)
+
+    price(top_route([])[1])  # before any table: no top level costs less
+    if together < alone:
+        grid = np.zeros((len(pooled), len(union)))
+        for row, t in zip(grid, pooled):
+            row[np.searchsorted(union, spots[t])] = weights[t]
+            spots[t] = union
+        coded = dict(zip(pooled, pattern_outcomes(grid, [biases[t] for t in pooled])))
+    else:
+        coded = {t: pattern_outcomes(weights[t], biases[t]) for t in pooled}
+    skill = [
+        coded[t]
+        if t in coded
+        else _team_skill(w, bias, p_all[[i for i, _ in team]], [b < 0 for b in spot], nd)
+        for t, (team, w, bias, spot) in enumerate(zip(teams, weights, biases, spots))
+    ]
+    # a vote left to chance in some pattern: a tie under coin-flip in an outcome
+    # table, else a chance strictly between 0 and 1
+    random = [
+        t
+        for t, q in enumerate(skill)
+        if (nd and (q == 0).any() if t in coded else (q * (1.0 - q)).any())
+    ]
+    chance = set(random)
+    fixed = [t for t in range(k) if t not in chance]
+    route, per_row = top_route(random)
+    price(per_row)
+    top_bias = structure.top_bias
+    if route == "dp":  # on their lowest terms
+        top_w, top_bias = np.array(lowest[0], dtype=np.float64), lowest[1]
+    level = _top_level(route, top_w, top_bias, fixed, random, nd)
+
+    summed_bits = min(s, 16)  # patterns per partial sum: a split no block size changes
+    bits = min(summed_bits, block_rows(per_row).bit_length() - 1)  # patterns per block
+    order = fixed + random
+    # a block's patterns as a (2,)*bits array, axis bits-1-b for shared player b; each
+    # team's q for a pattern of its high shared members (b >= bits) spans the same axes
+    # over its low ones, in the same order, with length 1 along the others
+    views = [
+        q.reshape((-1,) + tuple(2 if bits - 1 - a in spot else 1 for a in range(bits)))
+        for q, spot in zip(skill, spots)
+    ]
+    highs = [list(enumerate(b - bits for b in spot if b >= bits)) for spot in spots]
+    p_shared = p_all[shared]
+    p_low, p_high = (
+        enumerate_patterns(1.0 - part, part, np.float64(1.0), np.multiply)
+        for part in (p_shared[:summed_bits], p_shared[summed_bits:])
+    )
+    earned = np.empty(p_low.size)
+    summed = np.empty(p_high.size)
+    votes = np.empty((k, 1 << bits))  # fixed teams' votes (1 if right), then random teams' q
+    for h in range(1 << (s - bits)):
+        for row, t in zip(votes, order):
+            q = views[t][sum((h >> b & 1) << j for j, b in highs[t])]
+            if t in coded:  # an outcome: its credit, or 1 if right where no tie can occur
+                q = credit(q, nd) if t in chance else q > 0
+            row.reshape((2,) * bits)[...] = q
+        lo = h << bits & p_low.size - 1
+        earned[lo : lo + votes.shape[1]] = level(votes)
+        if lo + votes.shape[1] == p_low.size:
+            earned *= p_low
+            summed[h >> summed_bits - bits] = earned.sum()
+    return float((p_high * summed).sum())
+
+
+def _team_skill(w, bias, p, mine, nd) -> np.ndarray:
+    """q[c], the chance that a team votes right given its shared members' votes c.
+
+    Bit j of c is set if the team's j-th shared member is right; ``mine``
+    marks its members who sit on no other team, and ``p`` holds its members'
+    skills. A team of such members only is a jury. Any other team decides
+    each pattern of its m members by its signed sum in player order, the
+    float :func:`._exact.pattern_outcomes` sums, held at once as its 2^m
+    credits are. The sums over its own members can pass 1 by an ulp, and are
+    clipped.
+    """
+    if all(mine):
+        q = np.array([jury_values(w, p, bias, nd, ())[0]])
+    else:
+        m = len(mine)
+        own = [i for i in range(m) if mine[i]]
+        # axis m-1-i of the (2,)*m view holds member i: shared members go to the high bits
+        axes = [m - 1 - i for i in (own + [i for i in range(m) if not mine[i]])[::-1]]
+        earned = credit(outcome(enumerate_patterns(-w, w, np.float64(0.0)), bias), nd)
+        grid = np.ascontiguousarray(earned.reshape((2,) * m).transpose(axes))
+        grid = grid.reshape(-1, 1 << len(own))
+        grid *= enumerate_patterns(1.0 - p[own], p[own], np.float64(1.0), np.multiply)
+        q = grid.sum(axis=1)  # pairwise along contiguous rows: as accurate as one sum
+    return np.minimum(q, 1.0, out=q)
+
+
+def _top_level(route, w, bias, fixed, random, nd):
+    """The top level's expected credit for each column of a block of votes.
+
+    A column holds the fixed teams' votes (1 if right), then the random
+    teams' chances of being right. The top sum is twice the top weight of
+    the teams that are right less the total. Route 'dp' takes it over the
+    random teams by a DP over that weight, for integer weights on their
+    lowest terms; 'enumeration' enumerates the random teams' votes.
+    """
+    kf, kr = len(fixed), len(random)
+    if route == "dp":
+        twice, total = 2 * w[fixed], w[fixed].sum()
+        # a team of weight -a is right where one of weight a is wrong
+        terms = [(abs(int(x)), x < 0) for x in w[random]]
+        width = sum(a for a, _ in terms) + 1
+        offsets = (2.0 * np.arange(width) - (width - 1))[:, None]
+
+        def level(votes: np.ndarray) -> np.ndarray:
+            dist = np.zeros((width, votes.shape[1]))  # dist[x]: P(random weight x is right)
+            dist[0] = 1.0
+            for (a, flip), q in zip(terms, votes[kf:]):
+                if a:
+                    q = 1.0 - q if flip else q
+                    grown = dist * (1.0 - q)
+                    grown[a:] += dist[: width - a] * q
+                    dist = grown
+            sums = offsets + (twice @ votes[:kf] - total)
+            return (dist * credit(outcome(sums, bias), nd)).sum(axis=0)
+
+        return level
+    picks = np.arange(1 << kr) >> np.arange(kr)[:, None] & 1  # the random teams' votes
+
+    def level(votes: np.ndarray) -> np.ndarray:
+        n = votes.shape[1]
+        right = np.empty((w.size, n, 1 << kr))
+        right[fixed] = votes[:kf, :, None]
+        right[random] = picks[:, None, :]
+        sums = 2 * w @ right.reshape(w.size, -1) - w.sum()
+        earned = credit(outcome(sums, bias), nd).reshape(n, 1 << kr)
+        q = votes[kf:, :, None]
+        chance = enumerate_patterns(1.0 - q, q, np.ones(n), np.multiply)
+        return (chance * earned).sum(axis=1)
+
+    return level

@@ -95,13 +95,29 @@ def team_vote_competence(size, p, coin_flip):
     return value
 
 
-def indirect_brute(teams, skills, nd_credit=0.0):
+def indirect_brute(
+    teams,
+    skills,
+    nd_credit=0.0,
+    member_weights=None,
+    team_biases=None,
+    top_weights=None,
+    top_bias=0,
+):
     """Two-tier competence by enumerating all player patterns and team coins.
 
-    Teams use equal member weights and simple majority; tied teams vote
-    incorrectly when nd_credit is 0, otherwise each tied team's vote is a
-    fair coin (enumerated exactly); a tied top level earns nd_credit.
+    Member weights, team biases, top weights and the top bias default to
+    simple majority (ones and zeros); every sum is taken exactly in
+    Fractions. A tied team votes incorrectly when nd_credit is 0, otherwise
+    each tied team's vote is a fair coin (enumerated exactly); a tied top
+    level earns nd_credit.
     """
+    k = len(teams)
+    member_weights = member_weights or [[1] * len(team) for team in teams]
+    mw = [[Fraction(w) for w in row] for row in member_weights]
+    tb = [Fraction(b) for b in (team_biases or [0] * k)]
+    tw = [Fraction(w) for w in (top_weights or [1] * k)]
+    bias = Fraction(top_bias)
     players = sorted({i for t in teams for i in t})
     value = 0.0
     for pattern in product((1, -1), repeat=len(players)):
@@ -109,20 +125,21 @@ def indirect_brute(teams, skills, nd_credit=0.0):
         prob = 1.0
         for i, v in zip(players, pattern):
             prob *= skills[i] if v == 1 else 1.0 - skills[i]
-        sums = [sum(vote[i] for i in team) for team in teams]
+        sums = [
+            sum((w * vote[i] for i, w in zip(team, ws)), Fraction(0)) - b
+            for team, ws, b in zip(teams, mw, tb)
+        ]
         tied = [t for t, s in enumerate(sums) if s == 0]
-        if nd_credit == 0.0:
-            top = sum(1 if s > 0 else -1 for s in sums)
-            if top > 0:
-                value += prob
-            continue
-        for coins in product((1, -1), repeat=len(tied)):
-            coin_of = dict(zip(tied, coins))
+        coins = product((1, -1), repeat=len(tied)) if nd_credit else [(-1,) * len(tied)]
+        for assignment in coins:
+            coin_of = dict(zip(tied, assignment))
             top = sum(
-                coin_of[t] if s == 0 else (1 if s > 0 else -1) for t, s in enumerate(sums)
+                (w * (coin_of[t] if s == 0 else (1 if s > 0 else -1))
+                 for t, (s, w) in enumerate(zip(sums, tw))),
+                Fraction(0),
             )
-            credit = 1.0 if top > 0 else (nd_credit if top == 0 else 0.0)
-            value += prob * credit / 2 ** len(tied)
+            credit = 1.0 if top > bias else (nd_credit if top == bias else 0.0)
+            value += prob * credit / (2 ** len(tied) if nd_credit else 1)
     return value
 
 

@@ -5,6 +5,7 @@ import pytest
 from votefuse.cli import main
 from votefuse.errors import ConfigurationWarning
 from votefuse.io import parse_report
+from votefuse.jury import jury_exact
 
 from oracles import unique_wmr_brute
 
@@ -156,6 +157,18 @@ class TestJuryCommand:
         assert code == 0
         row = next(r for r in rep.rows if r[0] == "indirect_competence")
         assert float(row[2]) == pytest.approx(0.715516416)
+
+    @pytest.mark.parametrize("method", ["exact", "monte-carlo"])
+    def test_one_team_of_25_is_answered_as_the_25_judge_jury(self, capsys, tmp_path, method):
+        teams = tmp_path / "teams.txt"
+        teams.write_text("team = " + " ".join(map(str, range(25))) + "\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "jury", "--skills", ",".join(["0.6"] * 25), "--method", method,
+            "--trials", "1000", "--teams", str(teams),
+        )
+        assert code == 0
+        row = next(r for r in parse_report(out).rows if r[0] == "indirect_competence")
+        assert row[2] == repr(jury_exact((1,) * 25, 0.0, (0.6,) * 25).competence)
 
     def test_monte_carlo_row(self, capsys):
         code, out, _ = run(

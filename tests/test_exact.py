@@ -366,26 +366,27 @@ class TestCapacityBoundaries:
         assert_refused(lambda: nearest_simple_rule(target, [candidate]), 25 << 25)
 
     def test_coin_flips_over_many_tieable_teams_are_refused_up_front(self):
-        # 20 distinct players in 16 two-member teams, each of which can tie
-        teams = tuple((2 * i, 2 * i + 1) for i in range(10)) + tuple(
-            (2 * i, 2 * i + 2) for i in range(6)
-        )
-        structure = TeamStructure(teams=teams)
-        assert len(structure.distinct_players) == 20
+        # 21 players in a ring of 21 two-member teams: every player is shared,
+        # and under coin-flip each team may tie, so all 21 enter the top-level
+        # DP (21 + 22*22 units) in each of the 2^21 shared patterns
+        ring = TeamStructure(teams=tuple(tuple(sorted((i, (i + 1) % 21))) for i in range(21)))
+        assert len(ring.distinct_players) == 21
         start = time.perf_counter()
         assert_refused(
-            lambda: indirect_competence(structure, (0.6,) * 20, nd_policy="coin-flip"),
-            (20 << 20) + (16 << 20 << 16),
+            lambda: indirect_competence(ring, (0.6,) * 21, nd_policy="coin-flip"),
+            21 * 8 + ((21 + 22 * 22) << 21),
         )
-        assert time.perf_counter() - start < 10.0  # the 2^16 coin loop would take ~30 min
-        assert 0.0 <= indirect_competence(structure, (0.6,) * 20) <= 1.0  # no coins: fits
+        assert time.perf_counter() - start < 10.0  # the 2^21 patterns are never visited
+        assert 0.0 <= indirect_competence(ring, (0.6,) * 21) <= 1.0  # no coins: fixed votes fit
 
     def test_team_structures_are_priced_before_any_outcome_table(self, monkeypatch):
-        monkeypatch.setattr(
-            "votefuse.jury.pattern_outcomes", lambda *a: pytest.fail("outcome table built")
-        )
-        structure = TeamStructure(teams=(tuple(range(25)),))
-        assert_refused(lambda: indirect_competence(structure, (0.6,) * 25), 26 << 25)
+        for table in ("enumerate_patterns", "jury_values", "pattern_outcomes"):
+            monkeypatch.setattr(
+                f"votefuse.jury.{table}", lambda *a: pytest.fail("outcome table built")
+            )
+        # 30 players in a ring of 30 two-member teams: 2^30 shared patterns
+        ring = TeamStructure(teams=tuple(tuple(sorted((i, (i + 1) % 30))) for i in range(30)))
+        assert_refused(lambda: indirect_competence(ring, (0.6,) * 30), 30 * 8 + (31 << 30))
 
     @pytest.mark.parametrize(
         "kind, exact, price",

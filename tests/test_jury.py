@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -331,7 +332,11 @@ class TestIndirectCompetence:
             team_biases=(0.0, 0.25, 0.0, 0.0, -0.1),
             top_weights=tuple(rng.uniform(0.5, 2.0) for _ in teams),
         )
-        cases = [(s, policy) for s in (TeamStructure(teams=teams), weighted)
+        # teams over the same players, tabulated in one pass
+        pooled = TeamStructure(
+            teams=((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3)), team_biases=(0.0, 1.0, 0.5)
+        )
+        cases = [(s, policy) for s in (TeamStructure(teams=teams), weighted, pooled)
                  for policy in ("incorrect", "coin-flip")]
         whole = [indirect_competence(s, skills, nd_policy=policy) for s, policy in cases]
         monkeypatch.setattr(_exact, "OUTCOME_BLOCK", block)
@@ -360,8 +365,9 @@ class TestIndirectCompetence:
 
     @pytest.mark.parametrize("policy", ["incorrect", "coin-flip"])
     def test_memory_is_held_per_pattern_not_per_coin(self, policy):
-        # 20 players in six four-player teams, each of which can tie: coin-flip
-        # takes 2^6 coin assignments of 2^20 patterns, with no table of both
+        # 20 players in six four-player teams, each of which can tie: only the
+        # 4 players of the last team are shared, so the 16 others are summed
+        # out inside their teams' 2^4 tables, and coins are never enumerated
         teams = tuple(tuple(range(4 * t, 4 * t + 4)) for t in range(5)) + ((0, 5, 10, 15),)
         s, skills = TeamStructure(teams=teams), tuple(np.linspace(0.55, 0.75, 20))
         indirect_competence(TeamStructure(teams=((0, 1), (1, 2))), (0.6,) * 3, policy)
@@ -372,11 +378,30 @@ class TestIndirectCompetence:
         finally:
             tracemalloc.stop()
         assert 0.0 < got < 1.0
-        # bytes per pattern: 8 of probability and 6 of team outcomes; 8 of top
-        # sum and 1 of top outcome; at most 1 of mask and 8 gathered by a
-        # reduction, which runs once the block temporaries are freed
-        patterns = 1 << 20
-        assert peak < (8 + 6 + 9 + 9) * patterns + 8 * _exact.OUTCOME_BLOCK
+        assert peak < 64 << 10
+
+    @pytest.mark.parametrize(
+        "teams",
+        [
+            tuple(tuple(sorted({(2 * i + j) % 20 for j in range(4)})) for i in range(10)),
+            tuple(tuple(sorted((i, (i + 1) % 20))) for i in range(20)),
+        ],
+        ids=["10-teams-of-4", "20-teams-of-2"],
+    )
+    def test_every_player_shared_holds_no_table_per_pattern(self, teams):
+        # every player sits on two teams, so all 2^20 patterns are shared ones;
+        # each team's vote is fixed by them, and no array has one entry per
+        # pattern (8 MiB for float64): sums run over fixed runs of 2^16
+        s, skills = TeamStructure(teams=teams), tuple(np.linspace(0.55, 0.75, 20))
+        indirect_competence(TeamStructure(teams=((0, 1), (1, 2))), (0.6,) * 3)
+        tracemalloc.start()
+        try:
+            got = indirect_competence(s, skills)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < got < 1.0
+        assert peak < 4 << 20
 
     def test_member_weights_and_biases_are_honored(self):
         # a dominant member turns their team into a proxy for themselves
@@ -390,10 +415,127 @@ class TestIndirectCompetence:
             indirect_competence(s, (0.6, 0.6))
 
     def test_capacity_gate_counts_distinct_players(self):
-        # d = 25: 25*2^25 + 2^25 work units, over the exact work cap
-        s = TeamStructure(teams=(tuple(range(25)),))
+        # 30 players in a ring of 30 two-member teams: 2^30 shared patterns
+        # times 31 units of top level each, over the exact work cap
+        s = TeamStructure(teams=tuple(tuple(sorted((i, (i + 1) % 30))) for i in range(30)))
         with pytest.raises(CapacityError):
-            indirect_competence(s, (0.6,) * 25)
+            indirect_competence(s, (0.6,) * 30)
+
+    @pytest.mark.parametrize("policy", ["incorrect", "coin-flip"])
+    def test_one_team_of_25_is_the_25_judge_jury(self, policy):
+        # no member is shared, so the team is a jury: the DP answers it
+        skills = tuple(np.linspace(0.45, 0.8, 25))
+        s = TeamStructure(teams=(tuple(range(25)),))
+        want = jury_exact((1,) * 25, 0.0, skills, policy).competence
+        assert indirect_competence(s, skills, nd_policy=policy) == want
+
+    def test_coin_flips_over_sixteen_tieable_teams_are_answered(self):
+        # 20 players in 16 two-member teams, 7 of them shared, every team able to tie
+        teams = tuple((2 * i, 2 * i + 1) for i in range(10)) + tuple(
+            (2 * i, 2 * i + 2) for i in range(6)
+        )
+        s, skills = TeamStructure(teams=teams), np.linspace(0.55, 0.75, 20)
+        # an enumeration of all 2^20 patterns gives 0.22469184549396154
+        assert abs(indirect_competence(s, tuple(skills)) - 0.22469184549396154) < 1e-12
+        got = indirect_competence(s, tuple(skills), nd_policy="coin-flip")
+        # a seeded simulation of every vote and coin, 2^18 trials
+        rng, trials = np.random.default_rng(0), 1 << 18
+        right = np.where(rng.random((trials, 20)) < skills, 1, -1)
+        coins = np.where(rng.random((trials, len(teams))) < 0.5, 1, -1)
+        top = sum(
+            np.where(right[:, a] == right[:, b], right[:, a], coins[:, t])
+            for t, (a, b) in enumerate(teams)
+        )
+        earned = np.where(top > 0, 1.0, np.where(top == 0, 0.5, 0.0))
+        assert abs(got - earned.mean()) < 4 * earned.std() / math.sqrt(trials)
+
+    def test_a_large_team_sums_its_own_members_accurately(self):
+        # one shared player and 21 of its own: each of the team's two rows sums
+        # 2^21 member patterns; both teams are right iff players 0 and 22 are,
+        # and 11 of the other 21
+        s = TeamStructure(teams=(tuple(range(22)), (0, 22)))
+        p = Fraction(0.6)
+        want = p * p * sum(math.comb(21, j) * p**j * (1 - p) ** (21 - j) for j in range(11, 22))
+        assert abs(indirect_competence(s, (0.6,) * 23) - float(want)) < 1e-15
+
+    def test_a_ring_of_three_member_teams_is_answered_under_coin_flip(self):
+        # 21 players in teams (i, i+1, i+2) mod 21: no team of three can tie, nor
+        # can 21 teams, so no coin is tossed, and the price counts no team as
+        # voting at random, as it would if any team of shared players might tie
+        ring = tuple(tuple(sorted({i, (i + 1) % 21, (i + 2) % 21})) for i in range(21))
+        s, skills = TeamStructure(teams=ring), tuple(np.linspace(0.55, 0.75, 21))
+        got = indirect_competence(s, skills, nd_policy="coin-flip")
+        assert got == indirect_competence(s, skills)
+        # an enumeration of all 2^21 patterns gives 0.9135773983569873
+        assert abs(got - 0.9135773983569873) < 1e-12
+
+    def test_teams_over_the_same_players_share_one_outcome_table(self, monkeypatch):
+        # three teams of the same 23 players vote alike, so the top level is the
+        # 23-judge jury; one table over the 23 players (23*2^23) holds all three
+        # teams' outcomes, where a table per team would cost 3*23*2^23
+        shapes = []
+
+        def spy(w, bias):
+            shapes.append(np.shape(w))
+            return _exact.pattern_outcomes(w, bias)
+
+        monkeypatch.setattr("votefuse.jury.pattern_outcomes", spy)
+        s = TeamStructure(teams=(tuple(range(23)),) * 3)
+        skills = tuple(np.linspace(0.45, 0.8, 23))
+        want = jury_exact((1,) * 23, 0.0, skills).competence
+        assert abs(indirect_competence(s, skills) - want) < 1e-12
+        assert shapes == [(3, 23)]
+
+    def test_many_teams_of_24_players_are_refused(self):
+        # 8 teams of the same 24 players: one 24-player table (24*2^24) and a
+        # top level of 8 fixed votes (9 units) in each of the 2^24 patterns. An
+        # enumeration of all players' patterns was priced 24*2^24 + 8*2^24 and
+        # answered it at the cap itself; this route's estimate is one unit per
+        # pattern above it
+        s = TeamStructure(teams=(tuple(range(24)),) * 8)
+        with pytest.raises(CapacityError, match=f"{33 << 24:,}"):
+            indirect_competence(s, (0.6,) * 24)
+
+    @pytest.mark.parametrize("policy", ["incorrect", "coin-flip"])
+    def test_one_team_or_singleton_teams_are_the_jury(self, policy):
+        rng = random.Random(3)
+        skills = tuple(rng.uniform(0.3, 0.9) for _ in range(7))
+        for w in ((3.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0), tuple(optimal_weights(skills))):
+            want = jury_exact(w, 2.0, skills, policy).competence
+            one = TeamStructure(teams=(tuple(range(7)),), member_weights=(w,), team_biases=(2.0,))
+            assert indirect_competence(one, skills, nd_policy=policy) == want
+            singles = TeamStructure(
+                teams=tuple((i,) for i in range(7)), top_weights=w, top_bias=2.0
+            )
+            assert abs(indirect_competence(singles, skills, nd_policy=policy) - want) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_weighted_structures_match_the_exact_oracle(self, data):
+        # quarter weights and biases sum exactly in floats, so each float
+        # decision is the oracle's exact one, ties included
+        quarter = st.integers(-8, 8).map(lambda x: x / 4)
+        n = data.draw(st.integers(1, 10))
+        if data.draw(st.booleans()):  # disjoint teams, members in any order
+            order = data.draw(st.permutations(range(n)))
+            cuts = sorted(data.draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=5)) - {n})
+            teams = tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+        else:
+            team = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+            teams = tuple(map(tuple, data.draw(st.lists(team, min_size=1, max_size=6))))
+        k = len(teams)
+        weights = tuple(tuple(data.draw(st.lists(quarter, min_size=len(t), max_size=len(t))))
+                        for t in teams)
+        biases = tuple(data.draw(st.lists(quarter, min_size=k, max_size=k)))
+        top = st.one_of(st.integers(-2, 3).map(float), quarter)  # integers take the DP
+        top_weights = tuple(data.draw(st.lists(top, min_size=k, max_size=k)))
+        top_bias = data.draw(quarter)
+        skill = st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.0, 1.0]))
+        skills = data.draw(st.lists(skill, min_size=n, max_size=n))
+        s = TeamStructure(teams, weights, biases, top_weights, top_bias)
+        for policy, credit in (("incorrect", 0.0), ("coin-flip", 0.5)):
+            want = indirect_brute(teams, skills, credit, weights, biases, top_weights, top_bias)
+            assert abs(indirect_competence(s, skills, nd_policy=policy) - want) < 1e-12
 
     def test_shared_player_does_not_inflate_the_count(self):
         teams = tuple((i, 19) for i in range(19))

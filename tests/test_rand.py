@@ -38,7 +38,7 @@ GAME30 = VotingGame(tuple(i % 7 + 1 for i in range(30)), 60)
 
 
 PINNED = [
-    (
+    pytest.param(
         lambda: power_monte_carlo(GAME, "banzhaf", TRIALS, 3),
         "PowerReport(kind='banzhaf', method='monte-carlo', raw=(22.002593321434563, "
         "9.888548197641603, 10.065260171159215, 5.931566823791436, 2.0214482937470444, "
@@ -47,8 +47,9 @@ PINNED = [
         "0.03879022629198906), stderr=(0.001463070264460999, 0.0009254861071202442, "
         "0.0009279494138307062, 0.0008108976694399465, 0.0005462987260601688, "
         "0.0005454843389163203))",
+        id="banzhaf",
     ),
-    (
+    pytest.param(
         lambda: power_monte_carlo(GAME, "shapley", TRIALS, 3),
         "PowerReport(kind='shapley', method='monte-carlo', raw=(0.434549143441185, "
         "0.2014095464738456, 0.19771787713758332, 0.10190227754641283, 0.0328436532271597, "
@@ -57,33 +58,38 @@ PINNED = [
         "0.031577502173813554), stderr=(0.0019360679532833722, 0.0015664112624165537, "
         "0.0015555724431695005, 0.0011815645621530044, 0.0006961098614276014, "
         "0.0006830068134180743))",
+        id="shapley",
     ),
-    (
+    pytest.param(
         lambda: power_monte_carlo(LOSING, "banzhaf", TRIALS, 3),
         "PowerReport(kind='banzhaf', method='monte-carlo', raw=(0.0, 0.0, 0.0), "
         "normalized=(0.0, 0.0, 0.0), stderr=(0.0, 0.0, 0.0))",
+        id="banzhaf-losing-game",
     ),
-    (
+    pytest.param(
         lambda: power_monte_carlo(LOSING, "shapley", TRIALS, 3),
         "PowerReport(kind='shapley', method='monte-carlo', raw=(0.0, 0.0, 0.0), "
         "normalized=(0.0, 0.0, 0.0), stderr=(0.0, 0.0, 0.0))",
+        id="shapley-losing-game",
     ),
-    (
+    pytest.param(
         lambda: competence_monte_carlo(
             (2, 1, 1, 1, 1), 0, (0.7, 0.6, 0.55, 0.5, 0.65), TRIALS, 7, "coin-flip"
         ),
         "CompetenceEstimate(value=0.6961466294448767, stderr=0.0015436882112224528, "
         "trials=65553, seed=7)",
+        id="competence-integer-weights",
     ),
-    (
+    pytest.param(
         lambda: condorcet_efficiency(
             ScoringVector.plurality(4), 4, 6, "monte-carlo", "fail", TRIALS, 11
         ),
         "EfficiencyResult(value=0.8271236396614269, method='monte-carlo', tie_policy='fail', "
         "exact=None, profiles_with_winner=26464, stderr=0.0023245210511349795, "
         "ci95=(0.8225675784012023, 0.8316797009216514), trials=65553, seed=11)",
+        id="efficiency-plurality-fail",
     ),
-    (
+    pytest.param(
         lambda: condorcet_efficiency(
             ScoringVector.plurality(4), 4, 6, "monte-carlo", "split-credit", TRIALS, 11
         ),
@@ -91,31 +97,35 @@ PINNED = [
         "tie_policy='split-credit', exact=None, profiles_with_winner=26464, "
         "stderr=0.0014007787869721863, ci95=(0.8969420995348097, 0.9024331523797408), "
         "trials=65553, seed=11)",
+        id="efficiency-plurality-split-credit",
     ),
     # competence with log-odds weights: the float where-sum route
-    (
+    pytest.param(
         lambda: competence_monte_carlo(optimal_weights(SKILLS), 0, SKILLS, TRIALS, 7, "coin-flip"),
         "CompetenceEstimate(value=0.8216099949659055, stderr=0.0014952890138969818, "
         "trials=65553, seed=7)",
+        id="competence-log-odds-weights",
     ),
     # integer weights with 2*sum|w| >= 2^24 keep the where-sum: a float32
     # product would round 2^25 + 2 and miss the stalemates at the bias
-    (
+    pytest.param(
         lambda: competence_monte_carlo(
             ((1 << 24) + 1, (1 << 24) - 1, 1, 1, 1), 1, SKILLS, TRIALS, 7, "coin-flip"
         ),
         "CompetenceEstimate(value=0.683980900950376, stderr=0.0016913636890188211, "
         "trials=65553, seed=7)",
+        id="competence-wide-integer-weights",
     ),
     # negative integer weights and a non-zero integer bias
-    (
+    pytest.param(
         lambda: competence_monte_carlo(
             (3, -2, 1, 2, -1, 4), 1, SKILLS + (0.4,), TRIALS, 7, "coin-flip"
         ),
         "CompetenceEstimate(value=0.4289429926929355, stderr=0.0018128705152775546, "
         "trials=65553, seed=7)",
+        id="competence-negative-weights-and-bias",
     ),
-    (
+    pytest.param(
         lambda: power_monte_carlo(GAME30, "banzhaf", TRIALS, 3),
         "PowerReport(kind='banzhaf', method='monte-carlo', raw=(17247877.910576176, "
         "34135401.296904795, 51375089.33192989, 69933347.330679, 87533389.88995165, "
@@ -146,9 +156,10 @@ PINNED = [
         "0.0002529400048605798, 0.00027968530221177194, 0.0003081312787153449, "
         "0.00034493142090455544, 0.0003918121904451479, 0.00016798953325180738, "
         "0.00022093242495698555))",
+        id="banzhaf-30-players",
     ),
     # a weight sum past 2^24: the float64 route
-    (
+    pytest.param(
         lambda: power_monte_carlo(
             VotingGame((1 << 23, (1 << 22) + 1, 3 << 21, 5, 7), 1 << 24), "banzhaf", TRIALS, 3
         ),
@@ -156,8 +167,9 @@ PINNED = [
         "4.008237609262734, 4.012875078181014, 0.0, 0.0), normalized=(0.3336239759915645, "
         "0.3329953767539946, 0.3333806472544407, 0.0, 0.0), stderr=(0.0015009800713251524, "
         "0.0014995640450811783, 0.0015004320900716985, 0.0, 0.0))",
+        id="banzhaf-float64-sums",
     ),
-    (
+    pytest.param(
         lambda: condorcet_efficiency(
             ScoringVector.borda(5), 5, 7, "monte-carlo", "split-credit", TRIALS, 11
         ),
@@ -165,24 +177,27 @@ PINNED = [
         "tie_policy='split-credit', exact=None, profiles_with_winner=51346, "
         "stderr=0.0013079773100297576, ci95=(0.8708912911787388, 0.8760185622340555), "
         "trials=65553, seed=11)",
+        id="efficiency-borda-split-credit",
     ),
     # 5! rankings for 3 voters, more than 16 a voter: the int64 gather route
-    (
+    pytest.param(
         lambda: condorcet_efficiency(
             ScoringVector.plurality(5), 5, 3, "monte-carlo", "fail", TRIALS, 11
         ),
         "EfficiencyResult(value=0.6202490289323701, method='monte-carlo', tie_policy='fail', "
         "exact=None, profiles_with_winner=55094, stderr=0.0020676845474972587, "
         "ci95=(0.6161963672192755, 0.6243016906454647), trials=65553, seed=11)",
+        id="efficiency-gather-route",
     ),
     # integer scores times voters pass 2^24 (and 2^53): totals keep the int64 gather
-    (
+    pytest.param(
         lambda: condorcet_efficiency(
             ScoringVector((2**55, 1, 0)), 3, 5, "monte-carlo", "fail", TRIALS, 11
         ),
         "EfficiencyResult(value=0.9267007109899673, method='monte-carlo', tie_policy='fail', "
         "exact=None, profiles_with_winner=60901, stderr=0.0010561144452763875, "
         "ci95=(0.9246307266772256, 0.9287706953027091), trials=65553, seed=11)",
+        id="efficiency-wide-scores",
     ),
 ]
 
@@ -300,7 +315,7 @@ def test_row_blocks_keep_every_estimate_to_the_bit(monkeypatch, block):
     """
     monkeypatch.setattr(_rand, "CHUNK", SMALL_CHUNK)
     monkeypatch.setitem(globals(), "TRIALS", 2 * SMALL_CHUNK + 17)
-    runs = [run for run, _ in PINNED] + UNEVEN
+    runs = [param.values[0] for param in PINNED] + UNEVEN
     whole = [repr(run()) for run in runs]
     monkeypatch.setattr(_exact, "OUTCOME_BLOCK", block)
     assert [repr(run()) for run in runs] == whole
