@@ -224,15 +224,19 @@ def _reduced_game(ws: Sequence[int], q: int) -> tuple[list[int], int]:
 # ---------------------------------------------------------------- power
 
 
+def _power_route(n: int, q: int, kind: str) -> str:
+    """The route of ``kind`` ('banzhaf' or 'shapley') on a reduced game; refused over the cap."""
+    what, cells = {"banzhaf": ("Banzhaf", n), "shapley": ("Shapley-Shubik", n * (n + 1))}[kind]
+    return _choose_route(n, cells * (q + 1), what, f"power_monte_carlo(game, kind='{kind}')")
+
+
 def banzhaf_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> list[int]:
     """Raw Banzhaf swing counts: coalitions of the others with weight in (q - w_i, q]."""
     n = len(ws)
     ws, q = _reduced_game(ws, q)
     if q < 0:
         return [0] * n
-    route = route or _choose_route(
-        n, n * (q + 1), "Banzhaf", "power_monte_carlo(game, kind='banzhaf')"
-    )
+    route = route or _power_route(n, q, "banzhaf")
     players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
     swings = {0: 0}
     if route == "enumeration":
@@ -257,21 +261,22 @@ def banzhaf_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
     return [swings[w] for w in ws]
 
 
-def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> list[int]:
-    """Raw Shapley-Shubik pivot counts over all n! orderings.
+def power_counts(
+    ws: Sequence[int], q: int, route: Optional[str] = None, kinds=("banzhaf", "shapley")
+) -> list[list[int]]:
+    """Raw counts of ``kinds``, from one table of swings by coalition size.
 
-    A coalition S of the others of size k, with weight in (q - w_i, q], makes
-    i pivotal in k!(n-1-k)! orderings.
+    A coalition of the others of size k with weight in (q - w_i, q] is a swing
+    for i and makes i pivotal in k!(n-1-k)! orderings, so i's Banzhaf count is
+    its row summed over sizes (Bilbao et al. 2000). Kinds are priced in turn.
     """
     n = len(ws)
     ws, q = _reduced_game(ws, q)
     if q < 0:
-        return [0] * n
-    route = route or _choose_route(
-        n, n * (n + 1) * (q + 1), "Shapley-Shubik", "power_monte_carlo(game, kind='shapley')"
-    )
+        return [[0] * n for _ in kinds]
+    chosen = [route or _power_route(n, q, kind) for kind in kinds][-1]  # priced in turn
     players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
-    if route == "enumeration":
+    if chosen == "enumeration":
         sums = enumerate_patterns([0] * n, ws, np.int64(0))
         sizes = enumerate_patterns([0] * n, [1] * n, np.int8(0))
         by_size = []
@@ -297,8 +302,9 @@ def shapley_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> li
             by_size[:, j:] += (-1) ** j * window[: n - j, :, j].T
     fact = [math.factorial(k) for k in range(n)]
     orders = np.array([fact[k] * fact[n - 1 - k] for k in range(n)], dtype=object)
-    pivots = dict(zip(players, (np.asarray(by_size).astype(object) @ orders).tolist()))
-    return [pivots[w] for w in ws]
+    swings = np.asarray(by_size).astype(object)
+    counts = {"banzhaf": swings.sum(axis=1), "shapley": swings @ orders}
+    return [[dict(zip(players, counts[kind].tolist()))[w] for w in ws] for kind in kinds]
 
 
 # ---------------------------------------------------------------- jury

@@ -38,7 +38,7 @@ from .io import (
     load_team_structure,
 )
 from .jury import competence_monte_carlo, indirect_competence, jury_exact, optimal_weights
-from .power import banzhaf_exact, power_monte_carlo, shapley_shubik_exact
+from .power import banzhaf_exact, power_exact, power_monte_carlo, shapley_shubik_exact
 from .scoring import ScoringVector, condorcet_efficiency
 from .wmr import DEFAULT_MAX_WEIGHT, enumerate_unique_wmr, enumeration_is_bound_stable
 
@@ -96,26 +96,20 @@ def _fmt(value) -> str:
 
 def _cmd_power(args) -> str:
     game = load_game(args.game)
-    kinds = ("banzhaf", "shapley") if args.kind == "both" else (args.kind,)
     extra = [f"game={Path(args.game).name}", f"method={args.method}"]
     if args.method == "monte-carlo":
         extra.append(f"trials={args.trials}")
-    rows = []
-    for kind in kinds:
-        if args.method == "exact":
-            rep = banzhaf_exact(game) if kind == "banzhaf" else shapley_shubik_exact(game)
-        else:
-            rep = power_monte_carlo(game, kind, trials=args.trials, seed=args.seed)
-        for i in range(game.n):
-            rows.append(
-                (
-                    kind,
-                    str(i),
-                    _fmt(rep.raw[i]),
-                    repr(rep.normalized[i]),
-                    "" if rep.stderr is None else repr(rep.stderr[i]),
-                )
-            )
+        kinds = ("banzhaf", "shapley") if args.kind == "both" else (args.kind,)
+        reports = [power_monte_carlo(game, k, trials=args.trials, seed=args.seed) for k in kinds]
+    elif args.kind == "both":
+        reports = power_exact(game)
+    else:
+        reports = [banzhaf_exact(game) if args.kind == "banzhaf" else shapley_shubik_exact(game)]
+    rows = [
+        (rep.kind, str(i), _fmt(rep.raw[i]), repr(rep.normalized[i]),
+         "" if rep.stderr is None else repr(rep.stderr[i]))
+        for rep in reports for i in range(game.n)
+    ]
     return _report(args, "power", extra, ("kind", "player", "raw", "normalized", "stderr"), rows)
 
 

@@ -4,11 +4,12 @@ Exact routines count coalitions on rescaled integer weights, so no
 floating-point comparison comes anywhere near the quota. They run the shared
 kernel in :mod:`._exact`: a counting DP over weights up to the quota, in
 O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or one 2^n
-enumeration when that is cheaper, refused beyond one work cap. The Monte Carlo
-estimators draw through the chunked driver of :mod:`._rand`, so a seed fixes
-their results to the bit, in row blocks, so their memory follows one block
-and not the chunk times the players. A block's statistics are exact numbers,
-integer counts, so their sums do not depend on the split into blocks.
+enumeration when that is cheaper, refused beyond one work cap. Both indices at
+once (:func:`power_exact`, ``power --kind both``) come from one table. The
+Monte Carlo estimators draw through the chunked driver of :mod:`._rand`, so a
+seed fixes their results to the bit, in row blocks, so their memory follows
+one block and not the chunk times the players. A block's statistics are exact
+numbers, integer counts, so their sums do not depend on the split into blocks.
 
 An exact game is priced and counted on its lowest integer weights and on the
 smaller side of its quota, q = min(quota, W-1-quota), so a rescaled game
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._exact import banzhaf_counts, exact_in_float32, shapley_counts
+from ._exact import banzhaf_counts, exact_in_float32, power_counts
 from ._rand import chunk_sums
 from .model import VotingGame, integer_form
 
@@ -80,7 +81,13 @@ def shapley_shubik_exact(game: VotingGame) -> PowerReport:
     grand coalition wins, and are all 0 otherwise.
     """
     ws, quota = integer_form(game)
-    return _exact_report("shapley", shapley_counts(ws.tolist(), quota))
+    return _exact_report("shapley", power_counts(ws.tolist(), quota, kinds=("shapley",))[0])
+
+
+def power_exact(game: VotingGame) -> tuple[PowerReport, PowerReport]:
+    """Exact Banzhaf and Shapley-Shubik power, both read off one table of swings by size."""
+    ws, quota = integer_form(game)
+    return tuple(map(_exact_report, ("banzhaf", "shapley"), power_counts(ws.tolist(), quota)))
 
 
 def _banzhaf_mc(ws: np.ndarray, quota: int, n: int, trials: int, seed: int) -> PowerReport:

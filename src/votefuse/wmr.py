@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._exact import block_rows, check_work, outcome, pattern_outcomes
+from ._exact import block_rows, check_work, exact_in_float32, pattern_outcomes
 from .errors import CapacityError, DimensionError
 from .jury import group_competence
 from .model import (
@@ -140,8 +140,8 @@ class CanonicalWMR:
     """A decisive weighted majority rule named by its canonical integer weights.
 
     The canonical representative is the first weight vector reaching the
-    rule's table in the enumeration order: non-increasing integer vectors,
-    odd total weight before even, lexicographic within each parity class.
+    rule's table in the enumeration order: non-increasing integer vectors
+    with an odd total weight, in lexicographic order.
     """
 
     weights: tuple[int, ...]
@@ -164,16 +164,19 @@ def _coerce_rule(r: RuleLike) -> DecisionRule:
 def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[CanonicalWMR]:
     """All distinct decisive weighted majority rules on n voters.
 
-    Scans every non-increasing integer weight vector with entries up to
-    ``max_weight``, discards vectors whose rule can tie (only odd total
-    weights survive), and deduplicates by decision table. The scan stops at
-    n's :data:`DEFAULT_MAX_WEIGHT`, which reaches every rule, so a larger
-    ``max_weight`` gets the default's list, as a full scan would: no larger
-    bound finds an earlier vector for a known rule either, since every
-    default canonical vector has an odd total and the vectors before it in
-    the enumeration order have no entry above its first. The largest scan,
-    n = 7 at bound 9, takes 11,440 vectors; n outside 1..7, with no such
-    bound known, is refused with :class:`CapacityError`.
+    Scans the non-increasing integer weight vectors with entries up to
+    ``max_weight`` and an odd total, all decisive as their signed sums are
+    odd, and deduplicates them by decision table. An even total adds no rule:
+    lowering the last positive entry of a decisive even-total vector moves its
+    signed sums, even and nonzero, by 1 each, so the odd-total vector it gives
+    decides alike and comes earlier, within the bound. An odd-total rule is
+    self-dual, table[2^n - 1 - j] = -table[j], so its 2^(n-1) <= 64 profiles
+    where player n-1 votes for A key it. The scan stops at n's
+    :data:`DEFAULT_MAX_WEIGHT`, which reaches every rule, so a larger
+    ``max_weight`` gets the default's list, as a full scan would: the vectors
+    before a default canonical vector have no entry above its first. The
+    largest scan, n = 7 at bound 9, takes 5,720 vectors; n above 7, with no
+    such bound known, is refused with :class:`CapacityError`.
 
     The result is sorted by weight vector. Up to symmetry (rules for the
     remaining orderings follow by permuting players), this is the complete
@@ -182,29 +185,29 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
     mw = _scan_bound(n, max_weight)
     # non-increasing vectors in lexicographic order, grown one column at a time
     vectors = np.arange(mw + 1, dtype=np.int64)[:, None]
+    totals = vectors[:, 0]
     for _ in range(n - 1):
         reps = vectors[:, -1] + 1
         starts = np.repeat(np.cumsum(reps) - reps, reps)
         last = np.arange(reps.sum()) - starts
         vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
-    vectors = vectors[np.argsort(vectors.sum(axis=1) % 2 == 0, kind="stable")]  # odd totals first
-    signs = pattern_outcomes(np.eye(n), 0).astype(np.float64)  # (n, 2^n) vote signs
-    step = block_rows(1 << n)  # weight vectors per block of BLAS products
-    kept, packed = [], []
-    for lo in range(0, len(vectors), step):
-        table = outcome(vectors[lo : lo + step] @ signs, 0)
-        decisive = np.flatnonzero(table.all(axis=1))
-        kept.append(lo + decisive)
-        packed.append(np.packbits(table[decisive] > 0, axis=1))
-    vectors, packed = vectors[np.concatenate(kept)], np.concatenate(packed)
+        totals = np.repeat(totals, reps) + last
+    vectors = vectors[totals % 2 == 1]
+    dtype = np.float32 if exact_in_float32(n * mw) else np.float64  # |sums| <= n * mw
+    signs = np.zeros((n, 64), dtype=dtype)  # zero columns pad each key to 64 bits
+    signs[:, : 1 << (n - 1)] = pattern_outcomes(np.eye(n), 0)[:, 1 << (n - 1) :]
+    step = block_rows(64)  # weight vectors per block of BLAS products
+    blocks = np.split(vectors.astype(dtype), range(step, len(vectors), step))
+    keys = [np.packbits(block @ signs > 0, axis=1, bitorder="little") for block in blocks]
     # the first vector in enumeration order reaching each distinct table
-    tables = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first = np.unique(tables, return_index=True)
+    _, first = np.unique(np.concatenate(keys).view(np.uint64), return_index=True)
     return [CanonicalWMR(tuple(w)) for w in sorted(vectors[first].tolist())]
 
 
 def _scan_bound(n: int, max_weight: Optional[int]) -> int:
     """The bound the scan takes: ``max_weight`` (n's default if None), at most n's default."""
+    if n < 1:
+        raise DimensionError("at least one voter is required")
     if n not in DEFAULT_MAX_WEIGHT:
         beyond = f"no bound is known to reach every rule for n={n}"
         check_work("rule enumeration", 0, beyond=beyond)

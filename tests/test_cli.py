@@ -1,6 +1,13 @@
+import contextlib
+import io
+import tempfile
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from votefuse.cli import main
 from votefuse.errors import ConfigurationWarning
@@ -59,6 +66,33 @@ class TestPowerCommand:
         rep = parse_report(out)
         assert code == 0 and len(rep.rows) == 6
         assert {r[0] for r in rep.rows} == {"banzhaf", "shapley"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["0", "1", "2", "7", "39", "1/2", "5/3", "11/6"]),
+                 min_size=1, max_size=14),
+        st.integers(0, 24),
+    )
+    def test_both_kinds_are_the_rows_of_each_kind(self, weights, share):
+        total = sum(map(Fraction, weights))
+        rows = []
+        with tempfile.TemporaryDirectory() as tmp:
+            game = Path(tmp, "game.txt")
+            game.write_text(f"weights = {' '.join(weights)}\nquota = {total * share / 24}\n")
+            for kind in ("both", "banzhaf", "shapley"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["power", "--game", str(game), "--kind", kind]) == 0
+                rows.append(parse_report(out.getvalue()).rows)
+        assert rows[0] == rows[1] + rows[2]
+
+    def test_a_game_both_kinds_refuse_is_refused_as_banzhaf(self, capsys, tmp_path):
+        game = tmp_path / "game.txt"
+        game.write_text(f"weights = {' '.join(str(10**9 + i) for i in range(30))}\n")
+        both = run(capsys, "power", "--game", str(game), "--kind", "both")
+        banzhaf = run(capsys, "power", "--game", str(game), "--kind", "banzhaf")
+        assert both == banzhaf and both[0] == 4 and both[1] == ""
+        assert "exact Banzhaf needs" in both[2]
 
     def test_monte_carlo_rows_carry_stderr(self, capsys, game_file):
         code, out, _ = run(
@@ -119,10 +153,18 @@ class TestWmrEnumCommand:
         assert code == 0
         assert "count=135" in rep.comments and "bound_stable=true" in rep.comments
 
-    @pytest.mark.parametrize("n", ["0", "8"])
+    @pytest.mark.parametrize("n", ["8"])
     def test_voter_counts_outside_one_to_seven_exit_four(self, capsys, n):
         code, out, err = run(capsys, "wmr", "enum", "--n", n, "--max-weight", "3")
         assert code == 4 and out == "" and "no bound is known" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_voter_counts_below_one_exit_three(self, capsys, n):
+        # bad input, not a scan over capacity
+        for bound in ([], ["--max-weight", "3"]):
+            code, out, err = run(capsys, "wmr", "enum", "--n", n, *bound)
+            assert code == 3 and out == ""
+            assert err == "error: at least one voter is required\n"
 
     def test_a_bound_that_is_not_stable_is_reported(self, capsys):
         code, out, _ = run(capsys, "wmr", "enum", "--n", "7", "--max-weight", "5")

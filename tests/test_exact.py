@@ -49,13 +49,18 @@ def integer_games():
     )
 
 
+def shapley_counts(ws, q, route=None):
+    return _exact.power_counts(ws, q, route, ("shapley",))[0]
+
+
 def check_power_routes(ws, q):
     """Both routes give the oracle counts; returns the Banzhaf and Shapley-Shubik counts."""
     want_b = banzhaf_brute(ws, q)
     want_s = [x * math.factorial(len(ws)) for x in shapley_brute(ws, q)]
     for route in POWER_ROUTES:
         assert _exact.banzhaf_counts(ws, q, route) == want_b
-        assert _exact.shapley_counts(ws, q, route) == want_s
+        assert shapley_counts(ws, q, route) == want_s
+        assert _exact.power_counts(ws, q, route) == [want_b, want_s]  # from one table
     return want_b, want_s
 
 
@@ -85,7 +90,7 @@ class TestPowerRoutes:
         # 63 players: 2^63 coalitions do not fit a signed 64-bit count
         ws = [1] * 63
         assert _exact.banzhaf_counts(ws, 62) == [1] * 63
-        assert _exact.shapley_counts(ws, 62) == [math.factorial(62)] * 63
+        assert shapley_counts(ws, 62) == [math.factorial(62)] * 63
         assert _exact.banzhaf_counts(ws, 63) == [0] * 63
 
     def test_games_past_the_old_player_caps_are_exact_now(self):
@@ -130,21 +135,21 @@ class TestReducedGame:
         q = n // 2
         side = min(q, n - 1 - q)
         assert _exact.banzhaf_counts([1] * n, q) == [math.comb(n - 1, side)] * n
-        assert _exact.shapley_counts([1] * n, q) == [math.factorial(n - 1)] * n
+        assert shapley_counts([1] * n, q) == [math.factorial(n - 1)] * n
         # n - 3 dummies of weight 0 double every count: past 2^31 in one cell at n = 33
         ws = [0] * (n - 3) + [1, 1, 1]
         dummies = [0] * (n - 3)
         assert _exact.banzhaf_counts(ws, 1) == dummies + [2 << (n - 3)] * 3
-        assert _exact.shapley_counts(ws, 1) == dummies + [math.factorial(n) // 3] * 3
+        assert shapley_counts(ws, 1) == dummies + [math.factorial(n) // 3] * 3
 
     def test_int64_totals_whose_sums_wrap_count_exactly(self, monkeypatch):
         # 62 players: the int64 sum of the window ends of the weight-1 player
         # passes 2^63 and wraps; Python-int counts are the reference
         ws, q = [1] + [5] * 61, 152
         assert _exact._count_dtype(len(ws)) == np.int64
-        got = _exact.banzhaf_counts(ws, q), _exact.shapley_counts(ws, q)
+        got = _exact.banzhaf_counts(ws, q), shapley_counts(ws, q)
         monkeypatch.setattr(_exact, "_count_dtype", lambda n: object)
-        assert (_exact.banzhaf_counts(ws, q), _exact.shapley_counts(ws, q)) == got
+        assert (_exact.banzhaf_counts(ws, q), shapley_counts(ws, q)) == got
 
 
 def judges():

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from votefuse import _exact
 from votefuse.errors import CapacityError
-from votefuse.model import VotingGame
-from votefuse.power import banzhaf_exact, power_monte_carlo, shapley_shubik_exact
+from votefuse.model import VotingGame, integer_form
+from votefuse.power import banzhaf_exact, power_exact, power_monte_carlo, shapley_shubik_exact
 
 from oracles import banzhaf_brute, random_rational_game, shapley_brute
 
@@ -95,6 +98,56 @@ class TestShapleyShubikExact:
     def test_capacity_error_names_the_monte_carlo_route(self):
         with pytest.raises(CapacityError, match="power_monte_carlo"):
             shapley_shubik_exact(OVER_THE_WORK_CAP)
+
+
+@st.composite
+def games(draw):
+    """Up to 14 players, integer or fraction weights, and a quota anywhere in [0, total]."""
+    n = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    else:
+        fraction = st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+        weights = draw(st.lists(fraction, min_size=n, max_size=n))
+    total = sum(weights, Fraction(0))
+    return VotingGame(tuple(weights), total * draw(st.integers(0, 24)) / 24)
+
+
+class TestBothIndices:
+    """``power_exact`` reads both indices off the one table Shapley-Shubik builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(games())
+    def test_banzhaf_from_the_shared_table_on_each_route(self, game):
+        ws, q = integer_form(game)
+        want = _exact.banzhaf_counts(ws.tolist(), q)
+        if game.n <= 9:  # the brute force takes seconds past that
+            assert want == banzhaf_brute(list(game.weights), game.quota)
+        for route in ("dp", "enumeration"):
+            both = _exact.power_counts(ws.tolist(), q, route)
+            assert both[0] == _exact.banzhaf_counts(ws.tolist(), q, route) == want
+            assert both[1] == _exact.power_counts(ws.tolist(), q, route, ("shapley",))[0]
+        assert power_exact(game) == (banzhaf_exact(game), shapley_shubik_exact(game))
+
+    def test_a_game_both_refuse_is_refused_as_banzhaf(self):
+        with pytest.raises(CapacityError) as both:
+            power_exact(OVER_THE_WORK_CAP)
+        with pytest.raises(CapacityError) as alone:
+            banzhaf_exact(OVER_THE_WORK_CAP)
+        assert str(both.value) == str(alone.value)
+        assert "exact Banzhaf needs" in str(both.value)
+
+    def test_a_game_only_banzhaf_answers_is_refused_as_shapley_shubik(self):
+        # 25 players: the 2^25 enumeration is over the cap, and so is the
+        # Shapley-Shubik DP up to a quota near 10^6, but not the Banzhaf DP
+        game = VotingGame(tuple(80_000 + 37 * i for i in range(25)))
+        assert min(banzhaf_exact(game).raw) > 0
+        with pytest.raises(CapacityError) as both:
+            power_exact(game)
+        with pytest.raises(CapacityError) as alone:
+            shapley_shubik_exact(game)
+        assert str(both.value) == str(alone.value)
+        assert "exact Shapley-Shubik needs" in str(both.value)
 
 
 class TestNormalization:

@@ -1,9 +1,11 @@
-"""``tools/report_digests.py --compare``, the byte check between two source trees."""
+"""``tools/report_digests.py``: the byte check between two source trees, and its edge jobs."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from votefuse.wmr import DEFAULT_MAX_WEIGHT
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
 
@@ -69,3 +71,26 @@ def test_each_line_splits_the_report_into_exact_tokens_and_floats(tmp_path):
     lines = [json.loads(line) for line in out]
     jury = next(d for d in lines if d["floats"] and d["exit"] == 0)
     assert len(jury["exact"]) == 64 and all(isinstance(x, float) for x in jury["floats"])
+
+
+def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
+    out = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "edge"],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+    ).stdout.splitlines()
+    lines = {d["id"]: d for d in map(json.loads, out)}
+    wmr = ["wmr-n-1", "wmr-n0", "wmr-n8"]
+    for n, default in DEFAULT_MAX_WEIGHT.items():
+        wmr += [f"wmr-n{n}"] + [f"wmr-n{n}-mw{b}" for b in range(1, default + 2)]
+    games = ("dp", "fraction", "enumeration", "banzhaf-only", "refused")
+    power = [f"power-{g}-{k}" for g in games for k in ("both", "banzhaf", "shapley")]
+    assert list(lines) == [f"edge/{i}" for i in wmr + power]
+    refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
+               "power-refused-both", "power-refused-banzhaf", "power-refused-shapley"}
+    for i, line in lines.items():
+        job = i.removeprefix("edge/")
+        assert line["exit"] == (3 if job in ("wmr-n-1", "wmr-n0") else 4 if job in refused else 0)
+    # under --kind both, a refusal is the refusal of the first kind refused
+    for game, first in (("refused", "banzhaf"), ("banzhaf-only", "shapley")):
+        stderr = lines[f"edge/power-{game}-{first}"]["stderr"]
+        assert lines[f"edge/power-{game}-both"]["stderr"] == stderr

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votefuse import _exact, wmr
+from votefuse._exact import pattern_outcomes
 from votefuse.errors import CapacityError, DimensionError
 from votefuse.model import Coalition, DecisionProfile, VotingGame
 from votefuse.wmr import (
@@ -204,10 +205,43 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             enumerate_unique_wmr(25)
 
-    @pytest.mark.parametrize("n", [0, 8])
+    @pytest.mark.parametrize("n", [8])
     def test_stability_outside_one_to_seven_is_a_capacity_error(self, n):
         with pytest.raises(CapacityError, match="no bound is known"):
             enumeration_is_bound_stable(n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_voter_counts_below_one_are_a_dimension_error(self, n):
+        for call in (enumerate_unique_wmr, enumeration_is_bound_stable):
+            with pytest.raises(DimensionError, match="at least one voter is required"):
+                call(n)
+            with pytest.raises(DimensionError, match="at least one voter is required"):
+                call(n, 3)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_an_even_total_decides_as_its_odd_twin(self, n):
+        # the odd twin lowers the last positive entry by one: non-increasing,
+        # within the bound, earlier in lexicographic order
+        twins = 0
+        for bound in range(1, DEFAULT_MAX_WEIGHT[n] + 1):
+            ascending = itertools.combinations_with_replacement(range(bound + 1), n)
+            vectors = [v[::-1] for v in ascending]
+            tables = dict(zip(vectors, pattern_outcomes(np.array(vectors), 0)))
+            for v, table in tables.items():
+                if sum(v) % 2 == 0 and table.all():
+                    last = max(i for i, w in enumerate(v) if w)
+                    twin = v[:last] + (v[last] - 1,) + v[last + 1 :]
+                    assert twin < v and np.array_equal(tables[twin], table), (v, twin)
+                    twins += 1
+        # bound 1 has no decisive even total: its sums are sums of +-1
+        assert twins > 0 or DEFAULT_MAX_WEIGHT[n] == 1
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_an_odd_total_rule_is_self_dual(self, n):
+        vectors = [v for v in itertools.combinations_with_replacement(range(10), n)
+                   if sum(v) % 2 == 1]
+        tables = pattern_outcomes(np.array(vectors), 0)
+        assert tables.all() and np.array_equal(tables[:, ::-1], -tables)
 
     def test_bounds_past_the_default_reuse_its_scan(self):
         # no bound is priced or refused: C(10^6 + 7, 7) vectors could not be scanned

@@ -16,7 +16,14 @@ Run from the root of a source checkout::
 
 ``--src`` (default: this checkout's ``src``) is the tree ``votefuse`` is
 imported from; the job lists always come from this checkout's ``bench/``,
-which the tool only imports from.
+which the tool only imports from, and ``tools/``.
+
+The pseudo-workload ``edge`` (run by default, once, whatever the seeds) is a
+fixed list of jobs the benchmark never runs, ids ``edge/<job>``: ``wmr enum``
+for n = -1, 0 and 8, and for n = 1..7 at the default bound and at every
+``--max-weight`` from 1 to one past it; and ``power --kind
+both|banzhaf|shapley`` on a game of each exact route (counting DP, fraction
+weights, enumeration), one that only Banzhaf answers and one refused by both.
 """
 
 from __future__ import annotations
@@ -39,6 +46,46 @@ import jobgen  # noqa: E402
 from checks import Report, digest_tokens  # noqa: E402
 
 
+EDGE = "edge"
+
+#: Each voter count's default bound in the rule scan, DEFAULT_MAX_WEIGHT.
+SCAN_BOUNDS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 5, 7: 9}
+
+
+def _weights(ws) -> str:
+    return "weights = " + " ".join(map(str, ws)) + "\n"
+
+
+#: The games of the edge jobs, by name; the quota is half the total weight
+#: where none is given.
+EDGE_GAMES = {
+    "dp": _weights([9, 7, 5, 5, 3, 2, 2, 1, 1, 0]) + "quota = 17\n",
+    "fraction": _weights(f"1/{d}" for d in (2, 3, 4, 6, 12) * 2 + (3, 4)) + "quota = 5/2\n",
+    # 12 weights near 10^6: 2^12 coalitions cost less than a DP up to the quota
+    "enumeration": _weights(10**6 + 7919 * i for i in range(12)),
+    # 25 players and a quota near 10^6: the Banzhaf DP fits under the work
+    # cap, the Shapley-Shubik DP and the 2^25 enumeration do not
+    "banzhaf-only": _weights(80_000 + 37 * i for i in range(25)),
+    "refused": _weights(10**9 + i for i in range(30)),
+}
+
+
+def edge_jobs(root: Path) -> list[dict]:
+    """The edge jobs, each an id and an argv; the games they read are written into ``root``."""
+    jobs = [{"id": f"wmr-n{n}", "argv": ["wmr", "enum", "--n", str(n)]} for n in (-1, 0, 8)]
+    for n, default in SCAN_BOUNDS.items():
+        argv = ["wmr", "enum", "--n", str(n)]
+        jobs.append({"id": f"wmr-n{n}", "argv": argv})
+        for bound in range(1, default + 2):
+            jobs.append({"id": f"wmr-n{n}-mw{bound}", "argv": argv + ["--max-weight", str(bound)]})
+    for name, text in EDGE_GAMES.items():
+        (root / f"{name}.txt").write_text(text, encoding="utf-8")
+        for kind in ("both", "banzhaf", "shapley"):
+            argv = ["power", "--game", f"{name}.txt", "--kind", kind]
+            jobs.append({"id": f"power-{name}-{kind}", "argv": argv})
+    return jobs
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -49,9 +96,12 @@ def digests(workloads, seeds):
 
     home = os.getcwd()
     for workload in workloads:
-        for seed in seeds:
+        for seed in [None] if workload == EDGE else seeds:
             with tempfile.TemporaryDirectory() as tmp:
-                jobs = jobgen.generate(workload, seed, Path(tmp))
+                if workload == EDGE:
+                    jobs, prefix = edge_jobs(Path(tmp)), EDGE
+                else:
+                    jobs, prefix = jobgen.generate(workload, seed, Path(tmp)), f"{workload}/{seed}"
                 os.chdir(tmp)
                 try:
                     for job in jobs:
@@ -63,7 +113,7 @@ def digests(workloads, seeds):
                         report = path.read_bytes() if path.exists() else out.getvalue().encode()
                         exact, floats = digest_tokens(Report(report.decode()).tokens())
                         yield {
-                            "id": f"{workload}/{seed}/{job['id']}",
+                            "id": f"{prefix}/{job['id']}",
                             "exit": code,
                             "report": _sha256(report),
                             "stderr": _sha256(err.getvalue().encode()),
@@ -123,8 +173,8 @@ def compare(a: str, b: str) -> int:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=str(ROOT / "src"), help="import votefuse from this tree")
-    p.add_argument("--workload", action="append", choices=jobgen.WORKLOADS,
-                   help="a workload to run (repeatable; default: all)")
+    p.add_argument("--workload", action="append", choices=(*jobgen.WORKLOADS, EDGE),
+                   help="a workload to run (repeatable; default: all, and the edge jobs)")
     p.add_argument("--seed", action="append", type=int,
                    help="a job-list seed (repeatable; default: 0 and 5)")
     p.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two digest files")
@@ -132,7 +182,7 @@ def main(argv=None) -> int:
     if args.compare:
         return compare(*args.compare)
     sys.path.insert(0, str(Path(args.src).resolve()))
-    for line in digests(args.workload or jobgen.WORKLOADS, args.seed or [0, 5]):
+    for line in digests(args.workload or (*jobgen.WORKLOADS, EDGE), args.seed or [0, 5]):
         print(json.dumps(line), flush=True)
     return 0
 
