@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, chain, pairwise, repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -187,7 +187,11 @@ def parse_team_structure(text: str, source: str = "<string>") -> TeamStructure:
             teams.append(tuple(members))
         elif key == "top_bias":
             tok, col = _single_token(key, value, source, lineno, offset)
-            top_bias = float(_fraction_token(tok, source, lineno, col))
+            try:
+                top_bias = float(_fraction_token(tok, source, lineno, col))
+            except OverflowError:
+                message = f"top_bias is past the float range: {tok!r}"
+                raise ParseError(message, path=source, line=lineno, column=col) from None
         else:
             raise ParseError(f"unknown key {key!r}", path=source, line=lineno, column=1)
     if not teams:
@@ -203,16 +207,17 @@ def load_team_structure(path: PathLike) -> TeamStructure:
 
 
 class _CsvText:
-    """The rows of a CSV text, one per line, and its ``#`` comment lines.
+    """The cells of a CSV text, row after row, and its ``#`` comment lines.
 
     Blank lines are skipped, and a line that starts with ``#`` is a comment,
     kept without the ``#`` and the blanks after it; ``numbers`` holds the
-    line number of every row. When the text has no quote or NUL character
-    and no line passes the field size limit, every row is split at its
-    commas, which is what the CSV reader makes of it, and a block of rows is
-    split in bulk by :meth:`columns`. Otherwise each row is split when the
-    text is read, through the reader where the rule above does not hold for
-    its own line, and the first line the reader refuses is an error.
+    line number of every row. ``cells`` holds every row's cells in one list
+    and ``widths`` each row's cell count. When the text has no quote or NUL
+    character and no line passes the field size limit, every row is split at
+    its commas, which is what the CSV reader makes of it, all rows in one
+    split. Otherwise each row is split on its own, through the reader where
+    the rule above does not hold for its line, and the first line the reader
+    refuses is an error.
     """
 
     def __init__(self, text: str, path: str):
@@ -231,15 +236,16 @@ class _CsvText:
             lines = kept
         plain = '"' not in text and "\0" not in text
         limit = csv.field_size_limit()
-        self._lines: Optional[list[str]] = None
-        self._rows: Optional[list[list[str]]] = None
         if plain and max(map(len, lines), default=0) <= limit:
-            self._lines = lines
+            self.cells = ",".join(lines).split(",") if lines else []
+            self.widths = [c + 1 for c in map(str.count, lines, repeat(","))]
         else:
-            self._rows = [
+            rows = [
                 raw.split(",") if plain and len(raw) <= limit else self._read(lineno, raw)
                 for lineno, raw in zip(self.numbers, lines)
             ]
+            self.cells = list(chain.from_iterable(rows))
+            self.widths = list(map(len, rows))
 
     def _read(self, lineno: int, raw: str) -> list[str]:
         try:
@@ -250,23 +256,15 @@ class _CsvText:
     def __len__(self) -> int:
         return len(self.numbers)
 
-    def row(self, i: int) -> list[str]:
-        return self._lines[i].split(",") if self._rows is None else self._rows[i]
-
     def rows(self) -> list[list[str]]:
-        return [raw.split(",") for raw in self._lines] if self._rows is None else self._rows
+        return [self.cells[a:b] for a, b in pairwise(accumulate(self.widths, initial=0))]
 
     def columns(self, start: int, width: int) -> list[list[str]]:
         """The cells of the rows from ``start`` on, as ``width`` columns.
 
         A row of another width is an error at its line.
         """
-        if self._rows is None:
-            body = self._lines[start:]
-            widths = [c + 1 for c in map(str.count, body, repeat(","))]
-        else:
-            body = self._rows[start:]
-            widths = list(map(len, body))
+        widths = self.widths[start:]
         if widths.count(width) != len(widths):
             i = next(i for i, w in enumerate(widths) if w != width)
             raise ParseError(
@@ -275,12 +273,8 @@ class _CsvText:
                 line=self.numbers[start + i],
                 column=1,
             )
-        if not body:
-            return [[] for _ in range(width)]
-        if self._rows is None:
-            flat = ",".join(body).split(",")
-            return [flat[i::width] for i in range(width)]
-        return [list(column) for column in zip(*body)]
+        first = sum(self.widths[:start])
+        return [self.cells[first + i :: width] for i in range(width)]
 
 
 def parse_ballots(text: str, source: str = "<string>") -> list[RankedBallot]:
@@ -346,7 +340,7 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     if not len(table):
         raise ParseError("empty predictions file", path=source, line=1, column=1)
     header_line = table.numbers[0]
-    header = [h.strip() for h in table.row(0)]
+    header = [h.strip() for h in table.cells[: table.widths[0]]]
     if not header or header[0] != "sample_id":
         raise ParseError(
             "first header column must be sample_id", path=source, line=header_line, column=1
@@ -551,7 +545,7 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
     if len(table) < 2:
         raise ParseError("cost matrix needs a header and one row per label", path=source, line=1, column=1)
     header_line = table.numbers[0]
-    header = table.row(0)
+    header = table.cells[: table.widths[0]]
     cols = [h.strip() for h in header[1:]]
     if not cols or any(not c for c in cols):
         raise ParseError("header must list predicted labels", path=source, line=header_line, column=1)
@@ -632,7 +626,7 @@ def parse_report(text: str, source: str = "<string>") -> Report:
     table = _CsvText(text, source)
     if not len(table):
         raise ParseError("report has no header row", path=source, line=1, column=1)
-    header = tuple(table.row(0))
+    header = tuple(table.cells[: table.widths[0]])
     body = tuple(zip(*table.columns(1, len(header))))
     return Report(tuple(table.comments), header, body)
 

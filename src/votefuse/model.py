@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -27,12 +27,18 @@ WeightLike = Union[int, float, str, Fraction]
 
 
 def as_fraction(value: WeightLike) -> Fraction:
-    """Coerce ints, floats, Fractions, numpy scalars or strings like ``"3/4"`` to a Fraction."""
+    """Coerce ints, floats, Fractions, numpy scalars or strings like ``"3/4"`` to a Fraction.
+
+    A float that is not finite is a :class:`ValueError` naming it.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return Fraction(value.strip())
-    return Fraction(value.item() if isinstance(value, np.generic) else value)
+    value = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, float) and not isfinite(value):
+        raise ValueError(f"not a finite number: {value!r}")
+    return Fraction(value)
 
 
 class Coalition:

@@ -120,7 +120,7 @@ def _tally(
     ws = [1] * len(bs) if voter_weights is None else voter_weights
     try:
         w = np.array([as_fraction(x) for x in ws], dtype=object)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"voter weights must be finite numbers: {exc}") from None
     if w.size != len(bs):
         raise DimensionError(f"{w.size} voter weights for {len(bs)} ballots")
@@ -270,15 +270,10 @@ def _profile_width(k: int, m: int, n_voters: int) -> int:
 def _ranking_counts(idx: np.ndarray, k: int) -> np.ndarray:
     """How often each of ``k`` rankings occurs in each row of ``idx``, as float32 (rows, k).
 
-    Row r is counted in cells [r*k, (r+1)*k) of one ``np.bincount``; the row
-    offsets go onto ``idx`` in place and come off again, so that no copy of
-    ``idx`` is made.
+    Row r is counted in cells [r*k, (r+1)*k) of one ``np.bincount``.
     """
     rows = idx.shape[0]
-    offsets = k * np.arange(rows)[:, None]
-    idx += offsets
-    counts = np.bincount(idx.ravel(), minlength=rows * k)
-    idx -= offsets
+    counts = np.bincount((idx + k * np.arange(rows)[:, None]).ravel(), minlength=rows * k)
     return counts.reshape(rows, k).astype(np.float32)
 
 

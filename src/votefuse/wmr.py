@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._exact import block_rows, check_work, exact_in_float32, pattern_outcomes
+from ._exact import block_rows, check_work, pattern_outcomes
 from .errors import CapacityError, DimensionError
 from .jury import group_competence
 from .model import (
@@ -193,11 +193,11 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
         vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
         totals = np.repeat(totals, reps) + last
     vectors = vectors[totals % 2 == 1]
-    dtype = np.float32 if exact_in_float32(n * mw) else np.float64  # |sums| <= n * mw
-    signs = np.zeros((n, 64), dtype=dtype)  # zero columns pad each key to 64 bits
+    # float32 is exact: _scan_bound caps n at 7 and mw at 9, so |sums| <= 63
+    signs = np.zeros((n, 64), dtype=np.float32)  # zero columns pad each key to 64 bits
     signs[:, : 1 << (n - 1)] = pattern_outcomes(np.eye(n), 0)[:, 1 << (n - 1) :]
     step = block_rows(64)  # weight vectors per block of BLAS products
-    blocks = np.split(vectors.astype(dtype), range(step, len(vectors), step))
+    blocks = np.split(vectors.astype(np.float32), range(step, len(vectors), step))
     keys = [np.packbits(block @ signs > 0, axis=1, bitorder="little") for block in blocks]
     # the first vector in enumeration order reaching each distinct table
     _, first = np.unique(np.concatenate(keys).view(np.uint64), return_index=True)

@@ -269,6 +269,11 @@ class TestEfficiencyCommand:
         assert parse_report(out_borda).rows[0][1] == "31/34"
         assert parse_report(out_custom).rows[0][1] == "31/34"
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_a_non_finite_score_exits_three(self, capsys, bad):
+        code, out, err = run(capsys, "efficiency", "-m", "3", "--voters", "3", "--scoring", f"{bad},1,0")
+        assert (code, out, err) == (3, "", f"error: not a finite number: {bad}\n")
+
 
 class TestFuseCommand:
     def test_wmr_reports_stalemates_as_nd(self, capsys, predictions_file):
@@ -450,6 +455,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "power", "--game", str(bad))
         assert code == 3
         assert f"{bad}:1:13" in err
+
+    def test_a_team_bias_past_the_float_range_exits_three_at_its_token(self, capsys, tmp_path):
+        teams = tmp_path / "teams.txt"
+        teams.write_text("team = 0 1\nteam = 2\ntop_bias = 1e400\n", encoding="utf-8")
+        code, out, err = run(capsys, "jury", "--skills", "0.6,0.7,0.8", "--teams", str(teams))
+        assert (code, out) == (3, "")
+        assert err == f"error: {teams}:3:12: top_bias is past the float range: '1e400'\n"
 
     @pytest.mark.parametrize(
         "flag, text, where",

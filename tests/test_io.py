@@ -90,8 +90,23 @@ class TestTeamFiles:
         with pytest.raises(ParseError):
             parse_team_structure("team = 0 0\n")  # duplicate member
 
+    def test_a_bias_past_the_float_range_is_an_error_at_its_token(self):
+        with pytest.raises(ParseError, match="past the float range: '1e400'") as err:
+            parse_team_structure("team = 0 1\ntop_bias =  1e400\n", source="teams.txt")
+        assert (err.value.path, err.value.line, err.value.column) == ("teams.txt", 2, 13)
+
 
 class TestBallotFiles:
+    @pytest.mark.parametrize("label", ['"x, y"', "x y"])
+    def test_rows_of_any_width_parse_as_the_csv_reader_reads_them(self, label):
+        # a quote sends every row through the reader; without one rows split at commas
+        text = f"{label},b,c\nc,,{label},b\n\n# note\nb , c,{label}, ,\n"
+        rows = [row for row in csv.reader(text.splitlines()) if row and row[0] != "# note"]
+        want = [tuple(c.strip() for c in row if c.strip()) for row in rows]
+        assert [b.ranking for b in parse_ballots(text)] == want
+        x = next(csv.reader([label]))[0]
+        assert want == [(x, "b", "c"), ("c", x, "b"), ("b", "c", x)]
+
     def test_parse_rows(self):
         ballots = parse_ballots("a,b,c\nb,a,c\n# a comment\nc,b,a\n")
         assert [b.ranking for b in ballots] == [

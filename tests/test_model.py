@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -161,3 +162,9 @@ def test_as_fraction_accepts_common_forms():
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction(2) == 2
     assert as_fraction(0.25) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan"), np.float32("inf")])
+def test_as_fraction_refuses_a_non_finite_float_by_name(bad):
+    with pytest.raises(ValueError, match=f"^not a finite number: {float(bad)!r}$"):
+        as_fraction(bad)

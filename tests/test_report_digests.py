@@ -8,6 +8,8 @@ from pathlib import Path
 from votefuse.wmr import DEFAULT_MAX_WEIGHT
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+#: The tool's output for ``--seed 0``; a change that alters a report regenerates it.
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests_seed0.jsonl"
 
 
 def write(path: Path, lines) -> Path:
@@ -22,6 +24,14 @@ def compare(a: Path, b: Path) -> subprocess.CompletedProcess:
         text=True,
         check=False,
     )
+
+
+def test_the_seed_0_reports_match_the_committed_digests(tmp_path):
+    fresh = tmp_path / "digests.jsonl"
+    with fresh.open("w", encoding="utf-8") as out:
+        subprocess.run([sys.executable, str(TOOL), "--seed", "0"], stdout=out, check=True, cwd=tmp_path)
+    result = compare(DIGESTS, fresh)
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_compare_names_every_job_that_differs(tmp_path):
