@@ -230,45 +230,17 @@ def _power_route(n: int, q: int, kind: str) -> str:
     return _choose_route(n, cells * (q + 1), what, f"power_monte_carlo(game, kind='{kind}')")
 
 
-def banzhaf_counts(ws: Sequence[int], q: int, route: Optional[str] = None) -> list[int]:
-    """Raw Banzhaf swing counts: coalitions of the others with weight in (q - w_i, q]."""
-    n = len(ws)
-    ws, q = _reduced_game(ws, q)
-    if q < 0:
-        return [0] * n
-    route = route or _power_route(n, q, "banzhaf")
-    players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
-    swings = {0: 0}
-    if route == "enumeration":
-        sums = enumerate_patterns([0] * n, ws, np.int64(0))
-        for w, i in players.items():
-            others = sums.reshape(-1, 2, 1 << i)[:, 0, :]
-            swings[w] = int(np.count_nonzero((others > q - w) & (others <= q)))
-        return [swings[w] for w in ws]
-    counts = np.zeros(q + 1, dtype=_count_dtype(n))  # coalitions by weight, up to q
-    counts[0] = 1
-    for w in ws:
-        if w <= q:
-            _add_shifted(counts, counts, w)
-    np.add.accumulate(counts, out=counts)  # running totals, in place
-    for w in players.keys() - {0}:
-        # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is
-        # 2 sum_j (-1)^j E_j - E_0 for the totals E_j = counts[q - j*w]; the
-        # alternating sum lies in [0, 2^n), and int64 sums (n <= 62) wrap mod 2^64
-        ends = counts[q::-w]
-        alternating = (int(ends[0::2].sum()) - int(ends[1::2].sum())) % (1 << max(n, 64))
-        swings[w] = 2 * alternating - int(ends[0])
-    return [swings[w] for w in ws]
-
-
 def power_counts(
     ws: Sequence[int], q: int, route: Optional[str] = None, kinds=("banzhaf", "shapley")
 ) -> list[list[int]]:
-    """Raw counts of ``kinds``, from one table of swings by coalition size.
+    """Raw counts of each of ``kinds``, 'banzhaf' or 'shapley', one list per kind.
 
-    A coalition of the others of size k with weight in (q - w_i, q] is a swing
-    for i and makes i pivotal in k!(n-1-k)! orderings, so i's Banzhaf count is
-    its row summed over sizes (Bilbao et al. 2000). Kinds are priced in turn.
+    A coalition of the others with weight in (q - w_i, q] is a swing for i,
+    and one of size k makes i pivotal in k!(n-1-k)! orderings. Shapley-Shubik
+    thus takes a table of swings by size, whose rows summed over sizes are the
+    Banzhaf counts (Bilbao et al. 2000); Banzhaf alone counts swings only.
+    ``route`` forces 'dp' or 'enumeration'; by default each kind is priced in
+    turn, and the last one's route runs.
     """
     n = len(ws)
     ws, q = _reduced_game(ws, q)
@@ -276,35 +248,61 @@ def power_counts(
         return [[0] * n for _ in kinds]
     chosen = [route or _power_route(n, q, kind) for kind in kinds][-1]  # priced in turn
     players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
+    sized = "shapley" in kinds
     if chosen == "enumeration":
         sums = enumerate_patterns([0] * n, ws, np.int64(0))
-        sizes = enumerate_patterns([0] * n, [1] * n, np.int8(0))
-        by_size = []
+        sizes = enumerate_patterns([0] * n, [1] * n, np.int8(0)) if sized else None
+        swings = []
         for w, i in players.items():
-            others = sums.reshape(-1, 2, 1 << i)[:, 0, :]
+            others = sums.reshape(-1, 2, 1 << i)[:, 0, :]  # the coalitions without i
             hit = (others > q - w) & (others <= q)
-            by_size.append(np.bincount(sizes.reshape(-1, 2, 1 << i)[:, 0, :][hit], minlength=n))
-    else:
+            swings.append(
+                np.bincount(sizes.reshape(-1, 2, 1 << i)[:, 0, :][hit], minlength=n)
+                if sized else int(np.count_nonzero(hit))
+            )
+            del hit  # freed before the next player's comparisons
+    elif sized:
         table = np.zeros((n + 1, q + 1), dtype=_count_dtype(n))  # [size, weight]
         table[0, 0] = 1
         for m, w in enumerate(ws):
             if w <= q:
                 _add_shifted(table[1 : m + 2], table[: m + 1], w)
         np.add.accumulate(table, axis=-1, out=table)  # running totals, in place
-        # as for Banzhaf, with the j-th window taken j sizes down: window[k, d, j]
+        # as for Banzhaf below, with the j-th window taken j sizes down: window[k, d, j]
         # totals size k over (q - (j+1)w, q - jw] for the d-th distinct weight w;
         # a weight past q empties every window after the first, as q + 1 does
         ends = q - np.minimum(list(players), q + 1)[:, None] * np.arange(n + 1)
         at = np.where(ends < 0, 0, table[:, np.maximum(ends, 0)])  # 0 below weight 0
         window = at[..., :-1] - at[..., 1:]
-        by_size = np.zeros((len(players), n), dtype=np.result_type(table, np.int64))
+        swings = np.zeros((len(players), n), dtype=np.result_type(table, np.int64))
         for j in range(n):
-            by_size[:, j:] += (-1) ** j * window[: n - j, :, j].T
-    fact = [math.factorial(k) for k in range(n)]
-    orders = np.array([fact[k] * fact[n - 1 - k] for k in range(n)], dtype=object)
-    swings = np.asarray(by_size).astype(object)
-    counts = {"banzhaf": swings.sum(axis=1), "shapley": swings @ orders}
-    return [[dict(zip(players, counts[kind].tolist()))[w] for w in ws] for kind in kinds]
+            swings[:, j:] += (-1) ** j * window[: n - j, :, j].T
+    else:
+        counts = np.zeros(q + 1, dtype=_count_dtype(n))  # coalitions by weight, up to q
+        counts[0] = 1
+        for w in ws:
+            if w <= q:
+                _add_shifted(counts, counts, w)
+        np.add.accumulate(counts, out=counts)  # running totals, in place
+        swings = []
+        for w in players:
+            # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is
+            # 2 sum_j (-1)^j E_j - E_0 for the totals E_j = counts[q - j*w]; the
+            # alternating sum lies in [0, 2^n), and int64 sums (n <= 62) wrap mod 2^64
+            ends = counts[q :: -w or q + 1]  # a dummy (w = 0) has no swings: any step will do
+            alternating = (int(ends[0::2].sum()) - int(ends[1::2].sum())) % (1 << max(n, 64))
+            swings.append(2 * alternating - int(ends[0]) if w else 0)
+    by_kind = {"banzhaf": swings}  # by distinct weight
+    if sized:  # swings by distinct weight and size, as Python ints
+        swings = np.array(swings, dtype=object)
+        fact = [math.factorial(k) for k in range(n)]
+        orders = np.array([fact[k] * fact[n - 1 - k] for k in range(n)], dtype=object)
+        by_kind = {"banzhaf": swings.sum(axis=1).tolist(), "shapley": (swings @ orders).tolist()}
+    out = []
+    for kind in kinds:
+        count = dict(zip(players, by_kind[kind]))
+        out.append([count[w] for w in ws])
+    return out
 
 
 # ---------------------------------------------------------------- jury

@@ -165,6 +165,13 @@ def _cmd_jury(args) -> str:
     return _report(args, "jury", extra, ("metric", "player", "value", "stderr"), rows)
 
 
+def _scoring_text(text: str) -> str:
+    """A ``--scoring`` value, kept as given for the report: a rule name or a score list."""
+    if text not in ("borda", "plurality"):
+        _float_list(text)
+    return text
+
+
 def _scoring_vector(text: str, m: int) -> ScoringVector:
     if text == "borda":
         return ScoringVector.borda(m)
@@ -346,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efficiency", help="Condorcet efficiency of a positional scoring rule")
     p.add_argument("--candidates", "-m", type=int, required=True)
     p.add_argument("--voters", type=int, required=True)
-    p.add_argument("--scoring", required=True, help="'borda', 'plurality', or a score list like '2,1,0'")
+    p.add_argument("--scoring", type=_scoring_text, required=True,
+                   help="'borda', 'plurality', or a score list like '2,1,0'")
     p.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--tie-policy", choices=("fail", "split-credit"), default="fail")
     p.add_argument("--trials", type=int, default=100_000)

@@ -31,7 +31,8 @@ PathLike = Union[str, Path]
 
 
 def _read_text(path: PathLike) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The text of a UTF-8 file, without a leading byte order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _csv_text(rows, head: str = "") -> str:
@@ -54,11 +55,18 @@ def _csv_text(rows, head: str = "") -> str:
     return head + body
 
 
+#: The characters of a number in a game or team file: ASCII digits, signs,
+#: '.', an exponent and '/'; no digit-group '_' and no other script's digits.
+_NUMBER = re.compile(r"[-+0-9./eE]+")
+
+
 def _fraction_token(token: str, path: str, line: int, col: int) -> Fraction:
     try:
-        return as_fraction(token)
+        if _NUMBER.fullmatch(token):
+            return as_fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a number: {token!r}", path=path, line=line, column=col) from None
+        pass
+    raise ParseError(f"not a number: {token!r}", path=path, line=line, column=col)
 
 
 def _numbers(columns, lines, cols, path: str) -> np.ndarray:
@@ -175,23 +183,26 @@ def parse_team_structure(text: str, source: str = "<string>") -> TeamStructure:
                 raise ParseError("team line is empty", path=source, line=lineno, column=offset)
             members = []
             for tok, col in tokens:
-                try:
-                    members.append(int(tok))
-                except ValueError:
+                if not re.fullmatch(r"[-+]?[0-9]+", tok):
                     raise ParseError(
                         f"not a player index: {tok!r}",
                         path=source,
                         line=lineno,
                         column=offset + col - 1,
-                    ) from None
+                    )
+                members.append(int(tok))
             teams.append(tuple(members))
         elif key == "top_bias":
             tok, col = _single_token(key, value, source, lineno, offset)
+            exact = _fraction_token(tok, source, lineno, col)
             try:
-                top_bias = float(_fraction_token(tok, source, lineno, col))
+                top_bias = float(exact)
+                fault = "too close to 0 for a float" if exact and not top_bias else ""
             except OverflowError:
-                message = f"top_bias is past the float range: {tok!r}"
-                raise ParseError(message, path=source, line=lineno, column=col) from None
+                fault = "past the float range"
+            if fault:
+                message = f"top_bias is {fault}: {tok!r}"
+                raise ParseError(message, path=source, line=lineno, column=col)
         else:
             raise ParseError(f"unknown key {key!r}", path=source, line=lineno, column=1)
     if not teams:

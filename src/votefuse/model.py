@@ -173,17 +173,26 @@ def integer_form(game: VotingGame) -> tuple[np.ndarray, int]:
     Returns ``(weights, quota)`` with int64 weights; the winning condition
     ``sum > quota`` is preserved exactly. Raises :class:`WeightScaleError`
     (a :class:`DataError`, and also an :class:`OverflowError`) if the scaled
-    total would not fit in a signed 64-bit word.
+    total would not fit in a signed 64-bit word, naming the weight or the
+    total at fault when they are past that range before any scaling.
     """
     denoms = [w.denominator for w in game.weights] + [game.quota.denominator]
     scale = lcm(*denoms)
     ws = [int(w * scale) for w in game.weights]
     q = int(game.quota * scale)
-    if sum(ws) + abs(q) >= 1 << 62:
-        raise WeightScaleError(
-            f"weights and quota scaled to their common denominator {scale} exceed "
-            f"the 64-bit range; reduce denominators"
-        )
+    limit = 1 << 62
+    if sum(ws) + abs(q) >= limit:
+        big = [i for i, w in enumerate(game.weights) if w >= limit]
+        if big:
+            message = f"the weight of player {big[0]} is past the 64-bit range"
+        elif sum(game.weights) + game.quota >= limit:
+            message = "the total weight and the quota add up past the 64-bit range"
+        else:
+            message = (
+                f"weights and quota scaled to their common denominator {scale} exceed "
+                f"the 64-bit range; reduce denominators"
+            )
+        raise WeightScaleError(message)
     return np.array(ws, dtype=np.int64), q
 
 

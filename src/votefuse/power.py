@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._exact import banzhaf_counts, exact_in_float32, power_counts
+from ._exact import exact_in_float32, power_counts
 from ._rand import chunk_sums
 from .model import VotingGame, integer_form
 
@@ -69,7 +69,7 @@ def banzhaf_exact(game: VotingGame) -> PowerReport:
     a dictator is the only player with a positive count.
     """
     ws, quota = integer_form(game)
-    return _exact_report("banzhaf", banzhaf_counts(ws.tolist(), quota))
+    return _exact_report("banzhaf", power_counts(ws.tolist(), quota, kinds=("banzhaf",))[0])
 
 
 def shapley_shubik_exact(game: VotingGame) -> PowerReport:

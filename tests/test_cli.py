@@ -274,6 +274,16 @@ class TestEfficiencyCommand:
         code, out, err = run(capsys, "efficiency", "-m", "3", "--voters", "3", "--scoring", f"{bad},1,0")
         assert (code, out, err) == (3, "", f"error: not a finite number: {bad}\n")
 
+    @pytest.mark.parametrize("bad", ["2,x,0", "3/2,1,0", "", ","])
+    def test_a_score_list_that_is_not_numbers_is_a_usage_error(self, capsys, bad):
+        code, out, err = run(capsys, "efficiency", "-m", "3", "--voters", "3", "--scoring", bad)
+        assert (code, out) == (2, "")
+        assert "error: argument --scoring:" in err
+
+    def test_a_score_list_is_echoed_as_given(self, capsys):
+        code, out, _ = run(capsys, "efficiency", "-m", "3", "--voters", "3", "--scoring", "4, 2,0")
+        assert code == 0 and "# scoring=4, 2,0\n" in out
+
 
 class TestFuseCommand:
     def test_wmr_reports_stalemates_as_nd(self, capsys, predictions_file):
@@ -463,6 +473,20 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == f"error: {teams}:3:12: top_bias is past the float range: '1e400'\n"
 
+    @pytest.mark.parametrize("bias, answered", [("-1e-400", False), ("-1e-300", True)])
+    def test_a_team_bias_too_close_to_zero_for_a_float_exits_three_at_its_token(
+        self, capsys, tmp_path, bias, answered
+    ):
+        # -1e-400 would be read as 0.0, a tie broken the other way than -1e-300
+        teams = tmp_path / "teams.txt"
+        teams.write_text(f"team = 0 1\nteam = 1\ntop_bias = {bias}\n", encoding="utf-8")
+        code, out, err = run(capsys, "jury", "--skills", "0.6,0.7", "--teams", str(teams))
+        if answered:
+            assert (code, err) == (0, "") and "indirect_competence" in out
+        else:
+            assert (code, out) == (3, "")
+            assert err == f"error: {teams}:3:12: top_bias is too close to 0 for a float: '{bias}'\n"
+
     @pytest.mark.parametrize(
         "flag, text, where",
         [
@@ -518,6 +542,20 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "reduce denominators" in err
+
+    @pytest.mark.parametrize(
+        "weights, fault",
+        [
+            ("1e400 1", "the weight of player 0 is past the 64-bit range"),
+            ("1 4611686018427387904", "the weight of player 1 is past the 64-bit range"),
+            ("4611686018427387903 1", "the total weight and the quota add up past the 64-bit range"),
+        ],
+    )
+    def test_weights_past_the_range_unscaled_are_named(self, capsys, tmp_path, weights, fault):
+        game = tmp_path / "game.txt"
+        game.write_text(f"weights = {weights}\n", encoding="utf-8")
+        code, out, err = run(capsys, "power", "--game", str(game))
+        assert (code, out, err) == (3, "", f"error: {fault}\n")
 
     def test_scores_too_fine_for_64_bit_totals_exit_three(self, capsys):
         code, out, err = run(

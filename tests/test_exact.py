@@ -49,6 +49,10 @@ def integer_games():
     )
 
 
+def banzhaf_counts(ws, q, route=None):
+    return _exact.power_counts(ws, q, route, ("banzhaf",))[0]
+
+
 def shapley_counts(ws, q, route=None):
     return _exact.power_counts(ws, q, route, ("shapley",))[0]
 
@@ -58,9 +62,11 @@ def check_power_routes(ws, q):
     want_b = banzhaf_brute(ws, q)
     want_s = [x * math.factorial(len(ws)) for x in shapley_brute(ws, q)]
     for route in POWER_ROUTES:
-        assert _exact.banzhaf_counts(ws, q, route) == want_b
-        assert shapley_counts(ws, q, route) == want_s
-        assert _exact.power_counts(ws, q, route) == [want_b, want_s]  # from one table
+        alone = [banzhaf_counts(ws, q, route), shapley_counts(ws, q, route)]
+        both = _exact.power_counts(ws, q, route)  # from one table
+        assert alone == both == [want_b, want_s]
+        # Python ints, which reports print as plain numbers
+        assert {type(x) for counts in alone + both for x in counts} == {int}
     return want_b, want_s
 
 
@@ -89,9 +95,9 @@ class TestPowerRoutes:
     def test_counts_past_int64_use_python_ints(self):
         # 63 players: 2^63 coalitions do not fit a signed 64-bit count
         ws = [1] * 63
-        assert _exact.banzhaf_counts(ws, 62) == [1] * 63
+        assert banzhaf_counts(ws, 62) == [1] * 63
         assert shapley_counts(ws, 62) == [math.factorial(62)] * 63
-        assert _exact.banzhaf_counts(ws, 63) == [0] * 63
+        assert banzhaf_counts(ws, 63) == [0] * 63
 
     def test_games_past_the_old_player_caps_are_exact_now(self):
         rep = banzhaf_exact(VotingGame((1,) * 30))  # quota 15
@@ -134,12 +140,12 @@ class TestReducedGame:
         assert _exact._count_dtype(n) == (np.int32 if n <= 30 else np.int64)
         q = n // 2
         side = min(q, n - 1 - q)
-        assert _exact.banzhaf_counts([1] * n, q) == [math.comb(n - 1, side)] * n
+        assert banzhaf_counts([1] * n, q) == [math.comb(n - 1, side)] * n
         assert shapley_counts([1] * n, q) == [math.factorial(n - 1)] * n
         # n - 3 dummies of weight 0 double every count: past 2^31 in one cell at n = 33
         ws = [0] * (n - 3) + [1, 1, 1]
         dummies = [0] * (n - 3)
-        assert _exact.banzhaf_counts(ws, 1) == dummies + [2 << (n - 3)] * 3
+        assert banzhaf_counts(ws, 1) == dummies + [2 << (n - 3)] * 3
         assert shapley_counts(ws, 1) == dummies + [math.factorial(n) // 3] * 3
 
     def test_int64_totals_whose_sums_wrap_count_exactly(self, monkeypatch):
@@ -147,9 +153,9 @@ class TestReducedGame:
         # passes 2^63 and wraps; Python-int counts are the reference
         ws, q = [1] + [5] * 61, 152
         assert _exact._count_dtype(len(ws)) == np.int64
-        got = _exact.banzhaf_counts(ws, q), shapley_counts(ws, q)
+        got = banzhaf_counts(ws, q), shapley_counts(ws, q)
         monkeypatch.setattr(_exact, "_count_dtype", lambda n: object)
-        assert (_exact.banzhaf_counts(ws, q), shapley_counts(ws, q)) == got
+        assert (banzhaf_counts(ws, q), shapley_counts(ws, q)) == got
 
 
 def judges():

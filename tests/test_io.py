@@ -1,4 +1,5 @@
 import csv
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,10 @@ from votefuse.io import (
     dump_cost_matrix,
     dump_game,
     dump_predictions,
+    load_cost_matrix,
     load_game,
     load_predictions,
+    load_team_structure,
     parse_ballots,
     parse_cost_matrix,
     parse_game,
@@ -59,6 +62,20 @@ class TestGameFiles:
         assert err.value.column == 13
         assert "game.txt:1:13" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "line, token, column",
+        [
+            ("weights = 2 1_000 1", "1_000", 13),  # a digit-group underscore
+            ("weights = 2 \u0661 \u0662", "\u0661", 13),  # Arabic-Indic digits
+            ("weights = 2 1\u00a0 1", "1\u00a0", 13),  # a no-break space is no separator
+            ("weights = 2 1\nquota = 1_0", "1_0", 9),
+        ],
+    )
+    def test_a_token_not_in_ascii_digits_is_not_a_number(self, line, token, column):
+        with pytest.raises(ParseError, match=re.escape(f"not a number: {token!r}")) as err:
+            parse_game(line + "\n", source="game.txt")
+        assert err.value.column == column
+
     def test_structural_errors(self):
         with pytest.raises(ParseError, match="missing weights"):
             parse_game("quota = 2\n")
@@ -89,6 +106,18 @@ class TestTeamFiles:
         assert err.value.column == 10
         with pytest.raises(ParseError):
             parse_team_structure("team = 0 0\n")  # duplicate member
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "--1", "+-1", "1.0", "1e1"])
+    def test_a_member_not_in_ascii_digits_is_not_a_player_index(self, token):
+        with pytest.raises(ParseError, match=re.escape(f"not a player index: {token!r}")) as err:
+            parse_team_structure(f"team = 0 {token}\n", source="teams.txt")
+        assert err.value.column == 10
+
+    def test_a_bias_too_close_to_zero_for_a_float_is_an_error_at_its_token(self):
+        with pytest.raises(ParseError, match="too close to 0 for a float: '1e-400'") as err:
+            parse_team_structure("team = 0 1\ntop_bias = 1e-400\n", source="teams.txt")
+        assert (err.value.line, err.value.column) == (2, 12)
+        assert parse_team_structure("team = 0\ntop_bias = -5e-324\n").top_bias == -5e-324
 
     def test_a_bias_past_the_float_range_is_an_error_at_its_token(self):
         with pytest.raises(ParseError, match="past the float range: '1e400'") as err:
@@ -413,6 +442,24 @@ class TestCostFiles:
         with pytest.raises(ParseError, match="not a finite number: 'nan'") as err:
             parse_cost_matrix(",a,b\na,1,0\nb,nan,1\n", source="c.csv")
         assert str(err.value).startswith("c.csv:3:2: ")
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_game, "weights = 2 1 1\nquota = 2\n"),
+        (load_team_structure, "team = 0 1\nteam = 2\n"),
+        (load_predictions, "sample_id,true_label,c1\ns1,y,y\ns2,n,y\n"),
+        (load_cost_matrix, ",n,y\nn,1.0,0.0\ny,0.0,1.0\n"),
+        (read_report, "# note\na,b\n1,2\n"),
+    ],
+)
+def test_a_leading_byte_order_mark_is_dropped_by_every_loader(tmp_path, load, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert repr(load(marked)) == repr(load(plain))
 
 
 class TestReports:
