@@ -13,9 +13,12 @@ Each kernel estimates both costs and takes the cheaper route. Both routes give
 the same answers (counts exactly, probabilities up to float rounding), and
 neither divides to take a player out: the power DP uses an exact alternating
 identity, the jury kernels prefix/suffix summaries of the other judges.
-The power DP takes running totals in place, in a count dtype that bounds them,
-and adds each player in column blocks from the top down, so that no step
-copies more than one block of its table.
+The power DP holds running totals (coalitions up to each weight) from its
+first cell, which counts the empty coalition at every weight; the recurrence
+is linear, so adding a player keeps them running totals. It counts in a dtype
+that bounds them and adds each player in column blocks from the top down, so
+that no step copies more than one block of its table. The swings of every
+player are read off the totals in one gather, not in a pass per player.
 
 Every exact computation of the package prices itself in these work units,
 and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`:
@@ -32,7 +35,8 @@ level's price for each pattern of the s shared players: k + (k_r+1)*(W_r+1)
 by a DP over the top weight W_r of the k_r teams whose vote is not fixed, or
 (k+1)*2^k_r by enumerating their votes, checked with k_r = 0 before any table
 is built and again once the tables show k_r; Condorcet efficiency of m
-candidates and n voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves.
+candidates and n voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves,
+and its Monte Carlo route m!*m^2 for the ranking table it samples from.
 The enumeration of rules needs no price: it never scans past the weight
 bound that reaches every rule, and its largest scan, 7 voters at bound 9, is
 2% of the cap.
@@ -262,36 +266,27 @@ def power_counts(
             )
             del hit  # freed before the next player's comparisons
     elif sized:
-        table = np.zeros((n + 1, q + 1), dtype=_count_dtype(n))  # [size, weight]
-        table[0, 0] = 1
+        table = np.zeros((n + 1, q + 1), dtype=_count_dtype(n))  # [size, weight up to]
+        table[0] = 1  # the empty coalition
         for m, w in enumerate(ws):
             if w <= q:
                 _add_shifted(table[1 : m + 2], table[: m + 1], w)
-        np.add.accumulate(table, axis=-1, out=table)  # running totals, in place
         # as for Banzhaf below, with the j-th window taken j sizes down: window[k, d, j]
         # totals size k over (q - (j+1)w, q - jw] for the d-th distinct weight w;
         # a weight past q empties every window after the first, as q + 1 does
         ends = q - np.minimum(list(players), q + 1)[:, None] * np.arange(n + 1)
         at = np.where(ends < 0, 0, table[:, np.maximum(ends, 0)])  # 0 below weight 0
         window = at[..., :-1] - at[..., 1:]
-        swings = np.zeros((len(players), n), dtype=np.result_type(table, np.int64))
-        for j in range(n):
-            swings[:, j:] += (-1) ** j * window[: n - j, :, j].T
+        # swings of size s: sum over j <= s of (-1)^j window[s - j, :, j], summed by size
+        s, j = np.tril_indices(n)
+        terms = window[s - j, :, j] * (1 - 2 * (j & 1))[:, None]  # [(s, j), d], in int64 at least
+        swings = np.add.reduceat(terms, np.flatnonzero(j == 0), axis=0).T
     else:
-        counts = np.zeros(q + 1, dtype=_count_dtype(n))  # coalitions by weight, up to q
-        counts[0] = 1
+        counts = np.ones(q + 1, dtype=_count_dtype(n))  # coalitions up to each weight: the empty one
         for w in ws:
             if w <= q:
                 _add_shifted(counts, counts, w)
-        np.add.accumulate(counts, out=counts)  # running totals, in place
-        swings = []
-        for w in players:
-            # c_i[x] = sum_j (-1)^j c[x - j*w], so the window total of c_i is
-            # 2 sum_j (-1)^j E_j - E_0 for the totals E_j = counts[q - j*w]; the
-            # alternating sum lies in [0, 2^n), and int64 sums (n <= 62) wrap mod 2^64
-            ends = counts[q :: -w or q + 1]  # a dummy (w = 0) has no swings: any step will do
-            alternating = (int(ends[0::2].sum()) - int(ends[1::2].sum())) % (1 << max(n, 64))
-            swings.append(2 * alternating - int(ends[0]) if w else 0)
+        swings = _banzhaf_swings(counts, np.array(list(players)), q)
     by_kind = {"banzhaf": swings}  # by distinct weight
     if sized:  # swings by distinct weight and size, as Python ints
         swings = np.array(swings, dtype=object)
@@ -303,6 +298,31 @@ def power_counts(
         count = dict(zip(players, by_kind[kind]))
         out.append([count[w] for w in ws])
     return out
+
+
+def _banzhaf_swings(counts: np.ndarray, w: np.ndarray, q: int) -> list[int]:
+    """The swings of a player of each weight in ``w``, from the running totals ``counts``.
+
+    A player of weight w has c_w[x] = sum_j (-1)^j c[x - j*w] coalitions of
+    the others at weight x, so its swings, the total of c_w over (q - w, q],
+    are 2*A - E_0 for the alternating sum A = sum_j (-1)^j E_j of the totals
+    E_j = counts[q - j*w], j <= q // w. A lies in [0, 2^n), so int64 sums
+    (n <= 62) may wrap mod 2^64 on the way. The terms of every weight are
+    gathered at once, in blocks of at most :data:`OUTCOME_BLOCK`; a dummy
+    (w = 0) takes one term and has no swings.
+    """
+    step = np.where(w > 0, w, q + 1)
+    size = q // step + 1
+    ends = np.cumsum(size)  # where each weight's terms end in the gather
+    alternating = np.zeros(w.size, dtype=np.result_type(counts, np.int64))
+    for lo in range(0, int(ends[-1]), OUTCOME_BLOCK):
+        g = np.arange(lo, min(lo + OUTCOME_BLOCK, int(ends[-1])))
+        d = ends.searchsorted(g, "right")  # the weight of each term
+        j = g - (ends - size)[d]
+        terms = counts[q - j * step[d]] * (1 - 2 * (j & 1))
+        first = np.flatnonzero(np.diff(d, prepend=-1))  # each weight's first term in the block
+        alternating[d[first]] += np.add.reduceat(terms, first)
+    return np.where(w > 0, 2 * alternating - counts[q], 0).tolist()
 
 
 # ---------------------------------------------------------------- jury

@@ -32,6 +32,7 @@ from .fusion import (
 )
 from .io import (
     Report,
+    _strict_float,
     load_cost_matrix,
     load_game,
     load_predictions,
@@ -47,12 +48,20 @@ DATA_EXIT = 3
 CAPACITY_EXIT = 4
 
 
+def _float(text: str) -> float:
+    """A float option, read as strictly as a number in an input file."""
+    try:
+        return _strict_float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _float_list(text: str) -> list[float]:
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise argparse.ArgumentTypeError("expected a comma- or space-separated list of numbers")
     try:
-        return [float(p) for p in parts]
+        return [_strict_float(p) for p in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -72,10 +81,10 @@ def _fusion_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--predictions", required=True)
     sub.add_argument("--validation", default=None, help="predictions CSV used to estimate accuracies")
     sub.add_argument("--weights", type=_float_list, default=None, help="classifier weights (sum/majority)")
-    sub.add_argument("--trim", type=float, default=0.1)
+    sub.add_argument("--trim", type=_float, default=0.1)
     sub.add_argument("--k", type=int, default=5, help="neighborhood size for adaptive-wmr")
-    sub.add_argument("--bias", type=float, default=0.0)
-    sub.add_argument("--clip", type=float, default=1e-6)
+    sub.add_argument("--bias", type=_float, default=0.0)
+    sub.add_argument("--clip", type=_float, default=1e-6)
     sub.add_argument("--cost", default=None, help="cost matrix CSV for expected risk")
 
 
@@ -341,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jury", help="collective competence of a weighted group vote")
     p.add_argument("--skills", type=_float_list, required=True, help="per-judge correctness probabilities")
     p.add_argument("--weights", type=_float_list, default=None, help="per-judge weights (default equal)")
-    p.add_argument("--bias", type=float, default=0.0)
+    p.add_argument("--bias", type=_float, default=0.0)
     p.add_argument("--nd-policy", choices=("incorrect", "coin-flip"), default="incorrect")
     p.add_argument("--method", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--clip", type=float, default=1e-6)
+    p.add_argument("--clip", type=_float, default=1e-6)
     p.add_argument("--teams", default=None, help="team file for indirect competence")
     _common_options(p)
     p.set_defaults(func=_cmd_jury)

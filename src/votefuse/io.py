@@ -61,6 +61,8 @@ _NUMBER = re.compile(r"[-+0-9./eE]+")
 
 
 def _fraction_token(token: str, path: str, line: int, col: int) -> Fraction:
+    if token.isascii() and token.isdigit():  # a plain integer, read without Fraction's parser
+        return Fraction(int(token))
     try:
         if _NUMBER.fullmatch(token):
             return as_fraction(token)
@@ -69,21 +71,37 @@ def _fraction_token(token: str, path: str, line: int, col: int) -> Fraction:
     raise ParseError(f"not a number: {token!r}", path=path, line=line, column=col)
 
 
-def _numbers(columns, lines, cols, path: str) -> np.ndarray:
+def _plain(text: str) -> bool:
+    """Whether ``float`` may read ``text`` as a number here: ASCII, with no digit-group ``_``."""
+    return text.isascii() and "_" not in text
+
+
+def _strict_float(text: str) -> float:
+    """``float(text)`` for :func:`_plain` text; other text is a ``ValueError``, as float words it."""
+    if _plain(text):
+        return float(text)
+    raise ValueError(f"could not convert string to float: {text!r}")
+
+
+def _numbers(columns, lines, cols, path: str, plain: bool) -> np.ndarray:
     """Columns of numeric cells as one float64 array, indexed [column, row].
 
     ``lines`` numbers the rows and ``cols`` the columns (from 1); the first
     cell, row by row, that is not a finite number is an error at its own cell.
+    A number is :func:`_plain`, as in game files: if the text is not known to
+    be (``plain``), each column's joined text shows it before any cell is
+    scanned.
     """
     try:
         block = np.array(columns, dtype=np.float64)
     except ValueError:
         block = None
-    if block is None or not np.isfinite(block).all():
+    plain = block is not None and (plain or all(_plain("".join(c)) for c in columns))
+    if not plain or not np.isfinite(block).all():
         for line, cells in zip(lines, zip(*columns)):
             for col, cell in zip(cols, cells):
                 try:
-                    what = "" if math.isfinite(float(cell)) else "a finite number"
+                    what = "" if math.isfinite(_strict_float(cell)) else "a finite number"
                 except ValueError:
                     what = "a number"
                 if what:
@@ -228,11 +246,14 @@ class _CsvText:
     its commas, which is what the CSV reader makes of it, all rows in one
     split. Otherwise each row is split on its own, through the reader where
     the rule above does not hold for its line, and the first line the reader
-    refuses is an error.
+    refuses is an error. ``plain`` is true when no line after the first has a
+    character that :func:`_plain` refuses, so that no cell of the body needs
+    that check.
     """
 
     def __init__(self, text: str, path: str):
         self.path = path
+        self.plain = text.isascii() and text.find("_", text.find("\n") + 1) < 0
         self.comments: list[str] = []
         lines = text.splitlines()
         self.numbers: Sequence[int] = range(1, len(lines) + 1)
@@ -404,7 +425,9 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     numeric = sorted(feat_cols + [i for _, form, c in classifiers if form == "proba" for i in c])
     values = {}
     if numeric:
-        block = _numbers([columns[i] for i in numeric], lines, [i + 1 for i in numeric], source)
+        block = _numbers(
+            [columns[i] for i in numeric], lines, [i + 1 for i in numeric], source, table.plain
+        )
         values = dict(zip(numeric, block))
     features = np.column_stack([values[i] for i in feat_cols]) if feat_cols else None
 
@@ -573,7 +596,7 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
         if rlab in rows:
             raise ParseError(f"duplicate row label {rlab!r}", path=source, line=lineno, column=1)
         rows[rlab] = len(rows)
-    values = _numbers(body[1:], lines, range(2, len(header) + 1), source)  # [column, row]
+    values = _numbers(body[1:], lines, range(2, len(header) + 1), source, table.plain)  # [column, row]
     if sorted(rows) != sorted(cols):
         raise ParseError(
             f"row labels {sorted(rows)} do not match column labels {sorted(cols)}",

@@ -132,7 +132,10 @@ class VotingGame:
         for i, w in enumerate(ws):
             if w < 0:
                 raise ValueError(f"weight of player {i} is negative: {w}")
-        total = sum(ws)
+        if all(w.denominator == 1 for w in ws):  # integers add without Fraction arithmetic
+            total = Fraction(sum(w.numerator for w in ws))
+        else:
+            total = sum(ws)
         q = total / 2 if self.quota is None else as_fraction(self.quota)
         if not 0 <= q <= total:
             raise ValueError(f"quota {q} outside [0, {total}]")
@@ -178,8 +181,8 @@ def integer_form(game: VotingGame) -> tuple[np.ndarray, int]:
     """
     denoms = [w.denominator for w in game.weights] + [game.quota.denominator]
     scale = lcm(*denoms)
-    ws = [int(w * scale) for w in game.weights]
-    q = int(game.quota * scale)
+    ws = [w.numerator * (scale // w.denominator) for w in game.weights]
+    q = game.quota.numerator * (scale // game.quota.denominator)
     limit = 1 << 62
     if sum(ws) + abs(q) >= limit:
         big = [i for i, w in enumerate(game.weights) if w >= limit]

@@ -11,14 +11,16 @@ when every voter draws a ranking independently and uniformly (the impartial
 culture). Both methods score blocks of profiles with one kernel, each
 profile a row of m!-ranking indices, and both take the same blocks: as many
 rows as fit in :data:`._exact.OUTCOME_BLOCK` at the width, n + m! or n*m^2,
-that the kernel's route holds per profile (:func:`_profile_width`). The
-exact method enumerates the C(n+m!-1, m!-1) ranking-count multisets as
-sorted rows, weights each by its multinomial coefficient, and sums the
-credits as integers over lcm(1..m) before building one Fraction; it is
-priced in the work units of :mod:`._exact` before any table is built. The
-Monte Carlo method draws whole profiles through the chunked driver of
-:mod:`._rand`, one row block at a time. The kernel sums each profile's
-pairwise tallies and score totals as exact integers (see
+that the kernel's route holds per profile (:func:`_profile_width`). Both
+build the m! ranking table first, priced at m!*m^2 units in the work units
+of :mod:`._exact`, so neither goes past m = 10 candidates. The exact method
+enumerates the C(n+m!-1, m!-1) ranking-count multisets as sorted rows, grown
+a column at a time (:func:`_sorted_rows`), weights each by its multinomial
+coefficient, and sums the credits as integers over lcm(1..m) before
+building one Fraction; it is priced at n*m^2 units a multiset more, before
+any table is built. The Monte Carlo method draws whole profiles through the
+chunked driver of :mod:`._rand`, one row block at a time. The kernel sums
+each profile's pairwise tallies and score totals as exact integers (see
 :func:`_score_profiles`), and each block returns exact numbers: Python ints
 counting the profiles with a winner and summing the same integer credits
 over lcm(1..m), and their squares, that the exact method sums.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice, permutations
+from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,10 +136,35 @@ def _tally(
     return labels, pairs, w @ np.array(scoring.s, dtype=object)[place], w.sum()
 
 
-def _decide(pairs: np.ndarray, totals: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
-    """(..., m) masks per profile: who beats all others by a strict majority, who ties the top."""
-    beats_all = (2 * pairs > weight).sum(axis=-1) == pairs.shape[-1] - 1
-    return beats_all, totals == totals.max(axis=-1, keepdims=True)
+def _decide(pairs: np.ndarray, totals: np.ndarray, weight) -> tuple[np.ndarray, ...]:
+    """Per profile: the strict pairwise-majority winner, the top tie, and the winner's credit.
+
+    ``pairs`` is (..., m, m) and ``totals`` (..., m), where pairs[a, b] +
+    pairs[b, a] is at most ``weight``, so at most one candidate beats every
+    other with more than half of it. Returns, over the leading axes, that
+    candidate (-1 if none), how many candidates share the top total, and
+    whether the winner is among them. Each is built one candidate column at a
+    time, with no reduction over the short candidate axis; the diagonal of
+    ``pairs`` is not read.
+    """
+    *lead, m = totals.shape
+    strict = 2 * pairs > weight  # [..., a, b]: a beats b
+    top = totals[..., 0]
+    for a in range(1, m):
+        top = np.maximum(top, totals[..., a])
+    winner = np.full(lead, -1)
+    tied = np.zeros(lead, dtype=np.intp)
+    hit = np.zeros(lead, dtype=bool)
+    for a in range(m):
+        beats = np.ones(lead, dtype=bool)
+        for b in range(m):
+            if b != a:
+                beats &= strict[..., a, b]
+        at_top = totals[..., a] == top
+        tied += at_top
+        np.copyto(winner, a, where=beats)
+        hit |= beats & at_top
+    return winner, tied, hit
 
 
 @dataclass(frozen=True)
@@ -165,10 +192,10 @@ def score_profile(
     ``tied_top`` reports whether the winning score was shared.
     """
     labels, pairs, totals, weight = _tally(ballots, voter_weights, scoring)
-    _, at_top = _decide(pairs, totals, weight)
+    _, tied, _ = _decide(pairs, totals, weight)
     order = sorted(range(len(labels)), key=lambda c: -totals[c])  # ties stay in label order
     floats = dict(zip(labels, map(float, totals)))
-    return ScoreResult(labels, floats, tuple(labels[c] for c in order), bool(at_top.sum() > 1))
+    return ScoreResult(labels, floats, tuple(labels[c] for c in order), bool(tied > 1))
 
 
 @dataclass(frozen=True)
@@ -193,8 +220,8 @@ def condorcet_winner(
 ) -> Optional[str]:
     """The label beating every other in strict pairwise majority, if one exists."""
     labels, pairs, totals, weight = _tally(ballots, voter_weights)
-    beats_all, _ = _decide(pairs, totals, weight)
-    return labels[int(np.argmax(beats_all))] if beats_all.any() else None
+    winner, _, _ = _decide(pairs, totals, weight)
+    return labels[int(winner)] if winner >= 0 else None
 
 
 @dataclass(frozen=True)
@@ -312,14 +339,10 @@ def _score_profiles(
         totals = counts @ score_rows.astype(np.float32)
     else:
         totals = score_rows[idx].sum(axis=1, dtype=np.int64)
-    is_cw, at_top = _decide(pairs, totals, n_voters)
-    cw = np.argmax(is_cw, axis=1)
-    tied = at_top.sum(axis=1)
-    has_cw = is_cw.any(axis=1)
-    hit = has_cw & np.take_along_axis(at_top, cw[:, None], axis=1)[:, 0]
+    winner, tied, hit = _decide(pairs, totals, n_voters)
     if tie_policy == "fail":
         hit &= tied == 1
-    return has_cw, tied, hit
+    return winner >= 0, tied, hit
 
 
 def _credit_lcm(m: int) -> int:
@@ -347,18 +370,51 @@ def _price_exact(m: int, n_voters: int) -> None:
     check_work("Condorcet efficiency", units, "method='monte-carlo'", how, beyond)
 
 
+def _sorted_rows(k: int, n: int, rows: int):
+    """Blocks of at most ``rows`` rows: ``combinations_with_replacement(range(k), n)`` in order.
+
+    Rows grow one column at a time, as :func:`.wmr.enumerate_unique_wmr` grows
+    its vectors: each row is repeated once for each entry from its last one
+    up. A prefix of c columns that ends in v grows into C(n-c+k-v-1, n-c)
+    rows. A run of prefixes that would grow past ``rows`` is cut in order
+    where it passes each multiple of ``rows``, and a single such prefix takes
+    one more column first; the pieces wait on a stack, the next one on top.
+    """
+    parts = [np.arange(k, dtype=np.intp)[:, None]]
+    while parts:
+        part = parts.pop()
+        left = n - part.shape[1]  # columns to grow
+        grown = np.cumsum([math.comb(left + k - v - 1, left) for v in part[:, -1].tolist()])
+        if grown[-1] > rows:
+            if len(part) == 1:
+                parts.append(_grow_sorted(part, k))
+            else:
+                cuts = grown.searchsorted(np.arange(rows, grown[-1], rows), "right")
+                parts.extend(reversed(np.split(part, np.unique(np.clip(cuts, 1, len(part) - 1)))))
+            continue
+        while part.shape[1] < n:
+            part = _grow_sorted(part, k)
+        yield part
+
+
+def _grow_sorted(part: np.ndarray, k: int) -> np.ndarray:
+    """Each row of ``part`` followed in turn by each index from its last entry to k - 1."""
+    last = part[:, -1]
+    reps = k - last
+    column = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - last, reps)
+    return np.column_stack([np.repeat(part, reps, axis=0), column])
+
+
 def _efficiency_exact(
     scoring: ScoringVector, m: int, n_voters: int, tie_policy: str
 ) -> EfficiencyResult:
     score_rows, pair_rows = _ranking_tables(scoring, n_voters)
+    k = score_rows.shape[0]
     lcm = _credit_lcm(m)
     hits = 0
     with_winner = 0
     # each ranking-count multiset is a sorted row of ranking indices
-    leaves = combinations_with_replacement(range(score_rows.shape[0]), n_voters)
-    rows = block_rows(_profile_width(score_rows.shape[0], m, n_voters))
-    while (flat := np.fromiter(chain.from_iterable(islice(leaves, rows)), np.intp)).size:
-        idx = flat.reshape(-1, n_voters)
+    for idx in _sorted_rows(k, n_voters, block_rows(_profile_width(k, m, n_voters))):
         coeff = run = np.ones(idx.shape[0], dtype=np.int64)
         for j in range(1, n_voters):
             # profiles per row, n!/prod(run length)!: each prefix is a multinomial
@@ -384,12 +440,16 @@ def _efficiency_mc(
 ) -> EfficiencyResult:
     """Sampled efficiency from the integer credits lcm(1..m)/tied that the exact method sums.
 
-    A block of at most 2^16 profiles sums them and their squares in int64,
-    exact while lcm(1..m)^2 * 2^16 < 2^63: up to m = 16, past every m whose
-    m! ranking table can be built.
+    The m! ranking table is priced before it is built, at the m!*m^2 units
+    of the exact method's table term: m <= 10 fits the work cap, and m >= 11
+    is refused. A block of at most 2^16 profiles sums the credits and their
+    squares in int64, exact while lcm(1..m)^2 * 2^16 < 2^63, that is up to
+    m = 16.
     """
+    k = math.factorial(m)
+    how = f"m!*m^2 for {k:,} rankings"
+    check_work("ranking table of method='monte-carlo' Condorcet efficiency", k * m * m, how=how)
     score_rows, pair_rows = _ranking_tables(scoring, n_voters)
-    k = score_rows.shape[0]
     lcm = _credit_lcm(m)
 
     def credits(rng: np.random.Generator, rows: int) -> tuple[int, int, int]:

@@ -240,6 +240,22 @@ def score_profiles_gather(idx, score_rows, pair_rows, tie_policy):
     return has_cw, tied, hit
 
 
+def decide_reduction(pairs, totals, weight):
+    """``scoring._decide`` in its reduction form, over the candidate axis of (..., m) arrays.
+
+    Returns per profile the candidate beating every other with more than half
+    of ``weight`` (-1 if none), how many share the top total, and whether the
+    winner is among them. A beaten-all row is found by summing the strict
+    wins of each row, so the tallies' diagonal must not be a strict win.
+    """
+    beats_all = (2 * pairs > weight).sum(axis=-1) == pairs.shape[-1] - 1
+    at_top = totals == totals.max(axis=-1, keepdims=True)
+    cw = np.argmax(beats_all, axis=-1)
+    has_cw = beats_all.any(axis=-1)
+    hit = has_cw & np.take_along_axis(at_top, cw[..., None], axis=-1)[..., 0]
+    return np.where(has_cw, cw, -1), at_top.sum(axis=-1), hit
+
+
 def random_rational_game(rng: random.Random, n: int):
     """Random weights and quota as exact small fractions (quota below the total)."""
     weights = [

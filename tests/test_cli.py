@@ -280,6 +280,16 @@ class TestEfficiencyCommand:
         assert (code, out) == (2, "")
         assert "error: argument --scoring:" in err
 
+    def test_monte_carlo_past_ten_candidates_exits_four_before_any_table(self, capsys, monkeypatch):
+        from votefuse import scoring
+
+        monkeypatch.setattr(scoring, "_ranking_tables", lambda *a: pytest.fail("tables built"))
+        code, out, err = run(capsys, "efficiency", "-m", "12", "--voters", "5", "--scoring",
+                             "borda", "--method", "monte-carlo")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: exact ranking table of method='monte-carlo' Condorcet")
+        assert "m!*m^2 for 479,001,600 rankings" in err
+
     def test_a_score_list_is_echoed_as_given(self, capsys):
         code, out, _ = run(capsys, "efficiency", "-m", "3", "--voters", "3", "--scoring", "4, 2,0")
         assert code == 0 and "# scoring=4, 2,0\n" in out
@@ -454,6 +464,40 @@ class TestExitCodes:
         assert run(capsys, "power", "--game", game_file, "--kind", "banzhaff")[0] == 2
         assert run(capsys, "power")[0] == 2
         assert run(capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, option, token",
+        [
+            (["jury", "--skills", "0.6,0.7", "--bias", "1_000"], "--bias", "1_000"),
+            (["jury", "--skills", "0.6,0.7", "--clip", "\u0661e-6"], "--clip", "\u0661e-6"),
+            (["jury", "--skills", "0.6,0_7"], "--skills", "0_7"),
+            (["jury", "--skills", "0.6,0.7", "--weights", "1 \u0662"], "--weights", "\u0662"),
+            (["fuse", "--rule", "sum", "--trim", "0.1_0"], "--trim", "0.1_0"),
+            (["fuse", "--rule", "sum", "--bias", "\u0660"], "--bias", "\u0660"),
+            (["fuse", "--rule", "sum", "--weights", "1_0,1"], "--weights", "1_0"),
+            (["efficiency", "-m", "3", "--voters", "3", "--scoring", "2,1_0,0"], "--scoring", "1_0"),
+        ],
+    )
+    def test_numbers_in_options_are_ascii_without_digit_groups(
+        self, capsys, predictions_file, argv, option, token
+    ):
+        if argv[0] == "fuse":
+            argv = argv + ["--predictions", predictions_file]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: argument {option}: " in err and f"{token!r}\n" in err
+
+    @pytest.mark.parametrize("option, value", [("--bias", "x"), ("--clip", "")])
+    def test_an_option_that_is_no_float_keeps_its_message(self, capsys, option, value):
+        code, out, err = run(capsys, "jury", "--skills", "0.6,0.7,0.8", option, value)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid float value: {value!r}\n")
+
+    def test_a_predictions_cell_with_a_digit_group_exits_three_at_its_cell(self, capsys, tmp_path):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("sample_id,c:a,c:b\ns1,0.5,0.5\ns2,1_0,0\n", encoding="utf-8")
+        code, out, err = run(capsys, "fuse", "--rule", "sum", "--predictions", str(preds))
+        assert (code, out, err) == (3, "", f"error: {preds}:3:2: not a number: '1_0'\n")
 
     def test_missing_file_exits_three(self, capsys, tmp_path):
         code, _, err = run(capsys, "power", "--game", str(tmp_path / "nope.txt"))

@@ -148,6 +148,18 @@ class TestReducedGame:
         assert banzhaf_counts(ws, 1) == dummies + [2 << (n - 3)] * 3
         assert shapley_counts(ws, 1) == dummies + [math.factorial(n) // 3] * 3
 
+    @pytest.mark.parametrize("block", [1, 5, None])
+    def test_gathered_swings_of_a_dummy_and_of_weights_past_the_quota(self, block):
+        # the reduced quota is 7: the weights 9 and 12 take one term of the
+        # Banzhaf gather and one window by size, the dummy one term and no
+        # swing; blocks of 1 and 5 split the gather between weights
+        ws, q = [0, 9, 12, 2, 3, 3, 1, 0], 7
+        with pytest.MonkeyPatch.context() as patch:
+            if block:
+                patch.setattr(_exact, "OUTCOME_BLOCK", block)
+            want_b, want_s = check_power_routes(ws, q)
+        assert want_b[0] == want_b[-1] == want_s[0] == 0 and want_b[1] == want_b[2] > 0
+
     def test_int64_totals_whose_sums_wrap_count_exactly(self, monkeypatch):
         # 62 players: the int64 sum of the window ends of the weight-1 player
         # passes 2^63 and wraps; Python-int counts are the reference
@@ -458,6 +470,30 @@ class TestCapacityBoundaries:
             "method='monte-carlo'",
         )
         assert f"{rankings:,} leaves" in message
+
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_monte_carlo_efficiency_prices_its_ranking_table_first(self, monkeypatch, m):
+        monkeypatch.setattr(scoring, "_ranking_tables", lambda *a: pytest.fail("tables built"))
+        message = assert_refused(
+            lambda: condorcet_efficiency(
+                ScoringVector.borda(m), m, 5, method="monte-carlo", trials=100
+            ),
+            math.factorial(m) * m * m,
+        )
+        assert "ranking table of method='monte-carlo'" in message
+        assert f"m!*m^2 for {math.factorial(m):,} rankings" in message
+
+    def test_monte_carlo_efficiency_builds_the_table_of_ten_candidates(self, monkeypatch):
+        # 10! * 10^2 = 362,880,000 units, within the cap
+        class Built(Exception):
+            pass
+
+        def tables(*args):
+            raise Built
+
+        monkeypatch.setattr(scoring, "_ranking_tables", tables)
+        with pytest.raises(Built):
+            condorcet_efficiency(ScoringVector.borda(10), 10, 5, method="monte-carlo", trials=100)
 
     def test_two_candidates_up_to_the_int64_range(self):
         # (m!)^n * max(lcm(1..m), n) = 2^n * n must stay below 2^63

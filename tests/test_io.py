@@ -76,6 +76,12 @@ class TestGameFiles:
             parse_game(line + "\n", source="game.txt")
         assert err.value.column == column
 
+
+    def test_integer_tokens_read_as_the_fraction_parser_reads_them(self):
+        game = parse_game("weights = 007 12 0 3/1\nquota = 0010\n")
+        assert game == VotingGame((Fraction(7), Fraction(12), Fraction(0), Fraction(3)), Fraction(10))
+        assert {type(w) for w in game.weights + (game.quota,)} == {Fraction}
+        assert parse_game("weights = 4 2\n").quota == 3
     def test_structural_errors(self):
         with pytest.raises(ParseError, match="missing weights"):
             parse_game("quota = 2\n")
@@ -271,6 +277,23 @@ class TestPredictionFiles:
             parse_predictions(text, source="p.csv")
         assert (err.value.line, err.value.column) == where
 
+    @pytest.mark.parametrize(
+        "text, cell, where",
+        [
+            ("sample_id,feat_0,c\ns1,0.5,a\ns2,1_0,b\n", "1_0", (3, 2)),
+            ("sample_id,c:a,c:b\ns1,0.5,0.5\n# note\ns2,0.5,\u0660.5\n", "\u0660.5", (4, 3)),
+            ("sample_id,c:a,c:b\ns1,0.5,0.5\ns2,0.5 ,0.5\u00a0\n", "0.5\u00a0", (3, 3)),
+        ],
+    )
+    def test_numbers_are_ascii_without_digit_groups(self, text, cell, where):
+        with pytest.raises(ParseError, match=re.escape(f"not a number: {cell!r}")) as err:
+            parse_predictions(text, source="p.csv")
+        assert (err.value.line, err.value.column) == where
+
+    def test_an_underscore_outside_the_numbers_is_no_error(self):
+        pred = parse_predictions("sample_id,feat_0,v\ns_1,0.5,x_y\ns_2,1.5,z\n")
+        assert pred.labels == ("x_y", "z") and pred.features.ravel().tolist() == [0.5, 1.5]
+
     def test_quoted_cells_round_trip_for_every_kind(self):
         labels = ("a,b", "plain", 'q"x')
         pred = PredictionSet(
@@ -437,6 +460,12 @@ class TestCostFiles:
             parse_cost_matrix(",a,b\na,1,0\n")
         with pytest.raises(ParseError, match="duplicate row"):
             parse_cost_matrix(",a,b\na,1,0\na,0,1\n")
+
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661", "-\u0661.5"])
+    def test_gains_are_ascii_without_digit_groups(self, cell):
+        with pytest.raises(ParseError, match=re.escape(f"not a number: {cell!r}")) as err:
+            parse_cost_matrix(f",a,b\na,1,0\nb,{cell},1\n", source="c.csv")
+        assert str(err.value).startswith("c.csv:3:2: ")
 
     def test_non_finite_gains_are_located_at_their_cell(self):
         with pytest.raises(ParseError, match="not a finite number: 'nan'") as err:

@@ -126,6 +126,21 @@ class TestIntegerForm:
             scaled = sum(int(w) for i, w in enumerate(ws) if mask >> i & 1)
             assert (scaled > quota) == is_winning(g, Coalition.from_mask(mask))
 
+    @given(
+        st.one_of(  # all integers, or fractions: both paths of the total
+            st.lists(st.integers(0, 50).map(Fraction), min_size=1, max_size=8),
+            st.lists(st.fractions(0, 50, max_denominator=12), min_size=1, max_size=8),
+        ),
+        st.fractions(min_value=0, max_value=1, max_denominator=7),
+    )
+    def test_scaling_is_the_fraction_product(self, weights, share):
+        g = VotingGame(tuple(weights), sum(weights) * share)
+        assert g.total_weight == sum(weights) and g.quota == sum(weights) * share
+        scale = np.lcm.reduce([w.denominator for w in g.weights] + [g.quota.denominator])
+        ws, quota = integer_form(g)
+        assert ws.tolist() == [int(w * int(scale)) for w in g.weights]
+        assert quota == int(g.quota * int(scale)) and type(quota) is int
+
     def test_scale_past_64_bits_is_a_data_error(self):
         g = VotingGame(("1/1000000007", "1/1000000009", "1/998244353", 5))
         with pytest.raises(WeightScaleError, match="reduce denominators") as info:

@@ -94,9 +94,11 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
         wmr += [f"wmr-n{n}"] + [f"wmr-n{n}-mw{b}" for b in range(1, default + 2)]
     games = ("dp", "fraction", "enumeration", "banzhaf-only", "refused")
     power = [f"power-{g}-{k}" for g in games for k in ("both", "banzhaf", "shapley")]
-    assert list(lines) == [f"edge/{i}" for i in wmr + power]
+    efficiency = ["efficiency-m12-monte-carlo"]
+    assert list(lines) == [f"edge/{i}" for i in wmr + power + efficiency]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
-               "power-refused-both", "power-refused-banzhaf", "power-refused-shapley"}
+               "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
+               *efficiency}
     for i, line in lines.items():
         job = i.removeprefix("edge/")
         assert line["exit"] == (3 if job in ("wmr-n-1", "wmr-n0") else 4 if job in refused else 0)

@@ -2,7 +2,7 @@ import ast
 import math
 import pathlib
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from votefuse.scoring import (
     score_profile,
 )
 
-from oracles import ballots_brute, efficiency_brute, score_profiles_gather
+from oracles import ballots_brute, decide_reduction, efficiency_brute, score_profiles_gather
 
 
 def ballots(*rankings):
@@ -276,7 +276,58 @@ class TestOneDecision:
             assert not any(isinstance(n, (ast.For, ast.While)) for n in ast.walk(fns[name]))
 
 
+@st.composite
+def tallies(draw):
+    """Pairwise tallies, totals and a weight, all int, float32 or Fraction.
+
+    As in a profile, the diagonal is zero and pairs[a, b] + pairs[b, a] is at
+    most the weight, so at most one candidate beats all others. Small ranges
+    make majorities of exactly half and top ties common; the leading shape is
+    () or (r,).
+    """
+    m = draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 6)),)]))
+    kind = draw(st.sampled_from(["int", "float32", "fraction"]))
+    weight = draw(st.integers(0, 4))
+    size = math.prod(lead)
+    pairs = np.array(draw(st.lists(st.integers(0, weight), min_size=size * m * m,
+                                   max_size=size * m * m))).reshape(lead + (m, m))
+    upper = np.triu(pairs, 1)
+    pairs = upper + np.tril(np.minimum(pairs, weight - np.swapaxes(upper, -1, -2)), -1)
+    totals = np.array(draw(st.lists(st.integers(-2, 2), min_size=size * m,
+                                    max_size=size * m))).reshape(lead + (m,))
+    if kind == "float32":
+        return pairs.astype(np.float32) / 2, totals.astype(np.float32) / 4, weight / 2
+    if kind == "fraction":
+        third = np.vectorize(lambda x: Fraction(int(x), 3), otypes=[object])
+        return third(pairs), third(totals), Fraction(weight, 3)
+    return pairs, totals, weight
+
+
+class TestColumnDecision:
+    @settings(max_examples=300)
+    @given(tallies())
+    def test_decide_equals_its_reduction_form(self, case):
+        pairs, totals, weight = case
+        got = scoring._decide(pairs, totals, weight)
+        want = decide_reduction(pairs, totals, weight)
+        for a, b in zip(got, want):
+            assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
 class TestEfficiencyExact:
+    @settings(max_examples=200)
+    @given(st.integers(1, 8), st.integers(1, 5), st.sampled_from([1, 2, 3, 7, 64]),
+           st.integers(1, 4))
+    def test_sorted_rows_are_the_multisets_in_order(self, k, n, block, width):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_exact, "OUTCOME_BLOCK", block)
+            rows = scoring.block_rows(width)
+            blocks = list(scoring._sorted_rows(k, n, rows))
+        assert all(0 < len(b) <= rows and b.shape[1] == n for b in blocks)
+        got = [tuple(row) for b in blocks for row in b.tolist()]
+        assert got == list(combinations_with_replacement(range(k), n))
+
     def test_plurality_three_by_three(self):
         res = condorcet_efficiency(ScoringVector.plurality(3), m=3, n_voters=3)
         assert res.exact == Fraction(14, 17)

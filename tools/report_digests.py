@@ -23,7 +23,9 @@ fixed list of jobs the benchmark never runs, ids ``edge/<job>``: ``wmr enum``
 for n = -1, 0 and 8, and for n = 1..7 at the default bound and at every
 ``--max-weight`` from 1 to one past it; and ``power --kind
 both|banzhaf|shapley`` on a game of each exact route (counting DP, fraction
-weights, enumeration), one that only Banzhaf answers and one refused by both.
+weights, enumeration), one that only Banzhaf answers and one refused by both;
+and ``efficiency -m 12 --method monte-carlo``, refused before its ranking
+table is built.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ def edge_jobs(root: Path) -> list[dict]:
         for kind in ("both", "banzhaf", "shapley"):
             argv = ["power", "--game", f"{name}.txt", "--kind", kind]
             jobs.append({"id": f"power-{name}-{kind}", "argv": argv})
+    argv = ["efficiency", "-m", "12", "--voters", "5", "--scoring", "borda", "--method", "monte-carlo"]
+    jobs.append({"id": "efficiency-m12-monte-carlo", "argv": argv})
     return jobs
 
 
