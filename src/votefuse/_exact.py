@@ -4,11 +4,11 @@ Every exact question here is a sum over the 2^n coalitions (or vote patterns)
 of n players, taken one of two ways: a counting DP over integer weights, which
 tabulates coalitions (or probability) by total weight in O(n * W) cells for
 total weight W (Brams & Affuso 1976; Matsui & Matsui 2000; Uno 2012), or a
-route for any weights priced at n*2^n: power indices enumerate all 2^n
-coalitions by array doubling, and the jury meets in the middle (Horowitz &
-Sahni 1974), sorting one half's 2^(n/2) signed sums, settling the pairs of
-half patterns that are certainly won or lost by binary search, and deciding
-the band of near ties by their sum in player order (:func:`_jury_halves`).
+route for any weights priced at n*2^n: power indices read each coalition's
+outcome off :func:`pattern_outcomes`, and the jury meets in the middle
+(Horowitz & Sahni 1974), sorting one half's 2^(n/2) signed sums, settling the
+pairs of half patterns that are certainly won or lost by binary search, and
+deciding the band of near ties by their sum in player order (:func:`_jury_halves`).
 Each kernel estimates both costs and takes the cheaper route. Both routes give
 the same answers (counts exactly, probabilities up to float rounding), and
 neither divides to take a player out: the power DP uses an exact alternating
@@ -28,9 +28,9 @@ the smaller side of its quota, q = min(quota, W-1-quota) for total weight W;
 the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W of its
 integer weights, also on their lowest terms; each or n*2^n by the other route;
 a rule table or a nearest simple rule n*2^n;
-indirect competence m*2^m for each team of m members with a shared player,
-or u*2^u for one table of the teams of shared players only over the u players
-they cover, and the jury's price for each other team, plus 2^s times the top
+indirect competence m*2^m for each team of m members with a shared player
+(the teams of shared players only at most u*2^u in all, for the u players
+they cover) and the jury's price for each other team, plus 2^s times the top
 level's price for each pattern of the s shared players: k + (k_r+1)*(W_r+1)
 by a DP over the top weight W_r of the k_r teams whose vote is not fixed, or
 (k+1)*2^k_r by enumerating their votes, checked with k_r = 0 before any table
@@ -44,8 +44,8 @@ bound that reaches every rule, and its largest scan, 7 voters at bound 9, is
 Every weighted vote of the package is decided here: :func:`outcome` turns
 signed sums sum_i w_i v_i (v_i = +1 or -1) into 1 above the bias (A wins),
 -1 below it (B wins) and 0 at a stalemate (no decision), and
-:func:`pattern_outcomes` enumerates the +-w patterns that feed it. Jury
-credit, rule tables and fused decisions all read these outcomes.
+:func:`pattern_outcomes` enumerates the +-w patterns that feed it. Power
+swings, jury credit, rule tables and fused decisions all read these outcomes.
 """
 
 from __future__ import annotations
@@ -254,12 +254,13 @@ def power_counts(
     players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
     sized = "shapley" in kinds
     if chosen == "enumeration":
-        sums = enumerate_patterns([0] * n, ws, np.int64(0))
+        # C wins iff w(C) > q, so iff its signed sum 2*w(C) - W passes 2q - W
+        wins = pattern_outcomes(ws, 2 * q - sum(ws)) > 0
         sizes = enumerate_patterns([0] * n, [1] * n, np.int8(0)) if sized else None
         swings = []
-        for w, i in players.items():
-            others = sums.reshape(-1, 2, 1 << i)[:, 0, :]  # the coalitions without i
-            hit = (others > q - w) & (others <= q)
+        for i in players.values():
+            pair = wins.reshape(-1, 2, 1 << i)  # the coalitions without i, then with i
+            hit = pair[:, 1, :] > pair[:, 0, :]
             swings.append(
                 np.bincount(sizes.reshape(-1, 2, 1 << i)[:, 0, :][hit], minlength=n)
                 if sized else int(np.count_nonzero(hit))

@@ -32,6 +32,7 @@ from .fusion import (
 )
 from .io import (
     Report,
+    _split_tokens,
     _strict_float,
     load_cost_matrix,
     load_game,
@@ -57,7 +58,7 @@ def _float(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
+    parts = [token for token, _ in _split_tokens(text)]
     if not parts:
         raise argparse.ArgumentTypeError("expected a comma- or space-separated list of numbers")
     try:

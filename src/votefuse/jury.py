@@ -263,20 +263,21 @@ def indirect_competence(
     2^s shared patterns is a top-level jury of skills q_t (:func:`_top_level`)
     whose expected credit is weighted by the pattern's probability. A team
     of shared players only keeps the outcome of each pattern of its members
-    (:func:`._exact.pattern_outcomes`), by itself or in one table with the
-    other such teams, and its vote is fixed in every pattern unless it can
-    tie under ``"coin-flip"``. The patterns are taken in
+    (:func:`._exact.pattern_outcomes`), and its vote is fixed in every
+    pattern unless it can tie under ``"coin-flip"``. The patterns are taken in
     :func:`._exact.block_rows` blocks and summed in fixed runs of 2^16, so no
     block size changes a float.
 
     The work is priced before any table is built: m*2^m for each team of m
     members with a shared one and one of its own, the jury's price for each
     team with no shared member, and for the teams of shared players only
-    m*2^m each or u*2^u for one table over the u players they cover,
-    whichever is less; plus 2^s times the top level's price per pattern
-    with no team voting at random. Once the tables show which teams do, the
-    top level is priced again. Either price is refused beyond the one exact
-    work cap.
+    m*2^m each or u*2^u over the u players they cover, whichever is less;
+    plus 2^s times the top level's price per pattern with no team voting at
+    random. Once the tables show which teams do, the top level is priced
+    again. Either price is refused beyond the one exact work cap. The u*2^u
+    term prices no table that is built. It is kept from when one table over
+    those u players was built, so that no structure answered then is
+    refused, until one price in measured time replaces it (ROADMAP item 9).
     """
     nd = nd_credit(nd_policy)
     p_all = np.asarray(as_skills(skills).p, dtype=np.float64)
@@ -296,14 +297,11 @@ def indirect_competence(
     spots = [[bit_of.get(i, -1) for i, _ in team] for team in teams]
     biases = structure.team_biases
     # a team of shared players only holds the outcome of each pattern of its
-    # members, tabulated by itself (m*2^m) or with every other such team in one
-    # pass over the u shared players they cover (u*2^u, as a rule table is),
-    # whichever costs less
+    # members (m*2^m), priced at no more than u*2^u for the u players they cover
     pooled = [t for t, spot in enumerate(spots) if min(spot) >= 0]
-    union = sorted({b for t in pooled for b in spots[t]})
+    covered = len({b for t in pooled for b in spots[t]})
     alone = sum(weights[t].size << weights[t].size for t in pooled)
-    together = len(union) << len(union)
-    tables = min(alone, together) + sum(
+    tables = min(alone, covered << covered) + sum(
         w.size << w.size if max(spot) >= 0 else jury_units(w)
         for w, spot in zip(weights, spots)
         if min(spot) < 0
@@ -323,14 +321,7 @@ def indirect_competence(
         check_work("indirect competence", tables + (per_row << s), how=how)
 
     price(top_route([])[1])  # before any table: no top level costs less
-    if together < alone:
-        grid = np.zeros((len(pooled), len(union)))
-        for row, t in zip(grid, pooled):
-            row[np.searchsorted(union, spots[t])] = weights[t]
-            spots[t] = union
-        coded = dict(zip(pooled, pattern_outcomes(grid, [biases[t] for t in pooled])))
-    else:
-        coded = {t: pattern_outcomes(weights[t], biases[t]) for t in pooled}
+    coded = {t: pattern_outcomes(weights[t], biases[t]) for t in pooled}
     skill = [
         coded[t]
         if t in coded
@@ -419,11 +410,13 @@ def _top_level(route, w, bias, fixed, random, nd):
     teams' chances of being right. The top sum is twice the top weight of
     the teams that are right less the total. Route 'dp' takes it over the
     random teams by a DP over that weight, for integer weights on their
-    lowest terms; 'enumeration' enumerates the random teams' votes.
+    lowest terms; 'enumeration' decides the random teams' signed sum, in team
+    order, against the bias less the fixed teams' part
+    (:func:`._exact.pattern_outcomes`).
     """
-    kf, kr = len(fixed), len(random)
+    kf = len(fixed)
+    twice, total = 2 * w[fixed], w[fixed].sum()
     if route == "dp":
-        twice, total = 2 * w[fixed], w[fixed].sum()
         # a team of weight -a is right where one of weight a is wrong
         terms = [(abs(int(x)), x < 0) for x in w[random]]
         width = sum(a for a, _ in terms) + 1
@@ -442,15 +435,11 @@ def _top_level(route, w, bias, fixed, random, nd):
             return (dist * credit(outcome(sums, bias), nd)).sum(axis=0)
 
         return level
-    picks = np.arange(1 << kr) >> np.arange(kr)[:, None] & 1  # the random teams' votes
 
     def level(votes: np.ndarray) -> np.ndarray:
         n = votes.shape[1]
-        right = np.empty((w.size, n, 1 << kr))
-        right[fixed] = votes[:kf, :, None]
-        right[random] = picks[:, None, :]
-        sums = 2 * w @ right.reshape(w.size, -1) - w.sum()
-        earned = credit(outcome(sums, bias), nd).reshape(n, 1 << kr)
+        cut = bias - (twice @ votes[:kf] - total)
+        earned = credit(pattern_outcomes(np.broadcast_to(w[random], (n, len(random))), cut), nd)
         q = votes[kf:, :, None]
         chance = enumerate_patterns(1.0 - q, q, np.ones(n), np.multiply)
         return (chance * earned).sum(axis=1)

@@ -3,8 +3,8 @@
 Exact routines count coalitions on rescaled integer weights, so no
 floating-point comparison comes anywhere near the quota. They run the shared
 kernel in :mod:`._exact`: a counting DP over weights up to the quota, in
-O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or one 2^n
-enumeration when that is cheaper, refused beyond one work cap. Both indices at
+O(n * q) cells for Banzhaf and O(n^2 * q) for Shapley-Shubik, or 2^n int8
+outcomes when that is cheaper, refused beyond one work cap. Both indices at
 once (:func:`power_exact`, ``power --kind both``) come from one table. The
 Monte Carlo estimators draw through the chunked driver of :mod:`._rand`, so a
 seed fixes their results to the bit, in row blocks, so their memory follows

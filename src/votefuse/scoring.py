@@ -423,8 +423,7 @@ def _efficiency_exact(
         has_cw, tied, hit = _score_profiles(idx, score_rows, pair_rows, tie_policy)
         with_winner += int(coeff[has_cw].sum())
         hits += int(coeff[hit] @ (lcm // tied[hit]))
-    if with_winner == 0:
-        raise EvidenceError("no profile has a pairwise-majority winner")
+    # n equal rankings elect their top candidate pairwise, so with_winner >= m!
     exact = Fraction(hits, lcm * with_winner)
     return EfficiencyResult(
         value=float(exact),

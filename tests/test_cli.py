@@ -212,6 +212,16 @@ class TestJuryCommand:
         row = next(r for r in parse_report(out).rows if r[0] == "indirect_competence")
         assert row[2] == repr(jury_exact((1,) * 25, 0.0, (0.6,) * 25).competence)
 
+    def test_lists_split_at_commas_spaces_and_tabs_only(self, capsys):
+        # as in a game file, a no-break or em space is part of its token
+        code, out, _ = run(capsys, "jury", "--skills", "0.6 0.7,0.8\t0.9")
+        assert code == 0
+        assert len([r for r in parse_report(out).rows if r[0] == "decisiveness"]) == 4
+        for space in ("\u00a0", "\u2003"):
+            code, out, err = run(capsys, "jury", "--skills", space.join(["0.6", "0.7", "0.8"]))
+            assert (code, out) == (2, "")
+            assert "error: argument --skills: " in err
+
     def test_monte_carlo_row(self, capsys):
         code, out, _ = run(
             capsys, "jury", "--skills", "0.6,0.6,0.6", "--method", "monte-carlo",

@@ -92,6 +92,21 @@ class TestPowerRoutes:
         # quota 0: any positive weight wins alone; quota = total: nobody wins
         check_power_routes([4, 0, 3, 2], q)
 
+    @pytest.mark.parametrize("kinds", [("banzhaf",), ("shapley",), ("banzhaf", "shapley")])
+    def test_enumeration_peaks_near_its_int8_outcomes(self, kinds):
+        # 20 players with weights near 10^9: the int8 outcomes of the 2^20
+        # coalitions and their sizes take 1 MiB each, where int64 sums took 8
+        rng = random.Random(20)
+        ws = [rng.randrange(10**9, 2 * 10**9) for _ in range(20)]
+        _exact.power_counts(ws[:3], sum(ws[:3]) // 2, "enumeration", kinds)
+        tracemalloc.start()
+        try:
+            _exact.power_counts(ws, sum(ws) // 2, "enumeration", kinds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
+
     def test_counts_past_int64_use_python_ints(self):
         # 63 players: 2^63 coalitions do not fit a signed 64-bit count
         ws = [1] * 63

@@ -332,7 +332,7 @@ class TestIndirectCompetence:
             team_biases=(0.0, 0.25, 0.0, 0.0, -0.1),
             top_weights=tuple(rng.uniform(0.5, 2.0) for _ in teams),
         )
-        # teams over the same players, tabulated in one pass
+        # teams of shared players only, each with its own outcome table
         pooled = TeamStructure(
             teams=((0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 3)), team_biases=(0.0, 1.0, 0.5)
         )
@@ -469,10 +469,11 @@ class TestIndirectCompetence:
         # an enumeration of all 2^21 patterns gives 0.9135773983569873
         assert abs(got - 0.9135773983569873) < 1e-12
 
-    def test_teams_over_the_same_players_share_one_outcome_table(self, monkeypatch):
+    def test_teams_over_the_same_players_keep_the_price_of_one_table(self, monkeypatch):
         # three teams of the same 23 players vote alike, so the top level is the
-        # 23-judge jury; one table over the 23 players (23*2^23) holds all three
-        # teams' outcomes, where a table per team would cost 3*23*2^23
+        # 23-judge jury; each team keeps its own outcome table, but the three are
+        # priced as one table over the 23 players (23*2^23), since 3*23*2^23 with
+        # the top level would pass the cap
         shapes = []
 
         def spy(w, bias):
@@ -484,7 +485,7 @@ class TestIndirectCompetence:
         skills = tuple(np.linspace(0.45, 0.8, 23))
         want = jury_exact((1,) * 23, 0.0, skills).competence
         assert abs(indirect_competence(s, skills) - want) < 1e-12
-        assert shapes == [(3, 23)]
+        assert shapes == [(23,)] * 3
 
     def test_many_teams_of_24_players_are_refused(self):
         # 8 teams of the same 24 players: one 24-player table (24*2^24) and a
@@ -530,6 +531,28 @@ class TestIndirectCompetence:
         top = st.one_of(st.integers(-2, 3).map(float), quarter)  # integers take the DP
         top_weights = tuple(data.draw(st.lists(top, min_size=k, max_size=k)))
         top_bias = data.draw(quarter)
+        skill = st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.0, 1.0]))
+        skills = data.draw(st.lists(skill, min_size=n, max_size=n))
+        s = TeamStructure(teams, weights, biases, top_weights, top_bias)
+        for policy, credit in (("incorrect", 0.0), ("coin-flip", 0.5)):
+            want = indirect_brute(teams, skills, credit, weights, biases, top_weights, top_bias)
+            assert abs(indirect_competence(s, skills, nd_policy=policy) - want) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_float_weights_and_biases_match_the_exact_oracle(self, data):
+        # float top weights take the top level's enumeration route; weights and
+        # biases drawn uniformly leave no sum within rounding of its bias, so
+        # each float decision is the oracle's exact one
+        n = data.draw(st.integers(1, 8))
+        team = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+        teams = tuple(map(tuple, data.draw(st.lists(team, min_size=1, max_size=6))))
+        k = len(teams)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        weights = tuple(tuple(rng.uniform(-0.5, 2.0) for _ in t) for t in teams)
+        biases = tuple(rng.uniform(-1.0, 1.0) for _ in teams)
+        top_weights = tuple(rng.uniform(-0.5, 2.0) for _ in teams)
+        top_bias = rng.uniform(-1.0, 1.0)
         skill = st.one_of(st.floats(0.05, 0.95), st.sampled_from([0.0, 1.0]))
         skills = data.draw(st.lists(skill, min_size=n, max_size=n))
         s = TeamStructure(teams, weights, biases, top_weights, top_bias)

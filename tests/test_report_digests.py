@@ -92,16 +92,19 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     wmr = ["wmr-n-1", "wmr-n0", "wmr-n8"]
     for n, default in DEFAULT_MAX_WEIGHT.items():
         wmr += [f"wmr-n{n}"] + [f"wmr-n{n}-mw{b}" for b in range(1, default + 2)]
-    games = ("dp", "fraction", "enumeration", "banzhaf-only", "refused")
+    games = ("dp", "fraction", "enumeration", "enumeration-20", "banzhaf-only", "refused")
     power = [f"power-{g}-{k}" for g in games for k in ("both", "banzhaf", "shapley")]
     efficiency = ["efficiency-m12-monte-carlo"]
-    assert list(lines) == [f"edge/{i}" for i in wmr + power + efficiency]
+    jury = [f"jury-{t}-{p}" for t in ("pooled", "one-team") for p in ("incorrect", "coin-flip")]
+    usage = "jury-skills-no-break-space"
+    assert list(lines) == [f"edge/{i}" for i in wmr + power + efficiency + jury + [usage]]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
                *efficiency}
     for i, line in lines.items():
         job = i.removeprefix("edge/")
-        assert line["exit"] == (3 if job in ("wmr-n-1", "wmr-n0") else 4 if job in refused else 0)
+        want = 3 if job in ("wmr-n-1", "wmr-n0") else 4 if job in refused else 2 if job == usage else 0
+        assert line["exit"] == want
     # under --kind both, a refusal is the refusal of the first kind refused
     for game, first in (("refused", "banzhaf"), ("banzhaf-only", "shapley")):
         stderr = lines[f"edge/power-{game}-{first}"]["stderr"]

@@ -21,11 +21,14 @@ which the tool only imports from, and ``tools/``.
 The pseudo-workload ``edge`` (run by default, once, whatever the seeds) is a
 fixed list of jobs the benchmark never runs, ids ``edge/<job>``: ``wmr enum``
 for n = -1, 0 and 8, and for n = 1..7 at the default bound and at every
-``--max-weight`` from 1 to one past it; and ``power --kind
-both|banzhaf|shapley`` on a game of each exact route (counting DP, fraction
-weights, enumeration), one that only Banzhaf answers and one refused by both;
-and ``efficiency -m 12 --method monte-carlo``, refused before its ranking
-table is built.
+``--max-weight`` from 1 to one past it; ``power --kind both|banzhaf|shapley``
+on a game of each exact route (counting DP, fraction weights, enumeration of
+12 and of 20 players), one that only Banzhaf answers and one refused by both;
+``efficiency -m 12 --method monte-carlo``, refused before its ranking table
+is built; ``jury`` under both tie policies on a team file priced as one table
+over its shared players (three teams of players 0-11 and one of 10-12) and on
+a one-team file, whose top level enumerates the team's votes; and ``jury
+--skills`` with no-break spaces, which separate no skills.
 """
 
 from __future__ import annotations
@@ -65,10 +68,18 @@ EDGE_GAMES = {
     "fraction": _weights(f"1/{d}" for d in (2, 3, 4, 6, 12) * 2 + (3, 4)) + "quota = 5/2\n",
     # 12 weights near 10^6: 2^12 coalitions cost less than a DP up to the quota
     "enumeration": _weights(10**6 + 7919 * i for i in range(12)),
+    "enumeration-20": _weights(10**9 + 7919 * i for i in range(20)),
     # 25 players and a quota near 10^6: the Banzhaf DP fits under the work
     # cap, the Shapley-Shubik DP and the 2^25 enumeration do not
     "banzhaf-only": _weights(80_000 + 37 * i for i in range(25)),
     "refused": _weights(10**9 + i for i in range(30)),
+}
+
+
+#: The team files of the edge jobs, by name, over 13 players.
+EDGE_TEAMS = {
+    "pooled": ("team = " + " ".join(map(str, range(12))) + "\n") * 3 + "team = 10 11 12\n",
+    "one-team": "team = " + " ".join(map(str, range(13))) + "\n",
 }
 
 
@@ -87,6 +98,14 @@ def edge_jobs(root: Path) -> list[dict]:
             jobs.append({"id": f"power-{name}-{kind}", "argv": argv})
     argv = ["efficiency", "-m", "12", "--voters", "5", "--scoring", "borda", "--method", "monte-carlo"]
     jobs.append({"id": "efficiency-m12-monte-carlo", "argv": argv})
+    skills = ",".join(f"0.{55 + 3 * i}" for i in range(13))
+    for name, text in EDGE_TEAMS.items():
+        (root / f"{name}.txt").write_text(text, encoding="utf-8")
+        for policy in ("incorrect", "coin-flip"):
+            argv = ["jury", "--skills", skills, "--teams", f"{name}.txt", "--nd-policy", policy]
+            jobs.append({"id": f"jury-{name}-{policy}", "argv": argv})
+    argv = ["jury", "--skills", "0.6\u00a00.7\u00a00.8"]
+    jobs.append({"id": "jury-skills-no-break-space", "argv": argv})
     return jobs
 
 
