@@ -32,14 +32,14 @@ indirect competence m*2^m for each team of m members with a shared player
 (the teams of shared players only at most u*2^u in all, for the u players
 they cover) and the jury's price for each other team, plus 2^s times the top
 level's price for each pattern of the s shared players: k + (k_r+1)*(W_r+1)
-by a DP over the top weight W_r of the k_r teams whose vote is not fixed, or
-(k+1)*2^k_r by enumerating their votes, checked with k_r = 0 before any table
-is built and again once the tables show k_r; Condorcet efficiency of m
-candidates and n voters leaves*n*m^2 + m!*m^2 for C(n+m!-1, m!-1) leaves,
-and its Monte Carlo route m!*m^2 for the ranking table it samples from.
-The enumeration of rules needs no price: it never scans past the weight
-bound that reaches every rule, and its largest scan, 7 voters at bound 9, is
-2% of the cap.
+by the jury's DP (:func:`add_judges`) over the top weight W_r of the k_r
+teams whose vote is not fixed, or (k+1)*2^k_r by enumerating their votes,
+checked with k_r = 0 before any table is built and again once the tables
+show k_r; Condorcet efficiency of m candidates and n voters leaves*n*m^2 +
+m!*m^2 for C(n+m!-1, m!-1) leaves, and its Monte Carlo route m!*m^2 for the
+ranking table it samples from. The enumeration of rules needs no price: it
+never scans past the weight bound that reaches every rule, and its largest
+scan, 7 voters at bound 9, is 2% of the cap.
 
 Every weighted vote of the package is decided here: :func:`outcome` turns
 signed sums sum_i w_i v_i (v_i = +1 or -1) into 1 above the bias (A wins),
@@ -502,26 +502,35 @@ def _decisiveness(table: np.ndarray, p: np.ndarray, players: Sequence[int]) -> l
     return _each_judge(p.size, players, table, absorb, lambda i, t: float(t[1] - t[0]))
 
 
-def _jury_dp(w: list[int], p, bias, nd, players):
-    # a judge of negative weight is a judge of weight |w| who is right when
-    # the original is wrong; X is the total weight of the judges who are right
-    flip = [x < 0 for x in w]
-    w = [abs(x) for x in w]
-    p = np.where(flip, 1.0 - p, p)
-    width = sum(w) + 1
-    earned = credit(outcome(2.0 * np.arange(width) - sum(w), bias), nd)
+def add_judges(dist: np.ndarray, w: Sequence[int], p) -> np.ndarray:
+    """``dist``, over the right judges' weight on axis 0, with judges of weights ``w`` added.
 
-    def absorb(dist, lo, hi, a, b):
-        for i in range(a, b):
-            out = dist * (1.0 - p[i])
-            out[w[i] :] += dist[: width - w[i]] * p[i]
-            dist = out
-        return dist
+    A judge of weight -a adds a when wrong. A chance ``p[i]`` is a scalar or
+    one per column of ``dist``, each column taking the steps it takes alone.
+    """
+    width = dist.shape[0]
+    for x, q in zip(w, p):
+        a = abs(x)
+        q = 1.0 - q if x < 0 else q
+        out = dist * (1.0 - q)
+        out[a:] += dist[: width - a] * q
+        dist = out
+    return dist
+
+
+def _jury_dp(w: list[int], p, bias, nd, players):
+    # the signed sum is 2X - sum|w| for the weight X that add_judges counts
+    width = sum(map(abs, w)) + 1
+    earned = credit(outcome(2.0 * np.arange(width) - (width - 1), bias), nd)
 
     def leaf(i, others):
-        right = float(others[: width - w[i]] @ earned[w[i] :])
+        a = abs(w[i])
+        right = float(others[: width - a] @ earned[a:])
         wrong = float(others @ earned)
-        return wrong - right if flip[i] else right - wrong
+        return wrong - right if w[i] < 0 else right - wrong
+
+    def absorb(dist, lo, hi, a, b):
+        return add_judges(dist, w[a:b], p[a:b])
 
     n = len(w)
     start = np.zeros(width)

@@ -143,6 +143,7 @@ def parse_game(text: str, source: str = "<string>") -> VotingGame:
     """
     weights = None
     quota = None
+    quota_at = 1, 1  # the quota's line and column, as spots holds each weight's
     for lineno, key, value, offset in _key_value_lines(text, source):
         if key == "weights":
             if weights is not None:
@@ -150,24 +151,24 @@ def parse_game(text: str, source: str = "<string>") -> VotingGame:
             tokens = _split_tokens(value)
             if not tokens:
                 raise ParseError("weights line is empty", path=source, line=lineno, column=offset)
-            weights = [
-                _fraction_token(tok, source, lineno, offset + col - 1) for tok, col in tokens
-            ]
+            spots = [(lineno, offset + col - 1) for _, col in tokens]
+            weights = [_fraction_token(tok, source, *at) for (tok, _), at in zip(tokens, spots)]
         elif key == "quota":
             if quota is not None:
                 raise ParseError("duplicate quota line", path=source, line=lineno, column=1)
             tok, col = _single_token(key, value, source, lineno, offset)
+            quota_at = lineno, col
             quota = "majority" if tok == "majority" else _fraction_token(tok, source, lineno, col)
         else:
             raise ParseError(f"unknown key {key!r}", path=source, line=lineno, column=1)
     if weights is None:
         raise ParseError("missing weights line", path=source, line=1, column=1)
     try:
-        if quota is None or quota == "majority":
-            return VotingGame(tuple(weights))
-        return VotingGame(tuple(weights), quota)
+        return VotingGame(tuple(weights), None if quota == "majority" else quota)
     except ValueError as exc:
-        raise ParseError(str(exc), path=source, line=1, column=1) from None
+        # VotingGame refuses the first negative weight, else the quota
+        line, col = next((at for w, at in zip(weights, spots) if w < 0), quota_at)
+        raise ParseError(str(exc), path=source, line=line, column=col) from None
 
 
 def load_game(path: PathLike) -> VotingGame:
@@ -193,23 +194,19 @@ def parse_team_structure(text: str, source: str = "<string>") -> TeamStructure:
     are built through the API.
     """
     teams: list[tuple[int, ...]] = []
+    spots: list[list[tuple[int, int]]] = []  # the line and column of each team's members
     top_bias = 0.0
     for lineno, key, value, offset in _key_value_lines(text, source):
         if key == "team":
             tokens = _split_tokens(value)
             if not tokens:
                 raise ParseError("team line is empty", path=source, line=lineno, column=offset)
-            members = []
-            for tok, col in tokens:
+            spots.append([(lineno, offset + col - 1) for _, col in tokens])
+            for (tok, _), (line, col) in zip(tokens, spots[-1]):
                 if not re.fullmatch(r"[-+]?[0-9]+", tok):
-                    raise ParseError(
-                        f"not a player index: {tok!r}",
-                        path=source,
-                        line=lineno,
-                        column=offset + col - 1,
-                    )
-                members.append(int(tok))
-            teams.append(tuple(members))
+                    message = f"not a player index: {tok!r}"
+                    raise ParseError(message, path=source, line=line, column=col)
+            teams.append(tuple(int(tok) for tok, _ in tokens))
         elif key == "top_bias":
             tok, col = _single_token(key, value, source, lineno, offset)
             exact = _fraction_token(tok, source, lineno, col)
@@ -228,7 +225,13 @@ def parse_team_structure(text: str, source: str = "<string>") -> TeamStructure:
     try:
         return TeamStructure(teams=tuple(teams), top_bias=top_bias)
     except ValueError as exc:
-        raise ParseError(str(exc), path=source, line=1, column=1) from None
+        # TeamStructure refuses the first team with a repeat, else a negative index
+        faults = (
+            [j for j, i in enumerate(t) if i in t[:j]] or [j for j, i in enumerate(t) if i < 0]
+            for t in teams
+        )
+        line, col = next((at[bad[0]] for at, bad in zip(spots, faults) if bad), (1, 1))
+        raise ParseError(str(exc), path=source, line=line, column=col) from None
 
 
 def load_team_structure(path: PathLike) -> TeamStructure:

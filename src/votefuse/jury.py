@@ -42,6 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._exact import (
+    add_judges,
     block_rows,
     cheaper_route,
     check_work,
@@ -408,40 +409,35 @@ def _top_level(route, w, bias, fixed, random, nd):
 
     A column holds the fixed teams' votes (1 if right), then the random
     teams' chances of being right. The top sum is twice the top weight of
-    the teams that are right less the total. Route 'dp' takes it over the
-    random teams by a DP over that weight, for integer weights on their
-    lowest terms; 'enumeration' decides the random teams' signed sum, in team
-    order, against the bias less the fixed teams' part
-    (:func:`._exact.pattern_outcomes`).
+    the teams that are right less the total. Route 'dp', for integer weights
+    on their lowest terms, runs the jury's DP (:func:`._exact.add_judges`)
+    over the random teams' weight; 'enumeration' decides their 2^k_r signed
+    sums in team order, built once, against each column's bias less the
+    fixed teams' part.
     """
     kf = len(fixed)
     twice, total = 2 * w[fixed], w[fixed].sum()
     if route == "dp":
-        # a team of weight -a is right where one of weight a is wrong
-        terms = [(abs(int(x)), x < 0) for x in w[random]]
-        width = sum(a for a, _ in terms) + 1
+        ints = [int(x) for x in w[random]]
+        width = sum(map(abs, ints)) + 1
         offsets = (2.0 * np.arange(width) - (width - 1))[:, None]
 
         def level(votes: np.ndarray) -> np.ndarray:
             dist = np.zeros((width, votes.shape[1]))  # dist[x]: P(random weight x is right)
             dist[0] = 1.0
-            for (a, flip), q in zip(terms, votes[kf:]):
-                if a:
-                    q = 1.0 - q if flip else q
-                    grown = dist * (1.0 - q)
-                    grown[a:] += dist[: width - a] * q
-                    dist = grown
+            dist = add_judges(dist, ints, votes[kf:])
             sums = offsets + (twice @ votes[:kf] - total)
             return (dist * credit(outcome(sums, bias), nd)).sum(axis=0)
 
         return level
 
+    sums = enumerate_patterns(-w[random], w[random], np.float64(0.0))
+
     def level(votes: np.ndarray) -> np.ndarray:
-        n = votes.shape[1]
         cut = bias - (twice @ votes[:kf] - total)
-        earned = credit(pattern_outcomes(np.broadcast_to(w[random], (n, len(random))), cut), nd)
+        earned = credit(outcome(sums, cut[:, None]), nd)
         q = votes[kf:, :, None]
-        chance = enumerate_patterns(1.0 - q, q, np.ones(n), np.multiply)
+        chance = enumerate_patterns(1.0 - q, q, np.ones(votes.shape[1]), np.multiply)
         return (chance * earned).sum(axis=1)
 
     return level

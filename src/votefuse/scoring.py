@@ -373,12 +373,13 @@ def _price_exact(m: int, n_voters: int) -> None:
 def _sorted_rows(k: int, n: int, rows: int):
     """Blocks of at most ``rows`` rows: ``combinations_with_replacement(range(k), n)`` in order.
 
-    Rows grow one column at a time, as :func:`.wmr.enumerate_unique_wmr` grows
-    its vectors: each row is repeated once for each entry from its last one
-    up. A prefix of c columns that ends in v grows into C(n-c+k-v-1, n-c)
-    rows. A run of prefixes that would grow past ``rows`` is cut in order
-    where it passes each multiple of ``rows``, and a single such prefix takes
-    one more column first; the pieces wait on a stack, the next one on top.
+    :func:`.wmr.enumerate_unique_wmr` takes its weight vectors from here too,
+    in one block. Rows grow one column at a time: each row is repeated once
+    for each entry from its last one up. A prefix of c columns that ends in
+    v grows into C(n-c+k-v-1, n-c) rows. A run of prefixes that would grow
+    past ``rows`` is cut in order where it passes each multiple of ``rows``,
+    and a single such prefix takes one more column first; the pieces wait on
+    a stack, the next one on top.
     """
     parts = [np.arange(k, dtype=np.intp)[:, None]]
     while parts:

@@ -9,6 +9,7 @@ n voters?" into plain table deduplication.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -25,6 +26,7 @@ from .model import (
     as_fraction,
     integer_form,
 )
+from .scoring import _sorted_rows
 
 OUTCOME_A = 1
 OUTCOME_B = -1
@@ -183,16 +185,12 @@ def enumerate_unique_wmr(n: int, max_weight: Optional[int] = None) -> list[Canon
     list of decisive weighted rules for n <= 7.
     """
     mw = _scan_bound(n, max_weight)
-    # non-increasing vectors in lexicographic order, grown one column at a time
-    vectors = np.arange(mw + 1, dtype=np.int64)[:, None]
-    totals = vectors[:, 0]
-    for _ in range(n - 1):
-        reps = vectors[:, -1] + 1
-        starts = np.repeat(np.cumsum(reps) - reps, reps)
-        last = np.arange(reps.sum()) - starts
-        vectors = np.column_stack([np.repeat(vectors, reps, axis=0), last])
-        totals = np.repeat(totals, reps) + last
-    vectors = vectors[totals % 2 == 1]
+    # non-increasing vectors in lexicographic order: mw less the sorted rows, in reverse
+    vectors = next(_sorted_rows(mw + 1, n, math.comb(n + mw, n)))[::-1]
+    odd = vectors[:, 0] + n * mw  # its low bit is that of the total mw*n - sum(row)
+    for j in range(1, n):  # by index: a column view left over would hold the whole table
+        odd ^= vectors[:, j]
+    vectors = mw - vectors[odd & 1 == 1]
     # float32 is exact: _scan_bound caps n at 7 and mw at 9, so |sums| <= 63
     signs = np.zeros((n, 64), dtype=np.float32)  # zero columns pad each key to 64 bits
     signs[:, : 1 << (n - 1)] = pattern_outcomes(np.eye(n), 0)[:, 1 << (n - 1) :]
@@ -389,8 +387,8 @@ def is_trade_robust(
     for _depth in range(trade_size_cap):
         next_frontier = []
         for (a, b), start, trades in frontier:
-            for x in _bits(a & ~b):
-                for y in _bits(b & ~a):
+            for x in Coalition.from_mask(a & ~b):
+                for y in Coalition.from_mask(b & ~a):
                     na = a & ~(1 << x) | 1 << y
                     nb = b & ~(1 << y) | 1 << x
                     key = frozenset((na, nb))
@@ -404,12 +402,3 @@ def is_trade_robust(
                     next_frontier.append(((na, nb), start, path))
         frontier = next_frontier
     return TradeRobustness(True, None)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-

@@ -373,6 +373,28 @@ def test_enumerate_patterns_reads_bit_i_as_player_i():
         assert table[:, j].tolist() == [b, 2 * a]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_the_dp_step_on_columns_is_each_column_run_alone(seed):
+    # the team top level adds its random teams with one chance per column, the
+    # jury one scalar chance per judge; each column must take the jury's steps
+    rng = np.random.default_rng(seed)
+    w = [3, -2, 0, 1, -1, 0, 4]
+    width = sum(map(abs, w)) + 1
+    chances = rng.random((len(w), 6))
+    chances[:, 0] = 0.0
+    chances[:, 1] = 1.0
+    start = np.zeros((width, chances.shape[1]))
+    start[0] = 1.0
+    dist = _exact.add_judges(start, w, chances)
+    for c in range(chances.shape[1]):
+        alone = _exact.add_judges(start[:, c].copy(), w, list(chances[:, c]))
+        assert dist[:, c].tobytes() == alone.tobytes()
+    assert np.allclose(dist.sum(axis=0), 1.0)
+    # a negative weight counts when its judge is wrong: all wrong weigh 3, all right 8
+    assert np.flatnonzero(dist[:, 0]).tolist() == [3] and dist[3, 0] == 1.0
+    assert np.flatnonzero(dist[:, 1]).tolist() == [8] and dist[8, 1] == 1.0
+
+
 def test_rescaled_rational_game_keeps_exact_counts():
     game = VotingGame((Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)), quota=Fraction(3, 4))
     assert list(banzhaf_exact(game).raw) == banzhaf_brute(game.weights, game.quota)

@@ -97,6 +97,20 @@ class TestGameFiles:
         with pytest.raises(ParseError):
             parse_game("weights = -1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message, where",
+        [
+            ("weights = 1 2\nquota = -1\n", "quota -1 outside [0, 3]", (2, 9)),
+            ("weights = 1 -2\n", "weight of player 1 is negative: -2", (1, 13)),
+            ("# a game\nquota = 1\nweights = 1, -2, -3\n", "weight of player 1", (3, 14)),
+        ],
+    )
+    def test_value_errors_are_located_at_their_token(self, text, message, where):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_game(text, source="g.txt")
+        assert (err.value.line, err.value.column) == where
+        assert f"g.txt:{where[0]}:{where[1]}: " in str(err.value)
+
 
 class TestTeamFiles:
     def test_parse_teams_and_bias(self):
@@ -112,6 +126,21 @@ class TestTeamFiles:
         assert err.value.column == 10
         with pytest.raises(ParseError):
             parse_team_structure("team = 0 0\n")  # duplicate member
+
+    @pytest.mark.parametrize(
+        "text, message, where",
+        [
+            ("team = 0 1\nteam = 2 2\n", "team 1 lists a player twice", (2, 10)),
+            ("team = -1 2\n", "team 0 has a negative player index", (1, 8)),
+            ("team = 0\nteam = 1, -1, 3, 1\n", "team 1 lists a player twice", (2, 18)),
+            ("team = 0 -1\nteam = 1 1\n", "team 0 has a negative player index", (1, 10)),
+        ],
+    )
+    def test_value_errors_are_located_at_their_token(self, text, message, where):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_team_structure(text, source="teams.txt")
+        assert (err.value.line, err.value.column) == where
+        assert f"teams.txt:{where[0]}:{where[1]}: " in str(err.value)
 
     @pytest.mark.parametrize("token", ["1_0", "\u0661", "--1", "+-1", "1.0", "1e1"])
     def test_a_member_not_in_ascii_digits_is_not_a_player_index(self, token):

@@ -97,13 +97,16 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     efficiency = ["efficiency-m12-monte-carlo"]
     jury = [f"jury-{t}-{p}" for t in ("pooled", "one-team") for p in ("incorrect", "coin-flip")]
     usage = "jury-skills-no-break-space"
-    assert list(lines) == [f"edge/{i}" for i in wmr + power + efficiency + jury + [usage]]
+    faults = ["power-quota-out-of-range", "jury-team-repeats-a-player"]
+    assert list(lines) == [f"edge/{i}" for i in wmr + power + efficiency + jury + [usage] + faults]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
                *efficiency}
     for i, line in lines.items():
         job = i.removeprefix("edge/")
-        want = 3 if job in ("wmr-n-1", "wmr-n0") else 4 if job in refused else 2 if job == usage else 0
+        want = 3 if job in ("wmr-n-1", "wmr-n0", *faults) else 4 if job in refused else (
+            2 if job == usage else 0
+        )
         assert line["exit"] == want
     # under --kind both, a refusal is the refusal of the first kind refused
     for game, first in (("refused", "banzhaf"), ("banzhaf-only", "shapley")):

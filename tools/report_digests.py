@@ -27,8 +27,10 @@ on a game of each exact route (counting DP, fraction weights, enumeration of
 ``efficiency -m 12 --method monte-carlo``, refused before its ranking table
 is built; ``jury`` under both tie policies on a team file priced as one table
 over its shared players (three teams of players 0-11 and one of 10-12) and on
-a one-team file, whose top level enumerates the team's votes; and ``jury
---skills`` with no-break spaces, which separate no skills.
+a one-team file, whose top level enumerates the team's votes; ``jury
+--skills`` with no-break spaces, which separate no skills; and a game whose
+quota is out of range and a team file that repeats a player, each refused
+with exit code 3 at its token's line and column.
 """
 
 from __future__ import annotations
@@ -83,6 +85,16 @@ EDGE_TEAMS = {
 }
 
 
+#: Files with a value out of range, by job id: the file and the argv that reads it.
+EDGE_FAULTS = {
+    "power-quota-out-of-range": ("weights = 1 2\nquota = 4\n", ["power", "--game"]),
+    "jury-team-repeats-a-player": (
+        "team = 0 1\nteam = 2 2\n",
+        ["jury", "--skills", "0.6,0.7,0.8", "--teams"],
+    ),
+}
+
+
 def edge_jobs(root: Path) -> list[dict]:
     """The edge jobs, each an id and an argv; the games they read are written into ``root``."""
     jobs = [{"id": f"wmr-n{n}", "argv": ["wmr", "enum", "--n", str(n)]} for n in (-1, 0, 8)]
@@ -106,6 +118,9 @@ def edge_jobs(root: Path) -> list[dict]:
             jobs.append({"id": f"jury-{name}-{policy}", "argv": argv})
     argv = ["jury", "--skills", "0.6\u00a00.7\u00a00.8"]
     jobs.append({"id": "jury-skills-no-break-space", "argv": argv})
+    for name, (text, argv) in EDGE_FAULTS.items():
+        (root / f"{name}.txt").write_text(text, encoding="utf-8")
+        jobs.append({"id": name, "argv": argv + [f"{name}.txt"]})
     return jobs
 
 
