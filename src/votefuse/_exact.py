@@ -9,7 +9,7 @@ outcome off :func:`pattern_outcomes`, and the jury meets in the middle
 (Horowitz & Sahni 1974), sorting one half's 2^(n/2) signed sums, settling the
 pairs of half patterns that are certainly won or lost by binary search, and
 deciding the band of near ties by their sum in player order (:func:`_jury_halves`).
-Each kernel estimates both costs and takes the cheaper route. Both routes give
+Each kernel prices both routes and takes the cheaper. Both routes give
 the same answers (counts exactly, probabilities up to float rounding), and
 neither divides to take a player out: the power DP uses an exact alternating
 identity, the jury kernels prefix/suffix summaries of the other judges.
@@ -21,25 +21,22 @@ that no step copies more than one block of its table. The swings of every
 player are read off the totals in one gather, not in a pass per player.
 
 Every exact computation of the package prices itself in these work units,
-and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`:
-Banzhaf takes n*(q+1) DP cells, Shapley-Shubik n*(n+1)*(q+1), where a game
-is priced and counted on its lowest integer weights (over their gcd) and on
-the smaller side of its quota, q = min(quota, W-1-quota) for total weight W;
-the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight W of its
-integer weights, also on their lowest terms; each or n*2^n by the other route;
-a rule table or a nearest simple rule n*2^n;
-indirect competence m*2^m for each team of m members with a shared player
-(the teams of shared players only at most u*2^u in all, for the u players
-they cover) and the jury's price for each other team, plus 2^s times the top
-level's price for each pattern of the s shared players: k + (k_r+1)*(W_r+1)
-by the jury's DP (:func:`add_judges`) over the top weight W_r of the k_r
-teams whose vote is not fixed, or (k+1)*2^k_r by enumerating their votes,
-checked with k_r = 0 before any table is built and again once the tables
-show k_r; Condorcet efficiency of m candidates and n voters leaves*n*m^2 +
-m!*m^2 for C(n+m!-1, m!-1) leaves, and its Monte Carlo route m!*m^2 for the
-ranking table it samples from. The enumeration of rules needs no price: it
-never scans past the weight bound that reaches every rule, and its largest
-scan, 7 voters at bound 9, is 2% of the cap.
+and :func:`check_work` alone refuses one beyond :data:`EXACT_WORK_MAX`. A
+question with more than one route lists them as :class:`Route` records, the
+DP first, and the one chooser, :func:`choose`, runs the first of the fewest
+units and prices it, naming every route: Banzhaf takes n*(q+1) DP cells and
+Shapley-Shubik n*(n+1)*(q+1), on a game's lowest integer weights (over their
+gcd) and the smaller side of its quota, q = min(quota, W-1-quota) for total
+weight W; the jury n*(W+1)*(1 + bit length of n-1) for total absolute weight
+W of its integer weights, also on their lowest terms; each or n*2^n by the
+other route. Indirect competence prices a team with no shared member and its
+top level by their :func:`cheapest` routes. A question with one route
+prices it alone: a rule table or a nearest simple rule n*2^n; Condorcet
+efficiency of m candidates and n voters leaves*n*m^2 + m!*m^2 for
+C(n+m!-1, m!-1) leaves, and its Monte Carlo route m!*m^2 for the ranking
+table it samples from. The enumeration of rules needs no price: it never
+scans past the weight bound that reaches every rule, and its largest scan,
+7 voters at bound 9, is 2% of the cap.
 
 Every weighted vote of the package is decided here: :func:`outcome` turns
 signed sums sum_i w_i v_i (v_i = +1 or -1) into 1 above the bias (A wins),
@@ -51,7 +48,7 @@ swings, jury credit, rule tables and fused decisions all read these outcomes.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -167,23 +164,31 @@ def check_work(
     )
 
 
-def _choose_route(
-    n: int, dp_cells: Optional[int], what: str, sampler: str, other: str = "enumeration"
-) -> str:
-    """'dp' or ``other`` (n*2^n), whichever is estimated cheaper; refuse both if over the cap."""
-    cells = n << n
-    route, need = cheaper_route(dp_cells, cells, other)
-    dp = "no counting DP (weights are not integers)" if dp_cells is None else (
-        f"counting DP {dp_cells:,} cells"
-    )
-    named = "meet in the middle" if other == "halves" else other
-    check_work(what, need, sampler, f"{dp}, {named} n*2^n = {cells:,}")
+class Route(NamedTuple):
+    """A route of an exact question: its name, its units (None if it cannot run), their text."""
+
+    name: str
+    units: Optional[int]
+    text: str = ""
+
+
+def cheapest(routes: Sequence[Route]) -> Route:
+    """The first route with the fewest units: a DP listed first wins a tie."""
+    return min((r for r in routes if r.units is not None), key=lambda r: r.units)
+
+
+def choose(what: str, routes: Sequence[Route], sampler: str, route: Optional[str] = None) -> str:
+    """The name of the cheapest of ``routes`` of ``what``, priced by :func:`check_work` once.
+
+    A forced ``route`` skips the price, but must name a route that can run.
+    """
+    if route is None:
+        best = cheapest(routes)
+        check_work(what, best.units, sampler, ", ".join(r.text for r in routes))
+        return best.name
+    if route not in [r.name for r in routes if r.units is not None]:
+        raise ValueError(f"exact {what} has no route {route!r} for these weights")
     return route
-
-
-def cheaper_route(dp_cells: Optional[int], units: int, other: str) -> tuple[str, int]:
-    """'dp' and its cells if a DP is priced at no more than ``units``, else ``other``, ``units``."""
-    return ("dp", dp_cells) if dp_cells is not None and dp_cells <= units else (other, units)
 
 
 def _count_dtype(n: int):
@@ -228,12 +233,6 @@ def _reduced_game(ws: Sequence[int], q: int) -> tuple[list[int], int]:
 # ---------------------------------------------------------------- power
 
 
-def _power_route(n: int, q: int, kind: str) -> str:
-    """The route of ``kind`` ('banzhaf' or 'shapley') on a reduced game; refused over the cap."""
-    what, cells = {"banzhaf": ("Banzhaf", n), "shapley": ("Shapley-Shubik", n * (n + 1))}[kind]
-    return _choose_route(n, cells * (q + 1), what, f"power_monte_carlo(game, kind='{kind}')")
-
-
 def power_counts(
     ws: Sequence[int], q: int, route: Optional[str] = None, kinds=("banzhaf", "shapley")
 ) -> list[list[int]]:
@@ -243,14 +242,18 @@ def power_counts(
     and one of size k makes i pivotal in k!(n-1-k)! orderings. Shapley-Shubik
     thus takes a table of swings by size, whose rows summed over sizes are the
     Banzhaf counts (Bilbao et al. 2000); Banzhaf alone counts swings only.
-    ``route`` forces 'dp' or 'enumeration'; by default each kind is priced in
-    turn, and the last one's route runs.
+    ``route`` forces 'dp' or 'enumeration', unpriced; by default each kind is
+    priced in turn, and the last one's route runs.
     """
     n = len(ws)
     ws, q = _reduced_game(ws, q)
     if q < 0:
         return [[0] * n for _ in kinds]
-    chosen = [route or _power_route(n, q, kind) for kind in kinds][-1]  # priced in turn
+    every = Route("enumeration", n << n, f"enumeration n*2^n = {n << n:,}")
+    for kind in kinds:  # priced in turn
+        what, size = {"banzhaf": ("Banzhaf", 1), "shapley": ("Shapley-Shubik", n + 1)}[kind]
+        dp = Route("dp", n * size * (q + 1), f"counting DP {n * size * (q + 1):,} cells")
+        chosen = choose(what, [dp, every], f"power_monte_carlo(game, kind='{kind}')", route)
     players = dict(zip(ws, range(n)))  # one player of each weight: equal weights, equal counts
     sized = "shapley" in kinds
     if chosen == "enumeration":
@@ -342,18 +345,15 @@ def jury_values(
     Judge i is right with probability p_i; the group is right iff
     sum_i w_i v_i > bias (v_i = +1 if right, -1 if wrong), and a stalemate
     earns ``nd``. Decisiveness is P(right | i right) - P(right | i wrong).
-    ``route`` forces 'dp' or 'halves'; by default the cheaper one runs.
+    ``route`` forces 'dp' (integer-valued weights only) or 'halves', unpriced;
+    by default the cheaper one runs.
     """
-    n = w.size
-    dp_cells = None
     lowest = lowest_terms(w, bias)
+    routes = jury_routes(w.size, lowest)
     if lowest is not None:
         ints, bias = lowest
-        w, dp_cells = np.array(ints, dtype=np.float64), _jury_dp_cells(ints)
-    route = route or _choose_route(
-        n, dp_cells, "jury competence", "competence_monte_carlo", "halves"
-    )
-    if route == "dp":
+        w = np.array(ints, dtype=np.float64)
+    if choose("jury competence", routes, "competence_monte_carlo", route) == "dp":
         return _jury_dp(ints, p, bias, nd, players)
     return _jury_halves(w, p, bias, nd, players)
 
@@ -373,18 +373,15 @@ def lowest_terms(w: np.ndarray, bias: float) -> Optional[tuple[list[int], float]
     return [x // g for x in ints], (math.floor(cut) + math.ceil(cut)) / 2
 
 
-def _jury_dp_cells(ints: Sequence[int]) -> int:
+def jury_routes(n: int, lowest: Optional[tuple[list[int], float]]) -> list[Route]:
+    """The routes of :func:`jury_values` for n weights whose :func:`lowest_terms` are ``lowest``."""
+    halves = Route("halves", n << n, f"meet in the middle n*2^n = {n << n:,}")
+    if lowest is None:
+        return [Route("dp", None, "no counting DP (weights are not integers)"), halves]
     # priced for every judge's decisiveness, so that the competence does not
     # depend on which decisiveness values were asked for
-    n = len(ints)
-    return n * (sum(map(abs, ints)) + 1) * (1 + (n - 1).bit_length())
-
-
-def jury_units(w: np.ndarray) -> int:
-    """The work units :func:`jury_values` prices for weights ``w``: its cheaper route's."""
-    lowest, n = lowest_terms(w, 0.0), w.size
-    dp_cells = None if lowest is None else _jury_dp_cells(lowest[0])
-    return cheaper_route(dp_cells, n << n, "halves")[1]
+    cells = n * (sum(map(abs, lowest[0])) + 1) * (1 + (n - 1).bit_length())
+    return [Route("dp", cells, f"counting DP {cells:,} cells"), halves]
 
 
 def _each_judge(n: int, players: Sequence[int], root, absorb, leaf) -> list[float]:

@@ -15,12 +15,13 @@ of one generator are split, and the blocks take them in row order. An
 estimator passes the statistic of one block, which holds only exact numbers
 (integer counts, as ints or in float64 or int64), so no split into chunks or
 blocks can change a sum; it then applies its own closing formula for the
-estimate and its standard error.
+estimate and its standard error. A budget is at most 2^53 trials, past
+which float64 sums of counts are not exact.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,11 +30,12 @@ from . import _exact
 CHUNK = 1 << 16
 
 
-def chunk_sizes(trials: int) -> list[int]:
+def chunk_sizes(trials: int) -> Iterator[int]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    full, rest = divmod(trials, CHUNK)
-    return [CHUNK] * full + ([rest] if rest else [])
+    if trials > 1 << 53:
+        raise ValueError(f"trials must be <= 2^53, got {trials}")
+    return (min(CHUNK, trials - lo) for lo in range(0, trials, CHUNK))
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:

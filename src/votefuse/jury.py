@@ -42,14 +42,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._exact import (
+    Route,
     add_judges,
     block_rows,
-    cheaper_route,
+    cheapest,
     check_work,
     credit,
     enumerate_patterns,
     exact_in_float32,
-    jury_units,
+    jury_routes,
     jury_values,
     lowest_terms,
     nd_credit,
@@ -303,25 +304,25 @@ def indirect_competence(
     covered = len({b for t in pooled for b in spots[t]})
     alone = sum(weights[t].size << weights[t].size for t in pooled)
     tables = min(alone, covered << covered) + sum(
-        w.size << w.size if max(spot) >= 0 else jury_units(w)
+        cheapest(jury_routes(w.size, lowest_terms(w, 0.0))).units
+        if max(spot) < 0
+        else w.size << w.size
         for w, spot in zip(weights, spots)
         if min(spot) < 0
     )
     top_w = np.asarray(structure.top_weights)
     lowest = lowest_terms(top_w, structure.top_bias)
 
-    def top_route(random: list[int]) -> tuple[str, int]:
-        """The top level's route when ``random`` teams vote at random, and its units per pattern."""
-        dp = None
-        if lowest is not None:
-            dp = k + (len(random) + 1) * (sum(abs(lowest[0][t]) for t in random) + 1)
-        return cheaper_route(dp, (k + 1) << len(random), "enumeration")
+    def top_route(random: list[int]) -> Route:
+        """The cheaper top level if the teams ``random`` vote at random, checked with the tables."""
+        kr = len(random)
+        dp = None if lowest is None else k + (kr + 1) * (sum(abs(lowest[0][t]) for t in random) + 1)
+        top = cheapest([Route("dp", dp), Route("enumeration", (k + 1) << kr)])
+        how = f"team tables {tables:,} + 2^s*{top.units:,}, s={s} shared players, k={k} teams"
+        check_work("indirect competence", tables + (top.units << s), how=how)
+        return top
 
-    def price(per_row: int) -> None:
-        how = f"team tables {tables:,} + 2^s*{per_row:,}, s={s} shared players, k={k} teams"
-        check_work("indirect competence", tables + (per_row << s), how=how)
-
-    price(top_route([])[1])  # before any table: no top level costs less
+    top_route([])  # before any table: no top level costs less
     coded = {t: pattern_outcomes(weights[t], biases[t]) for t in pooled}
     skill = [
         coded[t]
@@ -338,8 +339,7 @@ def indirect_competence(
     ]
     chance = set(random)
     fixed = [t for t in range(k) if t not in chance]
-    route, per_row = top_route(random)
-    price(per_row)
+    route, per_row, _ = top_route(random)
     top_bias = structure.top_bias
     if route == "dp":  # on their lowest terms
         top_w, top_bias = np.array(lowest[0], dtype=np.float64), lowest[1]

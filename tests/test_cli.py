@@ -105,6 +105,19 @@ class TestPowerCommand:
         assert all(r[4] != "" for r in rep.rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ("power", "--game", "GAME", "--method", "monte-carlo"),
+    ("jury", "--skills", "0.6,0.7,0.8", "--method", "monte-carlo"),
+    ("efficiency", "-m", "3", "--voters", "5", "--scoring", "borda", "--method", "monte-carlo"),
+])
+def test_a_trial_budget_past_2_53_exits_three(capsys, game_file, argv):
+    argv = [game_file if a == "GAME" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--trials", "100000000000000000000")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "trials must be <= 2^53" in err
+
+
 class TestWmrEnumCommand:
     def test_four_voter_enumeration(self, capsys):
         code, out, _ = run(capsys, "wmr", "enum", "--n", "4")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votefuse import _exact, scoring
+from votefuse._exact import Route
 from votefuse.errors import CapacityError
 from votefuse.jury import (
     TeamStructure,
@@ -329,18 +330,49 @@ class TestFloatJury:
 
 
 class TestWorkCap:
-    def test_the_cheaper_route_is_chosen(self):
-        assert _exact._choose_route(30, 30 * 31, "Banzhaf", "x") == "dp"
-        assert _exact._choose_route(4, 10**6, "Banzhaf", "x") == "enumeration"
-        assert _exact._choose_route(20, None, "jury competence", "x", "halves") == "halves"
+    def test_the_route_with_the_fewest_units_is_chosen(self):
+        dp, every = Route("dp", 30 * 31), Route("enumeration", 30 << 30)
+        assert _exact.choose("Banzhaf", [dp, every], "x") == "dp"
+        assert _exact.choose("Banzhaf", [every, dp], "x") == "dp"
+        small = [Route("dp", 10**6), Route("enumeration", 4 << 4)]
+        assert _exact.choose("Banzhaf", small, "x") == "enumeration"
+
+    def test_the_dp_wins_a_tie(self):
+        tie = [Route("dp", 64), Route("enumeration", 64)]
+        assert _exact.choose("Banzhaf", tie, "x") == _exact.cheapest(tie).name == "dp"
+
+    def test_a_route_that_cannot_run_is_never_picked(self):
+        routes = [Route("dp", None), Route("halves", 20 << 20)]
+        assert _exact.choose("jury competence", routes, "x") == "halves"
+        assert _exact.cheapest(routes).name == "halves"
+        with pytest.raises(ValueError, match="exact jury competence has no route 'dp'"):
+            _exact.choose("jury competence", routes, "x", "dp")
+
+    def test_a_forced_route_that_can_run_skips_the_cap(self):
+        over = [Route("dp", 10**12), Route("enumeration", 40 << 40)]
+        assert _exact.choose("Banzhaf", over, "x", "enumeration") == "enumeration"
+        assert _exact.choose("Banzhaf", over, "x", "dp") == "dp"
+        with pytest.raises(ValueError, match="exact Banzhaf has no route 'halves'"):
+            _exact.choose("Banzhaf", over, "x", "halves")
 
     def test_refusal_states_the_estimate_the_limit_and_the_sampler(self):
+        over = [Route("dp", 10**12, "counting DP"), Route("enumeration", 40 << 40, "n*2^n")]
         with pytest.raises(CapacityError) as info:
-            _exact._choose_route(40, 10**12, "Banzhaf", "power_monte_carlo")
-        message = str(info.value)
-        assert f"{10**12:,}" in message
-        assert f"{_exact.EXACT_WORK_MAX:,}" in message
-        assert "power_monte_carlo" in message
+            _exact.choose("Banzhaf", over, "power_monte_carlo")
+        assert str(info.value) == (
+            f"exact Banzhaf needs an estimated {10**12:,} work units (counting DP, n*2^n), "
+            f"over the limit of {_exact.EXACT_WORK_MAX:,}. Use power_monte_carlo instead."
+        )
+
+    def test_forced_routes_that_cannot_run_are_refused_by_both_kernels(self):
+        w, p = np.array([0.5, 1.5]), np.array([0.6, 0.7])
+        for route in ("dp", "bogus"):
+            with pytest.raises(ValueError, match=f"exact jury competence has no route '{route}'"):
+                _exact.jury_values(w, p, 0.0, 0.0, [], route=route)
+        assert _exact.jury_values(w, p, 0.0, 0.0, [], route="halves")[0] == pytest.approx(0.7)
+        for route in ("halves", "bogus"):
+            with pytest.raises(ValueError, match=f"exact Banzhaf has no route '{route}'"):
+                _exact.power_counts([1, 2, 3], 3, route=route)
 
     def test_a_route_is_named_only_where_one_exists(self):
         _exact.check_work("rule table", _exact.EXACT_WORK_MAX)  # at the cap: accepted

@@ -494,8 +494,27 @@ class TestIndirectCompetence:
         # answered it at the cap itself; this route's estimate is one unit per
         # pattern above it
         s = TeamStructure(teams=(tuple(range(24)),) * 8)
-        with pytest.raises(CapacityError, match=f"{33 << 24:,}"):
+        with pytest.raises(CapacityError) as info:
             indirect_competence(s, (0.6,) * 24)
+        assert str(info.value) == (
+            "exact indirect competence needs an estimated 553,648,128 work units (team tables "
+            "402,653,184 + 2^s*9, s=24 shared players, k=8 teams), over the limit of 536,870,912."
+        )
+        assert f"{33 << 24:,}" in str(info.value)
+
+    def test_a_team_with_no_shared_member_is_priced_as_its_jury(self):
+        # 25 float weights: the jury meets in the middle at 25*2^25 units, and the
+        # one-member team costs 2 by its DP; the top level of 2 fixed votes is 3
+        s = TeamStructure(
+            teams=(tuple(range(25)), (25,)),
+            member_weights=(tuple(0.5 + i for i in range(25)), (1.0,)),
+        )
+        with pytest.raises(CapacityError) as info:
+            indirect_competence(s, (0.6,) * 26)
+        assert str(info.value) == (
+            "exact indirect competence needs an estimated 838,860,805 work units (team tables "
+            "838,860,802 + 2^s*3, s=0 shared players, k=2 teams), over the limit of 536,870,912."
+        )
 
     @pytest.mark.parametrize("policy", ["incorrect", "coin-flip"])
     def test_one_team_or_singleton_teams_are_the_jury(self, policy):

@@ -219,6 +219,14 @@ def test_only_rand_makes_generators():
     assert not offenders, f"random streams made outside _rand: {offenders}"
 
 
+def test_chunk_sizes_come_one_at_a_time_for_budgets_up_to_2_53():
+    assert list(_rand.chunk_sizes(2 * CHUNK + 3)) == [CHUNK, CHUNK, 3]
+    assert next(iter(_rand.chunk_sizes(1 << 53))) == CHUNK  # no list of 2^37 sizes
+    for trials, message in ((0, "trials must be >= 1"), ((1 << 53) + 1, "trials must be <= 2^53")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _rand.chunk_sizes(trials)
+
+
 def test_chunk_sums_only_sees_float64_int64_or_python_numbers(monkeypatch):
     """Block statistics may be computed in float32, but are summed only as exact numbers.
 

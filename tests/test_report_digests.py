@@ -98,10 +98,13 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     jury = [f"jury-{t}-{p}" for t in ("pooled", "one-team") for p in ("incorrect", "coin-flip")]
     usage = "jury-skills-no-break-space"
     faults = ["power-quota-out-of-range", "jury-team-repeats-a-player"]
-    assert list(lines) == [f"edge/{i}" for i in wmr + power + efficiency + jury + [usage] + faults]
+    teams = ["jury-eight-teams-of-24"]
+    assert list(lines) == [
+        f"edge/{i}" for i in wmr + power + efficiency + jury + [usage] + faults + teams
+    ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
-               *efficiency}
+               *efficiency, *teams}
     for i, line in lines.items():
         job = i.removeprefix("edge/")
         want = 3 if job in ("wmr-n-1", "wmr-n0", *faults) else 4 if job in refused else (

@@ -30,7 +30,8 @@ over its shared players (three teams of players 0-11 and one of 10-12) and on
 a one-team file, whose top level enumerates the team's votes; ``jury
 --skills`` with no-break spaces, which separate no skills; and a game whose
 quota is out of range and a team file that repeats a player, each refused
-with exit code 3 at its token's line and column.
+with exit code 3 at its token's line and column; and ``jury --teams`` on
+eight teams of players 0-23, whose price, over the work cap, exits 4.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ def edge_jobs(root: Path) -> list[dict]:
     for name, (text, argv) in EDGE_FAULTS.items():
         (root / f"{name}.txt").write_text(text, encoding="utf-8")
         jobs.append({"id": name, "argv": argv + [f"{name}.txt"]})
+    team = "team = " + " ".join(map(str, range(24))) + "\n"
+    (root / "eight-teams.txt").write_text(team * 8, encoding="utf-8")
+    argv = ["jury", "--skills", ",".join(["0.6"] * 24), "--teams", "eight-teams.txt"]
+    jobs.append({"id": "jury-eight-teams-of-24", "argv": argv})
     return jobs
 
 
