@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from ._exact import exact_in_float32, power_counts
-from ._rand import chunk_sums
+from ._rand import check_trials, chunk_sums
 from .model import VotingGame, integer_form
 
 
@@ -163,8 +163,7 @@ def power_monte_carlo(
     Trials are drawn through :func:`._rand.chunk_sums`, so the result depends
     only on the seed and the trial budget.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_trials(trials)
     if kind not in ("banzhaf", "shapley"):
         raise ValueError(f"kind must be 'banzhaf' or 'shapley', got {kind!r}")
     ws, quota = integer_form(game)

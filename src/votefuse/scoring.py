@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._exact import EXACT_WORK_MAX, block_rows, check_work, exact_in_float32
-from ._rand import chunk_sums
+from ._rand import check_trials, chunk_sums
 from .errors import BallotError, DataError, DimensionError, EvidenceError
 from .model import as_fraction
 
@@ -449,6 +449,7 @@ def _efficiency_mc(
     k = math.factorial(m)
     how = f"m!*m^2 for {k:,} rankings"
     check_work("ranking table of method='monte-carlo' Condorcet efficiency", k * m * m, how=how)
+    check_trials(trials)
     score_rows, pair_rows = _ranking_tables(scoring, n_voters)
     lcm = _credit_lcm(m)
 

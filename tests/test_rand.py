@@ -8,7 +8,11 @@ changed ``repr``.
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -227,6 +231,19 @@ def test_chunk_sizes_come_one_at_a_time_for_budgets_up_to_2_53():
             _rand.chunk_sizes(trials)
 
 
+def test_a_budget_is_checked_before_any_work(monkeypatch):
+    """A losing Shapley-Shubik game refuses it, and efficiency before its ranking table."""
+    with pytest.raises(ValueError, match=re.escape("trials must be <= 2^53")):
+        power_monte_carlo(LOSING, "shapley", 10**20, 3)
+
+    def unbuilt(*args):
+        raise AssertionError("the ranking table was built for a refused budget")
+
+    monkeypatch.setattr(scoring, "_ranking_tables", unbuilt)
+    with pytest.raises(ValueError, match=re.escape("trials must be >= 1")):
+        condorcet_efficiency(ScoringVector.borda(9), 9, 3, "monte-carlo", trials=0)
+
+
 def test_chunk_sums_only_sees_float64_int64_or_python_numbers(monkeypatch):
     """Block statistics may be computed in float32, but are summed only as exact numbers.
 
@@ -314,6 +331,13 @@ UNEVEN = [
 ]
 
 
+def _three_chunks(monkeypatch) -> list:
+    """Every pinned and uneven run, on a budget of three small chunks."""
+    monkeypatch.setattr(_rand, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setitem(globals(), "TRIALS", 2 * SMALL_CHUNK + 17)
+    return [param.values[0] for param in PINNED] + UNEVEN
+
+
 @pytest.mark.parametrize("block", [1, 7, 97])
 def test_row_blocks_keep_every_estimate_to_the_bit(monkeypatch, block):
     """Every pinned estimator, and widths that split a chunk unevenly, in any block size.
@@ -321,12 +345,88 @@ def test_row_blocks_keep_every_estimate_to_the_bit(monkeypatch, block):
     The chunk and the budget are made small so that blocks of one row stay
     fast; the budget still spans three chunks.
     """
-    monkeypatch.setattr(_rand, "CHUNK", SMALL_CHUNK)
-    monkeypatch.setitem(globals(), "TRIALS", 2 * SMALL_CHUNK + 17)
-    runs = [param.values[0] for param in PINNED] + UNEVEN
+    runs = _three_chunks(monkeypatch)
     whole = [repr(run()) for run in runs]
     monkeypatch.setattr(_exact, "OUTCOME_BLOCK", block)
     assert [repr(run()) for run in runs] == whole
+
+
+# ---------------------------------------------------------------- threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_any_number_of_threads_keeps_every_estimate_to_the_bit(monkeypatch, cpus):
+    runs = _three_chunks(monkeypatch)
+    monkeypatch.setattr(_rand, "_available_cpus", lambda: 1)
+    serial = [repr(run()) for run in runs]
+    monkeypatch.setattr(_rand, "_available_cpus", lambda: cpus)
+    for block in (1, 7, 97, _exact.OUTCOME_BLOCK):
+        monkeypatch.setattr(_exact, "OUTCOME_BLOCK", block)
+        assert [repr(run()) for run in runs] == serial, f"blocks of {block}"
+
+
+def test_more_workers_than_cores_switching_often_add_the_same_totals(monkeypatch):
+    """Eight workers on 21 chunks of one-row blocks, with a thread switch every microsecond."""
+    monkeypatch.setattr(_rand, "CHUNK", 31)
+    monkeypatch.setattr(_exact, "OUTCOME_BLOCK", 8)
+
+    def block(rng, rows):
+        draws = rng.integers(0, 1 << 20, size=(rows, 8))
+        return draws.sum(axis=0), int((draws**2).sum())
+
+    monkeypatch.setattr(_rand, "_available_cpus", lambda: 1)
+    serial = _rand.chunk_sums(20 * 31 + 5, 9, 1, block)
+    monkeypatch.setattr(_rand, "_available_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _rand.chunk_sums(20 * 31 + 5, 9, 1, block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded[0], serial[0]) and threaded[1] == serial[1]
+
+
+def test_a_block_that_raises_in_a_worker_raises_from_chunk_sums(monkeypatch):
+    """The third chunk, the only one of 17 rows, runs on a pool thread and raises."""
+    monkeypatch.setattr(_rand, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(_rand, "_available_cpus", lambda: 3)
+    fault = ArithmeticError("chunk 3")
+
+    def block(rng, rows):
+        if rows == 17:
+            raise fault
+        return (rows,)
+
+    with pytest.raises(ArithmeticError) as raised:
+        _rand.chunk_sums(2 * SMALL_CHUNK + 17, 0, 1, block)
+    assert raised.value is fault
+
+
+@pytest.mark.parametrize(
+    "cpus, trials, threads",
+    [(4, SMALL_CHUNK, False), (1, 3 * SMALL_CHUNK, False), (2, 3 * SMALL_CHUNK, True)],
+    ids=["one-chunk", "one-cpu", "two-cpus"],
+)
+def test_threads_start_only_for_more_than_one_chunk_and_cpu(monkeypatch, cpus, trials, threads):
+    monkeypatch.setattr(_rand, "CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(_rand, "_available_cpus", lambda: cpus)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: started.append(t) or start(t))
+    assert _rand.chunk_sums(trials, 0, 1, lambda rng, rows: (rows,)) == (trials,)
+    assert bool(started) is threads
+
+
+def test_building_the_parser_leaves_the_thread_pool_unimported():
+    """The pool is imported when a budget first runs on two threads, not at start-up."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, votefuse.cli; votefuse.cli.build_parser(); print(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    modules = done.stdout.split()
+    assert "votefuse.cli" in modules and "concurrent.futures" not in modules
 
 
 @pytest.mark.parametrize(
@@ -363,8 +463,8 @@ def _game(n: int) -> VotingGame:
 
 
 SAMPLERS = {
-    "jury": lambda n: competence_monte_carlo((1,) * n, 0, (0.6,) * n, CHUNK, 1),
-    "banzhaf": lambda n: power_monte_carlo(_game(n), "banzhaf", CHUNK, 1),
+    "jury": lambda n, trials=CHUNK: competence_monte_carlo((1,) * n, 0, (0.6,) * n, trials, 1),
+    "banzhaf": lambda n, trials=CHUNK: power_monte_carlo(_game(n), "banzhaf", trials, 1),
     "shapley": lambda n: power_monte_carlo(_game(n), "shapley", CHUNK, 1),
     "efficiency": lambda n: condorcet_efficiency(
         ScoringVector.borda(5), 5, n, "monte-carlo", "fail", CHUNK, 1
@@ -385,6 +485,21 @@ def test_a_chunk_peaks_within_a_few_blocks_at_any_width(kind, sizes):
     small, large = (_traced_peak(lambda: SAMPLERS[kind](n)) for n in sizes)
     assert large < 6 * block
     assert large - small < block
+
+
+@pytest.mark.parametrize("kind, n", [("jury", 101), ("banzhaf", 60)])
+def test_two_workers_on_four_chunks_peak_within_the_same_few_blocks(monkeypatch, kind, n):
+    """Two threads share one block budget, so they peak no higher than one.
+
+    tracemalloc counts the allocations of every thread.
+    """
+    block = _exact.OUTCOME_BLOCK * 8
+    peaks = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_rand, "_available_cpus", lambda: cpus)
+        peaks[cpus] = _traced_peak(lambda: SAMPLERS[kind](n, 4 * CHUNK))
+    assert peaks[2] < 6 * block
+    assert peaks[2] - peaks[1] < block / 2
 
 
 def test_shapley_of_200_players_peaks_under_64_mib():

@@ -31,7 +31,10 @@ a one-team file, whose top level enumerates the team's votes; ``jury
 --skills`` with no-break spaces, which separate no skills; and a game whose
 quota is out of range and a team file that repeats a player, each refused
 with exit code 3 at its token's line and column; and ``jury --teams`` on
-eight teams of players 0-23, whose price, over the work cap, exits 4.
+eight teams of players 0-23, whose price, over the work cap, exits 4. Two
+trial budgets are refused with exit code 3 before any work: 10^20 trials of
+Shapley-Shubik Monte Carlo on a game that nothing wins, and 0 trials of
+``efficiency -m 9``.
 """
 
 from __future__ import annotations
@@ -126,6 +129,12 @@ def edge_jobs(root: Path) -> list[dict]:
     (root / "eight-teams.txt").write_text(team * 8, encoding="utf-8")
     argv = ["jury", "--skills", ",".join(["0.6"] * 24), "--teams", "eight-teams.txt"]
     jobs.append({"id": "jury-eight-teams-of-24", "argv": argv})
+    (root / "losing.txt").write_text("weights = 1 2\nquota = 3\n", encoding="utf-8")
+    argv = ["power", "--game", "losing.txt", "--kind", "shapley", "--method", "monte-carlo"]
+    jobs.append({"id": "power-shapley-losing-budget", "argv": argv + ["--trials", str(10**20)]})
+    argv = ["efficiency", "-m", "9", "--voters", "3", "--scoring", "borda", "--method",
+            "monte-carlo", "--trials", "0"]
+    jobs.append({"id": "efficiency-zero-trials", "argv": argv})
     return jobs
 
 
