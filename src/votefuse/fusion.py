@@ -766,11 +766,13 @@ def fuse_dataset(
     Fixed rules reduce the score tensor directly. ``rule="wmr"`` weighs hard
     votes by accuracies estimated on ``validation`` (or on ``pred`` itself if
     it carries true labels): log-odds weighting for two labels, one-vs-rest
-    for more. ``rule="adaptive-wmr"`` additionally needs features on both
-    sets and re-estimates accuracies among the k nearest validation samples
-    of each query; it is defined for two labels. Only the two-label rules
-    read ``bias``; giving a non-zero bias to any other rule earns a
-    ConfigurationWarning, and a non-finite one is refused for every rule.
+    for more. ``validation`` must have the labels of ``pred`` and its
+    classifiers, named in the same order. ``rule="adaptive-wmr"``
+    additionally needs features on both sets and re-estimates accuracies
+    among the k nearest validation samples of each query; it is defined for
+    two labels. Only the two-label rules read ``bias``; giving a non-zero
+    bias to any other rule earns a ConfigurationWarning, and a non-finite one
+    is refused for every rule.
     """
     labels = pred.labels
     if not np.isfinite(bias):
@@ -788,10 +790,10 @@ def fuse_dataset(
         raise DimensionError(
             f"validation labels {source.labels} do not match prediction labels {labels}"
         )
-    if source.n_classifiers != pred.n_classifiers:
+    if source.classifier_names != pred.classifier_names:
         raise DimensionError(
-            f"validation has {source.n_classifiers} classifiers, predictions have "
-            f"{pred.n_classifiers}"
+            f"validation classifiers {list(source.classifier_names)} do not match prediction "
+            f"classifiers {list(pred.classifier_names)}"
         )
     if rule == "wmr":
         if len(labels) == 2:

@@ -13,7 +13,8 @@ import csv
 import io as _io
 import math
 import re
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate, chain, pairwise, repeat
 from pathlib import Path
@@ -30,9 +31,19 @@ from .scoring import RankedBallot
 PathLike = Union[str, Path]
 
 
+def _text(data: bytes) -> str:
+    """The text of a UTF-8 file's bytes, as every loader reads it.
+
+    A leading byte order mark is dropped and every line end becomes ``\\n``
+    (universal newlines), as ``Path.read_text(encoding="utf-8-sig")`` reads
+    the file.
+    """
+    return _io.TextIOWrapper(_io.BytesIO(data), encoding="utf-8-sig").read()
+
+
 def _read_text(path: PathLike) -> str:
-    """The text of a UTF-8 file, without a leading byte order mark."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    """The text of a UTF-8 file (see :func:`_text`)."""
+    return _text(Path(path).read_bytes())
 
 
 def _csv_text(rows, head: str = "") -> str:
@@ -497,8 +508,55 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
         raise fail(str(exc), None, 0) from None
 
 
+#: The most source bytes of prediction files whose parsed fields a process keeps.
+_KEPT_PREDICTION_BYTES = 16 << 20
+
+#: The SHA-256 digest of a prediction file's bytes -> (their length, the
+#: validated constructor fields of the set parsed from them), oldest first.
+_kept_predictions: dict[bytes, tuple[int, dict]] = {}
+_kept_bytes = 0  # the lengths of the kept files, summed
+_kept_lock = threading.Lock()
+
+
+def _keep_predictions(key: bytes, size: int, pred: PredictionSet) -> None:
+    """Keep the constructor fields of ``pred``, parsed from ``size`` bytes, under ``key``."""
+    global _kept_bytes
+    if size > _KEPT_PREDICTION_BYTES:
+        return
+    kept = {f.name: getattr(pred, f.name) for f in fields(pred) if f.init}
+    with _kept_lock:
+        if key in _kept_predictions:  # another thread parsed the same bytes
+            return
+        _kept_predictions[key] = size, kept
+        _kept_bytes += size
+        while _kept_bytes > _KEPT_PREDICTION_BYTES:
+            _kept_bytes -= _kept_predictions.pop(next(iter(_kept_predictions)))[0]
+
+
 def load_predictions(path: PathLike) -> PredictionSet:
-    return parse_predictions(_read_text(path), source=str(path))
+    """The :class:`PredictionSet` of a predictions CSV (see :func:`parse_predictions`).
+
+    A process parses the same bytes once, whatever the path they were read
+    from. It keeps the validated constructor fields of each parsed set
+    (labels, sample ids, classifier outputs and names, true labels and
+    features: tuples and read-only arrays), keyed by the SHA-256 digest of
+    the file's bytes, for up to 16 MiB of source bytes; the oldest entry is
+    dropped first, and a larger file is parsed but not kept. A load of kept
+    bytes builds a fresh set from the fields, which validates it once and
+    codes its votes and scores anew. A file that fails to parse is never
+    kept, so it fails again at the same line and column.
+    """
+    data = Path(path).read_bytes()
+    import hashlib  # here, not at start-up: only prediction files are digested
+
+    key = hashlib.sha256(data).digest()
+    with _kept_lock:
+        kept = _kept_predictions.get(key)
+    if kept is not None:
+        return PredictionSet(**kept[1])
+    pred = parse_predictions(_text(data), source=str(path))
+    _keep_predictions(key, len(data), pred)
+    return pred
 
 
 def _reads_back(text: str) -> bool:

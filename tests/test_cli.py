@@ -390,6 +390,22 @@ class TestFuseCommand:
                 )
             assert code == 0 and out == plain
 
+    def test_a_validation_file_with_its_classifiers_reordered_exits_three(
+        self, capsys, tmp_path, predictions_file
+    ):
+        val = tmp_path / "val.csv"
+        val.write_text("sample_id,true_label,c2,c1\nv1,y,y,n\nv2,n,n,n\n", encoding="utf-8")
+        for command, rule in (("fuse", ("--rule", "wmr")), ("report", ())):
+            code, out, err = run(
+                capsys, command, "--predictions", predictions_file, "--validation", str(val),
+                *rule,
+            )
+            assert code == 3 and out == ""
+            assert err == (
+                "error: validation classifiers ['c2', 'c1'] do not match prediction "
+                "classifiers ['c1', 'c2']\n"
+            )
+
     @pytest.mark.parametrize("extra", [
         ("--rule", "sum", "--weights", "nan,1"),
         ("--rule", "majority", "--weights", "inf,1"),

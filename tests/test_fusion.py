@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -592,6 +593,18 @@ class TestFuseDataset:
         )
         with pytest.raises(DimensionError):
             fuse_dataset(small_predictions(), "wmr", validation=fewer)
+
+    def test_validation_classifiers_are_matched_by_name_not_position(self):
+        pred = small_predictions()
+        reordered = small_predictions(
+            outputs=pred.outputs[1:] + pred.outputs[:1], classifier_names=("c2", "c3", "c1")
+        )
+        for rule in ("wmr", "adaptive-wmr"):
+            with pytest.raises(DimensionError, match=re.escape(
+                "validation classifiers ['c2', 'c3', 'c1'] do not match prediction "
+                "classifiers ['c1', 'c2', 'c3']"
+            )):
+                fuse_dataset(pred, rule, validation=reordered)
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):

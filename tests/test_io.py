@@ -1,5 +1,9 @@
 import csv
+import hashlib
+import os
 import re
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import votefuse.io as vio
+from votefuse.cli import main
 from votefuse.errors import DataError, ParseError
 from votefuse.fusion import ClassifierOutput, PredictionSet
 from votefuse.io import (
@@ -725,6 +731,191 @@ class TestPredictionsAgainstTheRowwiseOracle:
         for i, text in enumerate((PREDICTIONS_CSV, PREDICTIONS_CSV.replace("s1", '"s,1"'))):
             path = tmp_path / f"p{i}.csv"
             path.write_text(text, encoding="utf-8")
-            calls.clear()
-            pred = load_predictions(path)
-            assert calls == [pred]
+            for _ in range(2):  # a parse, then a reuse of its fields
+                calls.clear()
+                pred = load_predictions(path)
+                assert calls == [pred]
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The sources ``load_predictions`` parses, with no parse kept to start with."""
+    monkeypatch.setattr(vio, "_kept_predictions", {})
+    monkeypatch.setattr(vio, "_kept_bytes", 0)
+    sources = []
+
+    def counted(text, source="<string>"):
+        sources.append(source)
+        return parse_predictions(text, source)
+
+    monkeypatch.setattr(vio, "parse_predictions", counted)
+    return sources
+
+
+def _every_field(pred: PredictionSet):
+    """The values of a set: its constructor fields, outputs in full, and what validation codes."""
+    outputs = [
+        (o.kind, o.values, None if o.rows is None else o.rows.tolist(),
+         None if o.proba is None else o.proba.tolist())
+        for o in pred.outputs
+    ]
+    return (
+        pred.labels, pred.sample_ids, outputs, pred.classifier_names, pred.true_labels,
+        None if pred.features is None else pred.features.tolist(),
+        pred.vote_codes.tolist(), pred.truth_codes.tolist(), pred.score_tensor().tolist(),
+    )
+
+
+def _arrays(pred: PredictionSet):
+    outputs = [a for o in pred.outputs for a in (o.rows, o.proba) if a is not None]
+    return [pred.vote_codes, pred.truth_codes, pred.score_tensor(), pred.features, *outputs]
+
+
+class TestPredictionParsesAreReused:
+    def test_a_second_load_of_the_same_bytes_builds_an_equal_set_unparsed(
+        self, tmp_path, parses, monkeypatch, capsys
+    ):
+        path = tmp_path / "p.csv"
+        path.write_text(PREDICTIONS_CSV, encoding="utf-8")
+        first = load_predictions(path)
+        again = load_predictions(path)
+        assert parses == [str(path)]
+        assert _every_field(again) == _every_field(first)
+        assert _every_field(again) == _every_field(parse_predictions(PREDICTIONS_CSV))
+        for argv in (["fuse", "--rule", "wmr"], ["report", "--k", "2"]):
+            vio._kept_predictions.clear()
+            monkeypatch.setattr(vio, "_kept_bytes", 0)
+            parses.clear()
+            outs = []
+            for _ in range(2):
+                assert main([*argv, "--predictions", str(path)]) == 0
+                outs.append(capsys.readouterr())
+            assert parses == [str(path)]
+            assert outs[1] == outs[0]
+
+    def test_other_bytes_at_the_same_path_are_parsed_again(self, tmp_path, parses):
+        path = tmp_path / "p.csv"
+        path.write_text(PREDICTIONS_CSV, encoding="utf-8")
+        before = load_predictions(path)
+        stat = path.stat()
+        path.write_text(PREDICTIONS_CSV.replace("0.9,0.1", "0.6,0.4"), encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        after = load_predictions(path)
+        assert parses == [str(path)] * 2
+        assert before.outputs[2].proba[0].tolist() == [0.9, 0.1]
+        assert after.outputs[2].proba[0].tolist() == [0.6, 0.4]
+
+    def test_the_same_bytes_at_another_path_reuse_the_parse(self, tmp_path, parses):
+        a, b = tmp_path / "a.csv", tmp_path / "sub" / "b.csv"
+        b.parent.mkdir()
+        for path in (a, b):
+            path.write_text(PREDICTIONS_CSV, encoding="utf-8")
+        first = load_predictions(a)
+        assert _every_field(load_predictions(b)) == _every_field(first)
+        assert parses == [str(a)]
+
+    def test_a_broken_file_fails_at_its_cell_each_time_and_is_not_kept(self, tmp_path, parses):
+        path = tmp_path / "p.csv"
+        path.write_text(PREDICTIONS_CSV.replace("0.5,-1.0", "0.5,x"), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ParseError, match="not a number: 'x'") as err:
+                load_predictions(path)
+            assert str(err.value).startswith(f"{path}:4:4: ")
+        assert parses == [str(path)] * 2
+        assert vio._kept_predictions == {} and vio._kept_bytes == 0
+
+    def test_crlf_and_a_byte_order_mark_read_as_read_text_reads_them(self, tmp_path, parses):
+        path = tmp_path / "p.csv"
+        lines = PREDICTIONS_CSV.splitlines(keepends=True)
+        text = "".join(lines[:2]).replace("\n", "\r\n") + lines[2].replace("\n", "\r")
+        path.write_bytes(b"\xef\xbb\xbf" + (text + "".join(lines[3:])).encode())
+        want = _every_field(parse_predictions(path.read_text(encoding="utf-8-sig")))
+        assert _every_field(load_predictions(path)) == want  # parsed
+        assert _every_field(load_predictions(path)) == want  # reused
+        assert parses == [str(path)]
+
+    @pytest.mark.parametrize("data", [
+        b"a\r\nb\rc\n", b"\xef\xbb\xbfa\r", b"\r\n\r\r\n", b"a\xc3\xa9\r", b"a\xffb", b"",
+    ])
+    def test_every_loader_reads_bytes_as_read_text_reads_them(self, tmp_path, data):
+        path = tmp_path / "f"
+        path.write_bytes(data)
+        try:
+            want = path.read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            with pytest.raises(UnicodeDecodeError, match=re.escape(str(exc))):
+                vio._read_text(path)
+        else:
+            assert vio._read_text(path) == want
+
+    def test_the_oldest_parse_leaves_first_and_a_file_past_the_budget_is_not_kept(
+        self, tmp_path, parses, monkeypatch
+    ):
+        texts = [PREDICTIONS_CSV.replace("s1", f"t{i}") for i in range(3)]
+        size = len(texts[0].encode())
+        monkeypatch.setattr(vio, "_KEPT_PREDICTION_BYTES", 2 * size + 1)
+        paths = []
+        for i, text in enumerate(texts):
+            paths.append(tmp_path / f"p{i}.csv")
+            paths[-1].write_text(text, encoding="utf-8")
+            load_predictions(paths[-1])
+        keys = [hashlib.sha256(p.read_bytes()).digest() for p in paths]
+        assert list(vio._kept_predictions) == keys[1:]
+        assert vio._kept_bytes == 2 * size
+        load_predictions(paths[1])
+        load_predictions(paths[2])
+        assert parses == list(map(str, paths))
+        big = tmp_path / "big.csv"
+        big.write_text(PREDICTIONS_CSV + "# " + "x" * 2 * size + "\n", encoding="utf-8")
+        load_predictions(big)
+        load_predictions(big)
+        assert parses[3:] == [str(big)] * 2
+        assert list(vio._kept_predictions) == keys[1:]
+        load_predictions(paths[0])
+        assert list(vio._kept_predictions) == keys[2:] + keys[:1]
+
+    def test_threads_loading_often_keep_the_byte_count_of_what_they_keep(
+        self, tmp_path, parses, monkeypatch
+    ):
+        texts = [PREDICTIONS_CSV.replace("s1", f"t{i}") for i in range(5)]
+        monkeypatch.setattr(vio, "_KEPT_PREDICTION_BYTES", 3 * len(texts[0]))
+        paths = [tmp_path / f"p{i}.csv" for i in range(len(texts))]
+        for path, text in zip(paths, texts):
+            path.write_text(text, encoding="utf-8")
+        want = [_every_field(parse_predictions(text)) for text in texts]
+        faults = []
+
+        def load(offset):
+            for i in range(40):
+                j = (offset + i) % len(paths)
+                if _every_field(load_predictions(paths[j])) != want[j]:
+                    faults.append(j)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=load, args=(k,)) for k in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers) and faults == []
+        kept = vio._kept_predictions
+        assert vio._kept_bytes == sum(size for size, _ in kept.values()) <= 3 * len(texts[0])
+        assert len(kept) == 3
+
+    def test_each_load_is_a_distinct_set_of_read_only_arrays(self, tmp_path, parses):
+        path = tmp_path / "p.csv"
+        path.write_text(PREDICTIONS_CSV, encoding="utf-8")
+        first, again = load_predictions(path), load_predictions(path)
+        assert parses == [str(path)] and first is not again
+        for pred in (first, again):
+            for array in _arrays(pred):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = 0
+        assert first.features is not again.features
+        assert first.vote_codes is not again.vote_codes

@@ -418,7 +418,10 @@ def test_threads_start_only_for_more_than_one_chunk_and_cpu(monkeypatch, cpus, t
 
 
 def test_building_the_parser_leaves_the_thread_pool_unimported():
-    """The pool is imported when a budget first runs on two threads, not at start-up."""
+    """The pool is imported when a budget first runs on two threads, not at start-up.
+
+    Nor is ``hashlib``, which only loading a predictions file needs.
+    """
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     code = "import sys, votefuse.cli; votefuse.cli.build_parser(); print(*sorted(sys.modules))"
     done = subprocess.run(
@@ -427,6 +430,7 @@ def test_building_the_parser_leaves_the_thread_pool_unimported():
     )
     modules = done.stdout.split()
     assert "votefuse.cli" in modules and "concurrent.futures" not in modules
+    assert "hashlib" not in modules
 
 
 @pytest.mark.parametrize(

@@ -100,15 +100,17 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     faults = ["power-quota-out-of-range", "jury-team-repeats-a-player"]
     teams = ["jury-eight-teams-of-24"]
     budgets = ["power-shapley-losing-budget", "efficiency-zero-trials"]
+    fusion = ["fuse-validation-reordered"]
     assert list(lines) == [
-        f"edge/{i}" for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets
+        f"edge/{i}"
+        for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion
     ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
                *efficiency, *teams}
     for i, line in lines.items():
         job = i.removeprefix("edge/")
-        want = 3 if job in ("wmr-n-1", "wmr-n0", *faults, *budgets) else (
+        want = 3 if job in ("wmr-n-1", "wmr-n0", *faults, *budgets, *fusion) else (
             4 if job in refused else 2 if job == usage else 0
         )
         assert line["exit"] == want

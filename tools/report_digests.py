@@ -34,7 +34,8 @@ with exit code 3 at its token's line and column; and ``jury --teams`` on
 eight teams of players 0-23, whose price, over the work cap, exits 4. Two
 trial budgets are refused with exit code 3 before any work: 10^20 trials of
 Shapley-Shubik Monte Carlo on a game that nothing wins, and 0 trials of
-``efficiency -m 9``.
+``efficiency -m 9``. ``fuse --rule wmr`` with a validation file that names
+the query file's two classifiers in the other order exits 3.
 """
 
 from __future__ import annotations
@@ -135,6 +136,12 @@ def edge_jobs(root: Path) -> list[dict]:
     argv = ["efficiency", "-m", "9", "--voters", "3", "--scoring", "borda", "--method",
             "monte-carlo", "--trials", "0"]
     jobs.append({"id": "efficiency-zero-trials", "argv": argv})
+    (root / "query.csv").write_text("sample_id,true_label,c1,c2\ns1,y,y,y\ns2,n,n,y\n",
+                                    encoding="utf-8")
+    (root / "reordered.csv").write_text("sample_id,true_label,c2,c1\nv1,y,y,n\nv2,n,n,n\n",
+                                        encoding="utf-8")
+    argv = ["fuse", "--predictions", "query.csv", "--validation", "reordered.csv", "--rule", "wmr"]
+    jobs.append({"id": "fuse-validation-reordered", "argv": argv})
     return jobs
 
 
