@@ -447,6 +447,8 @@ def fuse_fixed(
         if w is None:
             fused = a.mean(axis=1)
         else:
+            if not w.all():  # a weight of 0 takes no part, and 0 * -inf would be NaN
+                a = np.where(w[:, None] == 0, 0.0, a)
             fused = np.einsum("nkm,k->nm", a, w) / w.sum()
     elif rule == "product":
         fused = a.prod(axis=1)

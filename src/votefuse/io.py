@@ -16,9 +16,8 @@ import re
 import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import accumulate, chain, pairwise, repeat
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -94,20 +93,21 @@ def _strict_float(text: str) -> float:
     raise ValueError(f"could not convert string to float: {text!r}")
 
 
-def _numbers(columns, lines, cols, path: str, plain: bool) -> np.ndarray:
+def _numbers(columns, lines, cols, path: str) -> np.ndarray:
     """Columns of numeric cells as one float64 array, indexed [column, row].
 
     ``lines`` numbers the rows and ``cols`` the columns (from 1); the first
     cell, row by row, that is not a finite number is an error at its own cell.
-    A number is :func:`_plain`, as in game files: if the text is not known to
-    be (``plain``), each column's joined text shows it before any cell is
-    scanned.
+    The columns are converted as one block. A number is :func:`_plain`, as in
+    game files, which each column's joined text shows; only a block that
+    fails to convert, or holds text that is not plain or a value that is not
+    finite, has its cells scanned one by one.
     """
     try:
         block = np.array(columns, dtype=np.float64)
     except ValueError:
         block = None
-    plain = block is not None and (plain or all(_plain("".join(c)) for c in columns))
+    plain = block is not None and all(_plain("".join(c)) for c in columns)
     if not plain or not np.isfinite(block).all():
         for line, cells in zip(lines, zip(*columns)):
             for col, cell in zip(cols, cells):
@@ -250,86 +250,58 @@ def load_team_structure(path: PathLike) -> TeamStructure:
 
 
 class _CsvText:
-    """The cells of a CSV text, row after row, and its ``#`` comment lines.
+    """The rows of a CSV text, one list of cells per line, and its ``#`` comment lines.
 
-    Blank lines are skipped, and a line that starts with ``#`` is a comment,
-    kept without the ``#`` and the blanks after it; ``numbers`` holds the
-    line number of every row. ``cells`` holds every row's cells in one list
-    and ``widths`` each row's cell count. When the text has no quote or NUL
-    character and no line passes the field size limit, every row is split at
-    its commas, which is what the CSV reader makes of it, all rows in one
-    split. Otherwise each row is split on its own, through the reader where
-    the rule above does not hold for its line, and the first line the reader
-    refuses is an error. ``plain`` is true when no line after the first has a
-    character that :func:`_plain` refuses, so that no cell of the body needs
-    that check.
+    A line that starts with ``#`` is a comment, kept without the ``#`` and
+    the blanks after it, and a line that is empty or holds only blanks is
+    skipped. Every other line is one row, and ``numbers`` holds its line
+    number. A row is split at its commas, which is what the CSV reader makes
+    of a line with no quote that is no longer than the field size limit;
+    any other line goes through the reader, and the first line it refuses
+    is an error. A row line that holds a NUL is an error, as the reader of
+    Python 3.10 words it, so that no Python version reads it as text.
     """
 
     def __init__(self, text: str, path: str):
         self.path = path
-        self.plain = text.isascii() and text.find("_", text.find("\n") + 1) < 0
         self.comments: list[str] = []
-        lines = text.splitlines()
-        self.numbers: Sequence[int] = range(1, len(lines) + 1)
-        if "#" in text or "" in lines or any(map(str.isspace, lines)):
-            kept, self.numbers = [], []
-            for lineno, raw in enumerate(lines, start=1):
-                if raw.startswith("#"):
-                    self.comments.append(raw[1:].lstrip())
-                elif raw.strip():
-                    self.numbers.append(lineno)
-                    kept.append(raw)
-            lines = kept
-        plain = '"' not in text and "\0" not in text
+        self.numbers: list[int] = []
+        self.rows: list[list[str]] = []
         limit = csv.field_size_limit()
-        if plain and max(map(len, lines), default=0) <= limit:
-            self.cells = ",".join(lines).split(",") if lines else []
-            self.widths = [c + 1 for c in map(str.count, lines, repeat(","))]
-        else:
-            rows = [
-                raw.split(",") if plain and len(raw) <= limit else self._read(lineno, raw)
-                for lineno, raw in zip(self.numbers, lines)
-            ]
-            self.cells = list(chain.from_iterable(rows))
-            self.widths = list(map(len, rows))
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if raw.startswith("#"):
+                self.comments.append(raw[1:].lstrip())
+            elif raw.strip():
+                if "\0" in raw:
+                    raise self._error("bad CSV row: line contains NUL", lineno)
+                plain = '"' not in raw and len(raw) <= limit
+                self.rows.append(raw.split(",") if plain else self._read(lineno, raw))
+                self.numbers.append(lineno)
+
+    def _error(self, message: str, lineno: int) -> ParseError:
+        return ParseError(message, path=self.path, line=lineno, column=1)
 
     def _read(self, lineno: int, raw: str) -> list[str]:
         try:
             return next(csv.reader([raw]))
         except csv.Error as exc:
-            raise ParseError(f"bad CSV row: {exc}", path=self.path, line=lineno, column=1) from None
+            raise self._error(f"bad CSV row: {exc}", lineno) from None
 
-    def __len__(self) -> int:
-        return len(self.numbers)
-
-    def rows(self) -> list[list[str]]:
-        return [self.cells[a:b] for a, b in pairwise(accumulate(self.widths, initial=0))]
-
-    def columns(self, start: int, width: int) -> list[list[str]]:
-        """The cells of the rows from ``start`` on, as ``width`` columns.
-
-        A row of another width is an error at its line.
-        """
-        widths = self.widths[start:]
-        if widths.count(width) != len(widths):
-            i = next(i for i, w in enumerate(widths) if w != width)
-            raise ParseError(
-                f"row has {widths[i]} cells, header has {width}",
-                path=self.path,
-                line=self.numbers[start + i],
-                column=1,
-            )
-        first = sum(self.widths[:start])
-        return [self.cells[first + i :: width] for i in range(width)]
+    def body(self, width: int) -> list[list[str]]:
+        """The rows after the header; a row of another width than ``width`` is an error at its line."""
+        for lineno, row in zip(self.numbers[1:], self.rows[1:]):
+            if len(row) != width:
+                raise self._error(f"row has {len(row)} cells, header has {width}", lineno)
+        return self.rows[1:]
 
 
 def parse_ballots(text: str, source: str = "<string>") -> list[RankedBallot]:
     """Parse a ballot CSV: one voter per row, labels in preference order."""
     table = _CsvText(text, source)
-    if not len(table):
+    if not table.rows:
         raise ParseError("no ballots found", path=source, line=1, column=1)
     ballots = []
-    for lineno, cells in zip(table.numbers, table.rows()):
+    for lineno, cells in zip(table.numbers, table.rows):
         labels = [c.strip() for c in cells if c.strip()]
         if not labels:
             raise ParseError("empty ballot row", path=source, line=lineno, column=1)
@@ -375,25 +347,25 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     seen; probability groups must cover it exactly. No column name may
     repeat.
 
-    The body is read by columns, each split from the text in bulk where no
-    cell is quoted. A classifier's label or ranking cells are interpreted
+    The body is read by columns, taken from the rows of the text. A
+    classifier's label or ranking cells are interpreted
     once per distinct cell, and the output keeps the distinct values and a
     row index into them (see :class:`ClassifierOutput`); all numeric cells
     are converted as one block. The :class:`PredictionSet` built at the end
     runs every check on values.
     """
     table = _CsvText(text, source)
-    if not len(table):
+    if not table.rows:
         raise ParseError("empty predictions file", path=source, line=1, column=1)
     header_line = table.numbers[0]
-    header = [h.strip() for h in table.cells[: table.widths[0]]]
-    if not header or header[0] != "sample_id":
+    header = [h.strip() for h in table.rows[0]]
+    if header[0] != "sample_id":
         raise ParseError(
             "first header column must be sample_id", path=source, line=header_line, column=1
         )
-    if len(table) == 1:
+    if len(table.rows) == 1:
         raise ParseError("no data rows", path=source, line=header_line, column=1)
-    columns = table.columns(1, len(header))
+    columns = list(zip(*table.body(len(header))))
     lines = table.numbers[1:]
     n = len(lines)
 
@@ -439,9 +411,7 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     numeric = sorted(feat_cols + [i for _, form, c in classifiers if form == "proba" for i in c])
     values = {}
     if numeric:
-        block = _numbers(
-            [columns[i] for i in numeric], lines, [i + 1 for i in numeric], source, table.plain
-        )
+        block = _numbers([columns[i] for i in numeric], lines, [i + 1 for i in numeric], source)
         values = dict(zip(numeric, block))
     features = np.column_stack([values[i] for i in feat_cols]) if feat_cols else None
 
@@ -560,8 +530,8 @@ def load_predictions(path: PathLike) -> PredictionSet:
 
 
 def _reads_back(text: str) -> bool:
-    """Whether a cell of ``text`` parses back as ``text``; parsers strip cells and split lines."""
-    return text == text.strip() and len(text.splitlines()) <= 1
+    """Whether a cell of ``text`` parses back as ``text``; parsers strip cells, split lines and refuse NUL."""
+    return text == text.strip() and len(text.splitlines()) <= 1 and "\0" not in text
 
 
 def dump_predictions(pred: PredictionSet) -> str:
@@ -569,8 +539,8 @@ def dump_predictions(pred: PredictionSet) -> str:
 
     A sample id that starts with ``#`` is quoted. A set that no text parses
     back to raises :class:`DataError`, which names the sample, classifier or
-    label at fault: an empty sample id, text with surrounding blanks or a
-    line break, a voted label holding ``>``, a classifier name that reads
+    label at fault: an empty sample id, text with surrounding blanks, a line
+    break or a NUL, a voted label holding ``>``, a classifier name that reads
     as another column, labels out of sorted order, or labels that no cell
     shows.
     """
@@ -579,7 +549,7 @@ def dump_predictions(pred: PredictionSet) -> str:
         raise DataError(f"labels {list(labels)} are not sorted, and they parse back sorted")
     for lab in labels:
         if not _reads_back(lab):
-            raise DataError(f"label {lab!r} has surrounding blanks or a line break")
+            raise DataError(f"label {lab!r} has surrounding blanks, a line break or a NUL")
     for s, sid in enumerate(pred.sample_ids):
         if not sid or not _reads_back(sid):
             raise DataError(f"sample {s} has the id {sid!r}, which does not parse back")
@@ -637,19 +607,19 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
     matrix aligns with confusion matrices built from predictions.
     """
     table = _CsvText(text, source)
-    if len(table) < 2:
+    if len(table.rows) < 2:
         raise ParseError("cost matrix needs a header and one row per label", path=source, line=1, column=1)
     header_line = table.numbers[0]
-    header = table.cells[: table.widths[0]]
+    header = table.rows[0]
     cols = [h.strip() for h in header[1:]]
     if not cols or any(not c for c in cols):
         raise ParseError("header must list predicted labels", path=source, line=header_line, column=1)
-    n_rows = len(table) - 1
+    n_rows = len(table.rows) - 1
     if n_rows != len(cols):
         raise ParseError(
             f"{n_rows} rows for {len(cols)} labels", path=source, line=header_line, column=1
         )
-    body = table.columns(1, len(header))
+    body = list(zip(*table.body(len(header))))
     lines = table.numbers[1:]
     rows: dict[str, int] = {}  # row label -> row
     for lineno, cell in zip(lines, body[0]):
@@ -657,7 +627,7 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
         if rlab in rows:
             raise ParseError(f"duplicate row label {rlab!r}", path=source, line=lineno, column=1)
         rows[rlab] = len(rows)
-    values = _numbers(body[1:], lines, range(2, len(header) + 1), source, table.plain)  # [column, row]
+    values = _numbers(body[1:], lines, range(2, len(header) + 1), source)  # [column, row]
     if sorted(rows) != sorted(cols):
         raise ParseError(
             f"row labels {sorted(rows)} do not match column labels {sorted(cols)}",
@@ -695,13 +665,17 @@ class Report:
         """The report as CSV text, one line per comment and row.
 
         Raises :class:`DataError`, naming the text, for a comment that starts
-        with a blank (the parser strips it), for a comment or cell that holds
-        a line break (the parser reads one row per line), and for a row that
-        is empty or holds only blanks (the parser skips its blank line).
+        with a blank (the parser strips it), for a cell that holds a NUL (the
+        parser refuses it), for a comment or cell that holds a line break (the
+        parser reads one row per line), and for a row that is empty or holds
+        only blanks (the parser skips its blank line).
         """
         for c in self.comments:
             if c[:1].isspace():
                 raise DataError(f"report comment {c!r} starts with a blank: it does not parse back")
+        nul = [c for row in (self.header, *self.rows) for c in row if "\0" in c]
+        if nul:
+            raise DataError(f"report cell {nul[0]!r} holds a NUL: it does not parse back")
         head = "".join(f"# {c}\n" for c in self.comments)
         text = _csv_text((self.header, *self.rows), head)
         # the writer ends lines with a bare \n, so a \r\n ends a piece in \r
@@ -719,10 +693,10 @@ class Report:
 
 def parse_report(text: str, source: str = "<string>") -> Report:
     table = _CsvText(text, source)
-    if not len(table):
+    if not table.rows:
         raise ParseError("report has no header row", path=source, line=1, column=1)
-    header = tuple(table.cells[: table.widths[0]])
-    body = tuple(zip(*table.columns(1, len(header))))
+    header = tuple(table.rows[0])
+    body = tuple(map(tuple, table.body(len(header))))
     return Report(tuple(table.comments), header, body)
 
 

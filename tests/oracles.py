@@ -315,23 +315,46 @@ def wmr_one_vs_rest_brute(votes, labels, class_weights):
 
 
 def _csv_rows_rowwise(text, path):
-    """(lineno, cells) of every non-comment, non-blank line, one CSV row each."""
+    """(lineno, cells) of every non-comment, non-blank line, each read by the CSV reader.
+
+    A row line that holds a NUL is refused, as the reader of Python 3.10
+    refuses it (later readers take the NUL as text).
+    """
     from votefuse.errors import ParseError
 
-    plain = '"' not in text and "\0" not in text
-    limit = csv.field_size_limit()
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if raw.startswith("#") or not raw.strip():
             continue
-        if plain and len(raw) <= limit:
-            rows.append((lineno, raw.split(",")))
-            continue
         try:
+            if "\0" in raw:
+                raise csv.Error("line contains NUL")
             rows.append((lineno, next(csv.reader([raw]))))
         except csv.Error as exc:
             raise ParseError(f"bad CSV row: {exc}", path=path, line=lineno, column=1) from None
     return rows
+
+
+def report_rowwise(text, source="<string>"):
+    """A report CSV parsed row by row: ``votefuse.io.parse_report`` in its plainest form.
+
+    The rows are the CSV reader's, the comments every line that starts with
+    ``#``, without it and the blanks after it. Errors carry the same message,
+    line and column as the parser.
+    """
+    from votefuse.errors import ParseError
+    from votefuse.io import Report
+
+    rows = _csv_rows_rowwise(text, source)
+    if not rows:
+        raise ParseError("report has no header row", path=source, line=1, column=1)
+    (_, header), body = rows[0], rows[1:]
+    for lineno, cells in body:
+        if len(cells) != len(header):
+            message = f"row has {len(cells)} cells, header has {len(header)}"
+            raise ParseError(message, path=source, line=lineno, column=1)
+    comments = tuple(raw[1:].lstrip() for raw in text.splitlines() if raw.startswith("#"))
+    return Report(comments, tuple(header), tuple(tuple(cells) for _, cells in body))
 
 
 def predictions_rowwise(text, source="<string>"):

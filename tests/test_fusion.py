@@ -260,6 +260,13 @@ class TestFuseFixed:
         assert np.allclose(got.scores, [0.4, 0.6])
         assert got.winner == 1
 
+    def test_a_zero_weight_takes_no_part_even_at_minus_infinity(self):
+        scores = [[-1.0, 0.0, -math.inf], [-math.inf, 0.0, 0.0]]
+        got = fuse_fixed(scores, "sum", classifier_weights=(1, 0))
+        alone = fuse_fixed(scores[:1], "sum")
+        assert got.scores.tolist() == alone.scores.tolist() == [-1.0, 0.0, -math.inf]
+        assert got.winner == alone.winner == 1
+
     def test_other_rules_warn_and_ignore_weights(self):
         with pytest.warns(ConfigurationWarning):
             got = fuse_fixed(self.scores, "median", classifier_weights=(0, 0, 1))

@@ -35,7 +35,7 @@ from votefuse.io import (
 )
 from votefuse.model import VotingGame
 
-from oracles import predictions_rowwise
+from oracles import _csv_rows_rowwise, predictions_rowwise, report_rowwise
 
 
 class TestGameFiles:
@@ -370,6 +370,14 @@ class TestPredictionFiles:
             parse_report(f"a,b\n1,2\n3,{too_long}\n")
         assert err.value.line == 3
 
+    def test_a_nul_is_refused_at_its_line_on_every_python(self):
+        # the CSV reader of Python 3.10 refuses it, later ones read it as text
+        text = "sample_id,true_label,c1\ns1,a,b\ns2,b,a\0\n"
+        with pytest.raises(ParseError, match="bad CSV row: line contains NUL") as err:
+            parse_predictions(text, source="p.csv")
+        assert str(err.value).startswith("p.csv:3:1: ")
+        assert _outcome(predictions_rowwise, text) == _outcome(parse_predictions, text)
+
     def test_empty_vote_and_single_label_are_refused(self):
         with pytest.raises(ParseError, match="empty vote"):
             parse_predictions("sample_id,c1,c2\ns1,,a\ns2,b,a\n")
@@ -390,7 +398,7 @@ def _hard_set(labels, votes, ids=None, names=("c",), truth=None, **fields):
 
 
 #: Text that a dump must quote, or refuse, to stay equal when parsed back.
-AWKWARD = ("#f", " c", "d>e", "g,h", 'i"j', "k\nl", "m:n", "o ", "true_label", "feat_1", "")
+AWKWARD = ("#f", " c", "d>e", "g,h", 'i"j', "k\nl", "m:n", "o ", "true_label", "feat_1", "", "p\0q")
 
 
 class TestDumpParsesBackEqual:
@@ -409,6 +417,9 @@ class TestDumpParsesBackEqual:
         (lambda: _hard_set(("a", "b"), ("a", "b"), ids=("s0", "s1 ")), "sample 1 "),
         (lambda: _hard_set(("a", "b"), ("a", "b"), ids=("", "s1")), "sample 0 "),
         (lambda: _hard_set(("a", "b"), ("a", "b"), ids=("s\r0", "s1")), "sample 0 "),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), ids=("s0", "s\0")), "sample 1 "),
+        (lambda: _hard_set(("a", "b\0"), ("a", "b\0")), r"label 'b\\x00' has .* a NUL"),
+        (lambda: _hard_set(("a", "b"), ("a", "b"), names=("c\0",)), r"'c\\x00'"),
         (lambda: _hard_set(("b", "a"), ("a", "b")), "not sorted"),
         (lambda: _hard_set(("a", "b", "c"), ("a", "b")), r"\['c'\] appear in no cell"),
         (lambda: _hard_set(("a", "b"), ("a", "b"), names=("true_label",)), "'true_label'"),
@@ -502,6 +513,11 @@ class TestCostFiles:
             parse_cost_matrix(f",a,b\na,1,0\nb,{cell},1\n", source="c.csv")
         assert str(err.value).startswith("c.csv:3:2: ")
 
+    def test_a_nul_is_refused_at_its_line(self):
+        with pytest.raises(ParseError, match="bad CSV row: line contains NUL") as err:
+            parse_cost_matrix(',a,b\n"a\0",1,0\nb,0,1\n', source="c.csv")
+        assert str(err.value).startswith("c.csv:2:1: ")
+
     def test_non_finite_gains_are_located_at_their_cell(self):
         with pytest.raises(ParseError, match="not a finite number: 'nan'") as err:
             parse_cost_matrix(",a,b\na,1,0\nb,nan,1\n", source="c.csv")
@@ -569,6 +585,8 @@ class TestReports:
             (Report(("c",), ("h",), (("x",), ())), ()),
             (Report((), ("h",), (("1",), ("\t",), ("2",))), ("\t",)),
             (Report(("c",), (), ()), ()),
+            (Report(("c",), ("h\0",), ()), "h\0"),
+            (Report((), ("h", "k"), (("1", "2"), ("3", "y\0"))), "y\0"),
         ],
     )
     def test_text_that_would_not_parse_back_is_refused(self, report, culprit):
@@ -580,6 +598,14 @@ class TestReports:
         rep = Report((), ("name", "value"), (("a,b", "x\"y"),))
         assert parse_report(rep.to_text()) == rep
         rep = Report(("c",), ("h",), (("",), ("x",)))  # an empty cell is quoted, not blank
+        assert parse_report(rep.to_text()) == rep
+
+    def test_a_nul_is_refused_in_a_row_and_kept_in_a_comment(self):
+        with pytest.raises(ParseError, match="bad CSV row: line contains NUL") as err:
+            parse_report("# note\na,b\n1,2\n\0,3\n", source="r.csv")
+        assert str(err.value).startswith("r.csv:4:1: ")
+        rep = parse_report("# a\0b\nh\n1\n")
+        assert rep == Report(("a\0b",), ("h",), (("1",),))
         assert parse_report(rep.to_text()) == rep
 
     def test_ragged_report_is_refused(self):
@@ -603,7 +629,7 @@ def _quoted(cell: str, force: bool) -> str:
 def _prediction_grid(rng, quotes: bool):
     """A valid predictions header and body as cells, and where each kind of cell sits.
 
-    Without ``quotes`` no cell needs quoting, so the parser splits the body in bulk.
+    Without ``quotes`` no cell needs quoting, so the parser splits every row at its commas.
     """
     m = int(rng.integers(2, 5))
     pool = LABEL_POOL if quotes else LABEL_POOL[:-2]
@@ -700,6 +726,61 @@ def _outcome(parse, text):
         pred.score_tensor().tolist(),
         None if pred.features is None else pred.features.tolist(),
     )
+
+
+#: Cells for the CSV reader property test: commas, quotes, blanks and '#',
+#: and now and then a NUL or a cell at or past a field size limit of 12.
+CSV_CELLS = st.integers(0, 39).flatmap(
+    lambda rare: st.just(["x" * 12, "y" * 13, "n\0"][rare]) if rare < 3
+    else st.text(st.sampled_from('ab #,"\t'), max_size=5)
+)
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: rows of mostly one width, each quoted where it needs to be or
+    joined raw, between comment, blank and all-blank lines, ending in LF or CRLF."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["quoted", "quoted", "raw", "comment", "blank"]))
+        if kind == "comment":
+            lines.append("#" + draw(CSV_CELLS))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", " \t"])))
+        else:
+            n = width + draw(st.sampled_from([0, 0, 0, 0, 0, -1, 1]))
+            cells = draw(st.lists(CSV_CELLS, min_size=max(n, 1), max_size=max(n, 1)))
+            forced = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+            if kind == "raw":
+                lines.append(",".join(cells))
+            else:
+                lines.append(",".join(map(_quoted, cells, forced)))
+    ends = draw(st.sampled_from(["\n", "\r\n"]))
+    return ends.join(lines) + draw(st.sampled_from(["", ends]))
+
+
+def _report_outcome(parse, text):
+    """What a report parser makes of a text: its error, or the report."""
+    try:
+        return parse(text, "r.csv")
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.column
+
+
+class TestCsvRowsAgainstTheRowwiseReader:
+    @settings(deadline=None, max_examples=300)
+    @given(_csv_texts())
+    def test_a_report_reads_as_the_csv_reader_reads_its_lines(self, text):
+        limit = csv.field_size_limit(12)
+        try:
+            got = _report_outcome(parse_report, text)
+            assert got == _report_outcome(report_rowwise, text)
+            if isinstance(got, Report):
+                rows = _csv_rows_rowwise(text, "r.csv")
+                assert vio._CsvText(text, "r.csv").numbers == [lineno for lineno, _ in rows]
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestPredictionsAgainstTheRowwiseOracle:

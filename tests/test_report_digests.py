@@ -100,10 +100,12 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     faults = ["power-quota-out-of-range", "jury-team-repeats-a-player"]
     teams = ["jury-eight-teams-of-24"]
     budgets = ["power-shapley-losing-budget", "efficiency-zero-trials"]
-    fusion = ["fuse-validation-reordered"]
+    fusion = ["fuse-validation-reordered", "fuse-ragged-row", "fuse-nul"]
+    csv_forms = ["fuse-csv-forms"]
     assert list(lines) == [
         f"edge/{i}"
         for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion
+        + csv_forms
     ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",

@@ -35,7 +35,12 @@ eight teams of players 0-23, whose price, over the work cap, exits 4. Two
 trial budgets are refused with exit code 3 before any work: 10^20 trials of
 Shapley-Shubik Monte Carlo on a game that nothing wins, and 0 trials of
 ``efficiency -m 9``. ``fuse --rule wmr`` with a validation file that names
-the query file's two classifiers in the other order exits 3.
+the query file's two classifiers in the other order exits 3. ``fuse --rule
+sum`` reads prediction files in the CSV reader's other forms: a short row,
+refused with exit code 3 at its line; a row that holds a NUL, refused with
+exit code 3 on every Python; and comment, blank and all-blank lines and a
+quoted label that holds a comma, with a cost file that has a comment line
+and the same label (exit 0).
 """
 
 from __future__ import annotations
@@ -100,6 +105,17 @@ EDGE_FAULTS = {
 }
 
 
+#: Prediction files of the ``fuse`` edge jobs, by job id: the file, and its cost file or None.
+EDGE_CSV = {
+    "fuse-ragged-row": ("sample_id,true_label,c1\ns1,a,a\ns2,b\ns3,a,b\n", None),
+    "fuse-nul": ("sample_id,true_label,c1\ns1,a,b\ns2,b,a\0\n", None),
+    "fuse-csv-forms": (
+        '# by hand\nsample_id,true_label,c1,c2,c3\n\ns1,"y,1","y,1","y,1",n\n \t\ns2,n,n,n,"y,1"\n',
+        '# gains\n,n,"y,1"\nn,1.0,0.0\n"y,1",-1.0,2.0\n',
+    ),
+}
+
+
 def edge_jobs(root: Path) -> list[dict]:
     """The edge jobs, each an id and an argv; the games they read are written into ``root``."""
     jobs = [{"id": f"wmr-n{n}", "argv": ["wmr", "enum", "--n", str(n)]} for n in (-1, 0, 8)]
@@ -142,6 +158,13 @@ def edge_jobs(root: Path) -> list[dict]:
                                         encoding="utf-8")
     argv = ["fuse", "--predictions", "query.csv", "--validation", "reordered.csv", "--rule", "wmr"]
     jobs.append({"id": "fuse-validation-reordered", "argv": argv})
+    for name, (text, cost) in EDGE_CSV.items():
+        (root / f"{name}.csv").write_text(text, encoding="utf-8")
+        argv = ["fuse", "--predictions", f"{name}.csv", "--rule", "sum"]
+        if cost:
+            (root / f"{name}-cost.csv").write_text(cost, encoding="utf-8")
+            argv += ["--cost", f"{name}-cost.csv"]
+        jobs.append({"id": name, "argv": argv})
     return jobs
 
 
