@@ -396,14 +396,15 @@ class FusedScores:
     winner: Union[int, np.ndarray]
 
 
+@np.errstate(over="ignore")  # a weight sum past the float range is refused, not warned of
 def _weights_or_warn(rule: str, weights, k: int) -> Optional[np.ndarray]:
     if weights is None:
         return None
     w = np.asarray(list(weights), dtype=np.float64)
     if w.size != k:
         raise DimensionError(f"{w.size} classifier weights for {k} classifiers")
-    if not np.isfinite(w).all() or (w < 0).any() or w.sum() <= 0:
-        raise ValueError("classifier weights must be finite and non-negative with positive sum")
+    if (w < 0).any() or not 0 < w.sum() < np.inf:  # a NaN or an infinite weight fails the sum
+        raise ValueError("classifier weights must be finite and non-negative with a positive, finite sum")
     if rule not in ("sum", "majority"):
         warnings.warn(
             f"rule {rule!r} ignores classifier weights", ConfigurationWarning, stacklevel=3

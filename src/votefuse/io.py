@@ -1,10 +1,11 @@
-"""File formats: game files, team files, ballot/prediction/cost CSV, reports.
+"""File formats: game and team files, prediction/cost CSV, ballot CSV text, reports.
 
 All parsers attach file, line, and column to their errors. All writers are
-deterministic: given equal inputs they emit byte-identical text, floats are
-rendered with ``repr`` (shortest round-tripping form), and rows keep a fixed
-order. Lines starting with ``#`` carry metadata in every CSV dialect here and
-are preserved by :func:`read_report`.
+deterministic: equal inputs give byte-identical text, floats are written with
+``repr`` (shortest round-tripping form), and rows keep a fixed order. A
+writer's text parses back equal (a cost matrix's, to the same gain per label
+pair), or the writer raises :class:`DataError`. Lines starting with ``#``
+carry metadata in every CSV dialect here and are kept by :func:`read_report`.
 """
 
 from __future__ import annotations
@@ -45,13 +46,12 @@ def _read_text(path: PathLike) -> str:
     return _text(Path(path).read_bytes())
 
 
-def _csv_text(rows, head: str = "") -> str:
-    """``head`` followed by the rows as CSV lines ending in a bare newline.
+def _csv_text(rows) -> str:
+    """The rows as CSV lines, each ending in a bare newline.
 
     A row whose first cell starts with ``#`` is written with every cell
     quoted, so that its line does not read back as a comment.
     """
-    rows = list(rows)
     buf = _io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     body = buf.getvalue()
@@ -62,7 +62,20 @@ def _csv_text(rows, head: str = "") -> str:
         for row in rows:
             (quoted if row and str(row[0]).startswith("#") else plain).writerow(row)
         body = buf.getvalue()
-    return head + body
+    return body
+
+
+def _unreadable(cell: str, strips: bool) -> str:
+    """What keeps a written CSV cell from reading back as ``cell``, a line break first; "" if nothing.
+
+    The parsers read one row per ``str.splitlines`` line and refuse a row that
+    holds a NUL; one that ``strips`` its cells loses the blanks around them.
+    """
+    if cell.splitlines() not in ([], [cell]):
+        return "a line break"
+    if "\0" in cell:
+        return "a NUL"
+    return "surrounding blanks" if strips and cell != cell.strip() else ""
 
 
 #: The characters of a number in a game or team file: ASCII digits, signs,
@@ -187,15 +200,9 @@ def load_game(path: PathLike) -> VotingGame:
 
 
 def dump_game(game: VotingGame) -> str:
-    lines = [
-        "weights = " + " ".join(str(w) for w in game.weights),
-        f"quota = {game.quota}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def save_game(game: VotingGame, path: PathLike) -> None:
-    Path(path).write_text(dump_game(game), encoding="utf-8")
+    """The game file of ``game``, which parses back to an equal game."""
+    weights = " ".join(str(w) for w in game.weights)
+    return f"weights = {weights}\nquota = {game.quota}\n"
 
 
 def parse_team_structure(text: str, source: str = "<string>") -> TeamStructure:
@@ -310,10 +317,6 @@ def parse_ballots(text: str, source: str = "<string>") -> list[RankedBallot]:
         except Exception as exc:
             raise ParseError(str(exc), path=source, line=lineno, column=1) from None
     return ballots
-
-
-def load_ballots(path: PathLike) -> list[RankedBallot]:
-    return parse_ballots(_read_text(path), source=str(path))
 
 
 def _column_kind(name: str) -> str:
@@ -529,11 +532,6 @@ def load_predictions(path: PathLike) -> PredictionSet:
     return pred
 
 
-def _reads_back(text: str) -> bool:
-    """Whether a cell of ``text`` parses back as ``text``; parsers strip cells, split lines and refuse NUL."""
-    return text == text.strip() and len(text.splitlines()) <= 1 and "\0" not in text
-
-
 def dump_predictions(pred: PredictionSet) -> str:
     """Serialize a prediction set to CSV text that parses back equal.
 
@@ -548,10 +546,10 @@ def dump_predictions(pred: PredictionSet) -> str:
     if list(labels) != sorted(labels):
         raise DataError(f"labels {list(labels)} are not sorted, and they parse back sorted")
     for lab in labels:
-        if not _reads_back(lab):
+        if _unreadable(lab, strips=True):
             raise DataError(f"label {lab!r} has surrounding blanks, a line break or a NUL")
     for s, sid in enumerate(pred.sample_ids):
-        if not sid or not _reads_back(sid):
+        if not sid or _unreadable(sid, strips=True):
             raise DataError(f"sample {s} has the id {sid!r}, which does not parse back")
     header = ["sample_id"]
     columns = [pred.sample_ids]
@@ -568,7 +566,7 @@ def dump_predictions(pred: PredictionSet) -> str:
     for name, out in zip(pred.classifier_names, pred.outputs):
         form = "proba" if out.kind == "proba" else "vote"
         heads = [f"{name}:{lab}" for lab in labels] if form == "proba" else [name]
-        if not _reads_back(name) or any(
+        if _unreadable(name, strips=True) or any(
             _column_kind(h) != form or h.split(":", 1)[0] != name for h in heads
         ):
             raise DataError(f"classifier name {name!r} does not parse back as a classifier")
@@ -593,10 +591,6 @@ def dump_predictions(pred: PredictionSet) -> str:
     if len(set(pred.classifier_names)) != pred.n_classifiers:
         raise DataError(f"classifier names {list(pred.classifier_names)} repeat")
     return _csv_text([header, *zip(*columns)])
-
-
-def save_predictions(pred: PredictionSet, path: PathLike) -> None:
-    Path(path).write_text(dump_predictions(pred), encoding="utf-8")
 
 
 def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
@@ -645,12 +639,12 @@ def load_cost_matrix(path: PathLike) -> CostMatrix:
 
 
 def dump_cost_matrix(cost: CostMatrix) -> str:
+    """CSV text that parses back to the same gain per label pair, or a :class:`DataError` naming a label."""
+    for lab in cost.labels:
+        if fault := _unreadable(lab, strips=True):
+            raise DataError(f"cost label {lab!r} has {fault}: it does not parse back")
     gains = ([lab] + [repr(float(x)) for x in row] for lab, row in zip(cost.labels, cost.gains))
     return _csv_text([[""] + list(cost.labels), *gains])
-
-
-#: A line break, then a line that is empty or holds only blanks.
-_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
 
 
 @dataclass(frozen=True)
@@ -664,31 +658,34 @@ class Report:
     def to_text(self) -> str:
         """The report as CSV text, one line per comment and row.
 
-        Raises :class:`DataError`, naming the text, for a comment that starts
-        with a blank (the parser strips it), for a cell that holds a NUL (the
-        parser refuses it), for a comment or cell that holds a line break (the
-        parser reads one row per line), and for a row that is empty or holds
-        only blanks (the parser skips its blank line).
+        Raises :class:`DataError`, naming the text, where the parser would not
+        read the report back: a comment that starts with a blank, a comment or
+        cell that holds a line break, a cell that holds a NUL, a row of another
+        width than the header, and a row that is empty or holds only blanks.
         """
-        for c in self.comments:
-            if c[:1].isspace():
-                raise DataError(f"report comment {c!r} starts with a blank: it does not parse back")
-        nul = [c for row in (self.header, *self.rows) for c in row if "\0" in c]
-        if nul:
-            raise DataError(f"report cell {nul[0]!r} holds a NUL: it does not parse back")
-        head = "".join(f"# {c}\n" for c in self.comments)
-        text = _csv_text((self.header, *self.rows), head)
-        # the writer ends lines with a bare \n, so a \r\n ends a piece in \r
-        if "\r\n" in text or len(text.splitlines()) != len(self.comments) + len(self.rows) + 1:
-            parts = (self.comments, self.header, *self.rows)
-            bad = next((c for p in parts for c in p if c.splitlines() not in ([], [c])), text)
-            raise DataError(f"report text {bad!r} holds a line break: it does not parse back")
-        lines = "\n" + text  # so that the header line, too, follows a line break
-        blank = _BLANK_LINE.search(lines, len(head))
+        for c in self.comments:  # the parser keeps a NUL in a comment
+            fault = "a blank at its start" if c[:1].isspace() else _unreadable(c, strips=False)
+            if fault and fault != "a NUL":
+                raise DataError(f"report comment {c!r} has {fault}: it does not parse back")
+        ragged = next((row for row in self.rows if len(row) != len(self.header)), None)
+        if ragged is not None:
+            raise DataError(f"report row {ragged!r} has {len(ragged)} cells, header has "
+                            f"{len(self.header)}: it does not parse back")
+        try:
+            body = _csv_text((self.header, *self.rows))
+        except csv.Error:  # the writer of Python 3.10 refuses a NUL
+            body = "\0"
+        # the writer ends lines with a bare \n, so a \r\n ends a cell in \r
+        if "\0" in body or "\r\n" in body or len(body.splitlines()) != len(self.rows) + 1:
+            cells = (c for row in (self.header, *self.rows) for c in row)
+            bad, fault = next((c, f) for c in cells if (f := _unreadable(c, strips=False)))
+            raise DataError(f"report cell {bad!r} has {fault}: it does not parse back")
+        lines = "\n" + body  # so that the header line, too, follows a line break
+        blank = re.search(r"\n[^\S\n]*\n", lines)  # a line that is empty or holds only blanks
         if blank:
-            row = (self.header, *self.rows)[lines.count("\n", len(head), blank.start())]
+            row = (self.header, *self.rows)[lines.count("\n", 0, blank.start())]
             raise DataError(f"report row {row!r} is blank: it does not parse back")
-        return text
+        return "".join(f"# {c}\n" for c in self.comments) + body
 
 
 def parse_report(text: str, source: str = "<string>") -> Report:
@@ -701,4 +698,5 @@ def parse_report(text: str, source: str = "<string>") -> Report:
 
 
 def read_report(path: PathLike) -> Report:
+    """The report a file holds; a file of :meth:`Report.to_text` reads back as the report written."""
     return parse_report(_read_text(path), source=str(path))

@@ -410,6 +410,8 @@ class TestFuseCommand:
         ("--rule", "sum", "--weights", "nan,1"),
         ("--rule", "majority", "--weights", "inf,1"),
         ("--rule", "wmr", "--bias", "nan"),
+        ("--rule", "sum", "--weights", "1e308,1e308"),  # a sum past the float range
+        ("--rule", "majority", "--weights", "1e308,1e308"),
     ])
     def test_non_finite_weights_and_bias_exit_three(self, capsys, predictions_file, extra):
         code, out, err = run(capsys, "fuse", "--predictions", predictions_file, *extra)

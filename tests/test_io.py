@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import votefuse.io as vio
 from votefuse.cli import main
 from votefuse.errors import DataError, ParseError
-from votefuse.fusion import ClassifierOutput, PredictionSet
+from votefuse.fusion import ClassifierOutput, CostMatrix, PredictionSet
 from votefuse.io import (
     Report,
     dump_cost_matrix,
@@ -31,7 +31,6 @@ from votefuse.io import (
     parse_report,
     parse_team_structure,
     read_report,
-    save_game,
 )
 from votefuse.model import VotingGame
 
@@ -56,10 +55,16 @@ class TestGameFiles:
     def test_round_trip_is_exact(self, tmp_path):
         game = VotingGame(("7/3", 1, "1/2"), quota="5/4")
         p = tmp_path / "game.txt"
-        save_game(game, p)
+        p.write_text(dump_game(game), encoding="utf-8")
         back = load_game(p)
         assert back.weights == game.weights and back.quota == game.quota
         assert dump_game(back) == dump_game(game)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.fractions(min_value=0), min_size=1, max_size=6), st.fractions(0, 1))
+    def test_a_dump_parses_back_equal(self, weights, share):
+        game = VotingGame(tuple(weights), share * sum(weights))
+        assert parse_game(dump_game(game)) == game
 
     def test_bad_token_reports_line_and_column(self):
         with pytest.raises(ParseError) as err:
@@ -397,8 +402,19 @@ def _hard_set(labels, votes, ids=None, names=("c",), truth=None, **fields):
     return PredictionSet(labels, ids, outputs, names, true_labels=truth, **fields)
 
 
-#: Text that a dump must quote, or refuse, to stay equal when parsed back.
-AWKWARD = ("#f", " c", "d>e", "g,h", 'i"j', "k\nl", "m:n", "o ", "true_label", "feat_1", "", "p\0q")
+#: Text that a dump must quote, or refuse, to stay equal when parsed back, among
+#: it line breaks that ``str.splitlines`` knows and the CSV writer does not quote.
+AWKWARD = ("#f", " c", "d>e", "g,h", 'i"j', "k\nl", "m:n", "o ", "true_label", "feat_1", "", "p\0q",
+           "r\rs", "t\x0bu", "v\x0cw", "x\x1cy", "z\x85", "\u2028")
+
+#: A piece of AWKWARD, or a few awkward characters in any order.
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(AWKWARD),
+    st.text(st.sampled_from('a #,">:\t\u00a0\n\r\x0b\x0c\x1c\x85\u2028\0'), max_size=4),
+)
+
+#: Cells of the writers' round-trip properties: plain text, or awkward text.
+CELL_TEXT = st.one_of(st.text("ab1 ", max_size=3), AWKWARD_TEXT)
 
 
 class TestDumpParsesBackEqual:
@@ -523,6 +539,29 @@ class TestCostFiles:
             parse_cost_matrix(",a,b\na,1,0\nb,nan,1\n", source="c.csv")
         assert str(err.value).startswith("c.csv:3:2: ")
 
+    @pytest.mark.parametrize("label", [" a", "a\nb", "a\0", "a\u2028b"])
+    def test_a_label_that_does_not_parse_back_is_refused(self, label):
+        with pytest.raises(DataError, match="does not parse back") as exc:
+            dump_cost_matrix(CostMatrix((label, "b"), [[1.0, 0.0], [0.0, 1.0]]))
+        assert repr(label) in str(exc.value)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(CELL_TEXT.filter(bool), min_size=2, max_size=4, unique=True), st.data())
+    def test_a_dump_parses_back_to_the_same_gains_or_is_refused(self, labels, data):
+        m = len(labels)
+        gains = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=m * m, max_size=m * m))
+        cost = CostMatrix(tuple(labels), np.reshape(gains, (m, m)))
+        try:
+            text = dump_cost_matrix(cost)
+        except DataError as exc:
+            assert any(repr(lab) in str(exc) for lab in labels)
+            return
+        back = parse_cost_matrix(text)
+        assert back.labels == tuple(sorted(labels))
+        at = [back.labels.index(lab) for lab in labels]  # the parser sorts the labels
+        assert back.gains[np.ix_(at, at)].tolist() == cost.gains.tolist()
+
 
 @pytest.mark.parametrize(
     "load, text",
@@ -540,6 +579,19 @@ def test_a_leading_byte_order_mark_is_dropped_by_every_loader(tmp_path, load, te
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert repr(load(marked)) == repr(load(plain))
+
+
+@st.composite
+def _reports(draw):
+    """A report of plain and awkward text whose rows now and then differ in width."""
+    width = draw(st.integers(0, 3))
+    comments = draw(st.lists(CELL_TEXT, max_size=3))
+    header = draw(st.lists(CELL_TEXT, min_size=width, max_size=width))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.sampled_from([width] * 6 + [max(width - 1, 0), width + 1]))
+        rows.append(tuple(draw(st.lists(CELL_TEXT, min_size=n, max_size=n))))
+    return Report(tuple(comments), tuple(header), tuple(rows))
 
 
 class TestReports:
@@ -607,6 +659,44 @@ class TestReports:
         rep = parse_report("# a\0b\nh\n1\n")
         assert rep == Report(("a\0b",), ("h",), (("1",),))
         assert parse_report(rep.to_text()) == rep
+
+    def test_a_nul_the_writer_refuses_is_named_as_on_python_3_10(self, monkeypatch):
+        # the CSV writer of Python 3.10 raises on a NUL, later ones write it
+        writer = csv.writer
+
+        class Refusing:
+            def __init__(self, *args, **kwargs):
+                self.inner = writer(*args, **kwargs)
+
+            def writerow(self, row):
+                if any("\0" in c for c in row):
+                    raise csv.Error("need to escape, but no escapechar set")
+                self.inner.writerow(row)
+
+            def writerows(self, rows):
+                for row in rows:
+                    self.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", Refusing)
+        for rep, culprit in [
+            (Report(("c\0",), ("h", "k"), (("1", "2"), ("3", "y\0"))), "y\0"),
+            (Report((), ("#h\0", "k"), ()), "#h\0"),
+        ]:
+            with pytest.raises(DataError, match="has a NUL: it does not parse back") as exc:
+                rep.to_text()
+            assert repr(culprit) in str(exc.value)
+        rep = Report(("c\0",), ("h",), (("1",), ("#2",)))
+        assert parse_report(rep.to_text()) == rep
+
+    @settings(deadline=None, max_examples=300)
+    @given(_reports())
+    def test_a_report_parses_back_equal_or_is_refused(self, rep):
+        try:
+            text = rep.to_text()
+        except DataError as exc:
+            assert "does not parse back" in str(exc)
+            return
+        assert parse_report(text) == rep
 
     def test_ragged_report_is_refused(self):
         with pytest.raises(ParseError):

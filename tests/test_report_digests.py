@@ -102,17 +102,18 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     budgets = ["power-shapley-losing-budget", "efficiency-zero-trials"]
     fusion = ["fuse-validation-reordered", "fuse-ragged-row", "fuse-nul"]
     csv_forms = ["fuse-csv-forms"]
+    overflow = ["fuse-weights-overflow"]
     assert list(lines) == [
         f"edge/{i}"
         for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion
-        + csv_forms
+        + csv_forms + overflow
     ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
                *efficiency, *teams}
     for i, line in lines.items():
         job = i.removeprefix("edge/")
-        want = 3 if job in ("wmr-n-1", "wmr-n0", *faults, *budgets, *fusion) else (
+        want = 3 if job in ("wmr-n-1", "wmr-n0", *faults, *budgets, *fusion, *overflow) else (
             4 if job in refused else 2 if job == usage else 0
         )
         assert line["exit"] == want

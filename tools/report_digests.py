@@ -40,7 +40,9 @@ sum`` reads prediction files in the CSV reader's other forms: a short row,
 refused with exit code 3 at its line; a row that holds a NUL, refused with
 exit code 3 on every Python; and comment, blank and all-blank lines and a
 quoted label that holds a comma, with a cost file that has a comment line
-and the same label (exit 0).
+and the same label (exit 0). ``fuse --rule sum --weights 1e308,1e308,1e308``
+on three classifiers' probabilities, whose weight sum is past the float
+range, exits 3.
 """
 
 from __future__ import annotations
@@ -165,6 +167,13 @@ def edge_jobs(root: Path) -> list[dict]:
             (root / f"{name}-cost.csv").write_text(cost, encoding="utf-8")
             argv += ["--cost", f"{name}-cost.csv"]
         jobs.append({"id": name, "argv": argv})
+    (root / "three-probas.csv").write_text(
+        "sample_id,true_label,c1:a,c1:b,c2:a,c2:b,c3:a,c3:b\n"
+        "s1,a,0.45,0.55,0.4,0.6,0.45,0.55\ns2,b,0.1,0.9,0.45,0.55,0.3,0.7\n",
+        encoding="utf-8",
+    )
+    argv = ["fuse", "--predictions", "three-probas.csv", "--rule", "sum", "--weights", "1e308,1e308,1e308"]
+    jobs.append({"id": "fuse-weights-overflow", "argv": argv})
     return jobs
 
 
