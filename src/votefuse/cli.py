@@ -5,7 +5,8 @@ command, the seed (always echoed, used or not), and key parameters, then a
 header row and data rows. Output is deterministic byte for byte under the
 default ``--reproducible`` flag, which suppresses the version and timestamp
 comments. Exit codes: 0 success, 2 usage, 3 bad input data, 4 an exact
-computation over its capacity cap.
+computation over its capacity cap. Errors and warnings go to stderr as one
+``error: <message>`` or ``warning: <message>`` line each.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -224,29 +226,26 @@ def _cmd_efficiency(args) -> str:
     return _report(args, "efficiency", extra, header, (row,))
 
 
-def _fused_confusion(pred, codes) -> Optional[ConfusionMatrix]:
-    """Confusion of fused decisions over samples that are labelled and decided."""
-    counts = _tally(pred.truth_codes, codes, len(pred.labels))
-    if counts.sum() == 0:
-        return None
-    return ConfusionMatrix(pred.labels, counts)
+def _judged(pred, codes, cost) -> tuple[int, int, int, Optional[float]]:
+    """Labelled samples whose fused decision is right, undecided and in all, and the risk
+    under ``cost`` of the decided ones (None without a cost or a decided one)."""
+    m = len(pred.labels)
+    # one tally, where an undecided sample (code -1) votes for an extra label m
+    counts = _tally(pred.truth_codes, np.where(codes < 0, m, codes), m + 1)
+    decided = counts[:m, :m]
+    risk = None
+    if cost is not None and decided.any():
+        risk = expected_risk(ConfusionMatrix(pred.labels, decided), cost)
+    return int(np.trace(counts)), int(counts[:, m].sum()), int(counts.sum()), risk
 
 
-def _hits(pred, codes) -> tuple[int, int, int]:
-    """Labelled samples whose fused decision is right, undecided, and in all."""
-    labelled = pred.truth_codes >= 0
-    right = np.count_nonzero(codes[labelled] == pred.truth_codes[labelled])
-    undecided = np.count_nonzero(codes[labelled] < 0)
-    return int(right), int(undecided), int(np.count_nonzero(labelled))
-
-
-def _fuse_decisions(pred, validation, rule, args, bias: float) -> np.ndarray:
+def _fuse_decisions(pred, validation, rule, args, bias: float, weights) -> np.ndarray:
     """Label codes of the fused decisions, -1 where undecided."""
     decisions = fuse_dataset(
         pred,
         rule,
         validation=validation,
-        classifier_weights=args.weights if rule in ("sum", "majority") else None,
+        classifier_weights=weights,
         trim=args.trim,
         k=args.k,
         bias=bias,
@@ -260,23 +259,22 @@ def _fuse_decisions(pred, validation, rule, args, bias: float) -> np.ndarray:
 def _cmd_fuse(args) -> str:
     pred = load_predictions(args.predictions)
     validation = load_predictions(args.validation) if args.validation else None
-    codes = _fuse_decisions(pred, validation, args.rule, args, args.bias)
+    codes = _fuse_decisions(pred, validation, args.rule, args, args.bias, args.weights)
     extra = [
         f"predictions={Path(args.predictions).name}",
         f"rule={args.rule}",
         f"k={args.k}" if args.rule == "adaptive-wmr" else f"trim={_fmt(args.trim)}",
     ]
-    hits, undecided, labelled = _hits(pred, codes)
+    cost = load_cost_matrix(args.cost) if args.cost else None
+    hits, undecided, labelled, risk = _judged(pred, codes, cost)
     if labelled:
         extra.append(f"fused_accuracy={hits / labelled!r}")
         if undecided:
             extra.append(f"undecided={undecided}")
-    if args.cost:
-        cost = load_cost_matrix(args.cost)
-        cm = _fused_confusion(pred, codes)
-        if cm is None:
+    if cost is not None:
+        if risk is None:
             raise EvidenceError("cannot score risk: no labelled, decided samples")
-        extra.append(f"expected_risk={expected_risk(cm, cost)!r}")
+        extra.append(f"expected_risk={risk!r}")
     names = np.array(pred.labels + ("ND",), dtype=object)
     rows = zip(pred.sample_ids, names[codes].tolist())
     return _report(args, "fuse", extra, ("sample_id", "decision"), rows)
@@ -301,23 +299,17 @@ def _cmd_report(args) -> str:
             cm = confusion_from_predictions(source, j)
             rows.append(("classifier_risk", name, repr(expected_risk(cm, cost))))
     rules = list(FIXED_RULES) + ["wmr"]
-    if (
-        len(pred.labels) == 2
-        and pred.features is not None
-        and source.features is not None
-        and (source.truth_codes >= 0).any()
-    ):
+    if len(pred.labels) == 2 and pred.features is not None and source.features is not None:
         rules.append("adaptive-wmr")
     for rule in rules:
         # the fixed rows are a summary, not a request to weigh by the bias
         bias = args.bias if rule in ("wmr", "adaptive-wmr") else 0.0
-        codes = _fuse_decisions(pred, validation, rule, args, bias)
-        hits, _, labelled = _hits(pred, codes)
+        weights = args.weights if rule in ("sum", "majority") else None
+        codes = _fuse_decisions(pred, validation, rule, args, bias, weights)
+        hits, _, labelled, risk = _judged(pred, codes, cost)
         rows.append(("fused_accuracy", rule, repr(hits / labelled)))
-        if cost is not None:
-            cm = _fused_confusion(pred, codes)
-            if cm is not None:
-                rows.append(("fused_risk", rule, repr(expected_risk(cm, cost))))
+        if risk is not None:
+            rows.append(("fused_risk", rule, repr(risk)))
     extra = [f"predictions={Path(args.predictions).name}", f"k={args.k}"]
     return _report(args, "report", extra, ("section", "key", "value"), rows)
 
@@ -385,12 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Write a warning as one ``warning: <message>`` line, free of paths and line numbers."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the caller's filters still decide which warnings are shown; this decides how
+    shown, warnings.showwarning = warnings.showwarning, _show_warning
     try:
         text = args.func(args)
     except CapacityError as exc:
@@ -399,6 +398,8 @@ def main(argv=None) -> int:
     except (VotefuseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_EXIT
+    finally:
+        warnings.showwarning = shown
     if args.output == "-":
         sys.stdout.write(text)
     else:

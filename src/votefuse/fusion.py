@@ -159,6 +159,11 @@ class ClassifierOutput:
         """The ranking of every sample; None unless ``kind="rank"``."""
         return self._per_sample(self.values) if self.kind == "rank" else None
 
+    @property
+    def rankings(self) -> tuple[tuple[str, ...], ...]:
+        """Each distinct value as a ranking: a hard vote is the ranking of its one label."""
+        return tuple((v,) for v in self.values) if self.kind == "hard" else self.values
+
     def _per_sample(self, values: Sequence) -> tuple:
         return tuple(map(values.__getitem__, self.rows.tolist()))
 
@@ -166,10 +171,11 @@ class ClassifierOutput:
         """Hard-vote label codes (n,) and per-class scores (n, m).
 
         A hard or rank output is checked, coded and scored once per distinct
-        value in ``values``; the codes and scores of the samples are then
-        gathered by ``rows``. A bad value raises :class:`SampleError` at the
-        first row that holds a bad value. Proba rows must be non-negative,
-        finite and sum to one.
+        value, as a ranking (a hard vote ranks one label): place ``pos`` earns
+        m - 1 - pos points over the ranking's sum, so a hard vote scores 1.
+        The samples' codes and scores are then gathered by ``rows``. A bad
+        value raises :class:`SampleError` at its first row. Proba rows must be
+        non-negative, finite and sum to one.
         """
         if self.kind == "proba":
             p = self.proba
@@ -187,28 +193,21 @@ class ClassifierOutput:
             raise ValueError("rows must index the distinct values")
         m = len(labels)
         index = {lab: i for i, lab in enumerate(labels)}
+        if self.kind == "hard":
+            width, message = 1, "predicts unknown label {!r}"
+        else:
+            width, message = m, "ranking {} is not a permutation of the labels"
+        denom = sum(range(m - width, m))
         tops = np.zeros(len(self.values), dtype=np.intp)
         points = np.zeros((len(self.values), m))
         bad = []
-        if self.kind == "hard":
-            message = "predicts unknown label {!r}"
-            for d, lab in enumerate(self.values):
-                if lab in index:
-                    tops[d] = index[lab]
-                    points[d, tops[d]] = 1.0
-                else:
-                    bad.append(d)
-        else:
-            message = "ranking {} is not a permutation of the labels"
-            ordered = sorted(labels)
-            denom = m * (m - 1) / 2
-            for d, ranking in enumerate(self.values):
-                if sorted(ranking) != ordered:
-                    bad.append(d)
-                    continue
-                tops[d] = index[ranking[0]]
-                for pos, lab in enumerate(ranking):
-                    points[d, index[lab]] = (m - 1 - pos) / denom
+        for d, ranking in enumerate(self.rankings):
+            if len(ranking) != width or len(index.keys() & ranking) != width:
+                bad.append(d)
+                continue
+            tops[d] = index[ranking[0]]
+            for pos, lab in enumerate(ranking):
+                points[d, index[lab]] = (m - 1 - pos) / denom
         if bad and np.isin(rows, bad).any():
             sample = int(np.argmax(np.isin(rows, bad)))
             raise SampleError(message.format(self.values[rows[sample]]), sample=sample)
@@ -322,12 +321,10 @@ class PredictionSet:
         return np.flatnonzero(self.truth_codes >= 0).tolist()
 
     def accuracy(self, classifier: int) -> float:
-        labelled = self.truth_codes >= 0
-        count = int(np.count_nonzero(labelled))
-        if not count:
+        counts = _tally(self.truth_codes, self.vote_codes[:, classifier], len(self.labels))
+        if not counts.any():
             raise EvidenceError("no samples carry a true label")
-        votes = self.vote_codes[labelled, classifier]
-        return int(np.count_nonzero(votes == self.truth_codes[labelled])) / count
+        return int(np.trace(counts)) / int(counts.sum())
 
 
 def _decode(codes: np.ndarray, labels: tuple[str, ...]) -> list[Optional[str]]:
@@ -775,7 +772,8 @@ def fuse_dataset(
     among the k nearest validation samples of each query; it is defined for
     two labels. Only the two-label rules read ``bias``; giving a non-zero
     bias to any other rule earns a ConfigurationWarning, and a non-finite one
-    is refused for every rule.
+    is refused for every rule. ``classifier_weights`` are treated alike: only
+    sum and majority read them.
     """
     labels = pred.labels
     if not np.isfinite(bias):
@@ -788,6 +786,9 @@ def fuse_dataset(
             pred.score_tensor(), rule, classifier_weights=classifier_weights, trim=trim
         )
         return _decode(np.atleast_1d(fused.winner), labels)
+    if rule not in ("wmr", "adaptive-wmr"):
+        raise ValueError(f"unknown rule {rule!r}")
+    _weights_or_warn(rule, classifier_weights, pred.n_classifiers)
     source = validation if validation is not None else pred
     if source.labels != labels:
         raise DimensionError(
@@ -812,7 +813,7 @@ def fuse_dataset(
             )
             w = _one_vs_rest_weights(class_acc, clip)
             codes = np.argmax(_weighted_votes(pred.vote_codes, w[None], len(labels)), axis=1)
-    elif rule == "adaptive-wmr":
+    else:
         if len(labels) != 2:
             raise DataError("adaptive-wmr is a two-label rule; fuse one-vs-rest instead")
         if pred.features is None or source.features is None:
@@ -827,6 +828,4 @@ def fuse_dataset(
         skills = index.skills(pred.features, k)
         w = optimal_weights(skills.ravel(), clip=clip).reshape(skills.shape)
         codes = _two_label_decisions(pred.vote_codes, w[:, :, None], bias)
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
     return _decode(codes, labels)

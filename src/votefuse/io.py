@@ -575,8 +575,7 @@ def dump_predictions(pred: PredictionSet) -> str:
             columns += [list(map(repr, col.tolist())) for col in out.proba.T]
             shown.update(labels)
             continue
-        rankings = out.values if out.kind == "rank" else [(v,) for v in out.values]
-        for d, ranking in enumerate(rankings):
+        for d, ranking in enumerate(out.rankings):
             for lab in ranking:
                 if ">" in lab:
                     raise DataError(
@@ -584,7 +583,7 @@ def dump_predictions(pred: PredictionSet) -> str:
                         f"{lab!r}, and '>' would make it a ranking"
                     )
             shown.update(ranking)
-        columns.append(out._per_sample([">".join(r) for r in rankings]))
+        columns.append(out._per_sample([">".join(r) for r in out.rankings]))
     missing = sorted(set(labels) - shown)
     if missing:
         raise DataError(f"labels {missing} appear in no cell, so they would not parse back")

@@ -314,6 +314,47 @@ def wmr_one_vs_rest_brute(votes, labels, class_weights):
     return labels[scores.index(max(scores))]
 
 
+def output_scores_brute(kind, values, labels):
+    """Hard-vote codes and per-class scores of one classifier's samples, scored one by one.
+
+    ``values`` holds one label (``kind="hard"``), ranking (``"rank"``) or
+    probability row (``"proba"``) per sample. A hard vote scores 1 for its
+    label. A ranking must be a permutation of ``labels``; its place ``pos``
+    scores Fraction(m - 1 - pos, m (m - 1) / 2), and its top is its vote. A
+    probability row is its own score and votes for its first largest entry.
+    Returns ``(codes, scores)``, or ``(sample, message)`` for the first bad
+    sample; a proba output is first checked for a negative or non-finite
+    entry on every row, and only then for a row whose sum is off 1 by more
+    than 1e-9.
+    """
+    m = len(labels)
+    codes, scores, bad = [], [], []
+    for i, v in enumerate(values):
+        if kind == "hard":
+            if v not in labels:
+                bad.append((0, i, f"predicts unknown label {v!r}"))
+                continue
+            codes.append(labels.index(v))
+            scores.append([1.0 if lab == v else 0.0 for lab in labels])
+        elif kind == "rank":
+            if sorted(v) != sorted(labels):
+                bad.append((0, i, f"ranking {tuple(v)} is not a permutation of the labels"))
+                continue
+            codes.append(labels.index(v[0]))
+            scores.append([float(Fraction(m - 1 - list(v).index(lab), m * (m - 1) // 2))
+                           for lab in labels])
+        elif any(x < 0 or not math.isfinite(x) for x in v):
+            bad.append((0, i, "has negative or non-finite probabilities"))
+        elif abs(sum(v) - 1.0) > 1e-9:
+            bad.append((1, i, "probability row does not sum to 1"))
+        else:
+            codes.append(list(v).index(max(v)))
+            scores.append([float(x) for x in v])
+    if bad:
+        return min(bad)[1:]
+    return codes, scores
+
+
 def _csv_rows_rowwise(text, path):
     """(lineno, cells) of every non-comment, non-blank line, each read by the CSV reader.
 

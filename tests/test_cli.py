@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from votefuse.cli import main
-from votefuse.errors import ConfigurationWarning
 from votefuse.io import parse_report
 from votefuse.jury import jury_exact
 
@@ -384,11 +383,12 @@ class TestFuseCommand:
             assert code == 3 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             _, plain, _ = run(capsys, "fuse", "--predictions", str(p), "--rule", rule)
-            with pytest.warns(ConfigurationWarning, match="ignores the bias"):
-                code, out, _ = run(
-                    capsys, "fuse", "--predictions", str(p), "--rule", rule, "--bias", "5"
-                )
+            code, out, err = run(
+                capsys, "fuse", "--predictions", str(p), "--rule", rule, "--bias", "5"
+            )
             assert code == 0 and out == plain
+            where = " on 3 labels" if rule == "wmr" else ""
+            assert err == f"warning: rule {rule!r} ignores the bias{where}\n"
 
     def test_a_validation_file_with_its_classifiers_reordered_exits_three(
         self, capsys, tmp_path, predictions_file
@@ -418,6 +418,40 @@ class TestFuseCommand:
         assert code == 3 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "finite" in err
+
+    @pytest.mark.parametrize("rule", ["wmr", "product"])
+    def test_a_rule_that_ignores_the_weights_says_so_in_one_line(
+        self, capsys, predictions_file, rule
+    ):
+        _, plain, _ = run(capsys, "fuse", "--predictions", predictions_file, "--rule", rule)
+        code, out, err = run(
+            capsys, "fuse", "--predictions", predictions_file, "--rule", rule, "--weights", "1,2"
+        )
+        assert (code, out, err) == (0, plain, f"warning: rule {rule!r} ignores classifier weights\n")
+
+    @pytest.mark.parametrize("rule", ["sum", "product", "wmr", "adaptive-wmr"])
+    @pytest.mark.parametrize("weights", ["-1,2", "1,2,3", "nan,1"])
+    def test_invalid_weights_exit_three_for_every_rule(self, capsys, tmp_path, rule, weights):
+        p = tmp_path / "preds.csv"
+        p.write_text("sample_id,true_label,feat_0,c1,c2\ns1,y,0.5,y,n\ns2,n,1.5,n,n\n",
+                     encoding="utf-8")
+        code, out, err = run(
+            capsys, "fuse", "--predictions", str(p), "--rule", rule, f"--weights={weights}"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1 and "weight" in err
+
+    def test_risk_with_every_labelled_sample_undecided_exits_three(self, capsys, tmp_path, cost_file):
+        # one classifier right half the time weighs 0, so every wmr decision is ND
+        p = tmp_path / "preds.csv"
+        p.write_text("sample_id,true_label,c1\ns1,y,y\ns2,n,y\n", encoding="utf-8")
+        code, out, _ = run(capsys, "fuse", "--predictions", str(p), "--rule", "wmr")
+        assert code == 0 and "# undecided=2" in out
+        code, out, err = run(
+            capsys, "fuse", "--predictions", str(p), "--rule", "wmr", "--cost", cost_file
+        )
+        assert (code, out, err) == (3, "", "error: cannot score risk: no labelled, decided samples\n")
+
 
 class TestReportCommand:
     def test_sections_and_adaptive_inclusion(self, capsys, tmp_path):
@@ -453,6 +487,13 @@ class TestReportCommand:
         assert code == 0
         sections = {r[0] for r in rep.rows}
         assert {"classifier_risk", "fused_risk"} <= sections
+
+    def test_a_file_with_no_true_labels_exits_three(self, capsys, tmp_path):
+        p = tmp_path / "preds.csv"
+        p.write_text("sample_id,c1,c2\ns1,y,n\ns2,n,n\n", encoding="utf-8")
+        code, out, err = run(capsys, "report", "--predictions", str(p))
+        assert (code, out) == (3, "")
+        assert err == "error: the report needs true labels on the prediction set\n"
 
 
 class TestParser:
@@ -550,6 +591,16 @@ class TestExitCodes:
         code, _, err = run(capsys, "power", "--game", str(bad))
         assert code == 3
         assert f"{bad}:1:13" in err
+
+    @pytest.mark.parametrize("token", ["1/0", "1e"])
+    def test_a_game_token_that_reads_as_no_fraction_exits_three_at_its_column(
+        self, capsys, tmp_path, token
+    ):
+        game = tmp_path / "game.txt"
+        game.write_text(f"weights = 2 {token} 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "power", "--game", str(game))
+        assert (code, out) == (3, "")
+        assert err == f"error: {game}:1:13: not a number: {token!r}\n"
 
     def test_a_team_bias_past_the_float_range_exits_three_at_its_token(self, capsys, tmp_path):
         teams = tmp_path / "teams.txt"

@@ -36,7 +36,7 @@ from votefuse.fusion import (
 )
 from votefuse.jury import optimal_weights
 
-from oracles import wmr_brute, wmr_one_vs_rest_brute
+from oracles import output_scores_brute, wmr_brute, wmr_one_vs_rest_brute
 
 
 class TestConfusionMatrix:
@@ -102,6 +102,64 @@ class TestClassifierOutput:
             pred = one_set(ClassifierOutput.from_ranks((labels,)), labels=labels)
             assert abs(pred.score_tensor().sum() - 1.0) < 1e-12
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_codes_and_scores_match_an_oracle_that_scores_each_sample(self, data):
+        m = data.draw(st.integers(2, 6), label="m")
+        labels = tuple(f"l{i}" for i in range(m))
+        n = data.draw(st.integers(1, 8), label="n")
+        kinds = data.draw(st.lists(st.sampled_from(tuple(KINDS)), min_size=1, max_size=4), label="kinds")
+        outputs, results = [], []
+        for kind in kinds:
+            # a few distinct values, each repeated over the samples
+            pool = [draw_output_value(data, kind, labels) for _ in range(data.draw(st.integers(1, 3)))]
+            picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+            values = [pool[i] for i in picks]
+            outputs.append(KINDS[kind](values))
+            results.append(output_scores_brute(kind, values, labels))
+        fault = next(((j, *r) for j, r in enumerate(results) if isinstance(r[1], str)), None)
+        if fault is not None:
+            j, sample, message = fault
+            with pytest.raises(SampleError) as err:
+                one_set(*outputs, labels=labels)
+            assert (str(err.value), err.value.sample, err.value.classifier) == (
+                f"classifier c{j} {message}", sample, j
+            )
+            return
+        pred = one_set(*outputs, labels=labels)
+        assert pred.vote_codes.tolist() == [list(c) for c in zip(*(r[0] for r in results))]
+        assert pred.score_tensor().tolist() == [list(s) for s in zip(*(r[1] for r in results))]
+
+
+#: Each output kind and the constructor of an output from one value per sample.
+KINDS = {
+    "hard": ClassifierOutput.from_hard,
+    "rank": ClassifierOutput.from_ranks,
+    "proba": ClassifierOutput.from_proba,
+}
+
+
+def draw_output_value(data, kind, labels):
+    """One sample's output of ``kind`` over ``labels``; one in five is bad."""
+    m, valid = len(labels), data.draw(st.integers(0, 4)) > 0
+    if kind == "hard":
+        return data.draw(st.sampled_from(labels if valid else ("zz", "", "L0")))
+    if kind == "rank":
+        ranking = data.draw(st.permutations(labels))
+        if not valid:
+            top, rest = ranking[:1], ranking[:-1]
+            faulty = (rest, rest + top, rest + ["zz"], ranking + ["zz"], top)
+            ranking = data.draw(st.sampled_from(faulty))
+        return tuple(ranking)
+    weights = data.draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
+    row = [w / sum(weights) for w in weights]
+    if not valid:
+        fault = data.draw(st.sampled_from((-0.25, math.nan, math.inf, None)))
+        if fault is None:  # a row of valid entries that sums to 1.5
+            return [x * 1.5 for x in row]
+        row[data.draw(st.integers(0, m - 1))] = fault
+    return row
+
 
 def small_predictions(**overrides):
     fields = dict(
@@ -166,6 +224,11 @@ class TestPredictionSet:
         assert cm.labels == ("n", "y")
         assert cm.counts.tolist() == [[1, 1], [1, 1]]
         assert confusion_from_predictions(small_predictions(), 0).accuracy == 1.0
+
+    @pytest.mark.parametrize("truth", [None, (None,) * 4])
+    def test_an_unlabelled_set_has_no_confusion(self, truth):
+        with pytest.raises(EvidenceError, match="no samples carry a true label"):
+            confusion_from_predictions(small_predictions(true_labels=truth), 0)
 
 
 class TestConfidenceTransform:

@@ -111,6 +111,8 @@ class TestGameFiles:
     @pytest.mark.parametrize(
         "text, message, where",
         [
+            ("weights = 1 2\nquota = 1\nquota = 2\n", "duplicate quota line", (3, 1)),
+            ("# a game\nweights = \n", "weights line is empty", (2, 10)),
             ("weights = 1 2\nquota = -1\n", "quota -1 outside [0, 3]", (2, 9)),
             ("weights = 1 -2\n", "weight of player 1 is negative: -2", (1, 13)),
             ("# a game\nquota = 1\nweights = 1, -2, -3\n", "weight of player 1", (3, 14)),
@@ -137,6 +139,18 @@ class TestTeamFiles:
         assert err.value.column == 10
         with pytest.raises(ParseError):
             parse_team_structure("team = 0 0\n")  # duplicate member
+
+    @pytest.mark.parametrize(
+        "text, message, where",
+        [
+            ("team = 0 1\nteam =\n", "team line is empty", (2, 7)),
+            ("team = 0 1\nbias = 1\n", "unknown key 'bias'", (2, 1)),
+        ],
+    )
+    def test_structural_errors_are_located_at_their_line(self, text, message, where):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_team_structure(text, source="teams.txt")
+        assert (err.value.line, err.value.column) == where
 
     @pytest.mark.parametrize(
         "text, message, where",
@@ -522,6 +536,20 @@ class TestCostFiles:
             parse_cost_matrix(",a,b\na,1,0\n")
         with pytest.raises(ParseError, match="duplicate row"):
             parse_cost_matrix(",a,b\na,1,0\na,0,1\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",a,b\n", "cost matrix needs a header and one row per label"),
+            ("# gains\n,a,b\n", "cost matrix needs a header and one row per label"),
+            (",a,\na,1,0\nb,0,1\n", "header must list predicted labels"),
+            (",\na,1\n", "header must list predicted labels"),
+        ],
+    )
+    def test_a_table_without_a_body_or_a_full_header_is_refused(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_cost_matrix(text, source="c.csv")
+        assert str(err.value).startswith("c.csv:")
 
     @pytest.mark.parametrize("cell", ["1_000", "\u0661", "-\u0661.5"])
     def test_gains_are_ascii_without_digit_groups(self, cell):

@@ -1,5 +1,6 @@
 """``tools/report_digests.py``: the byte check between two source trees, and its edge jobs."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -103,10 +104,11 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     fusion = ["fuse-validation-reordered", "fuse-ragged-row", "fuse-nul"]
     csv_forms = ["fuse-csv-forms"]
     overflow = ["fuse-weights-overflow"]
+    ignored = ["fuse-weights-ignored"]
     assert list(lines) == [
         f"edge/{i}"
         for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion
-        + csv_forms + overflow
+        + csv_forms + overflow + ignored
     ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
@@ -117,6 +119,9 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
             4 if job in refused else 2 if job == usage else 0
         )
         assert line["exit"] == want
+    # a rule that ignores the weights says so in one line that names no path
+    warning = b"warning: rule 'product' ignores classifier weights\n"
+    assert lines["edge/fuse-weights-ignored"]["stderr"] == hashlib.sha256(warning).hexdigest()
     # under --kind both, a refusal is the refusal of the first kind refused
     for game, first in (("refused", "banzhaf"), ("banzhaf-only", "shapley")):
         stderr = lines[f"edge/power-{game}-{first}"]["stderr"]

@@ -111,6 +111,17 @@ class TestDecisionRule:
         with pytest.raises(ValueError):
             rule.table[0] = OUTCOME_A
 
+    def test_equality_is_by_table_and_the_repr_shows_small_tables(self):
+        rule = CanonicalWMR((1, 1, 1)).rule()
+        assert rule == DecisionRule(3, rule.table.tolist())
+        assert rule != DecisionRule(3, -rule.table) and rule != rule.table
+        assert rule != DecisionRule(2, [-1, -1, 1, 1])
+        with pytest.raises(TypeError):
+            hash(rule)
+        assert repr(rule) == "DecisionRule(n=3, table=BBBABAAA)"
+        assert repr(CanonicalWMR((1, 1)).rule()) == "DecisionRule(n=2, table=B..A)"
+        assert repr(CanonicalWMR((1,) * 7).rule()) == "DecisionRule(n=7, 2^7 entries)"
+
     def test_wrong_vote_count_is_a_dimension_error(self):
         rule = CanonicalWMR((1, 1, 1)).rule()
         with pytest.raises(DimensionError):

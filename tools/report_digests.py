@@ -42,7 +42,12 @@ exit code 3 on every Python; and comment, blank and all-blank lines and a
 quoted label that holds a comma, with a cost file that has a comment line
 and the same label (exit 0). ``fuse --rule sum --weights 1e308,1e308,1e308``
 on three classifiers' probabilities, whose weight sum is past the float
-range, exits 3.
+range, exits 3; ``fuse --rule product --weights 1,1,1`` on the same file
+exits 0 with one ``warning:`` line, as product ignores the weights.
+
+Each job runs with every warning shown (``simplefilter("always")``), so its
+stderr does not depend on the jobs run before it: Python otherwise shows a
+warning once per code location.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,6 +180,8 @@ def edge_jobs(root: Path) -> list[dict]:
     )
     argv = ["fuse", "--predictions", "three-probas.csv", "--rule", "sum", "--weights", "1e308,1e308,1e308"]
     jobs.append({"id": "fuse-weights-overflow", "argv": argv})
+    argv = ["fuse", "--predictions", "three-probas.csv", "--rule", "product", "--weights", "1,1,1"]
+    jobs.append({"id": "fuse-weights-ignored", "argv": argv})
     return jobs
 
 
@@ -197,7 +205,9 @@ def digests(workloads, seeds):
                 try:
                     for job in jobs:
                         out, err = io.StringIO(), io.StringIO()
-                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                                contextlib.redirect_stderr(err):
+                            warnings.simplefilter("always")
                             code = main(job["argv"])
                         # the report is the -o file the job names, or stdout without one
                         path = Path("out", f"{job['id']}.csv")
