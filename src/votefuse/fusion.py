@@ -22,7 +22,10 @@ equals a sequential dot product of the weights with the +-1 votes bit for
 bit, and :func:`._exact.outcome`, which decides every weighted vote of the
 package, finds a stalemate (an ``ND`` decision) where that sum meets the
 bias, whatever the number of rows. The adaptive rule finds the
-neighbors of all queries in one batched search.
+neighbors of all queries in one batched search: a matrix product per block
+of queries ranks every validation sample up to a rounding band, and only
+the samples inside it get the exact distance that decides
+(:meth:`ValidationIndex.neighbors`).
 """
 
 from __future__ import annotations
@@ -393,14 +396,19 @@ class FusedScores:
     winner: Union[int, np.ndarray]
 
 
-@np.errstate(over="ignore")  # a weight sum past the float range is refused, not warned of
 def _weights_or_warn(rule: str, weights, k: int) -> Optional[np.ndarray]:
+    """The checked weights, or None and a warning where ``rule`` ignores them.
+
+    The warning names the line that called :func:`fuse_fixed` or :func:`fuse_dataset`.
+    """
     if weights is None:
         return None
     w = np.asarray(list(weights), dtype=np.float64)
     if w.size != k:
         raise DimensionError(f"{w.size} classifier weights for {k} classifiers")
-    if (w < 0).any() or not 0 < w.sum() < np.inf:  # a NaN or an infinite weight fails the sum
+    with np.errstate(over="ignore"):  # a weight sum past the float range is refused, not warned of
+        total = w.sum()
+    if (w < 0).any() or not 0 < total < np.inf:  # a NaN or an infinite weight fails the sum
         raise ValueError("classifier weights must be finite and non-negative with a positive, finite sum")
     if rule not in ("sum", "majority"):
         warnings.warn(
@@ -596,6 +604,11 @@ def _stable_smallest(d: np.ndarray, count: int) -> np.ndarray:
     return np.take_along_axis(cols, order, axis=1)
 
 
+def _band(d: int) -> float:
+    """The rounding bound of :meth:`ValidationIndex.neighbors` per unit of R: 2 (3d + 16) u."""
+    return 2 * (3 * d + 16) * 2.0**-53
+
+
 class ValidationIndex:
     """Nearest-neighbor lookup over a validation set with correctness flags.
 
@@ -618,9 +631,21 @@ class ValidationIndex:
             )
         self.features = x
         self.correct = c
-        self._spread = x.std(axis=0)
-        self._kept = self._spread > 0
-        self._kept_features = x[:, self._kept]
+        spread = x.std(axis=0)
+        kept = spread > 0
+        self._kept = kept
+        self._spread = spread[kept]
+        self._kept_features = x[:, kept]
+        # the columns [-2 y, |y|^2] of the search's product, y the centred and
+        # standardized features (see neighbors); an overflow there only
+        # widens the search, so it is not warned of
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._centre = x.mean(axis=0)[kept]
+            y = (self._kept_features - self._centre) / self._spread
+            norms = (y * y).sum(axis=1)
+            self._product = np.vstack([-2.0 * y.T, norms])
+            self._reach = np.sqrt(norms.max())
+        self._magnitude = np.abs(self._kept_features).max(initial=0.0)
 
     @property
     def n_samples(self) -> int:
@@ -630,32 +655,65 @@ class ValidationIndex:
     def n_classifiers(self) -> int:
         return self.correct.shape[1]
 
-    def _distance_block(self, queries: np.ndarray) -> np.ndarray:
-        """(B, N) distances from each of B queries (B, d) to every validation sample."""
-        if queries.shape[1] != self.features.shape[1]:
-            raise DimensionError(
-                f"query has {queries.shape[1]} features, index has {self.features.shape[1]}"
-            )
-        # per query and sample: (x - q) / spread over the kept features, then
-        # the root of the sum of squares over the last axis
-        z = self._kept_features[None, :, :] - queries[:, None, self._kept]
-        z /= self._spread[self._kept]
-        z *= z
-        return np.sqrt(z.sum(axis=2))
-
     def neighbors(self, query, k: int) -> np.ndarray:
         """Indices of the k nearest validation samples, nearest first.
 
         ``query`` is one point (d,), giving (k',), or a batch (B, d), giving
-        (B, k'), where k' = min(k, N). A batch is searched in blocks of
-        queries whose (block, N, d) temporary fits one :func:`._exact.block_rows`
-        block. Each row gives the first k' of its stable argsort, so ties go
-        to the lower validation index. A single query passed as (1, d) is a
-        batch of one; :func:`fuse_adaptive_wmr` takes one query of any shape.
-        A query that is not finite is refused, as the index's own features are.
+        (B, k'), where k' = min(k, N). Each row is the head of the stable
+        argsort of the distances D_j = sqrt(sum_i ((x_ji - q_i) / s_i)^2)
+        over the kept features, each term and the sum computed in float as
+        written; so ties go to the lower validation index. A single query
+        passed as (1, d) is a batch of one; :func:`fuse_adaptive_wmr` takes
+        one query of any shape. A query that is not finite is refused, as the
+        index's own features are.
 
-        No row sorts all N distances: :func:`_stable_smallest` finds the k'
-        by a partition in O(N) and sorts only them.
+        A batch is searched in blocks of :func:`._exact.block_rows` queries,
+        so that no temporary passes (block, N) or (block, d + 1); there is
+        no (block, N, d) one. Each block takes a matrix product: with
+        y_j = (x_j - c) / s and p = (q - c) / s for the feature means c, the
+        row [p, 1] times the column [-2 y_j, |y_j|^2] is a_j = |y_j|^2 -
+        2 y_j.p, the squared distance less |p|^2, a constant of the row.
+        ``np.partition`` finds the row's k'-th smallest a, t, in place. The
+        candidates are the j with a_j <= t + 2 bound in the product taken
+        again, so that a block holds one (block, N) table of floats at a
+        time; the bound holds for each product on its own, so the two need
+        not agree to the bit. The candidates are taken in index order; only
+        they get D_j, padded to the block's widest row with +inf, and
+        :func:`_stable_smallest` picks the k' among them.
+
+        Why the candidates hold the answer. Let d' count the kept features,
+        u = 2^-53, gamma_n = nu / (1 - nu) (Higham, *Accuracy and Stability
+        of Numerical Algorithms*, 2002, 3.1), S_j = |y_j - p|^2 and A_j =
+        S_j - |p|^2 in exact arithmetic, and R = (sqrt(M) + |p|)^2 with M the
+        largest |y_j|^2, so that S_j <= R and |A_j| <= R.
+
+        - The product. A coordinate of y or p carries a relative error of at
+          most gamma_2, and |y_j|^2 one of gamma_{d'+4}. The d' + 1 terms of
+          a_j add in whatever order BLAS takes, with FMA or without, so
+          |a_j - A_j| <= gamma_{2d'+5} R.
+        - The distances. A term ((x - q) / s)^2 takes three roundings, and
+          the sum of the non-negative terms at most d' - 1 more, so the float
+          sum is S_j (1 + theta) with |theta| <= gamma_{d'+4}. The root is
+          correctly rounded, but equal roots can come from unequal sums:
+          D_j <= D_i only bounds the float sum of j by (1 + u)^2 / (1 - u)^2
+          <= 1 + gamma_4 times that of i. So D_j <= D_i implies S_j <= S_i
+          (1 + gamma_{3d'+16}), and A_j <= A_i + gamma_{3d'+16} R.
+        - Let D* be the k'-th smallest D. Among the k' indices of the
+          smallest a in the first product, some i has D_i >= D*, and
+          a_i <= t. So every j with D_j <= D* has, in the second product,
+          a_j <= A_j + gamma_{2d'+5} R <= A_i + (gamma_{2d'+5} +
+          gamma_{3d'+16}) R <= t + (2 gamma_{2d'+5} + gamma_{3d'+16}) R,
+          about t + (7d' + 26) u R.
+
+        :func:`_band` sets bound = 2 (3d' + 16) u R from the computed M and
+        |p|, so 2 bound = (12d' + 64) u R; the slack covers the rounding of
+        M, |p|, R and t + 2 bound. Underflow adds at most 2^-1075 an
+        operation, which the slack covers too: a kept feature has some
+        (x - c)^2 of at least 2^-1074 that its spread cannot pass by much,
+        so M is at least about 1/4. Nothing overflows while R <= 2^1000 and
+        |x| + |q| <= 2^1000; a row past either takes every index as a
+        candidate. So the candidates of a row hold every j with D_j <= D*,
+        and the row is the head of the stable argsort, bit for bit.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -664,14 +722,48 @@ class ValidationIndex:
             raise DataError("query features must be finite")
         single = q.ndim < 2
         q = q.reshape(1, -1) if single else q
+        if q.shape[1] != self.features.shape[1]:
+            raise DimensionError(
+                f"query has {q.shape[1]} features, index has {self.features.shape[1]}"
+            )
         count = min(k, self.n_samples)
-        width = max(1, self._kept_features.shape[1])
-        step = block_rows(self.n_samples * width)
+        step = block_rows(self.n_samples + self._product.shape[0])
         out = np.empty((q.shape[0], count), dtype=np.intp)
         for start in range(0, q.shape[0], step):
-            d = self._distance_block(q[start : start + step])
-            out[start : start + step] = _stable_smallest(d, count)
+            out[start : start + step] = self._nearest(q[start : start + step, self._kept], count)
         return out[0] if single else out
+
+    def _nearest(self, q: np.ndarray, count: int) -> np.ndarray:
+        """The ``count`` nearest samples of a block of queries (B, d') on the kept features."""
+        b, d = q.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.ones((b, d + 1))
+            p[:, :d] = (q - self._centre) / self._spread
+            scale = (self._reach + np.sqrt((p[:, :d] ** 2).sum(axis=1))) ** 2
+            a = p @ self._product
+            a.partition(count - 1, axis=1)
+            cut = a[:, count - 1] + 2 * _band(d) * scale
+            del a  # taken again below, not kept whole beside a partitioned copy
+            keep = p @ self._product <= cut[:, None]
+        big = np.abs(q).max(axis=1, initial=0.0) > 2.0**1000 - self._magnitude
+        keep[big | ~(scale <= 2.0**1000)] = True  # no bound holds there: every index
+        rows, cols = divmod(np.flatnonzero(keep), self.n_samples)
+        widths = np.bincount(rows, minlength=b)
+        place = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths, widths)
+        dist = np.zeros(rows.size)
+        step = block_rows(max(1, d))
+        for lo in range(0, rows.size, step):
+            z = self._kept_features[cols[lo : lo + step]] - q[rows[lo : lo + step]]
+            z /= self._spread
+            z *= z
+            for term in z.T:  # in feature order, which numpy's own sum does not promise
+                dist[lo : lo + step] += term
+        np.sqrt(dist, out=dist)
+        table = np.full((b, widths.max()), np.inf)
+        table[rows, place] = dist
+        index = np.zeros(table.shape, dtype=np.intp)
+        index[rows, place] = cols
+        return np.take_along_axis(index, _stable_smallest(table, count), axis=1)
 
     def skills(self, query, k: int) -> np.ndarray:
         """Smoothed accuracy of every classifier among the k nearest samples.
@@ -781,14 +873,12 @@ def fuse_dataset(
     if bias and (rule in FIXED_RULES or (rule == "wmr" and len(labels) > 2)):
         where = f" on {len(labels)} labels" if rule == "wmr" else ""
         warnings.warn(f"rule {rule!r} ignores the bias{where}", ConfigurationWarning, stacklevel=2)
-    if rule in FIXED_RULES:
-        fused = fuse_fixed(
-            pred.score_tensor(), rule, classifier_weights=classifier_weights, trim=trim
-        )
-        return _decode(np.atleast_1d(fused.winner), labels)
-    if rule not in ("wmr", "adaptive-wmr"):
+    if rule not in FIXED_RULES and rule not in ("wmr", "adaptive-wmr"):
         raise ValueError(f"unknown rule {rule!r}")
-    _weights_or_warn(rule, classifier_weights, pred.n_classifiers)
+    weights = _weights_or_warn(rule, classifier_weights, pred.n_classifiers)
+    if rule in FIXED_RULES:
+        fused = fuse_fixed(pred.score_tensor(), rule, classifier_weights=weights, trim=trim)
+        return _decode(np.atleast_1d(fused.winner), labels)
     source = validation if validation is not None else pred
     if source.labels != labels:
         raise DimensionError(

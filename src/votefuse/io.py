@@ -600,9 +600,11 @@ def parse_cost_matrix(text: str, source: str = "<string>") -> CostMatrix:
     matrix aligns with confusion matrices built from predictions.
     """
     table = _CsvText(text, source)
+    header_line = table.numbers[0] if table.rows else 1
     if len(table.rows) < 2:
-        raise ParseError("cost matrix needs a header and one row per label", path=source, line=1, column=1)
-    header_line = table.numbers[0]
+        raise ParseError(
+            "cost matrix needs a header and one row per label", path=source, line=header_line, column=1
+        )
     header = table.rows[0]
     cols = [h.strip() for h in header[1:]]
     if not cols or any(not c for c in cols):

@@ -535,3 +535,22 @@ def predictions_rowwise(text, source="<string>"):
         raise fail(str(exc), exc.sample, col) from None
     except Exception as exc:
         raise fail(str(exc), None, 0) from None
+
+
+def neighbors_argsort(features, queries, k):
+    """The first k of each query's stable argsort of distances to the validation rows.
+
+    ``features`` is (N, d), ``queries`` (B, d). The distance is the float
+    sqrt(sum_i ((x_i - q_i) / s_i)^2) over the features of non-zero spread
+    s (the standard deviation over the rows): each term is computed as
+    (x - q) / s and squared, and the terms are added in feature order,
+    starting from 0.0. Ties go to the lower index.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    q = np.asarray(queries, dtype=np.float64)
+    spread = x.std(axis=0)
+    total = np.zeros((q.shape[0], x.shape[0]))
+    for i in np.flatnonzero(spread > 0):
+        z = (x[None, :, i] - q[:, None, i]) / spread[i]
+        total += z * z
+    return np.argsort(np.sqrt(total), axis=1, kind="stable")[:, :k]

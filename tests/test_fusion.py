@@ -36,7 +36,7 @@ from votefuse.fusion import (
 )
 from votefuse.jury import optimal_weights
 
-from oracles import output_scores_brute, wmr_brute, wmr_one_vs_rest_brute
+from oracles import neighbors_argsort, output_scores_brute, wmr_brute, wmr_one_vs_rest_brute
 
 
 class TestConfusionMatrix:
@@ -335,6 +335,18 @@ class TestFuseFixed:
             got = fuse_fixed(self.scores, "median", classifier_weights=(0, 0, 1))
         assert np.allclose(got.scores, [0.6, 0.4])
 
+    def test_the_ignored_weights_warning_names_the_callers_line(self):
+        with pytest.warns(ConfigurationWarning) as caught:
+            fuse_fixed(self.scores, "product", classifier_weights=(1, 1, 1))
+        assert [w.filename for w in caught] == [__file__]
+        pred = small_predictions(features=[[0.0], [1.0], [2.0], [3.0]])
+        for rule in FIXED_RULES + ("wmr", "adaptive-wmr"):
+            if rule in ("sum", "majority"):
+                continue
+            with pytest.warns(ConfigurationWarning, match="ignores classifier weights") as caught:
+                fuse_dataset(pred, rule, classifier_weights=(1, 2, 3))
+            assert [w.filename for w in caught] == [__file__], rule
+
     def test_product_rule_lets_one_veto_annihilate(self):
         scores = [[0.0, 1.0], [0.9, 0.1], [0.9, 0.1]]
         got = fuse_fixed(scores, "product")
@@ -450,8 +462,9 @@ class TestValidationIndex:
     def test_standardized_distances_ignore_constant_features(self):
         x = [[0.0, 7.0], [2.0, 7.0], [4.0, 7.0]]
         idx = ValidationIndex(x, np.ones((3, 1), dtype=bool))
-        d = idx._distance_block(np.array([[2.0, 100.0]]))[0]  # constant feature dropped
-        assert d[1] == 0.0 and d[0] == d[2] > 0
+        # the constant feature is dropped, so the query's 100.0 there weighs nothing
+        assert idx.neighbors([2.0, 100.0], k=3).tolist() == [1, 0, 2]
+        assert neighbors_argsort(x, [[2.0, 100.0]], 3).tolist() == [[1, 0, 2]]
 
     def test_neighbor_ties_break_by_validation_order(self):
         x = [[1.0], [1.0], [1.0], [3.0]]
@@ -840,7 +853,6 @@ class TestWeightedVoteKernel:
         for q, row in zip(queries, blocked):
             z = (x[:, kept] - q[kept]) / x.std(axis=0)[kept]
             d = np.sqrt((z * z).sum(axis=1))
-            assert np.array_equal(idx._distance_block(q[None])[0], d)
             assert row.tolist() == np.argsort(d, kind="stable")[:7].tolist()
         assert np.array_equal(whole, blocked)
         assert np.array_equal(idx.skills(queries, 7)[5], idx.skills(queries[5], 7))
@@ -859,14 +871,79 @@ class TestWeightedVoteKernel:
         pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf, np.nan])
         table = pool[rng.integers(0, pool.size, size=(b, n))]
         with mock.patch.object(_exact, "OUTCOME_BLOCK", budget):
-            d = idx._distance_block(queries)
             for k in range(1, n + 2):
-                want = np.argsort(d, axis=1, kind="stable")[:, :k]
+                want = neighbors_argsort(x, queries, k)
                 assert np.array_equal(idx.neighbors(queries, k), want)
                 assert np.array_equal(idx.neighbors(queries[0], k), want[0])
                 count = min(k, n)
                 want = np.argsort(table, axis=1, kind="stable")[:, :count]
                 assert np.array_equal(fusion._stable_smallest(table, count), want)
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 10), st.integers(1, 12),
+           st.sampled_from((1, 5, 64, 1 << 17)))
+    def test_neighbors_equal_a_full_stable_argsort(self, seed, n, d, b, budget):
+        # grid features tie often, copied rows tie exactly, a constant feature
+        # is dropped, and each feature is scaled by 2^-40, 1 or 2^40, some
+        # shifted far from 0; queries are validation rows, grid points or
+        # normal draws, at every k from 1 to N + 2
+        rng = np.random.default_rng(seed)
+        grid = rng.random() < 0.5
+        x = rng.integers(0, 3, size=(n, d)) if grid else rng.normal(size=(n, d))
+        x = x.astype(float)
+        copies = rng.integers(0, n, size=(2, n // 3))
+        x[copies[0]] = x[copies[1]]
+        if d > 1 and rng.random() < 0.5:
+            x[:, rng.integers(d)] = 7.0
+        queries = np.concatenate([
+            x[rng.integers(0, n, size=b)],
+            rng.integers(-1, 4, size=(b, d)),
+            rng.normal(size=(b, d)) * 3,
+        ])[rng.permutation(3 * b)[:b]]
+        scale = 2.0 ** rng.choice((-40, 0, 40), size=d)
+        shift = rng.choice((0.0, 0.0, 2.0**20, -(2.0**45)), size=d) * scale
+        x, queries = x * scale + shift, queries * scale + shift
+        idx = ValidationIndex(x, np.ones((n, 1), dtype=bool))
+        with mock.patch.object(_exact, "OUTCOME_BLOCK", budget):
+            for k in range(1, n + 3):
+                want = neighbors_argsort(x, queries, k)
+                assert np.array_equal(idx.neighbors(queries, k), want)
+                assert np.array_equal(idx.neighbors(queries[0], k), want[0])
+
+    def test_a_band_past_every_index_gives_the_same_neighbors(self):
+        rng = np.random.default_rng(11)
+        x = np.concatenate([rng.normal(size=(150, 3)), rng.integers(0, 3, size=(50, 3))])
+        queries = np.concatenate([rng.normal(size=(20, 3)), x[:10], [[1.0, 1.0, 1.0]]])
+        idx = ValidationIndex(x, np.ones((200, 1), dtype=bool))
+        widths = []
+
+        def spy(table, count):
+            widths.append(table.shape[1])
+            return select(table, count)
+
+        select = fusion._stable_smallest
+        with mock.patch.object(fusion, "_stable_smallest", spy):
+            for k in (1, 5, 9, 200, 300):
+                narrow = idx.neighbors(queries, k)
+                with mock.patch.object(fusion, "_band", lambda d: 1e300):
+                    wide = idx.neighbors(queries, k)
+                assert np.array_equal(narrow, wide)
+                assert np.array_equal(narrow, neighbors_argsort(x, queries, k))
+        # the band holds the k' nearest and their near ties, not every
+        # index; a band past every index makes every index a candidate
+        assert max(widths[0:6:2]) < 20 and widths[6::2] == [200, 200]
+        assert widths[1::2] == [200] * 5
+
+    def test_distances_past_the_float_range_take_every_index(self):
+        # (x - q) overflows to inf for the far rows, and an inf spread makes
+        # NaN: the row takes every index, and NaN sorts last, as in the argsort
+        x = np.array([[-1e308, 0.0], [1e308, 1.0], [0.0, 2.0], [1.0, 3.0], [5e307, 4.0]])
+        queries = np.array([[-1e308, 0.0], [1e308, 4.0], [0.5, 2.0], [0.0, 1e300]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            idx = ValidationIndex(x, np.ones((5, 1), dtype=bool))
+            for k in range(1, 6):
+                want = neighbors_argsort(x, queries, k)
+                assert np.array_equal(idx.neighbors(queries, k), want)
 
 
 class TestCodes:

@@ -551,6 +551,25 @@ class TestCostFiles:
             parse_cost_matrix(text, source="c.csv")
         assert str(err.value).startswith("c.csv:")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (",a,b\n", "c.csv:1:1: "),
+            ("# gains\n,a,b\n", "c.csv:2:1: "),
+            ("# gains\n\n \t\n,a,b\n# no rows\n", "c.csv:4:1: "),
+        ],
+    )
+    def test_a_header_without_rows_is_refused_at_its_line(self, text, where):
+        with pytest.raises(ParseError, match="needs a header and one row per label") as err:
+            parse_cost_matrix(text, source="c.csv")
+        assert str(err.value).startswith(where)
+
+    @pytest.mark.parametrize("text", ["", "# gains\n", "\n# gains\n\n"])
+    def test_a_text_with_no_row_is_refused_at_its_start(self, text):
+        with pytest.raises(ParseError, match="needs a header and one row per label") as err:
+            parse_cost_matrix(text, source="c.csv")
+        assert str(err.value).startswith("c.csv:1:1: ")
+
     @pytest.mark.parametrize("cell", ["1_000", "\u0661", "-\u0661.5"])
     def test_gains_are_ascii_without_digit_groups(self, cell):
         with pytest.raises(ParseError, match=re.escape(f"not a number: {cell!r}")) as err:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from votefuse.jury import (
     optimal_weights,
 )
 from votefuse.power import banzhaf_exact
-from votefuse.model import VotingGame
+from votefuse.model import SkillProfile, VotingGame
 
 from oracles import (
     competence_brute,
@@ -230,6 +231,27 @@ class TestOptimalWeights:
             optimal_weights((0.6,), clip=0.0)
         with pytest.raises(ValueError):
             optimal_weights((0.6,), clip=0.5)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, -1e-30, math.nan, math.inf, -math.inf])
+    def test_an_array_of_skills_is_refused_as_a_profile_refuses_it(self, bad):
+        skills = np.array([0.5, 1.0, bad, 0.0, bad])
+        for given in (skills, skills.tolist(), skills.astype(np.float32)):
+            with pytest.raises(ValueError) as want:
+                SkillProfile(tuple(given))
+            with pytest.raises(ValueError) as got:
+                optimal_weights(given)
+            assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("skill of player 2 is ")
+        with pytest.raises(ValueError, match=re.escape(f"skill of player 2 is {bad}, outside")):
+            optimal_weights(skills)
+
+    def test_an_array_of_skills_weighs_as_a_tuple_does(self):
+        skills = np.random.default_rng(4).random(60)
+        skills[:4] = 0.0, 1.0, 0.5, -0.0
+        for given in (skills, skills.astype(np.float32), np.array([0, 1, 1, 0])):
+            want = optimal_weights(tuple(given.tolist()), nonnegative=True)
+            np.testing.assert_array_equal(optimal_weights(given, nonnegative=True), want)
+            np.testing.assert_array_equal(optimal_weights(given), optimal_weights(tuple(given.tolist())))
 
 
 class TestTeamStructure:

@@ -105,10 +105,11 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     csv_forms = ["fuse-csv-forms"]
     overflow = ["fuse-weights-overflow"]
     ignored = ["fuse-weights-ignored"]
+    tied = ["adaptive-wmr-tied-features"]
     assert list(lines) == [
         f"edge/{i}"
         for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion
-        + csv_forms + overflow + ignored
+        + csv_forms + overflow + ignored + tied
     ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",

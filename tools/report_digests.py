@@ -44,6 +44,8 @@ and the same label (exit 0). ``fuse --rule sum --weights 1e308,1e308,1e308``
 on three classifiers' probabilities, whose weight sum is past the float
 range, exits 3; ``fuse --rule product --weights 1,1,1`` on the same file
 exits 0 with one ``warning:`` line, as product ignores the weights.
+``fuse --rule adaptive-wmr`` on samples whose two integer features stand on
+six points, seven samples to a point, picks every neighbour from ties.
 
 Each job runs with every warning shown (``simplefilter("always")``), so its
 stderr does not depend on the jobs run before it: Python otherwise shows a
@@ -124,6 +126,20 @@ EDGE_CSV = {
 }
 
 
+def _tied_features() -> str:
+    """A prediction file of 42 labelled samples whose two features stand on 6 points.
+
+    Seven samples share each point, so every distance ties with six others,
+    and the neighbours at k = 5 come from ties.
+    """
+    lines = ["sample_id,true_label,c1,c2,c3,feat_0,feat_1"]
+    for i in range(42):
+        truth = "yn"[i // 2 % 2]
+        votes = [truth if (i + j) % (3 + j) else "yn"[(i + 1) % 2] for j in range(3)]
+        lines.append(f"s{i},{truth},{','.join(votes)},{i % 3},{i // 3 % 2}")
+    return "\n".join(lines) + "\n"
+
+
 def edge_jobs(root: Path) -> list[dict]:
     """The edge jobs, each an id and an argv; the games they read are written into ``root``."""
     jobs = [{"id": f"wmr-n{n}", "argv": ["wmr", "enum", "--n", str(n)]} for n in (-1, 0, 8)]
@@ -182,6 +198,9 @@ def edge_jobs(root: Path) -> list[dict]:
     jobs.append({"id": "fuse-weights-overflow", "argv": argv})
     argv = ["fuse", "--predictions", "three-probas.csv", "--rule", "product", "--weights", "1,1,1"]
     jobs.append({"id": "fuse-weights-ignored", "argv": argv})
+    (root / "tied-features.csv").write_text(_tied_features(), encoding="utf-8")
+    argv = ["fuse", "--predictions", "tied-features.csv", "--rule", "adaptive-wmr"]
+    jobs.append({"id": "adaptive-wmr-tied-features", "argv": argv})
     return jobs
 
 
