@@ -84,9 +84,15 @@ class ConfusionMatrix:
     counts: np.ndarray
 
     def __post_init__(self):
+        given = np.asarray(self.counts)
+        if given.dtype.kind not in "biu":  # a count that is no int64 reads as -1, cast with no warning
+            with np.errstate(invalid="ignore"):
+                f = given.astype(np.float64)
+                whole = (f >= 0) & (f < 2.0**63) & (f % 1 == 0)
+            object.__setattr__(self, "counts", np.where(whole, f, -1))
         c = _square_by_labels(self, "counts", np.int64)
         if (c < 0).any():
-            raise ValueError("confusion counts must be non-negative")
+            raise ValueError("confusion counts must be finite non-negative integers")
         if c.sum() == 0:
             raise EvidenceError("confusion matrix is empty")
 
@@ -585,25 +591,6 @@ def fuse_wmr_one_vs_rest(
     return labs[int(np.argmax(scores[0]))]
 
 
-def _stable_smallest(d: np.ndarray, count: int) -> np.ndarray:
-    """``np.argsort(d, axis=1, kind="stable")[:, :count]`` of a (B, N) array, without the sort.
-
-    ``np.partition`` gives each row's count-th smallest value t. The row
-    keeps every index below t and, to fill ``count``, the lowest-index ties
-    at t; a stable sort of those ``count`` values orders them. NaN counts as
-    larger than +inf and equal to NaN, as in the sort.
-    """
-    t = np.partition(d, count - 1, axis=1)[:, count - 1, None]
-    t_nan, d_nan = np.isnan(t), np.isnan(d)
-    below = np.where(t_nan, ~d_nan, d < t)
-    at = np.where(t_nan, d_nan, d == t)
-    need = count - below.sum(axis=1, keepdims=True)
-    keep = below | (at & (np.cumsum(at, axis=1) <= need))
-    cols = np.nonzero(keep)[1].reshape(d.shape[0], count)
-    order = np.argsort(np.take_along_axis(d, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
-
-
 def _band(d: int) -> float:
     """The rounding bound of :meth:`ValidationIndex.neighbors` per unit of R: 2 (3d + 16) u."""
     return 2 * (3 * d + 16) * 2.0**-53
@@ -678,8 +665,10 @@ class ValidationIndex:
         again, so that a block holds one (block, N) table of floats at a
         time; the bound holds for each product on its own, so the two need
         not agree to the bit. The candidates are taken in index order; only
-        they get D_j, padded to the block's widest row with +inf, and
-        :func:`_stable_smallest` picks the k' among them.
+        they get D_j, and one stable ``np.lexsort`` by row, then by D_j,
+        orders them; a row's first k' are its neighbours. ``lexsort`` puts
+        NaN last, as the argsort does, and every row has at least k'
+        candidates: every j with D_j <= D*, below.
 
         Why the candidates hold the answer. Let d' count the kept features,
         u = 2^-53, gamma_n = nu / (1 - nu) (Higham, *Accuracy and Stability
@@ -748,8 +737,6 @@ class ValidationIndex:
         big = np.abs(q).max(axis=1, initial=0.0) > 2.0**1000 - self._magnitude
         keep[big | ~(scale <= 2.0**1000)] = True  # no bound holds there: every index
         rows, cols = divmod(np.flatnonzero(keep), self.n_samples)
-        widths = np.bincount(rows, minlength=b)
-        place = np.arange(rows.size) - np.repeat(np.cumsum(widths) - widths, widths)
         dist = np.zeros(rows.size)
         step = block_rows(max(1, d))
         for lo in range(0, rows.size, step):
@@ -759,11 +746,9 @@ class ValidationIndex:
             for term in z.T:  # in feature order, which numpy's own sum does not promise
                 dist[lo : lo + step] += term
         np.sqrt(dist, out=dist)
-        table = np.full((b, widths.max()), np.inf)
-        table[rows, place] = dist
-        index = np.zeros(table.shape, dtype=np.intp)
-        index[rows, place] = cols
-        return np.take_along_axis(index, _stable_smallest(table, count), axis=1)
+        order = np.lexsort((dist, rows))  # stable, NaN last: each row's argsort, row by row
+        first = np.searchsorted(rows, np.arange(b))
+        return cols[order[first[:, None] + np.arange(count)]]
 
     def skills(self, query, k: int) -> np.ndarray:
         """Smoothed accuracy of every classifier among the k nearest samples.

@@ -59,30 +59,14 @@ from ._exact import (
 )
 from ._rand import chunk_sums
 from .errors import DimensionError
-from .model import SkillsLike, as_skills
-
-
-def _skill_array(skills: SkillsLike) -> np.ndarray:
-    """(n,) float skills, refused as :class:`.model.SkillProfile` refuses them.
-
-    A 1-D array of numbers is checked in one numpy pass; anything else goes
-    through the profile.
-    """
-    if not (isinstance(skills, np.ndarray) and skills.ndim == 1 and skills.dtype.kind in "biuf"):
-        return np.asarray(as_skills(skills).p, dtype=np.float64)
-    p = skills.astype(np.float64)
-    bad = ~((p >= 0.0) & (p <= 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"skill of player {i} is {float(p[i])}, outside [0, 1]")
-    return p
+from .model import SkillsLike, skill_array
 
 
 def _checked(weights, bias, skills, nd_policy: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Check a jury's inputs; return its weights, skills and stalemate credit."""
     nd = nd_credit(nd_policy)
     w = np.asarray(list(weights), dtype=np.float64)
-    p = _skill_array(skills)
+    p = skill_array(skills)
     if w.size != p.size:
         raise DimensionError(f"{w.size} weights for {p.size} skills")
     if w.size == 0:
@@ -205,7 +189,7 @@ def optimal_weights(
     """
     if not 0.0 < clip < 0.5:
         raise ValueError(f"clip must be in (0, 0.5), got {clip}")
-    p = _skill_array(skills)
+    p = skill_array(skills)
     lo = 0.5 if nonnegative else clip
     p = np.clip(p, lo, 1.0 - clip)
     return np.log(p / (1.0 - p))
@@ -298,7 +282,7 @@ def indirect_competence(
     refused, until one price in measured time replaces it (ROADMAP item 9).
     """
     nd = nd_credit(nd_policy)
-    p_all = _skill_array(skills)
+    p_all = skill_array(skills)
     players = structure.distinct_players
     if players and players[-1] >= p_all.size:
         raise DimensionError(

@@ -105,12 +105,15 @@ class Coalition:
 CoalitionLike = Union[Coalition, Iterable[int], int]
 
 
-def _coerce_coalition(value: CoalitionLike) -> Coalition:
-    if isinstance(value, Coalition):
-        return value
-    if isinstance(value, int):
-        return Coalition.from_mask(value)
-    return Coalition(value)
+def _coerce_coalition(value: CoalitionLike, n: int) -> Coalition:
+    """A Coalition, a mask or members as a Coalition, refused if a member is not among n players."""
+    if not isinstance(value, Coalition):
+        value = Coalition.from_mask(value) if isinstance(value, int) else Coalition(value)
+    if value.mask >> n:
+        raise InvalidCoalitionError(
+            f"coalition {sorted(value.members)} has members outside a {n}-player game"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,7 @@ class VotingGame:
 
 def coalition_weight(game: VotingGame, coalition: CoalitionLike) -> Fraction:
     """Exact total weight of the coalition's members."""
-    c = _coerce_coalition(coalition)
-    if c.mask >> game.n:
-        raise InvalidCoalitionError(
-            f"coalition {sorted(c.members)} has members outside a {game.n}-player game"
-        )
+    c = _coerce_coalition(coalition, game.n)
     return sum((game.weights[i] for i in c), Fraction(0))
 
 
@@ -201,16 +200,12 @@ def integer_form(game: VotingGame) -> tuple[np.ndarray, int]:
 
 @dataclass(frozen=True)
 class SkillProfile:
-    """Per-player probabilities of voting for the correct alternative."""
+    """Per-player probabilities of a correct vote, each in [0, 1] (see :func:`skill_array`)."""
 
     p: tuple[float, ...]
 
     def __post_init__(self):
-        ps = tuple(float(x) for x in self.p)
-        for i, x in enumerate(ps):
-            if not 0.0 <= x <= 1.0:
-                raise ValueError(f"skill of player {i} is {x}, outside [0, 1]")
-        object.__setattr__(self, "p", ps)
+        object.__setattr__(self, "p", tuple(skill_array(self.p).tolist()))
 
     @property
     def n(self) -> int:
@@ -220,10 +215,21 @@ class SkillProfile:
 SkillsLike = Union[SkillProfile, Sequence[float], np.ndarray]
 
 
-def as_skills(value: SkillsLike) -> SkillProfile:
-    if isinstance(value, SkillProfile):
-        return value
-    return SkillProfile(tuple(float(x) for x in value))
+def skill_array(skills: SkillsLike) -> np.ndarray:
+    """The (n,) float64 skills of a :class:`SkillProfile` or of the given values.
+
+    Values that are not one per player are a :class:`DimensionError`; the
+    first one outside [0, 1], NaN included, is a :class:`ValueError` naming
+    its player.
+    """
+    p = np.asarray(skills.p if isinstance(skills, SkillProfile) else skills, dtype=np.float64)
+    if p.ndim != 1:
+        raise DimensionError(f"skills must be one value per player, got shape {p.shape}")
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"skill of player {i} is {float(p[i])}, outside [0, 1]")
+    return p
 
 
 @dataclass(frozen=True)

@@ -316,9 +316,7 @@ class WinningFamily:
     @classmethod
     def from_minimal(cls, n: int, coalitions) -> "WinningFamily":
         cls._check_size(n)
-        seeds = []
-        for c in coalitions:
-            seeds.append(c.mask if isinstance(c, Coalition) else Coalition(c).mask)
+        seeds = [_coerce_coalition(c, n).mask for c in coalitions]
         winning = {m for m in range(1 << n) if any(m & s == s for s in seeds)}
         return cls(n, frozenset(winning))
 
@@ -330,8 +328,10 @@ class WinningFamily:
         return cls(game.n, frozenset(np.flatnonzero(table == OUTCOME_A).tolist()))
 
     def is_winning(self, coalition) -> bool:
-        mask = coalition if isinstance(coalition, int) else _coerce_coalition(coalition).mask
-        return mask in self.winning
+        """Whether a Coalition, a mask or members win; a member past the n players is refused."""
+        if not (isinstance(coalition, int) and 0 <= coalition < 1 << self.n):
+            coalition = _coerce_coalition(coalition, self.n).mask
+        return coalition in self.winning
 
     def minimal_winning(self) -> list[int]:
         out = []

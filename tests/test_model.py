@@ -156,6 +156,11 @@ class TestSkillProfile:
         with pytest.raises(ValueError):
             SkillProfile((-0.1,))
 
+    def test_skills_not_one_per_player_are_refused(self):
+        for given_ in ([[0.5, 0.6]], np.full((2, 2), 0.5), 0.5):
+            with pytest.raises(DimensionError, match="one value per player"):
+                SkillProfile(given_)
+
 
 class TestDecisionProfile:
     def test_votes_map_to_index_bits(self):

@@ -105,7 +105,7 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     csv_forms = ["fuse-csv-forms"]
     overflow = ["fuse-weights-overflow"]
     ignored = ["fuse-weights-ignored"]
-    tied = ["adaptive-wmr-tied-features"]
+    tied = ["adaptive-wmr-tied-features", "adaptive-wmr-huge-features"]
     assert list(lines) == [
         f"edge/{i}"
         for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from votefuse import _exact, wmr
 from votefuse._exact import pattern_outcomes
-from votefuse.errors import CapacityError, DimensionError
+from votefuse.errors import CapacityError, DimensionError, InvalidCoalitionError
 from votefuse.model import Coalition, DecisionProfile, VotingGame
 from votefuse.wmr import (
     DEFAULT_MAX_WEIGHT,
@@ -463,6 +463,18 @@ class TestWinningFamily:
     def test_construction_is_capped(self):
         with pytest.raises(CapacityError):
             WinningFamily.from_minimal(13, [{0}])
+
+    def test_a_coalition_past_the_players_is_refused_by_name(self):
+        for minimal, named in (([(5,)], r"\[5\]"), ([(0, 1), (0, 5)], r"\[0, 5\]")):
+            with pytest.raises(InvalidCoalitionError, match=named + " has members outside a 3-player"):
+                WinningFamily.from_minimal(3, minimal)
+        fam = WinningFamily.from_minimal(3, [(0, 1)])
+        assert fam.is_winning(0b011) and not fam.is_winning(0b001)
+        for coalition, named in ((0b1011, r"\[0, 1, 3\]"), ((0, 1, 4), r"\[0, 1, 4\]")):
+            with pytest.raises(InvalidCoalitionError, match=named):
+                fam.is_winning(coalition)
+        with pytest.raises(InvalidCoalitionError):
+            fam.is_winning(-1)
 
 
 class TestTradeRobustness:

@@ -45,7 +45,10 @@ on three classifiers' probabilities, whose weight sum is past the float
 range, exits 3; ``fuse --rule product --weights 1,1,1`` on the same file
 exits 0 with one ``warning:`` line, as product ignores the weights.
 ``fuse --rule adaptive-wmr`` on samples whose two integer features stand on
-six points, seven samples to a point, picks every neighbour from ties.
+six points, seven samples to a point, picks every neighbour from ties; ``fuse
+--rule adaptive-wmr --k 3`` on 30 validation and 12 query samples whose two
+features are drawn from {+-1e308, +-5e307, 0, 1}, whose spread overflows,
+takes every index as a candidate and exits 0 with three ``warning:`` lines.
 
 Each job runs with every warning shown (``simplefilter("always")``), so its
 stderr does not depend on the jobs run before it: Python otherwise shows a
@@ -126,18 +129,21 @@ EDGE_CSV = {
 }
 
 
-def _tied_features() -> str:
-    """A prediction file of 42 labelled samples whose two features stand on 6 points.
+def _feature_file(prefix: str, rows: int, features) -> str:
+    """A prediction file of labelled samples, three hard votes each, and two features.
 
-    Seven samples share each point, so every distance ties with six others,
-    and the neighbours at k = 5 come from ties.
+    Sample i is ``{prefix}{i}``, and ``features(i)`` gives its two features.
     """
     lines = ["sample_id,true_label,c1,c2,c3,feat_0,feat_1"]
-    for i in range(42):
+    for i in range(rows):
         truth = "yn"[i // 2 % 2]
         votes = [truth if (i + j) % (3 + j) else "yn"[(i + 1) % 2] for j in range(3)]
-        lines.append(f"s{i},{truth},{','.join(votes)},{i % 3},{i // 3 % 2}")
+        lines.append(f"{prefix}{i},{truth},{','.join(votes)},{','.join(features(i))}")
     return "\n".join(lines) + "\n"
+
+
+#: The values of the features whose spread overflows: every distance is inf or NaN.
+HUGE = ("1e308", "-1e308", "5e307", "-5e307", "0", "1")
 
 
 def edge_jobs(root: Path) -> list[dict]:
@@ -198,9 +204,18 @@ def edge_jobs(root: Path) -> list[dict]:
     jobs.append({"id": "fuse-weights-overflow", "argv": argv})
     argv = ["fuse", "--predictions", "three-probas.csv", "--rule", "product", "--weights", "1,1,1"]
     jobs.append({"id": "fuse-weights-ignored", "argv": argv})
-    (root / "tied-features.csv").write_text(_tied_features(), encoding="utf-8")
+    # 42 samples on 6 points, 7 to a point: the neighbours at k = 5 come from ties
+    tied = _feature_file("s", 42, lambda i: (str(i % 3), str(i // 3 % 2)))
+    (root / "tied-features.csv").write_text(tied, encoding="utf-8")
     argv = ["fuse", "--predictions", "tied-features.csv", "--rule", "adaptive-wmr"]
     jobs.append({"id": "adaptive-wmr-tied-features", "argv": argv})
+    huge = _feature_file("v", 30, lambda i: (HUGE[i % 3], HUGE[(i + 1) % 3]))
+    (root / "huge-validation.csv").write_text(huge, encoding="utf-8")
+    huge = _feature_file("q", 12, lambda i: (HUGE[(i + 1) % 6], HUGE[(5 * i) % 6]))
+    (root / "huge-query.csv").write_text(huge, encoding="utf-8")
+    argv = ["fuse", "--predictions", "huge-query.csv", "--validation", "huge-validation.csv",
+            "--rule", "adaptive-wmr", "--k", "3"]
+    jobs.append({"id": "adaptive-wmr-huge-features", "argv": argv})
     return jobs
 
 
