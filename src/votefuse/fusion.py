@@ -12,7 +12,9 @@ A :class:`PredictionSet` codes its labels once, when it is validated: the
 hard vote of every classifier as an (N, K) array of label indices (top of a
 ranking, argmax of a proba row), the true labels as (N,) indices with -1 for
 a gap, and the (N, K, M) score tensor. Accuracies, confusion counts and
-every weighted vote read these codes.
+every weighted vote read these codes. :func:`.io.load_predictions` keeps
+each validated set and returns it for every later load of the same bytes, so
+a prediction file's labels are coded once per distinct bytes per process.
 
 All weighted votes (two-label, one-vs-rest, local skill) go through one
 kernel, :func:`_weighted_votes`. It adds +w for a classifier voting for the
@@ -63,6 +65,19 @@ def _check_labels(labels) -> tuple[str, ...]:
     return labs
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only view of a read-only owner.
+
+    numpy lets an array that owns its memory be made writable again, but
+    refuses ``setflags(write=True)`` on a view of a read-only owner; so no
+    holder of the view can write to it. An ``a`` that owns no memory is
+    copied first.
+    """
+    owner = a if a.base is None else a.copy()
+    owner.setflags(write=False)
+    return owner.view()
+
+
 def _square_by_labels(matrix, field_name: str, dtype) -> np.ndarray:
     """Check the labels and the (m, m) array field of a frozen matrix; store both read-only."""
     labs = _check_labels(matrix.labels)
@@ -70,7 +85,7 @@ def _square_by_labels(matrix, field_name: str, dtype) -> np.ndarray:
     m = len(labs)
     if a.shape != (m, m):
         raise DimensionError(f"{field_name} must be {m}x{m} for {m} labels, got {a.shape}")
-    a.setflags(write=False)
+    a = _read_only(a)
     object.__setattr__(matrix, "labels", labs)
     object.__setattr__(matrix, field_name, a)
     return a
@@ -93,6 +108,8 @@ class ConfusionMatrix:
         c = _square_by_labels(self, "counts", np.int64)
         if (c < 0).any():
             raise ValueError("confusion counts must be finite non-negative integers")
+        if sum(c.ravel().tolist()) >= 2**63:  # the exact total: an int64 sum would wrap
+            raise ValueError("confusion counts must total at most 2**63 - 1, the int64 limit")
         if c.sum() == 0:
             raise EvidenceError("confusion matrix is empty")
 
@@ -137,8 +154,7 @@ class ClassifierOutput:
     def _factorized(cls, kind: str, items) -> "ClassifierOutput":
         codes: dict = {}
         rows = np.fromiter((codes.setdefault(x, len(codes)) for x in items), np.intp)
-        rows.setflags(write=False)
-        return cls(kind, tuple(codes), rows)
+        return cls(kind, tuple(codes), _read_only(rows))
 
     @classmethod
     def from_hard(cls, predictions: Sequence[str]) -> "ClassifierOutput":
@@ -150,9 +166,7 @@ class ClassifierOutput:
 
     @classmethod
     def from_proba(cls, matrix) -> "ClassifierOutput":
-        p = np.asarray(matrix, dtype=np.float64).copy()
-        p.setflags(write=False)
-        return cls("proba", proba=p)
+        return cls("proba", proba=_read_only(np.asarray(matrix, dtype=np.float64).copy()))
 
     @property
     def n_samples(self) -> int:
@@ -234,7 +248,11 @@ class PredictionSet:
     Validation also codes the labels once: ``vote_codes`` (N, K) holds the
     label index of each classifier's hard vote, ``truth_codes`` (N,) the
     index of each true label or -1 for a gap, and :meth:`score_tensor` the
-    (N, K, M) per-class scores. All three are read-only.
+    (N, K, M) per-class scores. These and ``features``, like the arrays of
+    outputs that :class:`ClassifierOutput`'s constructors and
+    :func:`.io.parse_predictions` build, are read-only views of read-only
+    owners, which no holder can make writable: a validated set never changes,
+    so one set serves every load of the same bytes.
     """
 
     labels: tuple[str, ...]
@@ -298,18 +316,16 @@ class PredictionSet:
                 raise DimensionError(f"features must be (n, d), got {feats.shape}")
             if not np.isfinite(feats).all():
                 raise DataError("features must be finite")
-            feats.setflags(write=False)
-        for a in (codes, truth_codes, scores):
-            a.setflags(write=False)
+            feats = _read_only(feats)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "outputs", outs)
         object.__setattr__(self, "classifier_names", names)
         object.__setattr__(self, "true_labels", truth)
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "vote_codes", codes)
-        object.__setattr__(self, "truth_codes", truth_codes)
-        object.__setattr__(self, "_scores", scores)
+        object.__setattr__(self, "vote_codes", _read_only(codes))
+        object.__setattr__(self, "truth_codes", _read_only(truth_codes))
+        object.__setattr__(self, "_scores", _read_only(scores))
 
     @property
     def n_samples(self) -> int:

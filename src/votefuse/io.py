@@ -15,7 +15,7 @@ import io as _io
 import math
 import re
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DataError, ParseError, SampleError
-from .fusion import ClassifierOutput, CostMatrix, PredictionSet
+from .fusion import ClassifierOutput, CostMatrix, PredictionSet, _read_only
 from .jury import TeamStructure
 from .model import VotingGame, as_fraction
 from .scoring import RankedBallot
@@ -461,8 +461,7 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
             raise fail(f"empty vote in column {name!r}", column.index(empty[0]), cols[0])
         codes: dict = {}
         code_of = {raw: codes.setdefault(v, len(codes)) for raw, v in cells.items()}
-        rows = np.fromiter(map(code_of.__getitem__, column), np.intp, n)
-        rows.setflags(write=False)
+        rows = _read_only(np.fromiter(map(code_of.__getitem__, column), np.intp, n))
         outputs.append(ClassifierOutput("rank" if ranked else "hard", tuple(codes), rows))
 
     try:
@@ -481,26 +480,34 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
         raise fail(str(exc), None, 0) from None
 
 
-#: The most source bytes of prediction files whose parsed fields a process keeps.
+#: The most bytes of prediction sets a process keeps, each counted as its
+#: file's length plus the bytes of every array the set holds.
 _KEPT_PREDICTION_BYTES = 16 << 20
 
-#: The SHA-256 digest of a prediction file's bytes -> (their length, the
-#: validated constructor fields of the set parsed from them), oldest first.
-_kept_predictions: dict[bytes, tuple[int, dict]] = {}
-_kept_bytes = 0  # the lengths of the kept files, summed
+#: The SHA-256 digest of a prediction file's bytes -> (the counted bytes of
+#: the entry, the validated set parsed from them), oldest first.
+_kept_predictions: dict[bytes, tuple[int, PredictionSet]] = {}
+_kept_bytes = 0  # the counted bytes of the kept entries, summed
 _kept_lock = threading.Lock()
 
 
+def _entry_bytes(size: int, pred: PredictionSet) -> int:
+    """The counted bytes of ``pred``, parsed from ``size`` bytes: those and its arrays' bytes."""
+    arrays = [pred.vote_codes, pred.truth_codes, pred.score_tensor(), pred.features]
+    arrays += [a for out in pred.outputs for a in (out.rows, out.proba)]
+    return size + sum(a.nbytes for a in arrays if a is not None)
+
+
 def _keep_predictions(key: bytes, size: int, pred: PredictionSet) -> None:
-    """Keep the constructor fields of ``pred``, parsed from ``size`` bytes, under ``key``."""
+    """Keep ``pred``, parsed from ``size`` bytes, under ``key``."""
     global _kept_bytes
+    size = _entry_bytes(size, pred)
     if size > _KEPT_PREDICTION_BYTES:
         return
-    kept = {f.name: getattr(pred, f.name) for f in fields(pred) if f.init}
     with _kept_lock:
         if key in _kept_predictions:  # another thread parsed the same bytes
             return
-        _kept_predictions[key] = size, kept
+        _kept_predictions[key] = size, pred
         _kept_bytes += size
         while _kept_bytes > _KEPT_PREDICTION_BYTES:
             _kept_bytes -= _kept_predictions.pop(next(iter(_kept_predictions)))[0]
@@ -509,15 +516,15 @@ def _keep_predictions(key: bytes, size: int, pred: PredictionSet) -> None:
 def load_predictions(path: PathLike) -> PredictionSet:
     """The :class:`PredictionSet` of a predictions CSV (see :func:`parse_predictions`).
 
-    A process parses the same bytes once, whatever the path they were read
-    from. It keeps the validated constructor fields of each parsed set
-    (labels, sample ids, classifier outputs and names, true labels and
-    features: tuples and read-only arrays), keyed by the SHA-256 digest of
-    the file's bytes, for up to 16 MiB of source bytes; the oldest entry is
-    dropped first, and a larger file is parsed but not kept. A load of kept
-    bytes builds a fresh set from the fields, which validates it once and
-    codes its votes and scores anew. A file that fails to parse is never
-    kept, so it fails again at the same line and column.
+    A process parses and validates the same bytes once, whatever the path
+    they were read from. It keeps each validated set, keyed by the SHA-256
+    digest of the file's bytes, and a load of kept bytes returns that same
+    set: a set is frozen, and every array it holds is a read-only view of a
+    read-only owner. An entry counts as the file's length plus the bytes of
+    every array of the set (codes, scores, features, outputs), and entries
+    are kept up to 16 MiB in all; the oldest entry is dropped first, and a
+    larger one is parsed but not kept. A file that fails to parse or
+    validate is never kept, so it fails again at the same line and column.
     """
     data = Path(path).read_bytes()
     import hashlib  # here, not at start-up: only prediction files are digested
@@ -526,7 +533,7 @@ def load_predictions(path: PathLike) -> PredictionSet:
     with _kept_lock:
         kept = _kept_predictions.get(key)
     if kept is not None:
-        return PredictionSet(**kept[1])
+        return kept[1]
     pred = parse_predictions(_text(data), source=str(path))
     _keep_predictions(key, len(data), pred)
     return pred

@@ -69,6 +69,49 @@ class TestConfusionMatrix:
         assert cm.counts.dtype == np.int64 and cm.counts.tolist() == [[3, 1], [0, 1]]
         assert cm.accuracy == 0.8
 
+    @pytest.mark.parametrize("counts", [[[2**62] * 2] * 2, [[2**62, 2**62], [0, 1]]])
+    def test_counts_whose_total_passes_the_int64_range_are_refused(self, counts):
+        with pytest.raises(ValueError, match=re.escape("total at most 2**63 - 1")):
+            ConfusionMatrix(("a", "b"), counts)
+
+    def test_counts_totalling_the_int64_maximum_are_kept(self):
+        cm = ConfusionMatrix(("a", "b"), [[2**63 - 1, 0], [0, 0]])
+        assert cm.total == 2**63 - 1 and cm.accuracy == 1.0
+
+
+class TestReadOnlyArrays:
+    def test_no_array_a_set_or_matrix_holds_can_be_made_writable(self):
+        pred = PredictionSet(
+            labels=("a", "b"),
+            sample_ids=("s0", "s1"),
+            outputs=(
+                ClassifierOutput.from_hard(["a", "b"]),
+                ClassifierOutput.from_ranks([("b", "a"), ("a", "b")]),
+                ClassifierOutput.from_proba([[0.25, 0.75], [1.0, 0.0]]),
+            ),
+            classifier_names=("h", "r", "p"),
+            true_labels=("a", None),
+            features=[[1.0], [2.0]],
+        )
+        outputs = [a for o in pred.outputs for a in (o.rows, o.proba) if a is not None]
+        arrays = [
+            pred.vote_codes, pred.truth_codes, pred.score_tensor(), pred.features, *outputs,
+            ConfusionMatrix(("a", "b"), [[1, 0], [0, 1]]).counts,
+            CostMatrix(("a", "b"), [[1.0, 0.0], [0.0, 1.0]]).gains,
+        ]
+        assert len(arrays) == 9
+        for array in arrays:
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    def test_an_array_that_owns_no_memory_is_copied_first(self):
+        base = np.arange(6.0)
+        view = fusion._read_only(base[::2])
+        base[0] = 9.0
+        assert view.tolist() == [0.0, 2.0, 4.0] and base.flags.writeable
+
 
 class TestCostMatrix:
     def test_validation(self):

@@ -937,23 +937,6 @@ class TestPredictionsAgainstTheRowwiseOracle:
         assert got[0] == "error"
         assert got == _outcome(predictions_rowwise, bad)
 
-    def test_each_load_validates_once(self, tmp_path, monkeypatch):
-        calls = []
-        validate = PredictionSet.__post_init__
-
-        def counted(self):
-            calls.append(self)
-            validate(self)
-
-        monkeypatch.setattr(PredictionSet, "__post_init__", counted)
-        for i, text in enumerate((PREDICTIONS_CSV, PREDICTIONS_CSV.replace("s1", '"s,1"'))):
-            path = tmp_path / f"p{i}.csv"
-            path.write_text(text, encoding="utf-8")
-            for _ in range(2):  # a parse, then a reuse of its fields
-                calls.clear()
-                pred = load_predictions(path)
-                assert calls == [pred]
-
 
 @pytest.fixture
 def parses(monkeypatch):
@@ -987,6 +970,26 @@ def _every_field(pred: PredictionSet):
 def _arrays(pred: PredictionSet):
     outputs = [a for o in pred.outputs for a in (o.rows, o.proba) if a is not None]
     return [pred.vote_codes, pred.truth_codes, pred.score_tensor(), pred.features, *outputs]
+
+
+def _entry_bytes(text: str) -> int:
+    """What a kept parse of ``text`` counts against the budget: its bytes and its arrays'."""
+    held = [a for a in _arrays(parse_predictions(text)) if a is not None]
+    return len(text.encode()) + sum(a.nbytes for a in held)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The sets whose validation runs, in order."""
+    calls = []
+    validate = PredictionSet.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(PredictionSet, "__post_init__", counted)
+    return calls
 
 
 class TestPredictionParsesAreReused:
@@ -1071,7 +1074,8 @@ class TestPredictionParsesAreReused:
         self, tmp_path, parses, monkeypatch
     ):
         texts = [PREDICTIONS_CSV.replace("s1", f"t{i}") for i in range(3)]
-        size = len(texts[0].encode())
+        size = _entry_bytes(texts[0])
+        assert size > 2 * len(texts[0].encode())  # the arrays outweigh the text
         monkeypatch.setattr(vio, "_KEPT_PREDICTION_BYTES", 2 * size + 1)
         paths = []
         for i, text in enumerate(texts):
@@ -1097,7 +1101,8 @@ class TestPredictionParsesAreReused:
         self, tmp_path, parses, monkeypatch
     ):
         texts = [PREDICTIONS_CSV.replace("s1", f"t{i}") for i in range(5)]
-        monkeypatch.setattr(vio, "_KEPT_PREDICTION_BYTES", 3 * len(texts[0]))
+        size = _entry_bytes(texts[0])
+        monkeypatch.setattr(vio, "_KEPT_PREDICTION_BYTES", 3 * size)
         paths = [tmp_path / f"p{i}.csv" for i in range(len(texts))]
         for path, text in zip(paths, texts):
             path.write_text(text, encoding="utf-8")
@@ -1122,18 +1127,61 @@ class TestPredictionParsesAreReused:
             sys.setswitchinterval(switch)
         assert not any(worker.is_alive() for worker in workers) and faults == []
         kept = vio._kept_predictions
-        assert vio._kept_bytes == sum(size for size, _ in kept.values()) <= 3 * len(texts[0])
-        assert len(kept) == 3
+        assert [counted for counted, _ in kept.values()] == [size] * 3
+        assert vio._kept_bytes == 3 * size
 
-    def test_each_load_is_a_distinct_set_of_read_only_arrays(self, tmp_path, parses):
+    def test_a_load_validates_once_per_distinct_bytes(self, tmp_path, parses, validations):
+        for i, text in enumerate((PREDICTIONS_CSV, PREDICTIONS_CSV.replace("s1", '"s,1"'))):
+            path = tmp_path / f"p{i}.csv"
+            path.write_text(text, encoding="utf-8")
+            validations.clear()
+            pred = load_predictions(path)
+            assert validations == [pred]
+            validations.clear()
+            assert load_predictions(path) is pred
+            assert validations == []
+        assert len(parses) == 2
+
+    def test_a_load_of_kept_bytes_returns_the_kept_set_of_read_only_arrays(
+        self, tmp_path, parses
+    ):
         path = tmp_path / "p.csv"
         path.write_text(PREDICTIONS_CSV, encoding="utf-8")
         first, again = load_predictions(path), load_predictions(path)
-        assert parses == [str(path)] and first is not again
-        for pred in (first, again):
-            for array in _arrays(pred):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    array.flat[0] = 0
-        assert first.features is not again.features
-        assert first.vote_codes is not again.vote_codes
+        assert parses == [str(path)] and again is first
+        assert list(vio._kept_predictions.values()) == [(_entry_bytes(PREDICTIONS_CSV), first)]
+        for array in _arrays(first):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                array.setflags(write=True)
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    def test_a_file_that_fails_validation_fails_each_time_and_is_not_kept(
+        self, tmp_path, parses, validations
+    ):
+        path = tmp_path / "p.csv"
+        path.write_text(PREDICTIONS_CSV.replace("0.9,0.1", "0.9,0.2"), encoding="utf-8")
+        for i in range(1, 3):
+            with pytest.raises(ParseError, match="probability row does not sum to 1") as err:
+                load_predictions(path)
+            assert str(err.value).startswith(f"{path}:3:7: ")
+            assert len(validations) == i
+        assert parses == [str(path)] * 2
+        assert vio._kept_predictions == {} and vio._kept_bytes == 0
+
+    def test_a_file_whose_arrays_pass_the_budget_is_parsed_each_time(
+        self, tmp_path, parses, monkeypatch
+    ):
+        labels = [f"label{i:02d}" for i in range(40)]  # hard votes, scored over 40 labels
+        rows = [f"s{i},{labels[i % 40]},{labels[(i * 7) % 40]}" for i in range(60)]
+        text = "sample_id,c0,c1\n" + "\n".join(rows) + "\n"
+        size = len(text.encode())
+        monkeypatch.setattr(vio, "_KEPT_PREDICTION_BYTES", 4 * size)
+        assert _entry_bytes(text) > 4 * size
+        path = tmp_path / "p.csv"
+        path.write_text(text, encoding="utf-8")
+        first, again = load_predictions(path), load_predictions(path)
+        assert parses == [str(path)] * 2 and again is not first
+        assert _every_field(again) == _every_field(first)
+        assert vio._kept_predictions == {} and vio._kept_bytes == 0
