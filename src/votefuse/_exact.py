@@ -436,7 +436,8 @@ def _jury_halves(w, p, bias, nd, players):
     C_B[b] is the mass of the A sums with which b certainly wins (a running
     total) plus the same band. The competence is q_A . C_A, and each half's
     table gives its judges' decisiveness. Every pair can fall in the band,
-    so the work is priced at n*2^n.
+    so the work is priced at n*2^n. The band's credits are added to C_A and
+    C_B block by block, so their sums follow :data:`OUTCOME_BLOCK`.
     """
     n, h = w.size, w.size // 2
     prefixes = enumerate_patterns(-w[:h], w[:h], np.float64(0.0))

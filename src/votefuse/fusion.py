@@ -71,7 +71,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     numpy lets an array that owns its memory be made writable again, but
     refuses ``setflags(write=True)`` on a view of a read-only owner; so no
     holder of the view can write to it. An ``a`` that owns no memory is
-    copied first.
+    copied first. Callers copy their input in C order, as the products that
+    read it round by its layout (a cost matrix is read transposed).
     """
     owner = a if a.base is None else a.copy()
     owner.setflags(write=False)
@@ -81,11 +82,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _square_by_labels(matrix, field_name: str, dtype) -> np.ndarray:
     """Check the labels and the (m, m) array field of a frozen matrix; store both read-only."""
     labs = _check_labels(matrix.labels)
-    a = np.asarray(getattr(matrix, field_name), dtype=dtype).copy()
+    a = _read_only(np.array(getattr(matrix, field_name), dtype=dtype, order="C"))
     m = len(labs)
     if a.shape != (m, m):
         raise DimensionError(f"{field_name} must be {m}x{m} for {m} labels, got {a.shape}")
-    a = _read_only(a)
     object.__setattr__(matrix, "labels", labs)
     object.__setattr__(matrix, field_name, a)
     return a
@@ -139,10 +139,13 @@ class ClassifierOutput:
     """One classifier's predictions for every sample, in one of three shapes.
 
     Hard votes and rankings are kept factorized: ``values`` holds each
-    distinct label (``kind="hard"``) or ranking (``kind="rank"``) once, and
-    ``rows`` (N,) the index into ``values`` of every sample's prediction.
-    ``hard`` and ``ranks`` are per-sample views built from the two. A
-    ``kind="proba"`` output keeps its (N, M) rows in ``proba``.
+    distinct vote once, as a tuple of labels (a hard vote is the ranking of
+    its one label, ``("a",)``), and ``rows`` (N,) the index into ``values``
+    of every sample's vote. ``hard`` and ``ranks`` are per-sample views built
+    from the two. A ``kind="proba"`` output keeps its (N, M) rows in
+    ``proba``. The constructor checks the fields and keeps read-only copies
+    of ``rows`` and ``proba``, so later writes to the caller's arrays change
+    nothing.
     """
 
     kind: str
@@ -150,15 +153,29 @@ class ClassifierOutput:
     rows: Optional[np.ndarray] = None
     proba: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if self.kind not in ("hard", "rank", "proba"):
+            raise ValueError(f"unknown output kind {self.kind!r}")
+        if self.kind == "proba":
+            object.__setattr__(self, "proba", _read_only(np.array(self.proba, np.float64, order="C")))
+            return
+        values, rows = tuple(self.values), _read_only(np.array(self.rows, dtype=np.intp))
+        if not all(isinstance(v, tuple) and (len(v) == 1 or self.kind == "rank") for v in values):
+            raise TypeError(f"{self.kind} values must be tuples of labels, such as ('a',)")
+        if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= len(values))):
+            raise ValueError("rows must index the distinct values")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rows", rows)
+
     @classmethod
     def _factorized(cls, kind: str, items) -> "ClassifierOutput":
         codes: dict = {}
         rows = np.fromiter((codes.setdefault(x, len(codes)) for x in items), np.intp)
-        return cls(kind, tuple(codes), _read_only(rows))
+        return cls(kind, tuple(codes), rows)
 
     @classmethod
     def from_hard(cls, predictions: Sequence[str]) -> "ClassifierOutput":
-        return cls._factorized("hard", (str(x) for x in predictions))
+        return cls._factorized("hard", ((str(x),) for x in predictions))
 
     @classmethod
     def from_ranks(cls, rankings: Sequence[Sequence[str]]) -> "ClassifierOutput":
@@ -166,7 +183,7 @@ class ClassifierOutput:
 
     @classmethod
     def from_proba(cls, matrix) -> "ClassifierOutput":
-        return cls("proba", proba=_read_only(np.asarray(matrix, dtype=np.float64).copy()))
+        return cls("proba", proba=matrix)
 
     @property
     def n_samples(self) -> int:
@@ -175,17 +192,12 @@ class ClassifierOutput:
     @property
     def hard(self) -> Optional[tuple[str, ...]]:
         """The predicted label of every sample; None unless ``kind="hard"``."""
-        return self._per_sample(self.values) if self.kind == "hard" else None
+        return self._per_sample([v[0] for v in self.values]) if self.kind == "hard" else None
 
     @property
     def ranks(self) -> Optional[tuple[tuple[str, ...], ...]]:
         """The ranking of every sample; None unless ``kind="rank"``."""
         return self._per_sample(self.values) if self.kind == "rank" else None
-
-    @property
-    def rankings(self) -> tuple[tuple[str, ...], ...]:
-        """Each distinct value as a ranking: a hard vote is the ranking of its one label."""
-        return tuple((v,) for v in self.values) if self.kind == "hard" else self.values
 
     def _per_sample(self, values: Sequence) -> tuple:
         return tuple(map(values.__getitem__, self.rows.tolist()))
@@ -211,30 +223,27 @@ class ClassifierOutput:
             if bad.any():
                 raise SampleError("probability row does not sum to 1", sample=int(np.argmax(bad)))
             return np.argmax(p, axis=1), p
-        rows = np.asarray(self.rows, dtype=np.intp)
-        if rows.size and (rows.min() < 0 or rows.max() >= len(self.values)):
-            raise ValueError("rows must index the distinct values")
         m = len(labels)
         index = {lab: i for i, lab in enumerate(labels)}
         if self.kind == "hard":
-            width, message = 1, "predicts unknown label {!r}"
+            width, message = 1, "predicts unknown label {0[0]!r}"  # the label, not its 1-tuple
         else:
-            width, message = m, "ranking {} is not a permutation of the labels"
+            width, message = m, "ranking {0} is not a permutation of the labels"
         denom = sum(range(m - width, m))
         tops = np.zeros(len(self.values), dtype=np.intp)
         points = np.zeros((len(self.values), m))
         bad = []
-        for d, ranking in enumerate(self.rankings):
+        for d, ranking in enumerate(self.values):
             if len(ranking) != width or len(index.keys() & ranking) != width:
                 bad.append(d)
                 continue
             tops[d] = index[ranking[0]]
             for pos, lab in enumerate(ranking):
                 points[d, index[lab]] = (m - 1 - pos) / denom
-        if bad and np.isin(rows, bad).any():
-            sample = int(np.argmax(np.isin(rows, bad)))
-            raise SampleError(message.format(self.values[rows[sample]]), sample=sample)
-        return tops[rows], points[rows]
+        if bad and np.isin(self.rows, bad).any():
+            sample = int(np.argmax(np.isin(self.rows, bad)))
+            raise SampleError(message.format(self.values[self.rows[sample]]), sample=sample)
+        return tops[self.rows], points[self.rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,11 +257,10 @@ class PredictionSet:
     Validation also codes the labels once: ``vote_codes`` (N, K) holds the
     label index of each classifier's hard vote, ``truth_codes`` (N,) the
     index of each true label or -1 for a gap, and :meth:`score_tensor` the
-    (N, K, M) per-class scores. These and ``features``, like the arrays of
-    outputs that :class:`ClassifierOutput`'s constructors and
-    :func:`.io.parse_predictions` build, are read-only views of read-only
-    owners, which no holder can make writable: a validated set never changes,
-    so one set serves every load of the same bytes.
+    (N, K, M) per-class scores. These and ``features``, like the arrays a
+    :class:`ClassifierOutput` keeps, are read-only views of read-only owners,
+    which no holder can make writable: a validated set never changes, so one
+    set serves every load of the same bytes.
     """
 
     labels: tuple[str, ...]
@@ -280,8 +288,6 @@ class PredictionSet:
         codes = np.empty((n, len(outs)), dtype=np.intp)
         scores = np.empty((n, len(outs), m))
         for j, (name, out) in enumerate(zip(names, outs)):
-            if out.kind not in ("hard", "rank", "proba"):
-                raise ValueError(f"unknown output kind {out.kind!r}")
             if out.n_samples != n:
                 raise DimensionError(
                     f"classifier {name} has {out.n_samples} predictions for {n} samples"
@@ -311,12 +317,11 @@ class PredictionSet:
             truth_codes = np.fromiter(map(index.__getitem__, truth), np.intp, n)
         feats = self.features
         if feats is not None:
-            feats = np.asarray(feats, dtype=np.float64).copy()
+            feats = _read_only(np.array(feats, dtype=np.float64, order="C"))
             if feats.ndim != 2 or feats.shape[0] != n:
                 raise DimensionError(f"features must be (n, d), got {feats.shape}")
             if not np.isfinite(feats).all():
                 raise DataError("features must be finite")
-            feats = _read_only(feats)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "outputs", outs)

@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DataError, ParseError, SampleError
-from .fusion import ClassifierOutput, CostMatrix, PredictionSet, _read_only
+from .fusion import ClassifierOutput, CostMatrix, PredictionSet
 from .jury import TeamStructure
 from .model import VotingGame, as_fraction
 from .scoring import RankedBallot
@@ -331,12 +331,9 @@ def _column_kind(name: str) -> str:
     return "vote"
 
 
-def _vote_cell(raw: str):
-    """A classifier cell: a label, or a ranking ``a>b>c`` as a tuple of labels."""
-    v = raw.strip()
-    if ">" in v:
-        return tuple(part.strip() for part in v.split(">"))
-    return v
+def _vote_cell(raw: str) -> tuple[str, ...]:
+    """A classifier cell as a tuple of labels: a ranking ``a>b>c``, or a label as its ranking."""
+    return tuple(part.strip() for part in raw.split(">"))
 
 
 def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
@@ -351,11 +348,11 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     repeat.
 
     The body is read by columns, taken from the rows of the text. A
-    classifier's label or ranking cells are interpreted
-    once per distinct cell, and the output keeps the distinct values and a
-    row index into them (see :class:`ClassifierOutput`); all numeric cells
-    are converted as one block. The :class:`PredictionSet` built at the end
-    runs every check on values.
+    classifier's vote cells are read once per distinct cell, each as a tuple
+    of labels (a plain label is the ranking of its one label); the output
+    keeps the distinct votes and a row index into them (see
+    :class:`ClassifierOutput`). All numeric cells are converted as one block.
+    The :class:`PredictionSet` built at the end runs every check on values.
     """
     table = _CsvText(text, source)
     if not table.rows:
@@ -422,17 +419,13 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
     labels_seen: set[str] = set()
     if truth is not None:
         labels_seen.update(t for t in truth_cells.values() if t is not None)
-    votes: dict[int, dict] = {}  # classifier column -> {raw cell: label or ranking}
+    votes: dict[int, dict] = {}  # classifier column -> {raw cell: tuple of labels}
     for name, form, cols in classifiers:
         if form == "proba":
             labels_seen.update(header[i].split(":", 1)[1] for i in cols)
             continue
         votes[cols[0]] = {raw: _vote_cell(raw) for raw in dict.fromkeys(columns[cols[0]])}
-        for v in votes[cols[0]].values():
-            if isinstance(v, tuple):
-                labels_seen.update(v)
-            else:
-                labels_seen.add(v)
+        labels_seen.update(*votes[cols[0]].values())
     labels_seen.discard("")
     labels = tuple(sorted(labels_seen))
     if len(labels) < 2:
@@ -452,16 +445,16 @@ def parse_predictions(text: str, source: str = "<string>") -> PredictionSet:
             outputs.append(ClassifierOutput.from_proba(matrix))
             continue
         column, cells = columns[cols[0]], votes[cols[0]]
-        ranked = [raw for raw, v in cells.items() if isinstance(v, tuple)]
+        ranked = [raw for raw, v in cells.items() if len(v) > 1]
         if ranked and len(ranked) < len(cells):
             raise fail(f"column {name!r} mixes plain labels and rankings",
                        column.index(ranked[0]), cols[0])
-        empty = [raw for raw, v in cells.items() if not v]
+        empty = [raw for raw, v in cells.items() if v == ("",)]
         if empty:
             raise fail(f"empty vote in column {name!r}", column.index(empty[0]), cols[0])
         codes: dict = {}
         code_of = {raw: codes.setdefault(v, len(codes)) for raw, v in cells.items()}
-        rows = _read_only(np.fromiter(map(code_of.__getitem__, column), np.intp, n))
+        rows = np.fromiter(map(code_of.__getitem__, column), np.intp, n)
         outputs.append(ClassifierOutput("rank" if ranked else "hard", tuple(codes), rows))
 
     try:
@@ -582,7 +575,7 @@ def dump_predictions(pred: PredictionSet) -> str:
             columns += [list(map(repr, col.tolist())) for col in out.proba.T]
             shown.update(labels)
             continue
-        for d, ranking in enumerate(out.rankings):
+        for d, ranking in enumerate(out.values):
             for lab in ranking:
                 if ">" in lab:
                     raise DataError(
@@ -590,7 +583,7 @@ def dump_predictions(pred: PredictionSet) -> str:
                         f"{lab!r}, and '>' would make it a ranking"
                     )
             shown.update(ranking)
-        columns.append(out._per_sample([">".join(r) for r in out.rankings]))
+        columns.append(out._per_sample([">".join(r) for r in out.values]))
     missing = sorted(set(labels) - shown)
     if missing:
         raise DataError(f"labels {missing} appear in no cell, so they would not parse back")

@@ -106,6 +106,24 @@ class TestReadOnlyArrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] = 0
 
+    @pytest.mark.parametrize("kind", ["rows", "proba"])
+    def test_a_later_write_to_the_callers_array_changes_nothing_kept(self, kind):
+        if kind == "rows":
+            given = np.array([0, 1])
+            out = ClassifierOutput("hard", (("a",), ("b",)), given)
+        else:
+            given = np.array([[1.0, 0.0], [0.0, 1.0]])
+            out = ClassifierOutput("proba", proba=given)
+        pred = PredictionSet(("a", "b"), ("s0", "s1"), (out,), ("c",))
+        given[0] = given[1]
+        assert given.flags.writeable
+        assert pred.hard_votes(0) == ("a", "b") and pred.vote_codes.tolist() == [[0], [1]]
+        assert pred.score_tensor()[:, 0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        if kind == "rows":
+            assert out.rows.tolist() == [0, 1] and out.hard == ("a", "b")
+        else:
+            assert out.proba.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
     def test_an_array_that_owns_no_memory_is_copied_first(self):
         base = np.arange(6.0)
         view = fusion._read_only(base[::2])
@@ -140,6 +158,25 @@ class TestClassifierOutput:
         )
         assert [pred.hard_votes(j) for j in range(3)] == [("b", "a"), ("c", "a"), ("b", "a")]
         assert pred.vote_codes.tolist() == [[1, 2, 1], [0, 0, 0]]
+
+    def test_a_hard_vote_is_kept_as_the_ranking_of_its_one_label(self):
+        out = ClassifierOutput.from_hard(["a", "b", "a"])
+        assert out.values == (("a",), ("b",)) and out.rows.tolist() == [0, 1, 0]
+        assert out.hard == ("a", "b", "a") and out.ranks is None
+
+    def test_an_unknown_kind_and_rows_past_the_values_are_refused_when_built(self):
+        with pytest.raises(ValueError, match="unknown output kind 'vote'"):
+            ClassifierOutput("vote", (("a",),), np.array([0]))
+        for rows in ([0, 1], [-1]):
+            with pytest.raises(ValueError, match="rows must index the distinct values"):
+                ClassifierOutput("hard", (("a",),), np.array(rows))
+
+    @pytest.mark.parametrize(
+        "kind, values", [("hard", ("a", "b")), ("rank", ("ab",)), ("hard", (("a", "b"),))]
+    )
+    def test_a_value_that_is_not_a_tuple_of_labels_is_refused_by_its_form(self, kind, values):
+        with pytest.raises(TypeError, match=re.escape("such as ('a',)")):
+            ClassifierOutput(kind, values, np.zeros(1, dtype=np.intp))
 
     def test_score_embeddings(self):
         rows = [[0.2, 0.5, 0.3]]

@@ -102,21 +102,22 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     teams = ["jury-eight-teams-of-24"]
     budgets = ["power-shapley-losing-budget", "efficiency-zero-trials"]
     fusion = ["fuse-validation-reordered", "fuse-ragged-row", "fuse-nul"]
-    csv_forms = ["fuse-csv-forms"]
+    csv_forms = ["fuse-csv-forms", "fuse-padded-votes"]
+    votes = ["fuse-mixed-votes", "fuse-empty-vote", "fuse-bad-ranking"]
     overflow = ["fuse-weights-overflow"]
     ignored = ["fuse-weights-ignored"]
     tied = ["adaptive-wmr-tied-features", "adaptive-wmr-huge-features"]
     assert list(lines) == [
         f"edge/{i}"
         for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion
-        + csv_forms + overflow + ignored + tied
+        + csv_forms + votes + overflow + ignored + tied
     ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",
                "power-refused-both", "power-refused-banzhaf", "power-refused-shapley",
                *efficiency, *teams}
     for i, line in lines.items():
         job = i.removeprefix("edge/")
-        want = 3 if job in ("wmr-n-1", "wmr-n0", *faults, *budgets, *fusion, *overflow) else (
+        want = 3 if job in ("wmr-n-1", "wmr-n0", *faults, *budgets, *fusion, *votes, *overflow) else (
             4 if job in refused else 2 if job == usage else 0
         )
         assert line["exit"] == want

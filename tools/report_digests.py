@@ -40,10 +40,13 @@ sum`` reads prediction files in the CSV reader's other forms: a short row,
 refused with exit code 3 at its line; a row that holds a NUL, refused with
 exit code 3 on every Python; and comment, blank and all-blank lines and a
 quoted label that holds a comma, with a cost file that has a comment line
-and the same label (exit 0). ``fuse --rule sum --weights 1e308,1e308,1e308``
-on three classifiers' probabilities, whose weight sum is past the float
-range, exits 3; ``fuse --rule product --weights 1,1,1`` on the same file
-exits 0 with one ``warning:`` line, as product ignores the weights.
+and the same label (exit 0). It reads vote cells too: labels and rankings
+padded with blanks (exit 0), and, each refused with exit code 3 at its cell,
+a column that holds both a label and a ranking, a blank vote and the ranking
+``a>a``. ``fuse --rule sum --weights 1e308,1e308,1e308`` on three
+classifiers' probabilities, whose weight sum is past the float range, exits
+3; ``fuse --rule product --weights 1,1,1`` on the same file exits 0 with one
+``warning:`` line, as product ignores the weights.
 ``fuse --rule adaptive-wmr`` on samples whose two integer features stand on
 six points, seven samples to a point, picks every neighbour from ties; ``fuse
 --rule adaptive-wmr --k 3`` on 30 validation and 12 query samples whose two
@@ -126,6 +129,14 @@ EDGE_CSV = {
         '# by hand\nsample_id,true_label,c1,c2,c3\n\ns1,"y,1","y,1","y,1",n\n \t\ns2,n,n,n,"y,1"\n',
         '# gains\n,n,"y,1"\nn,1.0,0.0\n"y,1",-1.0,2.0\n',
     ),
+    "fuse-padded-votes": (
+        "sample_id,true_label,c1,c2,c3\ns1, a , a , a > b ,b>a\n"
+        "s2,b,b ,  b>  a,b >a\ns3, a,  a, a>b,  a > b  \n",
+        None,
+    ),
+    "fuse-mixed-votes": ("sample_id,true_label,c1\ns1,a,a\ns2,b,a>b\n", None),
+    "fuse-empty-vote": ("sample_id,true_label,c1\ns1,a,a\ns2,b, \n", None),
+    "fuse-bad-ranking": ("sample_id,true_label,c1\ns1,a,a>b\ns2,b,a>a\n", None),
 }
 
 
