@@ -437,13 +437,12 @@ def _jury_halves(w, p, bias, nd, players):
     total) plus the same band. The competence is q_A . C_A, and each half's
     table gives its judges' decisiveness. Every pair can fall in the band,
     so the work is priced at n*2^n. The band's credits are added to C_A and
-    C_B block by block, so their sums follow :data:`OUTCOME_BLOCK`.
+    C_B in fixed runs of 2^17 pairs, one ``bincount`` a run, so no block size
+    moves a float.
     """
     n, h = w.size, w.size // 2
-    prefixes = enumerate_patterns(-w[:h], w[:h], np.float64(0.0))
-    s = np.sort(prefixes)
-    s = s[np.concatenate(([True], s[1:] != s[:-1]))]  # the distinct sums
-    at = s.searchsorted(prefixes)
+    # the distinct sums; none is -0.0, as every sum starts at +0.0
+    s, at = np.unique(enumerate_patterns(-w[:h], w[:h], np.float64(0.0)), return_inverse=True)
     q_a = enumerate_patterns(1.0 - p[:h], p[:h], np.float64(1.0), np.multiply)
     mass = np.bincount(at, weights=q_a, minlength=s.size)  # A's mass at each distinct sum
     t = enumerate_patterns(-w[h:], w[h:], np.float64(0.0))
@@ -467,14 +466,17 @@ def _jury_halves(w, p, bias, nd, players):
     band = int(ends[-1])
     if band:  # terms[j, r]: the term of judge h + j in the B pattern at sorted position r
         terms = np.where(order >> np.arange(n - h)[:, None] & 1, w[h:, None], -w[h:, None])
-    for start in range(0, band, OUTCOME_BLOCK):
-        g = np.arange(start, min(start + OUTCOME_BLOCK, band))
+    run = 1 << 17  # pairs per band sum: a split no block size changes
+    for start in range(0, band, run):
+        g = np.arange(start, min(start + run, band))
         a = ends.searchsorted(g, "right")
         r = g + shift[a]
-        sums = s[a]
-        for row in terms:
-            sums += row[r]
-        earned = credit(outcome(sums, bias), nd)
+        earned = np.empty(g.size)
+        for i in range(0, g.size, OUTCOME_BLOCK):
+            sums = s[a[i : i + OUTCOME_BLOCK]]
+            for row in terms:
+                sums += row[r[i : i + OUTCOME_BLOCK]]
+            earned[i : i + OUTCOME_BLOCK] = credit(outcome(sums, bias), nd)
         c_a += np.bincount(a, weights=earned * q_b[r], minlength=s.size)
         c_b += np.bincount(r, weights=earned * mass[a], minlength=t.size)
     c_a = c_a[at]

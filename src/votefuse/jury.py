@@ -268,8 +268,8 @@ def indirect_competence(
     (:func:`._exact.pattern_outcomes`), and its vote is fixed in every
     pattern unless it can tie under ``"coin-flip"``. Its patterns are taken in
     :func:`._exact.block_rows` blocks and summed in fixed runs of 2^16, so no
-    block size changes their floats; a team with no shared member is a jury,
-    whose band sums follow the block (:func:`._exact._jury_halves`).
+    block size changes their floats; a team with no shared member is a jury
+    (:func:`._exact._jury_halves`), whose band sums take fixed runs too.
 
     The work is priced before any table is built: m*2^m for each team of m
     members with a shared one and one of its own, the jury's price for each

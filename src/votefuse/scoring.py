@@ -14,8 +14,8 @@ rows as fit in :data:`._exact.OUTCOME_BLOCK` at the width, n + m! or n*m^2,
 that the kernel's route holds per profile (:func:`_profile_width`). Both
 build the m! ranking table first, priced at m!*m^2 units in the work units
 of :mod:`._exact`, so neither goes past m = 10 candidates. The exact method
-enumerates the C(n+m!-1, m!-1) ranking-count multisets as sorted rows, grown
-a column at a time (:func:`_sorted_rows`), weights each by its multinomial
+enumerates the C(n+m!-1, m!-1) ranking-count multisets as sorted rows, each
+read off its rank (:func:`_sorted_rows`), weights each by its multinomial
 coefficient, and sums the credits as integers over lcm(1..m) before
 building one Fraction; it is priced at n*m^2 units a multiset more, before
 any table is built. The Monte Carlo method draws whole profiles through the
@@ -371,39 +371,35 @@ def _price_exact(m: int, n_voters: int) -> None:
 
 
 def _sorted_rows(k: int, n: int, rows: int):
-    """Blocks of at most ``rows`` rows: ``combinations_with_replacement(range(k), n)`` in order.
+    """``combinations_with_replacement(range(k), n)`` in order, in blocks of ``rows`` rows.
 
-    :func:`.wmr.enumerate_unique_wmr` takes its weight vectors from here too,
-    in one block. Rows grow one column at a time: each row is repeated once
-    for each entry from its last one up. A prefix of c columns that ends in
-    v grows into C(n-c+k-v-1, n-c) rows. A run of prefixes that would grow
-    past ``rows`` is cut in order where it passes each multiple of ``rows``,
-    and a single such prefix takes one more column first; the pieces wait on
-    a stack, the next one on top.
+    Every block but the last is full; :func:`.wmr.enumerate_unique_wmr` takes
+    one block. Each row is read off its rank (Knuth, TAOCP Vol. 4A, section
+    7.2.1.3). Among the sorted rows of j columns, those that start with v
+    start at S_j[v] = T_j[0] - T_j[v], where T_j[v] counts the rows whose
+    entries are all v or more: the reverse cumulative sum of T_(j-1), from
+    T_0 all ones. So the rank of a row's last j entries, once v, their first,
+    is found by one search of S_j, is S_j[v] - S_(j-1)[v] more than that of
+    its last j - 1; the rank of the last entry alone is the entry. Callers
+    price their rows first, so every rank fits in int64: the exact
+    efficiency's leaves (:func:`_price_exact`), and at most 11,440 rows of
+    the rule scan.
     """
-    parts = [np.arange(k, dtype=np.intp)[:, None]]
-    while parts:
-        part = parts.pop()
-        left = n - part.shape[1]  # columns to grow
-        grown = np.cumsum([math.comb(left + k - v - 1, left) for v in part[:, -1].tolist()])
-        if grown[-1] > rows:
-            if len(part) == 1:
-                parts.append(_grow_sorted(part, k))
-            else:
-                cuts = grown.searchsorted(np.arange(rows, grown[-1], rows), "right")
-                parts.extend(reversed(np.split(part, np.unique(np.clip(cuts, 1, len(part) - 1)))))
-            continue
-        while part.shape[1] < n:
-            part = _grow_sorted(part, k)
-        yield part
-
-
-def _grow_sorted(part: np.ndarray, k: int) -> np.ndarray:
-    """Each row of ``part`` followed in turn by each index from its last entry to k - 1."""
-    last = part[:, -1]
-    reps = k - last
-    column = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - last, reps)
-    return np.column_stack([np.repeat(part, reps, axis=0), column])
+    tails, starts = np.ones(k, dtype=np.int64), []
+    for _ in range(n):
+        tails = tails[::-1].cumsum()[::-1]
+        starts.insert(0, tails[0] - tails)  # starts[c] = S_(n-c), column c's
+    # what column c searches, and what it takes off the rank
+    moves = [(s[1:], s - t) for s, t in zip(starts, starts[1:])]
+    total = int(tails[0])
+    for lo in range(0, total, rows):
+        at = np.arange(lo, min(lo + rows, total))  # the rank of each row's last n - c entries
+        block = np.empty((at.size, n), dtype=np.intp)
+        for c, (bounds, move) in enumerate(moves):
+            v = block[:, c] = bounds.searchsorted(at, "right")
+            at -= move[v]
+        block[:, -1] = at
+        yield block
 
 
 def _efficiency_exact(

@@ -289,6 +289,17 @@ class TestFloatJury:
             assert abs(got_c - want_c) < 1e-12
             assert np.allclose(got_d, want_d, rtol=0.0, atol=1e-12)
 
+    def test_no_block_size_moves_a_float(self):
+        # twelve judges of weight 0.1: the band of near ties passes a block of
+        # 64 or 97 pairs, and is summed in the same runs at every block
+        skills = tuple(np.linspace(0.3, 0.8, 12).round(3))
+        got = []
+        for block in (64, 97, _exact.OUTCOME_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_exact, "OUTCOME_BLOCK", block)
+                got.append(jury_exact((0.1,) * 12, 0.0, skills, "coin-flip"))
+        assert got == [got[0]] * 3
+
     def test_decimal_ties_are_decided_as_binary_floats(self):
         # fl(0.1) + fl(0.2) - fl(0.3) = 2^-55, so the decimal stalemate is a win
         # in binary; ROADMAP item 2 will change this on purpose to 0.375

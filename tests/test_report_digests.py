@@ -96,6 +96,7 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     games = ("dp", "fraction", "enumeration", "enumeration-20", "banzhaf-only", "refused")
     power = [f"power-{g}-{k}" for g in games for k in ("both", "banzhaf", "shapley")]
     efficiency = ["efficiency-m12-monte-carlo"]
+    blocks = ["efficiency-m4-v4-fail", "efficiency-m4-v4-split-credit"]
     jury = [f"jury-{t}-{p}" for t in ("pooled", "one-team") for p in ("incorrect", "coin-flip")]
     usage = "jury-skills-no-break-space"
     faults = ["power-quota-out-of-range", "jury-team-repeats-a-player"]
@@ -109,7 +110,7 @@ def test_the_edge_jobs_cover_both_kernels_at_their_edges(tmp_path):
     tied = ["adaptive-wmr-tied-features", "adaptive-wmr-huge-features"]
     assert list(lines) == [
         f"edge/{i}"
-        for i in wmr + power + efficiency + jury + [usage] + faults + teams + budgets + fusion
+        for i in wmr + power + efficiency + blocks + jury + [usage] + faults + teams + budgets + fusion
         + csv_forms + votes + overflow + ignored + tied
     ]
     refused = {"power-banzhaf-only-both", "power-banzhaf-only-shapley", "wmr-n8",

@@ -324,7 +324,8 @@ class TestEfficiencyExact:
             patch.setattr(_exact, "OUTCOME_BLOCK", block)
             rows = scoring.block_rows(width)
             blocks = list(scoring._sorted_rows(k, n, rows))
-        assert all(0 < len(b) <= rows and b.shape[1] == n for b in blocks)
+        assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+        assert all(b.shape[1] == n for b in blocks)
         got = [tuple(row) for b in blocks for row in b.tolist()]
         assert got == list(combinations_with_replacement(range(k), n))
 

@@ -25,7 +25,9 @@ for n = -1, 0 and 8, and for n = 1..7 at the default bound and at every
 on a game of each exact route (counting DP, fraction weights, enumeration of
 12 and of 20 players), one that only Banzhaf answers and one refused by both;
 ``efficiency -m 12 --method monte-carlo``, refused before its ranking table
-is built; ``jury`` under both tie policies on a team file priced as one table
+is built; exact ``efficiency -m 4 --voters 4`` under both tie policies, whose
+17,550 ranking-count multisets take more than one block of sorted rows;
+``jury`` under both tie policies on a team file priced as one table
 over its shared players (three teams of players 0-11 and one of 10-12) and on
 a one-team file, whose top level enumerates the team's votes; ``jury
 --skills`` with no-break spaces, which separate no skills; and a game whose
@@ -172,6 +174,9 @@ def edge_jobs(root: Path) -> list[dict]:
             jobs.append({"id": f"power-{name}-{kind}", "argv": argv})
     argv = ["efficiency", "-m", "12", "--voters", "5", "--scoring", "borda", "--method", "monte-carlo"]
     jobs.append({"id": "efficiency-m12-monte-carlo", "argv": argv})
+    for policy in ("fail", "split-credit"):
+        argv = ["efficiency", "-m", "4", "--voters", "4", "--scoring", "borda", "--tie-policy", policy]
+        jobs.append({"id": f"efficiency-m4-v4-{policy}", "argv": argv})
     skills = ",".join(f"0.{55 + 3 * i}" for i in range(13))
     for name, text in EDGE_TEAMS.items():
         (root / f"{name}.txt").write_text(text, encoding="utf-8")
